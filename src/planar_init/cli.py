@@ -1,7 +1,6 @@
 """planar-init command line: generate | init | evaluate | sweep.
 
 Exit codes: 0 success, 1 usage, 2 I/O failure, 3 pipeline failure.
-Log level comes from the PLANAR_INIT_LOG environment variable.
 """
 
 from __future__ import annotations
@@ -9,8 +8,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,8 +32,6 @@ from .simulator import (
     scene_preset,
     write_dataset,
 )
-
-log = logging.getLogger("planar_init")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -240,7 +235,6 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("PLANAR_INIT_LOG", "WARNING").upper())
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -360,13 +360,16 @@ def filter_positive_depth(
     return kept
 
 
-def indicator(h: Homography, c: Correspondence) -> float:
-    """Planarity indicator: transfer residual of one correspondence.
+def indicator(h: Homography, correspondences: list[Correspondence]) -> np.ndarray:
+    """Planarity indicator: transfer residual of each correspondence.
 
-    Computed on the dehomogenized 2D difference; returns ``inf`` when the
-    mapped point lies on the line at infinity.
+    Computed on the dehomogenized 2D differences through one
+    :meth:`Homography.apply`; an entry is ``inf`` where the mapped point
+    lies on the line at infinity.
     """
-    mapped = h.apply(c.p_i)
-    if not np.all(np.isfinite(mapped)):
-        return float("inf")
-    return float(np.linalg.norm(mapped - c.p_j))
+    p_i = np.array([c.p_i for c in correspondences]).reshape(-1, 2)
+    p_j = np.array([c.p_j for c in correspondences]).reshape(-1, 2)
+    mapped = h.apply(p_i)
+    out = np.linalg.norm(mapped - p_j, axis=1)
+    out[~np.all(np.isfinite(mapped), axis=1)] = np.inf
+    return out

@@ -120,8 +120,9 @@ class Selection:
 def select_solution(n_prior: PriorNormal, candidates: list[HomographySolution]) -> Selection:
     """Pick the candidate whose plane normal is closest to the prior.
 
-    Ties go to the first candidate.  The margin (absolute distance gap)
-    is reported for diagnostics; it is infinite for a single candidate.
+    Ties go to the first candidate.  The margin, reported for
+    diagnostics, is the gap between the two smallest distances; it is
+    infinite for a single candidate.
     """
     if not candidates:
         raise NoSolutionError("no homography solutions to select from")
@@ -130,8 +131,8 @@ def select_solution(n_prior: PriorNormal, candidates: list[HomographySolution]) 
         return Selection(candidates[0], math.inf, dists)
     order = int(np.argmin(dists))
     # argmin returns the first minimum, which realizes the <= convention
-    margin = abs(dists[0] - dists[1]) if len(dists) == 2 else math.inf
-    return Selection(candidates[order], margin, dists)
+    nearest, runner_up = sorted(dists)[:2]
+    return Selection(candidates[order], runner_up - nearest, dists)
 
 
 @dataclass(frozen=True)
@@ -425,7 +426,7 @@ def run_initialization(
         except PlanarInitError as exc:
             raise PipelineError("homography", str(exc)) from exc
         timings[f"homography_{m}_s"] = time.perf_counter() - t_stage
-        diag["indicator_values"].extend(indicator(h_est, c) for c in corrs)
+        diag["indicator_values"].extend(indicator(h_est, corrs).tolist())
 
         candidates = decompose(h_est)
         if len(candidates) == 1 and candidates[0].normal_indeterminate:
@@ -454,9 +455,6 @@ def run_initialization(
             t_bar = _rank1_translation(h_est, rel_rot, prior)
         else:
             t_bar = sel.t_bar
-
-        # IMU prediction across the pair (velocity prior for the refinement)
-        nav_imu = imu_mod.propagate(nav_prev, pair_imu, gravity)
 
         # stereo points at the previous keyframe, in the window world frame
         cam_prev = nav_prev.pose @ rig.T_c_b
@@ -526,7 +524,7 @@ def run_initialization(
         velocities.append(refinement.velocity)
 
         nav_prev = NavState(kf_j.t, body_curr, refinement.velocity,
-                            nav_imu.gyro_bias, nav_imu.accel_bias)
+                            nav_prev.gyro_bias, nav_prev.accel_bias)
         poses.append(body_curr)
         diag["pairs"].append({
             "pair": m,
@@ -537,6 +535,7 @@ def run_initialization(
             "pnp_inliers": int(pnp_mask.sum()),
             "gn_iterations": refinement.iterations,
             "gn_cost": refinement.cost,
+            "gn_converged": refinement.converged,
             "correspondences": len(corrs),
             "homography_inliers": int(np.sum(inlier_mask)),
         })

@@ -1,4 +1,6 @@
+import concurrent.futures
 import csv
+import ctypes
 import json
 from dataclasses import replace
 
@@ -10,6 +12,8 @@ from planar_init.config import PipelineConfig, load_config, save_config
 from planar_init.errors import AlignmentError, PipelineError
 from planar_init.geometry import Pose, Rotation
 from planar_init.harness import (
+    _loaded_openblas,
+    _single_thread_blas,
     evaluate,
     run_on_dataset,
     run_sweep,
@@ -25,6 +29,24 @@ from planar_init.simulator import (
     make_dataset,
     scene_preset,
 )
+
+
+def _openblas_get_threads() -> int | None:
+    """Thread count of this process's OpenBLAS, or None without one."""
+    path = _loaded_openblas()
+    if path is None:
+        return None
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_num_threads64_",
+                 "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            return getter()
+    return None
 
 
 class TestSeeds:
@@ -138,6 +160,22 @@ class TestSweep:
         b = run_sweep("selection", ["helipad"], ["vertical", "oblique"],
                       trials=6, master_seed=9, jobs=2)
         assert a == b
+
+    def test_parallel_determinism_full_mode(self):
+        # full trials reach the BLAS-backed estimators the pool workers run
+        # single-threaded; their rows must not depend on --jobs
+        args = ("full", ["helipad"], ["vertical", "oblique"])
+        a = run_sweep(*args, trials=2, master_seed=4, jobs=1)
+        b = run_sweep(*args, trials=2, master_seed=4, jobs=2)
+        assert a == b
+        assert all(row["initialized"] == 2 for row in a)
+
+    def test_pool_workers_run_single_thread_blas(self):
+        if _openblas_get_threads() is None:
+            pytest.skip("no OpenBLAS loaded in this process")
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=1, initializer=_single_thread_blas) as pool:
+            assert pool.submit(_openblas_get_threads).result(timeout=60) == 1
 
     def test_unknown_scene(self):
         with pytest.raises(ValueError):

@@ -293,23 +293,28 @@ class TestIndicator:
     def test_exact_planar_is_zero(self):
         rng = np.random.default_rng(12)
         *_, h, corrs = sample_setup_with_correspondences(rng, count=10)
-        for c in corrs:
-            assert indicator(h, c) < 1e-12
+        vals = indicator(h, corrs)
+        assert vals.shape == (len(corrs),)
+        assert np.all(vals < 1e-12)
 
     def test_direct_evaluation(self):
         c = Correspondence([0.0, 0.0], [0.01, 0.0])
-        assert indicator(Homography(np.eye(3)), c) == pytest.approx(0.01)
+        assert indicator(Homography(np.eye(3)), [c])[0] == pytest.approx(0.01)
 
     def test_zero_iff_constraint_holds(self):
         rng = np.random.default_rng(13)
         *_, h, corrs = sample_setup_with_correspondences(rng, count=1)
         c = corrs[0]
-        assert indicator(h, c) == 0.0
         off = Correspondence(c.p_i, c.p_j + np.array([1e-4, 0.0]))
-        assert indicator(h, off) > 0.0
+        exact, perturbed = indicator(h, [c, off])
+        assert exact == 0.0
+        assert perturbed > 0.0
 
     def test_infinite_flag(self):
         # map the point onto the plane at infinity: third row kills p = (1, 0)
         m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
         c = Correspondence([1.0, 0.0], [0.0, 0.0])
-        assert indicator(Homography(m), c) == np.inf
+        finite = Correspondence([0.0, 0.0], [0.0, 0.0])
+        vals = indicator(Homography(m), [c, finite])
+        assert vals[0] == np.inf
+        assert vals[1] == 0.0

@@ -65,6 +65,17 @@ class TestSelectSolution:
         assert sel.solution is a
         assert sel.margin == math.inf
 
+    def test_margin_between_two_nearest_of_three(self):
+        prior = PriorNormal(np.array([0.0, 0.0, 1.0]), 0.0)
+        far = solution([1.0, 0.0, 0.2])
+        near = solution([0.1, 0.0, 1.0])
+        mid = solution([0.5, 0.0, 1.0])
+        sel = select_solution(prior, [far, near, mid])
+        assert sel.solution is near
+        d_far, d_near, d_mid = sel.distances
+        assert sel.margin == d_mid - d_near
+        assert 0.0 < sel.margin < d_far - d_near
+
     def test_empty_raises(self):
         with pytest.raises(NoSolutionError):
             select_solution(PriorNormal(np.array([0.0, 0.0, 1.0]), 0.0), [])
@@ -261,6 +272,7 @@ class TestRunInitialization:
         result = run_on_dataset(ds, cfg, seed=0)
         assert result.status == STATUS_PURE_ROTATION
         assert result.scale is None
+        json.dumps(result.to_json_dict())  # diagnostics stay serializable
 
     def test_determinism(self, noisy_vertical_dataset):
         # bit-identical apart from wall-clock stage timings
@@ -277,6 +289,7 @@ class TestRunInitialization:
         assert len(d["pairs"]) == len(result.keyframe_times) - 1
         assert len(d["selection_margins"]) == len(d["pairs"])
         assert all(n >= 4 for n in d["pnp_inlier_counts"])
+        assert all(isinstance(p["gn_converged"], bool) for p in d["pairs"])
         pct = d["indicator_percentiles"]
         assert pct["p50"] <= pct["p95"] <= pct["p100"]
 
