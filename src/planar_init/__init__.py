@@ -28,7 +28,7 @@ from .homography import (
     synthesize,
 )
 from .imu import (
-    ImuSample,
+    ImuStream,
     NavState,
     PriorNormal,
     integrate_camera_rotation,

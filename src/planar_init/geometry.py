@@ -213,13 +213,20 @@ class Pose:
         return m
 
 
-def compose(a: Pose, b: Pose) -> Pose:
-    """Standard SE(3) composition with frame-label checking."""
-    return a.compose(b)
-
-
-def invert(a: Pose) -> Pose:
-    return a.invert()
+def quat_matrices(quats: np.ndarray) -> np.ndarray:
+    """Rotation matrices (N, 3, 3) of N wxyz unit quaternions."""
+    w, x, y, z = quats[:, 0], quats[:, 1], quats[:, 2], quats[:, 3]
+    m = np.empty((len(quats), 3, 3))
+    m[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    m[:, 0, 1] = 2 * (x * y - w * z)
+    m[:, 0, 2] = 2 * (x * z + w * y)
+    m[:, 1, 0] = 2 * (x * y + w * z)
+    m[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    m[:, 1, 2] = 2 * (y * z - w * x)
+    m[:, 2, 0] = 2 * (x * z - w * y)
+    m[:, 2, 1] = 2 * (y * z + w * x)
+    m[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    return m
 
 
 class EulerAngles(NamedTuple):

@@ -59,9 +59,11 @@ def trial_seed(master_seed: int, index: int) -> int:
 def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
     """Gather the keyframe window after the IMU-only height gate fires.
 
-    Propagates the IMU stream from rest, finds the first camera frame at
+    Propagates the IMU stream from rest up to the first camera frame at
     which the altitude gain reaches the preset height, and takes every
-    ``keyframe_stride``-th frame from there, up to ``window_size``.
+    ``keyframe_stride``-th frame from there, up to ``window_size``.  The
+    state at the gate frame anchors the window, so no sample before it is
+    integrated again.
     """
     frames = dataset.frames
     imu = dataset.imu
@@ -69,16 +71,24 @@ def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
     if not frames:
         raise PipelineError("height-gate", "dataset has no camera frames")
     gravity = np.asarray(config.gravity, dtype=np.float64)
-    nav = imu_mod.nav_state_at_rest(imu[0].t, config.gyro_bias, config.accel_bias)
+    nav = imu_mod.nav_state_at_rest(float(imu.t[0]), config.gyro_bias, config.accel_bias)
     z0 = nav.pose.translation[2]
+    frame_t = np.array([fr.t for fr in frames])
+    # the last sample of each frame's propagation (slice_between's tolerance)
+    frame_end = np.searchsorted(imu.t, frame_t + 1e-9, side="right") - 1
+    excess = np.linalg.norm(imu.accel - nav.accel_bias, axis=1) - gravity[2]
     gate_idx = None
-    for k, fr in enumerate(frames):
-        if fr.t > nav.t + 1e-9:
+    k = 0
+    while k < len(frames):
+        if frame_t[k] > nav.t + 1e-9:
             nav = imu_mod.propagate(
-                nav, imu_mod.slice_between(imu, nav.t, fr.t), gravity)
-        if z0 - nav.pose.translation[2] >= config.preset_height_m:
+                nav, imu_mod.slice_between(imu, nav.t, frame_t[k]), gravity)
+        gain = z0 - nav.pose.translation[2]
+        if gain >= config.preset_height_m:
             gate_idx = k
             break
+        k += _gate_step(imu, excess, nav, gain, config.preset_height_m,
+                        frame_end[k + 1:])
     if gate_idx is None:
         raise PipelineError("height-gate",
                             f"altitude never reached {config.preset_height_m} m")
@@ -91,7 +101,29 @@ def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
         for fr in picked
     ]
     span = imu_mod.slice_between(imu, keyframes[0].t, keyframes[-1].t)
-    return KeyframeWindow(keyframes, span, config.window_size)
+    return KeyframeWindow(keyframes, span, nav, config.window_size)
+
+
+def _gate_step(imu, excess: np.ndarray, nav, gain: float, height: float,
+               later: np.ndarray) -> int:
+    """How many frames the height-gate search may advance by, at least one.
+
+    In any attitude the upward acceleration is at most the specific-force
+    excess ``|f - b_a| - g_z`` (NED), so from climb rate v the altitude
+    gained in the next T seconds is at most ``v T + A T^2 / 2``, A the
+    largest excess in that span; the midpoint recurrence keeps the same
+    bound.  The search
+    jumps to the last of the ``later`` frames (given by their last sample)
+    that this bound keeps below ``height``, each of which would fail the
+    gate, so they are propagated through in one call instead of one each.
+    """
+    i = int(np.searchsorted(imu.t, nav.t - 1e-9))
+    span = imu.t[i:] - imu.t[i]
+    reach = (gain - nav.velocity[2] * span
+             + 0.5 * np.maximum.accumulate(excess[i:]) * span * span)
+    # a micrometre of slack covers rounding in the propagated altitude
+    hits = np.flatnonzero(reach[later - i] >= height - 1e-6)
+    return max(int(hits[0]) if hits.size else len(later), 1)
 
 
 def run_on_dataset(dataset, config: PipelineConfig | None = None,
@@ -276,10 +308,10 @@ def selection_trial(profile_kind: str, seed: int,
     h_true = synthesize(rel.rotation, rel.translation, n_j, d_j)
 
     # prior normal from the noisy gyro chain, stationary start -> time j
-    span = imu_mod.slice_between(imu, imu[0].t, truth.t[k_j])
+    span = imu_mod.slice_between(imu, imu.t[0], truth.t[k_j])
     r_cam = imu_mod.integrate_camera_rotation(span, cfg.gyro_bias, rig.T_c_b)
     prior = imu_mod.propagate_normal(
-        PriorNormal(np.array([0.0, 0.0, 1.0]), imu[0].t), r_cam, truth.t[k_j])
+        PriorNormal(np.array([0.0, 0.0, 1.0]), float(imu.t[0])), r_cam, truth.t[k_j])
 
     # candidates from the exact homography, pruned by positive depth
     candidates = decompose(h_true)

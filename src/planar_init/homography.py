@@ -175,7 +175,9 @@ def _dlt(p_i: np.ndarray, p_j: np.ndarray) -> np.ndarray:
     rows[0::2, 6:9] = b[:, 0:1] * a
     rows[1::2, 3:6] = -a
     rows[1::2, 6:9] = b[:, 1:2] * a
-    _, _, vt = np.linalg.svd(rows)
+    # the null vector is the last row of V^T; below 9 rows only the full
+    # factorization has one, above it the reduced one skips the unused U
+    _, _, vt = np.linalg.svd(rows, full_matrices=len(rows) < 9)
     h_hat = vt[-1].reshape(3, 3)
     return np.linalg.inv(t_j) @ h_hat @ t_i
 

@@ -3,36 +3,69 @@
 Midpoint (trapezoidal) integration between consecutive samples; biases
 are held constant.  Gravity is a world-frame constant, down-positive in
 NED by default.
+
+A stream is held as arrays (:class:`ImuStream`).  Propagation computes
+every interval's rotation increment in one vectorized step; only the
+quaternion chain runs sample by sample, on plain floats.  The
+world-rotated specific force then comes from one batched product, and
+velocity and position from cumulative sums of the midpoint recurrence.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import StreamError
-from .geometry import Pose, Rotation
+from .geometry import Pose, Rotation, quat_matrices
 
 GRAVITY_NED = np.array([0.0, 0.0, 9.81])
 
 
-@dataclass(frozen=True)
-class ImuSample:
-    """One IMU reading: gyro in rad/s, accel (specific force) in m/s^2, body frame."""
+@dataclass(frozen=True, eq=False)
+class ImuStream:
+    """IMU readings as arrays, body frame.
 
-    t: float
+    ``t`` (N,) seconds, ``gyro`` (N, 3) rad/s and ``accel`` (N, 3) specific
+    force in m/s^2.  Construction copies the inputs, rejects an empty
+    stream and checks once that the timestamps strictly increase; slices
+    taken by :func:`slice_between` are read-only views of the same arrays.
+    """
+
+    t: np.ndarray
     gyro: np.ndarray
     accel: np.ndarray
 
     def __post_init__(self):
-        for name in ("gyro", "accel"):
-            v = np.asarray(getattr(self, name), dtype=np.float64).reshape(3).copy()
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+        t = np.array(self.t, dtype=np.float64)
+        gyro = np.array(self.gyro, dtype=np.float64)
+        accel = np.array(self.accel, dtype=np.float64)
+        if t.ndim != 1 or gyro.shape != (len(t), 3) or accel.shape != (len(t), 3):
+            raise ValueError(f"expected t (N,), gyro and accel (N, 3); got "
+                             f"{t.shape}, {gyro.shape}, {accel.shape}")
+        if len(t) == 0:
+            raise StreamError("empty IMU sample stream")
+        rising = np.diff(t) > 0.0  # False for NaN as well
+        if not rising.all():
+            k = int(np.argmin(rising)) + 1
+            raise StreamError(f"non-monotonic timestamps at t={t[k]}")
+        for name, a in (("t", t), ("gyro", gyro), ("accel", accel)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def _view(self, start: int, stop: int) -> "ImuStream":
+        """Samples ``start:stop`` without copying or checking again."""
+        out = object.__new__(ImuStream)
+        for name in ("t", "gyro", "accel"):
+            object.__setattr__(out, name, getattr(self, name)[start:stop])
+        return out
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -79,15 +112,50 @@ class PriorNormal:
         object.__setattr__(self, "n", v)
 
 
-def _check_stream(samples: Sequence[ImuSample]) -> None:
+def _require(samples: ImuStream, count: int, what: str) -> None:
     if len(samples) == 0:
         raise StreamError("empty IMU sample stream")
-    for a, b in zip(samples, samples[1:]):
-        if b.t <= a.t:
-            raise StreamError(f"non-monotonic timestamps at t={b.t}")
+    if len(samples) < count:
+        raise StreamError(f"need at least {count} samples to {what}")
 
 
-def propagate(state: NavState, samples: Sequence[ImuSample], gravity=GRAVITY_NED) -> NavState:
+def _increments(samples: ImuStream, gyro_bias) -> np.ndarray:
+    """Unit quaternions (N-1, 4) of each interval's bias-corrected mean gyro.
+
+    The exponential map of ``omega * dt``; below 1e-12 rad the vector part
+    is ``rotvec / 2``, as in :meth:`Rotation.from_rotvec`.
+    """
+    dt = np.diff(samples.t)[:, None]
+    rotvec = (0.5 * (samples.gyro[:-1] + samples.gyro[1:]) - gyro_bias) * dt
+    angle = np.sqrt(np.einsum("ij,ij->i", rotvec, rotvec))
+    half = 0.5 * angle
+    sinc = np.divide(np.sin(half), angle, out=np.full_like(angle, 0.5),
+                     where=angle >= 1e-12)
+    q = np.empty((len(rotvec), 4))
+    q[:, 0] = np.cos(half)
+    q[:, 1:] = rotvec * sinc[:, None]
+    return q
+
+
+def _chain(q0: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """Attitudes (N, 4): ``q0`` right-multiplied by each increment in turn.
+
+    Hamilton products on plain floats, renormalized after every step.
+    """
+    w, x, y, z = (float(c) for c in q0)
+    out = [(w, x, y, z)]
+    for a, b, c, d in increments.tolist():
+        w, x, y, z = (w * a - x * b - y * c - z * d,
+                      w * b + x * a + y * d - z * c,
+                      w * c - x * d + y * a + z * b,
+                      w * d + x * c - y * b + z * a)
+        n = math.sqrt(w * w + x * x + y * y + z * z)
+        w, x, y, z = w / n, x / n, y / n, z / n
+        out.append((w, x, y, z))
+    return np.array(out)
+
+
+def propagate(state: NavState, samples: ImuStream, gravity=GRAVITY_NED) -> NavState:
     """Midpoint strapdown propagation through a sample stream.
 
     The stream must start at ``state.t``.  Rotation integrates the
@@ -95,45 +163,50 @@ def propagate(state: NavState, samples: Sequence[ImuSample], gravity=GRAVITY_NED
     the average of the world-rotated specific force at both endpoints
     plus gravity.
     """
-    _check_stream(samples)
-    if abs(samples[0].t - state.t) > 1e-9:
+    _require(samples, 1, "propagate")
+    if abs(samples.t[0] - state.t) > 1e-9:
         raise StreamError(
-            f"stream starts at {samples[0].t}, state is at {state.t}")
-    g = np.asarray(gravity, dtype=np.float64)
+            f"stream starts at {samples.t[0]}, state is at {state.t}")
     b_g, b_a = state.gyro_bias, state.accel_bias
-    r = state.pose.rotation
-    p = state.pose.translation.copy()
-    v = state.velocity.copy()
-    for s0, s1 in zip(samples, samples[1:]):
-        dt = s1.t - s0.t
-        omega = 0.5 * (s0.gyro + s1.gyro) - b_g
-        r_next = r @ Rotation.from_rotvec(omega * dt)
-        a_w = 0.5 * (r.apply(s0.accel - b_a) + r_next.apply(s1.accel - b_a)) + g
-        p = p + v * dt + 0.5 * a_w * dt * dt
-        v = v + a_w * dt
-        r = r_next
-    return NavState(samples[-1].t, Pose(r, p, "b", "w"), v, b_g, b_a)
+    dt = np.diff(samples.t)[:, None]
+    quats = _chain(state.pose.rotation.quat, _increments(samples, b_g))
+    f_w = np.einsum("nij,nj->ni", quat_matrices(quats), samples.accel - b_a)
+    a_w = 0.5 * (f_w[:-1] + f_w[1:]) + gravity
+    # v_k+1 = v_k + a_k dt and p_k+1 = (p_k + v_k dt) + a_k dt^2 / 2, each
+    # summed left to right in that order
+    v = np.cumsum(np.concatenate(([state.velocity], a_w * dt)), axis=0)
+    steps = np.empty((2 * len(dt) + 1, 3))
+    steps[0] = state.pose.translation
+    steps[1::2] = v[:-1] * dt
+    steps[2::2] = 0.5 * a_w * dt * dt
+    p = np.cumsum(steps, axis=0)[-1]
+    return NavState(float(samples.t[-1]), Pose(Rotation(quats[-1]), p, "b", "w"),
+                    v[-1], b_g, b_a)
 
 
-def integrate_camera_rotation(samples: Sequence[ImuSample], gyro_bias,
+def camera_rotation(body_delta: Rotation, T_c_b: Pose) -> Rotation:
+    """Camera coordinate map from time i to time j for a body attitude change.
+
+    ``body_delta`` is the body attitude at j in the body frame at i
+    (R_bj^bi); the result maps camera coordinates at i to camera
+    coordinates at j (the convention used to chain the prior plane normal).
+    """
+    r_cb = T_c_b.rotation
+    return r_cb.inverse() @ body_delta.inverse() @ r_cb
+
+
+def integrate_camera_rotation(samples: ImuStream, gyro_bias,
                               T_c_b: Pose) -> Rotation:
     """Gyro delta-rotation over the span, conjugated into the camera frame.
 
     Returns R mapping camera coordinates at the first sample time to
-    camera coordinates at the last sample time (the i -> j convention
-    used to chain the prior plane normal).
+    camera coordinates at the last sample time.
     """
-    _check_stream(samples)
-    if len(samples) < 2:
-        raise StreamError("need at least two samples to integrate rotation")
+    _require(samples, 2, "integrate rotation")
     b_g = np.asarray(gyro_bias, dtype=np.float64)
-    gamma = Rotation.identity()  # body increment: R_bk^b(k-1)
-    for s0, s1 in zip(samples, samples[1:]):
-        dt = s1.t - s0.t
-        omega = 0.5 * (s0.gyro + s1.gyro) - b_g
-        gamma = gamma @ Rotation.from_rotvec(omega * dt)
-    r_cb = T_c_b.rotation
-    return r_cb.inverse() @ gamma.inverse() @ r_cb
+    identity = Rotation.identity().quat
+    gamma = Rotation(_chain(identity, _increments(samples, b_g))[-1])
+    return camera_rotation(gamma, T_c_b)
 
 
 def propagate_normal(n_prev: PriorNormal, rotation: Rotation,
@@ -144,7 +217,7 @@ def propagate_normal(n_prev: PriorNormal, rotation: Rotation,
     return PriorNormal(n, n_prev.t if t is None else t)
 
 
-def is_stationary(samples: Sequence[ImuSample], gravity_mag: float = 9.81,
+def is_stationary(samples: ImuStream, gravity_mag: float = 9.81,
                   window: float = 0.5, accel_tol: float = 0.05,
                   gyro_tol: float = 0.01) -> bool:
     """Stationarity gate for the n_0 = [0, 0, 1] assumption.
@@ -153,48 +226,42 @@ def is_stationary(samples: Sequence[ImuSample], gravity_mag: float = 9.81,
     ``accel_tol * g`` of g and mean gyro magnitude below ``gyro_tol``
     rad/s (means reject sensor white noise, motion does not average out).
     """
-    _check_stream(samples)
-    t_end = samples[0].t + window
-    accels = []
-    gyros = []
-    for s in samples:
-        if s.t > t_end:
-            break
-        accels.append(s.accel)
-        gyros.append(s.gyro)
-    if len(accels) < 2:
+    _require(samples, 1, "test stationarity")
+    count = int(np.searchsorted(samples.t, samples.t[0] + window, side="right"))
+    if count < 2:
         return False
-    accel_mag = float(np.linalg.norm(np.mean(accels, axis=0)))
-    gyro_mag = float(np.linalg.norm(np.mean(gyros, axis=0)))
+    accel_mag = float(np.linalg.norm(np.mean(samples.accel[:count], axis=0)))
+    gyro_mag = float(np.linalg.norm(np.mean(samples.gyro[:count], axis=0)))
     return (abs(accel_mag - gravity_mag) <= accel_tol * gravity_mag
             and gyro_mag <= gyro_tol)
 
 
-def slice_between(samples: Sequence[ImuSample], t0: float, t1: float,
-                  tol: float = 1e-9) -> list[ImuSample]:
-    """Samples with t in [t0, t1] (inclusive, with tolerance)."""
-    return [s for s in samples if t0 - tol <= s.t <= t1 + tol]
+def slice_between(samples: ImuStream, t0: float, t1: float,
+                  tol: float = 1e-9) -> ImuStream:
+    """Samples with t in [t0, t1] (inclusive, with tolerance), as a view."""
+    start = int(np.searchsorted(samples.t, t0 - tol, side="left"))
+    stop = int(np.searchsorted(samples.t, t1 + tol, side="right"))
+    return samples._view(start, max(start, stop))
 
 
-def mean_gyro(samples: Sequence[ImuSample], gyro_bias=(0.0, 0.0, 0.0)) -> np.ndarray:
-    _check_stream(samples)
-    raw = np.mean([s.gyro for s in samples], axis=0)
-    return raw - np.asarray(gyro_bias, dtype=np.float64)
+def mean_gyro(samples: ImuStream, gyro_bias=(0.0, 0.0, 0.0)) -> np.ndarray:
+    _require(samples, 1, "average")
+    return np.mean(samples.gyro, axis=0) - np.asarray(gyro_bias, dtype=np.float64)
 
 
 IMU_CSV_HEADER = ["t", "gx", "gy", "gz", "ax", "ay", "az"]
 
 
-def save_imu_csv(path, samples: Sequence[ImuSample]) -> None:
+def save_imu_csv(path, samples: ImuStream) -> None:
+    rows = np.column_stack([samples.t, samples.gyro, samples.accel]).tolist()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(IMU_CSV_HEADER)
-        for s in samples:
-            w.writerow([repr(float(x)) for x in (s.t, *s.gyro, *s.accel)])
+        w.writerows([repr(x) for x in row] for row in rows)
 
 
-def load_imu_csv(path) -> list[ImuSample]:
+def load_imu_csv(path) -> ImuStream:
     data = np.loadtxt(Path(path), delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 7:
         raise StreamError(f"expected 7 columns in IMU csv, got {data.shape[1]}")
-    return [ImuSample(float(row[0]), row[1:4], row[4:7]) for row in data]
+    return ImuStream(data[:, 0], data[:, 1:4], data[:, 4:7])

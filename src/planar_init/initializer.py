@@ -39,7 +39,7 @@ from .homography import (
     filter_positive_depth,
     indicator,
 )
-from .imu import NavState, PriorNormal
+from .imu import ImuStream, NavState, PriorNormal
 from .motion_field import FlowObservation, VelocityRefinement, refine_velocity
 from .pnp import refine_pose, solve_pnp
 from .weighting import stereo_deviation, weight
@@ -76,18 +76,14 @@ class Keyframe:
     observations: dict  # feature_id -> StereoObservation
 
 
-@dataclass(frozen=True)
-class FeatureTrack:
-    """One feature's observations across the window keyframes."""
-
-    feature_id: int
-    samples: tuple  # of (keyframe position in window, StereoObservation)
-
-
 @dataclass
 class KeyframeWindow:
+    """Keyframes after the height gate, the IMU samples spanning them, and
+    the IMU-only state at the first keyframe that anchors the window."""
+
     keyframes: list
-    imu: list
+    imu: ImuStream
+    anchor: NavState
     capacity: int = 10
 
     def __post_init__(self):
@@ -98,14 +94,6 @@ class KeyframeWindow:
     def shared_features(self, a: int, b: int) -> list[int]:
         ka, kb = self.keyframes[a], self.keyframes[b]
         return sorted(set(ka.observations) & set(kb.observations))
-
-    def track(self, feature_id: int) -> FeatureTrack:
-        samples = tuple(
-            (pos, kf.observations[feature_id])
-            for pos, kf in enumerate(self.keyframes)
-            if feature_id in kf.observations
-        )
-        return FeatureTrack(feature_id, samples)
 
 
 @dataclass(frozen=True)
@@ -311,15 +299,14 @@ class InitializationResult:
         return d
 
 
-def _imu_only_states(anchor: NavState, window: KeyframeWindow, imu_samples,
-                     gravity) -> tuple[list, list, list]:
+def _imu_only_states(window: KeyframeWindow, gravity) -> tuple[list, list, list]:
     """IMU-propagated body pose and velocity at every keyframe time."""
     times, poses, vels = [], [], []
-    nav = anchor
+    nav = window.anchor
     for kf in window.keyframes:
         if kf.t > nav.t + 1e-9:
             nav = imu_mod.propagate(
-                nav, imu_mod.slice_between(imu_samples, nav.t, kf.t), gravity)
+                nav, imu_mod.slice_between(window.imu, nav.t, kf.t), gravity)
         times.append(kf.t)
         poses.append(nav.pose)
         vels.append(nav.velocity.copy())
@@ -335,10 +322,12 @@ def run_initialization(
 ) -> InitializationResult:
     """Execute the full pipeline on a gathered keyframe window.
 
-    ``imu_samples`` must span from a stationary prefix (where the world
-    frame is anchored and the prior normal is [0, 0, 1]) through the last
-    keyframe.  Any stage failure raises :class:`PipelineError` naming the
-    stage; an inadequate feature count falls back to an IMU-only result.
+    ``imu_samples`` is the stream from the stationary prefix (where the
+    world frame is anchored and the prior normal is [0, 0, 1]); the window
+    carries the IMU-only anchor at its first keyframe, propagated from that
+    prefix by :func:`planar_init.harness.select_window`.  Any stage failure
+    raises :class:`PipelineError` naming the stage; an inadequate feature
+    count falls back to an IMU-only result.
     """
     cfg = config or PipelineConfig()
     rng = np.random.default_rng(seed)
@@ -347,7 +336,7 @@ def run_initialization(
 
     if len(window.keyframes) < 2:
         raise PipelineError("window", "need at least two keyframes")
-    if not imu_samples:
+    if len(imu_samples) == 0:
         raise PipelineError("imu", "empty IMU stream")
 
     gravity = np.asarray(cfg.gravity, dtype=np.float64)
@@ -358,11 +347,9 @@ def run_initialization(
         raise PipelineError("stationarity", "stream does not start at rest")
 
     # IMU-only anchor at the first keyframe (the height-gate instant)
-    t0 = imu_samples[0].t
-    nav = imu_mod.nav_state_at_rest(t0, cfg.gyro_bias, cfg.accel_bias)
+    t0 = float(imu_samples.t[0])
     kf0 = window.keyframes[0]
-    pre = imu_mod.slice_between(imu_samples, t0, kf0.t)
-    anchor = imu_mod.propagate(nav, pre, gravity) if len(pre) >= 2 else nav
+    anchor = window.anchor
     if abs(anchor.t - kf0.t) > 0.5 / max(cfg.imu_rate_hint, 1.0):
         raise PipelineError("imu", "IMU stream does not reach the first keyframe")
     timings["anchor_s"] = time.perf_counter() - t_start
@@ -370,16 +357,18 @@ def run_initialization(
     # feature gate
     counts = [len(kf.observations) for kf in window.keyframes]
     if min(counts) < cfg.min_features:
-        times, poses, vels = _imu_only_states(anchor, window, imu_samples, gravity)
+        times, poses, vels = _imu_only_states(window, gravity)
         return InitializationResult(
             STATUS_IMU_ONLY, times, poses, vels, None, None,
             {"feature_counts": counts, "min_features": cfg.min_features,
              "timings": timings})
 
     # prior normal chained from the stationary instant to the first keyframe
+    # (the world frame is the body frame at rest, so the anchor's attitude
+    # is the body rotation since t0)
     prior = PriorNormal(np.array([0.0, 0.0, 1.0]), t0)
-    if len(pre) >= 2:
-        r_pre = imu_mod.integrate_camera_rotation(pre, cfg.gyro_bias, rig.T_c_b)
+    if anchor.t > t0:
+        r_pre = imu_mod.camera_rotation(anchor.pose.rotation, rig.T_c_b)
         prior = imu_mod.propagate_normal(prior, r_pre, kf0.t)
 
     diag: dict = {
@@ -430,7 +419,7 @@ def run_initialization(
 
         candidates = decompose(h_est)
         if len(candidates) == 1 and candidates[0].normal_indeterminate:
-            times, p_imu, v_imu = _imu_only_states(anchor, window, imu_samples, gravity)
+            times, p_imu, v_imu = _imu_only_states(window, gravity)
             diag["timings"] = timings
             diag["pure_rotation_pair"] = m
             return InitializationResult(
@@ -488,7 +477,7 @@ def run_initialization(
             t_hat = metric_alignment(t_pnp, nav_prev.pose, rig)
             s = recover_scale(t_bar, t_hat)
         except DegenerateTranslationError as exc:
-            times, p_imu, v_imu = _imu_only_states(anchor, window, imu_samples, gravity)
+            times, p_imu, v_imu = _imu_only_states(window, gravity)
             diag["timings"] = timings
             diag["pure_rotation_pair"] = m
             return InitializationResult(

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraRig, Pose, Rotation, load_rig, save_rig
-from .imu import ImuSample, GRAVITY_NED, save_imu_csv, load_imu_csv
+from .geometry import CameraRig, Pose, Rotation, load_rig, quat_matrices, save_rig
+from .imu import GRAVITY_NED, ImuStream, load_imu_csv, save_imu_csv
 
 SCENE_PRESETS = {"helipad": 0.0, "asphalt": 0.01, "lawn": 0.05}
 PROFILE_KINDS = ("vertical", "oblique", "hover")
@@ -228,21 +228,6 @@ class FrameObservations:
     pixels: dict  # feature_id -> (uv_left (2,), uv_right (2,))
 
 
-def _quat_matrices(quats: np.ndarray) -> np.ndarray:
-    w, x, y, z = quats[:, 0], quats[:, 1], quats[:, 2], quats[:, 3]
-    m = np.empty((len(quats), 3, 3))
-    m[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    m[:, 0, 1] = 2 * (x * y - w * z)
-    m[:, 0, 2] = 2 * (x * z + w * y)
-    m[:, 1, 0] = 2 * (x * y + w * z)
-    m[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    m[:, 1, 2] = 2 * (y * z - w * x)
-    m[:, 2, 0] = 2 * (x * z - w * y)
-    m[:, 2, 1] = 2 * (y * z + w * x)
-    m[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return m
-
-
 def render_tracks(scene: np.ndarray, truth: GroundTruth, rig: CameraRig,
                   noise_px: float = 0.0, seed: int = 0,
                   min_depth: float = 0.05) -> list[FrameObservations]:
@@ -256,7 +241,7 @@ def render_tracks(scene: np.ndarray, truth: GroundTruth, rig: CameraRig,
     rng = np.random.default_rng(seed)
     r_cb = rig.T_c_b.rotation.matrix()
     t_cb = rig.T_c_b.translation
-    body_mats = _quat_matrices(truth.quat_wxyz)
+    body_mats = quat_matrices(truth.quat_wxyz)
     frames: list[FrameObservations] = []
     for frame_no, k in enumerate(truth.cam_indices):
         r_bw = body_mats[k]
@@ -288,7 +273,7 @@ def render_tracks(scene: np.ndarray, truth: GroundTruth, rig: CameraRig,
 def synthesize_imu(truth: GroundTruth, gyro_bias=(0.0, 0.0, 0.0),
                    accel_bias=(0.0, 0.0, 0.0), gyro_noise_density: float = 0.0,
                    accel_noise_density: float = 0.0, gravity=GRAVITY_NED,
-                   seed: int = 0) -> list[ImuSample]:
+                   seed: int = 0) -> ImuStream:
     """IMU stream from the analytic trajectory.
 
     Gyro: body angular rate plus bias plus white noise; accel: specific
@@ -299,7 +284,7 @@ def synthesize_imu(truth: GroundTruth, gyro_bias=(0.0, 0.0, 0.0),
     rng = np.random.default_rng(seed)
     g = np.asarray(gravity, dtype=np.float64)
     rate = 1.0 / float(np.mean(np.diff(truth.t)))
-    mats = _quat_matrices(truth.quat_wxyz)
+    mats = quat_matrices(truth.quat_wxyz)
     specific = np.einsum("nij,nj->ni", mats.transpose(0, 2, 1), truth.accel_world - g)
     gyro = truth.omega_body + np.asarray(gyro_bias, dtype=np.float64)
     accel = specific + np.asarray(accel_bias, dtype=np.float64)
@@ -307,7 +292,7 @@ def synthesize_imu(truth: GroundTruth, gyro_bias=(0.0, 0.0, 0.0),
         gyro = gyro + rng.normal(0.0, gyro_noise_density * math.sqrt(rate), size=gyro.shape)
     if accel_noise_density > 0.0:
         accel = accel + rng.normal(0.0, accel_noise_density * math.sqrt(rate), size=accel.shape)
-    return [ImuSample(float(t), gv, av) for t, gv, av in zip(truth.t, gyro, accel)]
+    return ImuStream(truth.t, gyro, accel)
 
 
 @dataclass(frozen=True)
@@ -330,7 +315,7 @@ class Dataset:
     """Everything one synthetic flight produces."""
 
     rig: CameraRig
-    imu: list
+    imu: ImuStream
     frames: list
     truth: GroundTruth
     scene_config: SceneConfig
@@ -424,7 +409,7 @@ class LoadedDataset:
     """On-disk dataset view: enough to run the pipeline and evaluate it."""
 
     rig: CameraRig
-    imu: list
+    imu: ImuStream
     frames: list
     gt_t: np.ndarray
     gt_position: np.ndarray

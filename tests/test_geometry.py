@@ -8,10 +8,8 @@ from planar_init.geometry import (
     CameraRig,
     Pose,
     Rotation,
-    compose,
     euler_to_rotation,
     homogeneous,
-    invert,
     load_rig,
     normalize,
     project,
@@ -73,7 +71,7 @@ class TestPose:
     def test_compose_identity(self):
         rng = np.random.default_rng(4)
         t = Pose(random_rotation(rng), rng.normal(size=3), "c", "w")
-        out = compose(t, Pose.identity("c"))
+        out = t.compose(Pose.identity("c"))
         assert out.rotation.angle_to(t.rotation) < 1e-15
         np.testing.assert_allclose(out.translation, t.translation)
 
@@ -81,7 +79,7 @@ class TestPose:
         rng = np.random.default_rng(5)
         for _ in range(50):
             t = Pose(random_rotation(rng), rng.normal(size=3), "c", "w")
-            out = compose(t, invert(t))
+            out = t.compose(t.invert())
             assert out.rotation.angle() < 1e-12
             assert np.linalg.norm(out.translation) < 1e-12
 
@@ -89,7 +87,7 @@ class TestPose:
         # oracle: 4x4 homogeneous matrix product
         a = Pose(Rotation.about_z(math.pi / 2), np.array([1.0, 0.0, 0.0]), "a", "w")
         b = Pose(Rotation.about_z(math.pi / 2), np.array([1.0, 0.0, 0.0]), "b", "a")
-        out = compose(a, b)
+        out = a.compose(b)
         np.testing.assert_allclose(out.matrix(), a.matrix() @ b.matrix(), atol=1e-15)
         assert out.rotation.angle_to(Rotation.about_z(math.pi)) < 1e-12
         np.testing.assert_allclose(out.translation, [1.0, 1.0, 0.0], atol=1e-15)
@@ -99,7 +97,7 @@ class TestPose:
         a = Pose.identity("w")
         b = Pose(Rotation.identity(), np.zeros(3), "c", "b")
         with pytest.raises(FrameMismatchError):
-            compose(a, b)
+            a.compose(b)
 
     def test_apply(self):
         t = Pose(Rotation.about_z(math.pi / 2), np.array([0.0, 0.0, 1.0]), "c", "w")

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from planar_init import imu as imu_mod
 from planar_init.cli import main
 from planar_init.config import PipelineConfig, load_config, save_config
 from planar_init.errors import AlignmentError, PipelineError
@@ -76,6 +77,43 @@ class TestSelectWindow:
         window = select_window(clean_vertical_dataset, cfg)
         idx = [kf.index for kf in window.keyframes]
         assert np.all(np.diff(idx) == 3)
+
+    def test_anchor_is_the_prefix_propagated_from_rest(self):
+        # the window's anchor, propagated frame by frame up to the gate, is
+        # the whole prefix propagated in one pass
+        cfg = PipelineConfig()
+        ds = make_dataset(scene_preset("asphalt"), TrajectoryProfile(kind="oblique"),
+                          noise=NoiseModel(), seed=5)
+        window = select_window(ds, cfg)
+        t0, kf0 = float(ds.imu.t[0]), window.keyframes[0]
+        rest = imu_mod.nav_state_at_rest(t0, cfg.gyro_bias, cfg.accel_bias)
+        whole = imu_mod.propagate(rest, imu_mod.slice_between(ds.imu, t0, kf0.t),
+                                  cfg.gravity)
+        assert window.anchor.t == whole.t == pytest.approx(kf0.t)
+        assert window.anchor.pose.rotation.angle_to(whole.pose.rotation) < 1e-12
+        np.testing.assert_allclose(window.anchor.pose.translation, whole.pose.translation,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(window.anchor.velocity, whole.velocity, rtol=0, atol=1e-12)
+        assert window.imu.t[0] == pytest.approx(kf0.t)
+        assert window.imu.t[-1] == pytest.approx(window.keyframes[-1].t)
+
+    @pytest.mark.parametrize("profile,height", [("vertical", 1.5), ("oblique", 1.5),
+                                                ("oblique", 0.3), ("hover", 0.0)])
+    def test_gate_frame_matches_frame_by_frame_search(self, profile, height):
+        # oracle: propagate one frame interval at a time and test every frame
+        cfg = PipelineConfig(preset_height_m=height)
+        ds = make_dataset(scene_preset("helipad"), TrajectoryProfile(kind=profile),
+                          noise=NoiseModel(), seed=2)
+        nav = imu_mod.nav_state_at_rest(float(ds.imu.t[0]), cfg.gyro_bias, cfg.accel_bias)
+        for fr in ds.frames:
+            if fr.t > nav.t + 1e-9:
+                nav = imu_mod.propagate(
+                    nav, imu_mod.slice_between(ds.imu, nav.t, fr.t), cfg.gravity)
+            if -nav.pose.translation[2] >= height:
+                break
+        window = select_window(ds, cfg)
+        assert window.keyframes[0].index == fr.frame
+        assert window.anchor.t == nav.t
 
     def test_gate_never_fires(self):
         ds = make_dataset(scene_preset("helipad"), TrajectoryProfile(kind="hover"),

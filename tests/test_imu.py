@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ import pytest
 from planar_init.errors import StreamError
 from planar_init.geometry import Pose, Rotation
 from planar_init.imu import (
-    ImuSample,
+    ImuStream,
     PriorNormal,
     integrate_camera_rotation,
     is_stationary,
@@ -19,15 +23,32 @@ from planar_init.imu import (
     slice_between,
 )
 from planar_init.simulator import (
+    NoiseModel,
     TrajectoryProfile,
+    dataset_digest,
     generate_trajectory,
+    make_dataset,
+    scene_preset,
     synthesize_imu,
+    write_dataset,
 )
 
 
 def constant_stream(gyro, accel, duration=1.0, rate=200.0, t0=0.0):
     n = int(round(duration * rate)) + 1
-    return [ImuSample(t0 + k / rate, gyro, accel) for k in range(n)]
+    t = t0 + np.arange(n) / rate
+    return ImuStream(t, np.tile(gyro, (n, 1)), np.tile(accel, (n, 1)))
+
+
+def noisy_stream(n=401, seed=0):
+    rng = np.random.default_rng(seed)
+    return ImuStream(np.arange(n) / 200.0, rng.normal(0, 0.3, (n, 3)),
+                     rng.normal(0, 1.0, (n, 3)) + [0, 0, -9.81])
+
+
+def part(samples, start, stop=None):
+    return ImuStream(samples.t[start:stop], samples.gyro[start:stop],
+                     samples.accel[start:stop])
 
 
 class TestPropagate:
@@ -66,28 +87,54 @@ class TestPropagate:
         assert out.pose.rotation.angle() < 1e-12
 
     def test_split_stream_equals_whole(self):
-        rng = np.random.default_rng(0)
-        samples = [
-            ImuSample(k / 200.0, rng.normal(0, 0.3, 3),
-                      rng.normal(0, 1.0, 3) + [0, 0, -9.81])
-            for k in range(401)
-        ]
+        samples = noisy_stream()
         state = nav_state_at_rest(0.0)
         whole = propagate(state, samples)
         for cut in (1, 137, 200, 399):
-            mid = propagate(state, samples[:cut + 1])
-            out = propagate(mid, samples[cut:])
+            mid = propagate(state, part(samples, 0, cut + 1))
+            out = propagate(mid, part(samples, cut))
             assert abs(out.t - whole.t) < 1e-12
             np.testing.assert_allclose(out.pose.translation,
                                        whole.pose.translation, atol=1e-10)
             np.testing.assert_allclose(out.velocity, whole.velocity, atol=1e-10)
             assert out.pose.rotation.angle_to(whole.pose.rotation) < 1e-10
 
+    def test_matches_stepwise_recurrence(self):
+        # oracle: the midpoint recurrence one interval at a time, with one
+        # Rotation per interval
+        bg = np.array([0.01, -0.02, 0.005])
+        ba = np.array([0.05, -0.04, 0.06])
+        state = nav_state_at_rest(0.0, gyro_bias=bg, accel_bias=ba)
+        samples = noisy_stream(seed=7)
+        g = np.array([0.0, 0.0, 9.81])
+        r, p, v = Rotation.identity(), np.zeros(3), np.zeros(3)
+        for k in range(len(samples) - 1):
+            dt = samples.t[k + 1] - samples.t[k]
+            omega = 0.5 * (samples.gyro[k] + samples.gyro[k + 1]) - bg
+            r_next = r @ Rotation.from_rotvec(omega * dt)
+            a_w = 0.5 * (r.apply(samples.accel[k] - ba)
+                         + r_next.apply(samples.accel[k + 1] - ba)) + g
+            p = p + v * dt + 0.5 * a_w * dt * dt
+            v = v + a_w * dt
+            r = r_next
+        out = propagate(state, samples)
+        assert out.t == samples.t[-1]
+        np.testing.assert_allclose(out.pose.rotation.quat, r.quat, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.pose.translation, p, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.velocity, v, rtol=0, atol=1e-12)
+
+    def test_single_sample_keeps_state(self):
+        state = nav_state_at_rest(0.0)
+        out = propagate(state, constant_stream([0, 0, 0], [0, 0, -9.81], duration=0.0))
+        assert out.t == 0.0
+        np.testing.assert_array_equal(out.pose.translation, np.zeros(3))
+        np.testing.assert_array_equal(out.velocity, np.zeros(3))
+
     def test_non_monotonic_raises(self):
         s = constant_stream([0, 0, 0], [0, 0, -9.81], duration=0.1)
-        bad = [s[0], s[2], s[1]]
         with pytest.raises(StreamError):
-            propagate(nav_state_at_rest(0.0), bad)
+            propagate(nav_state_at_rest(0.0),
+                      ImuStream(s.t[[0, 2, 1]], s.gyro[:3], s.accel[:3]))
 
     def test_misaligned_start_raises(self):
         s = constant_stream([0, 0, 0], [0, 0, -9.81], duration=0.1, t0=1.0)
@@ -142,7 +189,7 @@ class TestCameraRotation:
     def test_empty_span_raises(self):
         t_cb = Pose(Rotation.identity(), np.zeros(3), "c", "b")
         with pytest.raises(StreamError):
-            integrate_camera_rotation([ImuSample(0.0, np.zeros(3), np.zeros(3))],
+            integrate_camera_rotation(ImuStream([0.0], np.zeros((1, 3)), np.zeros((1, 3))),
                                       np.zeros(3), t_cb)
 
 
@@ -177,7 +224,7 @@ class TestPropagateNormal:
         samples = synthesize_imu(truth)
         n = PriorNormal(np.array([0.0, 0.0, 1.0]), 0.0)
         r = integrate_camera_rotation(samples, np.zeros(3), rig.T_c_b)
-        n = propagate_normal(n, r, samples[-1].t)
+        n = propagate_normal(n, r, samples.t[-1])
         n_true, _ = truth.plane_in_camera(len(truth.t) - 1, rig)
         angle = math.degrees(math.acos(np.clip(float(n.n @ n_true), -1, 1)))
         assert angle < 0.5
@@ -207,13 +254,36 @@ class TestStreamUtils:
     def test_slice_between(self):
         s = constant_stream([0, 0, 0], [0, 0, -9.81], duration=1.0)
         part = slice_between(s, 0.25, 0.5)
-        assert part[0].t == pytest.approx(0.25)
-        assert part[-1].t == pytest.approx(0.5)
+        assert part.t[0] == pytest.approx(0.25)
+        assert part.t[-1] == pytest.approx(0.5)
+
+    def test_slice_between_inclusive_within_tolerance(self):
+        t = np.array([0.0, 0.1 - 1e-10, 0.1, 0.2, 0.3, 0.3 + 1e-10, 0.4])
+        s = ImuStream(t, np.zeros((7, 3)), np.zeros((7, 3)))
+        np.testing.assert_array_equal(slice_between(s, 0.1, 0.3).t, t[1:6])
+        np.testing.assert_array_equal(slice_between(s, 0.1 + 1e-10, 0.3 - 1e-10).t, t[1:6])
+        np.testing.assert_array_equal(slice_between(s, 0.2, 0.2).t, [0.2])
+        assert len(slice_between(s, 0.11, 0.19)) == 0
 
     def test_mean_gyro(self):
-        s = [ImuSample(0.0, [1.0, 0, 0], [0, 0, -9.81]),
-             ImuSample(0.1, [3.0, 0, 0], [0, 0, -9.81])]
+        s = ImuStream([0.0, 0.1], [[1.0, 0, 0], [3.0, 0, 0]], [[0, 0, -9.81]] * 2)
         np.testing.assert_allclose(mean_gyro(s, [0.5, 0, 0]), [1.5, 0.0, 0.0])
+
+    def test_empty_stream_raises(self):
+        with pytest.raises(StreamError):
+            ImuStream([], np.zeros((0, 3)), np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("t", [[0.0, 0.2, 0.1], [0.0, 0.1, 0.1], [0.0, np.nan, 0.2]])
+    def test_non_monotonic_stream_raises(self, t):
+        with pytest.raises(StreamError):
+            ImuStream(t, np.zeros((3, 3)), np.zeros((3, 3)))
+
+    def test_stream_arrays_are_read_only(self):
+        s = constant_stream([0, 0, 0], [0, 0, -9.81], duration=0.1)
+        with pytest.raises(ValueError):
+            s.gyro[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            slice_between(s, 0.0, 0.05).t[0] = 1.0
 
     def test_csv_wrong_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -223,13 +293,46 @@ class TestStreamUtils:
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
-        samples = [ImuSample(k * 0.005, rng.normal(size=3), rng.normal(size=3))
-                   for k in range(50)]
+        samples = ImuStream(np.arange(50) * 0.005, rng.normal(size=(50, 3)),
+                            rng.normal(size=(50, 3)))
         path = tmp_path / "imu.csv"
         save_imu_csv(path, samples)
         back = load_imu_csv(path)
         assert len(back) == 50
-        for a, b in zip(samples, back):
-            assert a.t == b.t
-            np.testing.assert_array_equal(a.gyro, b.gyro)
-            np.testing.assert_array_equal(a.accel, b.accel)
+        np.testing.assert_array_equal(back.t, samples.t)
+        np.testing.assert_array_equal(back.gyro, samples.gyro)
+        np.testing.assert_array_equal(back.accel, samples.accel)
+
+    def test_csv_rewrite_is_byte_identical(self, tmp_path):
+        truth = generate_trajectory(TrajectoryProfile(kind="oblique"))
+        samples = synthesize_imu(truth, (2e-4, -1.5e-4, 1e-4), (5e-3, -4e-3, 6e-3),
+                                 2e-4, 2e-3, seed=3)
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_imu_csv(first, samples)
+        save_imu_csv(second, load_imu_csv(first))
+        assert first.read_bytes() == second.read_bytes()
+
+
+_DIGEST_SCRIPT = """
+import sys, tempfile
+from planar_init.simulator import (NoiseModel, TrajectoryProfile, make_dataset,
+                                   scene_preset, write_dataset)
+ds = make_dataset(scene_preset("asphalt"), TrajectoryProfile(kind="oblique", duration=3.0),
+                  noise=NoiseModel(), seed=11)
+with tempfile.TemporaryDirectory() as out:
+    print(write_dataset(out, ds))
+"""
+
+
+def test_dataset_digest_is_stable_across_interpreters(tmp_path):
+    # a second interpreter has its own hash seed and import state
+    ds = make_dataset(scene_preset("asphalt"), TrajectoryProfile(kind="oblique", duration=3.0),
+                      noise=NoiseModel(), seed=11)
+    digest = write_dataset(tmp_path, ds)
+    assert digest == dataset_digest(tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == digest

@@ -13,7 +13,7 @@ from planar_init.errors import (
 from planar_init.geometry import Pose, Rotation
 from planar_init.harness import evaluate_against_dataset, run_on_dataset, select_window
 from planar_init.homography import HomographySolution
-from planar_init.imu import PriorNormal
+from planar_init.imu import ImuStream, PriorNormal, nav_state_at_rest
 from planar_init.initializer import (
     STATUS_IMU_ONLY,
     STATUS_INITIALIZED,
@@ -182,18 +182,17 @@ class TestWindowTypes:
     def test_strictly_increasing_times(self):
         from planar_init.initializer import Keyframe
         kfs = [Keyframe(0, 0.0, {}), Keyframe(1, 0.0, {})]
+        imu = ImuStream([0.0], np.zeros((1, 3)), np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            KeyframeWindow(kfs, [], 10)
+            KeyframeWindow(kfs, imu, nav_state_at_rest(0.0), 10)
 
-    def test_shared_features_and_tracks(self, clean_vertical_dataset):
+    def test_shared_features(self, clean_vertical_dataset):
         window = select_window(clean_vertical_dataset, PipelineConfig())
         shared = window.shared_features(0, 1)
         assert len(shared) >= 20
-        track = window.track(shared[0])
-        assert track.feature_id == shared[0]
-        assert len(track.samples) >= 2
-        positions = [pos for pos, _ in track.samples]
-        assert positions == sorted(positions)
+        assert shared == sorted(shared)
+        for pos in (0, 1):
+            assert set(shared) <= set(window.keyframes[pos].observations)
 
 
 class TestRefineBodyVelocity:

@@ -157,9 +157,8 @@ class TestSynthesizeImu:
     def test_hover_reads_gravity(self):
         truth = generate_trajectory(TrajectoryProfile(kind="hover"))
         samples = synthesize_imu(truth)
-        for s in samples[:50]:
-            np.testing.assert_allclose(s.accel, [0.0, 0.0, -9.81], atol=1e-12)
-            np.testing.assert_allclose(s.gyro, [0.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(samples.accel[:50], [[0.0, 0.0, -9.81]] * 50, atol=1e-12)
+        np.testing.assert_allclose(samples.gyro[:50], np.zeros((50, 3)), atol=1e-12)
 
     def test_closed_loop(self):
         # tilt ramp couples attitude and specific force; slightly looser than
@@ -175,8 +174,8 @@ class TestSynthesizeImu:
         a = synthesize_imu(truth, gyro_noise_density=1e-3, seed=1)
         b = synthesize_imu(truth, gyro_noise_density=1e-3, seed=1)
         c = synthesize_imu(truth, gyro_noise_density=1e-3, seed=2)
-        np.testing.assert_array_equal(a[100].gyro, b[100].gyro)
-        assert not np.array_equal(a[100].gyro, c[100].gyro)
+        np.testing.assert_array_equal(a.gyro[100], b.gyro[100])
+        assert not np.array_equal(a.gyro[100], c.gyro[100])
 
 
 class TestDatasetIo:
@@ -204,4 +203,4 @@ class TestDatasetIo:
         a = make_dataset(scene_preset("helipad"), TrajectoryProfile(), rig=rig, seed=4)
         b = make_dataset(scene_preset("helipad"), TrajectoryProfile(), rig=rig, seed=4)
         np.testing.assert_array_equal(a.truth.features, b.truth.features)
-        np.testing.assert_array_equal(a.imu[500].accel, b.imu[500].accel)
+        np.testing.assert_array_equal(a.imu.accel[500], b.imu.accel[500])
