@@ -50,7 +50,6 @@ from .initializer import (
 from .motion_field import (
     camera_velocity,
     feature_normalized_velocity,
-    predicted_normalized_velocity,
     refine_velocity,
 )
 from .pnp import solve_pnp

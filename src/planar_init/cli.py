@@ -137,7 +137,7 @@ def _cmd_init(args) -> int:
     except PipelineError as exc:
         (out / "result.json").write_text(json.dumps(
             {"schema_version": 1, "status": f"failed:{exc.stage}",
-             "message": str(exc)}, indent=2))
+             "message": str(exc), "diagnostics": exc.diagnostics}, indent=2))
         print(f"pipeline failure: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
     (out / "result.json").write_text(json.dumps(result.to_json_dict(), indent=2))

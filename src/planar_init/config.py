@@ -22,10 +22,6 @@ class PipelineConfig:
     ransac_confidence: float = 0.999
     ransac_max_iters: int = 2000
 
-    # pose assembly: gyro delta-rotations chain attitude far more accurately
-    # than the near-degenerate vertical-motion decomposition
-    attitude_source: str = "gyro"      # "gyro" | "homography"
-
     # robust PnP
     pnp_ransac_threshold: float = 0.02
     pnp_ransac_max_iters: int = 500
@@ -53,8 +49,6 @@ class PipelineConfig:
             raise ValueError("preset height must lie in [0, 3) m")
         if self.deviation_mode not in ("dynamic", "fixed"):
             raise ValueError(f"unknown deviation mode {self.deviation_mode!r}")
-        if self.attitude_source not in ("gyro", "homography"):
-            raise ValueError(f"unknown attitude source {self.attitude_source!r}")
         if self.window_size < 2:
             raise ValueError("window size must be >= 2")
         if self.keyframe_stride < 1:

@@ -83,3 +83,4 @@ class PipelineError(PlanarInitError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+        self.diagnostics: dict = {}  # what the pipeline computed before failing

@@ -101,7 +101,7 @@ def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
         for fr in picked
     ]
     span = imu_mod.slice_between(imu, keyframes[0].t, keyframes[-1].t)
-    return KeyframeWindow(keyframes, span, nav, config.window_size)
+    return KeyframeWindow(keyframes, span, nav)
 
 
 def _gate_step(imu, excess: np.ndarray, nav, gain: float, height: float,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .homography import (
 from .imu import ImuStream, NavState, PriorNormal
 from .motion_field import FlowObservation, VelocityRefinement, refine_velocity
 from .pnp import refine_pose, solve_pnp
-from .weighting import stereo_deviation, weight
+from .weighting import STEREO, PixelDeviation, stereo_deviation, weight
 
 STATUS_INITIALIZED = "initialized"
 STATUS_IMU_ONLY = "imu-only-fallback"
@@ -84,7 +84,6 @@ class KeyframeWindow:
     keyframes: list
     imu: ImuStream
     anchor: NavState
-    capacity: int = 10
 
     def __post_init__(self):
         times = [kf.t for kf in self.keyframes]
@@ -185,11 +184,26 @@ def metric_alignment(T_pnp: Pose, T_imu_body: Pose, rig: CameraRig) -> np.ndarra
     return r_cw.apply(T_pnp.translation - T_imu_body.translation) - lever
 
 
+def _stereo_points(kf: Keyframe, feature_ids, rig: CameraRig,
+                   min_disparity_px: float) -> dict[int, np.ndarray]:
+    """Left-camera points of the features that triangulate reliably in ``kf``."""
+    points: dict[int, np.ndarray] = {}
+    for fid in feature_ids:
+        obs = kf.observations[fid]
+        try:
+            sp = triangulate_stereo(obs.uv_l, obs.uv_r, rig, min_disparity_px)
+        except InvalidDisparityError:
+            continue
+        if sp.reliable:
+            points[fid] = sp.point
+    return points
+
+
 def measured_flow_observations(
     window: KeyframeWindow,
     rig: CameraRig,
     pair: int = 0,
-    feature_ids: list[int] | None = None,
+    points: dict[int, np.ndarray] | None = None,
     min_disparity_px: float = 1.0,
 ) -> list[FlowObservation]:
     """Flow observations for one keyframe pair.
@@ -197,25 +211,17 @@ def measured_flow_observations(
     The measured normalized velocity of each feature is the forward
     difference of its tracked left-camera coordinates over the pair
     interval; the metric source point comes from stereo triangulation at
-    the earlier keyframe.
+    the earlier keyframe: ``points`` (feature id -> left-camera point), or
+    every shared feature triangulated here when it is ``None``.
     """
     kf_i, kf_j = window.keyframes[pair], window.keyframes[pair + 1]
     dt = kf_j.t - kf_i.t
-    ids = feature_ids if feature_ids is not None else window.shared_features(pair, pair + 1)
-    out: list[FlowObservation] = []
-    for fid in ids:
-        if fid not in kf_i.observations or fid not in kf_j.observations:
-            continue
-        oi, oj = kf_i.observations[fid], kf_j.observations[fid]
-        try:
-            sp = triangulate_stereo(oi.uv_l, oi.uv_r, rig, min_disparity_px)
-        except InvalidDisparityError:
-            continue
-        if not sp.reliable:
-            continue
-        v_meas = (oj.norm_l - oi.norm_l) / dt
-        out.append(FlowObservation(oi.norm_l, sp.point, v_meas, fid))
-    return out
+    if points is None:
+        points = _stereo_points(kf_i, window.shared_features(pair, pair + 1),
+                                rig, min_disparity_px)
+    obs_i, obs_j = kf_i.observations, kf_j.observations
+    return [FlowObservation(obs_i[f].norm_l, p, (obs_j[f].norm_l - obs_i[f].norm_l) / dt, f)
+            for f, p in points.items()]
 
 
 def refine_body_velocity(
@@ -228,16 +234,17 @@ def refine_body_velocity(
     R_w_b: Rotation | None = None,
     gyro_bias=(0.0, 0.0, 0.0),
     config: PipelineConfig | None = None,
-    feature_ids: list[int] | None = None,
+    points: dict[int, np.ndarray] | None = None,
 ) -> VelocityRefinement:
     """Gauss-Newton body-velocity refinement over one keyframe pair.
 
     ``h_forward`` maps the earlier keyframe of the pair onto the later
     one (the direction in which feature velocities are transferred).
+    ``points`` is passed on to :func:`measured_flow_observations`.
     """
     cfg = config or PipelineConfig()
     kf_i, kf_j = window.keyframes[pair], window.keyframes[pair + 1]
-    obs = measured_flow_observations(window, rig, pair, feature_ids,
+    obs = measured_flow_observations(window, rig, pair, points,
                                      cfg.min_disparity_px)
     pair_imu = imu_mod.slice_between(window.imu, kf_i.t, kf_j.t)
     omega = imu_mod.mean_gyro(pair_imu, gyro_bias)
@@ -299,8 +306,27 @@ class InitializationResult:
         return d
 
 
-def _imu_only_states(window: KeyframeWindow, gravity) -> tuple[list, list, list]:
-    """IMU-propagated body pose and velocity at every keyframe time."""
+@dataclass(frozen=True)
+class PairTrace:
+    """What one keyframe pair computed: one entry of ``diagnostics["pairs"]``."""
+
+    pair: int
+    selection_margin: float
+    selection_distances: tuple
+    scale: float
+    t_hat_norm: float
+    pnp_inliers: int
+    gn_iterations: int
+    gn_cost: float
+    gn_converged: bool
+    correspondences: int
+    homography_inliers: int
+
+
+def _imu_only_result(window: KeyframeWindow, gravity, status: str,
+                     selected: HomographySolution | None,
+                     diagnostics: dict) -> InitializationResult:
+    """IMU-only result: the propagated body pose and velocity at every keyframe."""
     times, poses, vels = [], [], []
     nav = window.anchor
     for kf in window.keyframes:
@@ -310,7 +336,7 @@ def _imu_only_states(window: KeyframeWindow, gravity) -> tuple[list, list, list]
         times.append(kf.t)
         poses.append(nav.pose)
         vels.append(nav.velocity.copy())
-    return times, poses, vels
+    return InitializationResult(status, times, poses, vels, None, selected, diagnostics)
 
 
 def run_initialization(
@@ -326,8 +352,8 @@ def run_initialization(
     world frame is anchored and the prior normal is [0, 0, 1]); the window
     carries the IMU-only anchor at its first keyframe, propagated from that
     prefix by :func:`planar_init.harness.select_window`.  Any stage failure
-    raises :class:`PipelineError` naming the stage; an inadequate feature
-    count falls back to an IMU-only result.
+    raises :class:`PipelineError` naming the stage (and the pairs completed
+    before it); an inadequate feature count falls back to an IMU-only result.
     """
     cfg = config or PipelineConfig()
     rng = np.random.default_rng(seed)
@@ -357,9 +383,8 @@ def run_initialization(
     # feature gate
     counts = [len(kf.observations) for kf in window.keyframes]
     if min(counts) < cfg.min_features:
-        times, poses, vels = _imu_only_states(window, gravity)
-        return InitializationResult(
-            STATUS_IMU_ONLY, times, poses, vels, None, None,
+        return _imu_only_result(
+            window, gravity, STATUS_IMU_ONLY, None,
             {"feature_counts": counts, "min_features": cfg.min_features,
              "timings": timings})
 
@@ -375,162 +400,29 @@ def run_initialization(
         "feature_counts": counts,
         "deviation_mode": cfg.deviation_mode,
         "pairs": [],
-        "selection_margins": [],
-        "pnp_inlier_counts": [],
-        "gn_iterations": [],
-        "scales": [],
         "indicator_values": [],
     }
 
-    nav_prev = anchor
+    nav = anchor
     poses: list[Pose] = [anchor.pose]
     velocities: list[np.ndarray] = []
-    first_scale: float | None = None
-    first_selection: HomographySolution | None = None
-
     for m in range(len(window.keyframes) - 1):
-        kf_i, kf_j = window.keyframes[m], window.keyframes[m + 1]
-        pair_imu = imu_mod.slice_between(window.imu, kf_i.t, kf_j.t)
-        if len(pair_imu) < 2:
-            raise PipelineError("imu", f"no IMU coverage for pair {m}")
-
-        # prior normal into the current camera frame
-        r_cam = imu_mod.integrate_camera_rotation(pair_imu, cfg.gyro_bias, rig.T_c_b)
-        prior = imu_mod.propagate_normal(prior, r_cam, kf_j.t)
-
-        # homography from the current view onto the previous one
-        shared = window.shared_features(m, m + 1)
-        corrs = [
-            Correspondence(kf_j.observations[f].norm_l, kf_i.observations[f].norm_l, f)
-            for f in shared
-        ]
-        if len(corrs) < 4:
-            raise PipelineError("homography", f"only {len(corrs)} correspondences in pair {m}")
-        t_stage = time.perf_counter()
         try:
-            h_est, inlier_mask = estimate(
-                corrs, threshold=cfg.ransac_threshold,
-                confidence=cfg.ransac_confidence,
-                max_iters=cfg.ransac_max_iters, seed=rng)
-        except PlanarInitError as exc:
-            raise PipelineError("homography", str(exc)) from exc
-        timings[f"homography_{m}_s"] = time.perf_counter() - t_stage
-        diag["indicator_values"].extend(indicator(h_est, corrs).tolist())
-
-        candidates = decompose(h_est)
-        if len(candidates) == 1 and candidates[0].normal_indeterminate:
-            times, p_imu, v_imu = _imu_only_states(window, gravity)
+            trace, nav, prior, selected = _initialize_pair(
+                window, m, nav, prior, rig, cfg, rng, timings,
+                diag["indicator_values"])
+        except PipelineError as exc:
+            exc.diagnostics = {"feature_counts": counts, "pairs": diag["pairs"]}
+            raise
+        if trace is None:
             diag["timings"] = timings
             diag["pure_rotation_pair"] = m
-            return InitializationResult(
-                STATUS_PURE_ROTATION, times, p_imu, v_imu, None, candidates[0], diag)
-        inlier_corrs = [c for c, keep in zip(corrs, inlier_mask) if keep]
-        try:
-            survivors = filter_positive_depth(candidates, inlier_corrs)
-        except InconsistentDataError as exc:
-            raise PipelineError("cheirality", str(exc)) from exc
-
-        selection = select_solution(prior, survivors)
-        sel = selection.solution
-        diag["selection_margins"].append(selection.margin)
-
-        # For vertical take-off t is nearly parallel to n; the four-way
-        # decomposition then splits one double root into two candidates that
-        # straddle the truth by O(sqrt(noise)).  With the gyro rotation in
-        # hand, t_bar n^T = H - R is a well-conditioned rank-1 fit, so the
-        # pose chain uses that extraction; selection output is unchanged.
-        rel_rot = r_cam.inverse() if cfg.attitude_source == "gyro" else sel.rotation
-        if cfg.attitude_source == "gyro":
-            t_bar = _rank1_translation(h_est, rel_rot, prior)
-        else:
-            t_bar = sel.t_bar
-
-        # stereo points at the previous keyframe, in the window world frame
-        cam_prev = nav_prev.pose @ rig.T_c_b
-        pnp_pairs = []
-        pnp_fids = []
-        for c in inlier_corrs:
-            obs_prev = kf_i.observations[c.feature_id]
-            try:
-                sp = triangulate_stereo(obs_prev.uv_l, obs_prev.uv_r, rig,
-                                        cfg.min_disparity_px)
-            except InvalidDisparityError:
-                continue
-            if not sp.reliable:
-                continue
-            pnp_pairs.append((cam_prev.apply(sp.point),
-                              kf_j.observations[c.feature_id].norm_l))
-            pnp_fids.append(c.feature_id)
-        if len(pnp_pairs) < 4:
-            raise PipelineError("pnp", f"only {len(pnp_pairs)} usable stereo points in pair {m}")
-        t_stage = time.perf_counter()
-        try:
-            t_pnp, pnp_mask = solve_pnp(
-                pnp_pairs, rng, threshold=cfg.pnp_ransac_threshold,
-                confidence=cfg.ransac_confidence, max_iters=cfg.pnp_ransac_max_iters)
-        except PlanarInitError as exc:
-            raise PipelineError("pnp", str(exc)) from exc
-        timings[f"pnp_{m}_s"] = time.perf_counter() - t_stage
-        diag["pnp_inlier_counts"].append(int(pnp_mask.sum()))
-
-        try:
-            t_hat = metric_alignment(t_pnp, nav_prev.pose, rig)
-            s = recover_scale(t_bar, t_hat)
-        except DegenerateTranslationError as exc:
-            times, p_imu, v_imu = _imu_only_states(window, gravity)
-            diag["timings"] = timings
-            diag["pure_rotation_pair"] = m
-            return InitializationResult(
-                STATUS_PURE_ROTATION, times, p_imu, v_imu, None, sel, diag)
-        if s <= 0.0:
-            raise PipelineError("scale", f"backwards scale {s:.6g} in pair {m}")
-
-        if cfg.deviation_mode == "dynamic":
-            t_pnp = _weighted_pnp_refit(
-                t_pnp, pnp_pairs, pnp_mask, pnp_fids, kf_j, rig, cfg)
-            t_hat = metric_alignment(t_pnp, nav_prev.pose, rig)
-            s = recover_scale(t_bar, t_hat)
-            if s <= 0.0:
-                raise PipelineError("scale", f"backwards scale {s:.6g} in pair {m}")
-        diag["scales"].append(s)
-
-        # chain the metric pose: T_cj^w = T_ci^w o (R, s t_bar)
-        rel = Pose(rel_rot, s * t_bar, "c", "c")
-        cam_curr = cam_prev @ rel
-        body_curr = cam_curr @ rig.T_c_b.invert()
-
-        # velocity from the motion field (forward homography = inverse estimate)
-        t_stage = time.perf_counter()
-        try:
-            refinement = refine_body_velocity(
-                window, h_est.inverse(), nav_prev.velocity, rig, pair=m,
-                R_w_b=nav_prev.pose.rotation.inverse(), gyro_bias=cfg.gyro_bias,
-                config=cfg, feature_ids=pnp_fids)
-        except PlanarInitError as exc:
-            raise PipelineError("velocity", str(exc)) from exc
-        timings[f"velocity_{m}_s"] = time.perf_counter() - t_stage
-        diag["gn_iterations"].append(refinement.iterations)
-        velocities.append(refinement.velocity)
-
-        nav_prev = NavState(kf_j.t, body_curr, refinement.velocity,
-                            nav_prev.gyro_bias, nav_prev.accel_bias)
-        poses.append(body_curr)
-        diag["pairs"].append({
-            "pair": m,
-            "selection_margin": selection.margin,
-            "selection_distances": list(selection.distances),
-            "scale": s,
-            "t_hat_norm": float(np.linalg.norm(t_hat)),
-            "pnp_inliers": int(pnp_mask.sum()),
-            "gn_iterations": refinement.iterations,
-            "gn_cost": refinement.cost,
-            "gn_converged": refinement.converged,
-            "correspondences": len(corrs),
-            "homography_inliers": int(np.sum(inlier_mask)),
-        })
+            return _imu_only_result(window, gravity, STATUS_PURE_ROTATION, selected, diag)
+        diag["pairs"].append(asdict(trace))
+        poses.append(nav.pose)
+        velocities.append(nav.velocity)
         if m == 0:
-            first_scale = s
-            first_selection = sel
+            first_selection = selected
 
     velocities.append(velocities[-1])  # last keyframe: hold the last refined value
     vals = np.asarray(diag.pop("indicator_values"))
@@ -544,7 +436,129 @@ def run_initialization(
     return InitializationResult(
         STATUS_INITIALIZED,
         [kf.t for kf in window.keyframes],
-        poses, velocities, first_scale, first_selection, diag)
+        poses, velocities, diag["pairs"][0]["scale"], first_selection, diag)
+
+
+def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
+                     prior: PriorNormal, rig: CameraRig, cfg: PipelineConfig,
+                     rng: np.random.Generator, timings: dict, indicator_values: list):
+    """One keyframe pair (previous ``m``, current ``m + 1``) of the chain.
+
+    Returns the pair's :class:`PairTrace` (``None`` for pure rotation), the
+    navigation state and prior normal at the current keyframe, and the
+    selected solution; stage timings and indicator values are appended to
+    ``timings`` and ``indicator_values``.
+    """
+    kf_i, kf_j = window.keyframes[m], window.keyframes[m + 1]
+    pair_imu = imu_mod.slice_between(window.imu, kf_i.t, kf_j.t)
+    if len(pair_imu) < 2:
+        raise PipelineError("imu", f"no IMU coverage for pair {m}")
+
+    # prior normal into the current camera frame
+    r_cam = imu_mod.integrate_camera_rotation(pair_imu, cfg.gyro_bias, rig.T_c_b)
+    prior = imu_mod.propagate_normal(prior, r_cam, kf_j.t)
+
+    # homography from the current view onto the previous one
+    corrs = [
+        Correspondence(kf_j.observations[f].norm_l, kf_i.observations[f].norm_l, f)
+        for f in window.shared_features(m, m + 1)
+    ]
+    if len(corrs) < 4:
+        raise PipelineError("homography", f"only {len(corrs)} correspondences in pair {m}")
+    t_stage = time.perf_counter()
+    try:
+        h_est, inlier_mask = estimate(
+            corrs, threshold=cfg.ransac_threshold,
+            confidence=cfg.ransac_confidence,
+            max_iters=cfg.ransac_max_iters, seed=rng)
+    except PlanarInitError as exc:
+        raise PipelineError("homography", str(exc)) from exc
+    timings[f"homography_{m}_s"] = time.perf_counter() - t_stage
+    indicator_values.extend(indicator(h_est, corrs).tolist())
+
+    candidates = decompose(h_est)
+    if len(candidates) == 1 and candidates[0].normal_indeterminate:
+        return None, nav_prev, prior, candidates[0]
+    inlier_corrs = [c for c, keep in zip(corrs, inlier_mask) if keep]
+    try:
+        survivors = filter_positive_depth(candidates, inlier_corrs)
+    except InconsistentDataError as exc:
+        raise PipelineError("cheirality", str(exc)) from exc
+    selection = select_solution(prior, survivors)
+
+    # For vertical take-off t is nearly parallel to n; the four-way
+    # decomposition then splits one double root into two candidates that
+    # straddle the truth by O(sqrt(noise)).  With the gyro rotation in
+    # hand, t_bar n^T = H - R is a well-conditioned rank-1 fit, so the
+    # pose chain uses that extraction; selection output is unchanged.
+    rel_rot = r_cam.inverse()
+    t_bar = _rank1_translation(h_est, rel_rot, prior)
+
+    # each inlier is triangulated once at the previous keyframe; PnP and
+    # the velocity refinement share the points
+    points = _stereo_points(kf_i, [c.feature_id for c in inlier_corrs], rig,
+                            cfg.min_disparity_px)
+    cam_prev = nav_prev.pose @ rig.T_c_b
+    pnp_pairs = [(cam_prev.apply(p), kf_j.observations[f].norm_l)
+                 for f, p in points.items()]
+    if len(pnp_pairs) < 4:
+        raise PipelineError("pnp", f"only {len(pnp_pairs)} usable stereo points in pair {m}")
+    t_stage = time.perf_counter()
+    try:
+        t_pnp, pnp_mask = solve_pnp(
+            pnp_pairs, rng, threshold=cfg.pnp_ransac_threshold,
+            confidence=cfg.ransac_confidence, max_iters=cfg.pnp_ransac_max_iters)
+    except PlanarInitError as exc:
+        raise PipelineError("pnp", str(exc)) from exc
+    timings[f"pnp_{m}_s"] = time.perf_counter() - t_stage
+
+    try:
+        t_hat = metric_alignment(t_pnp, nav_prev.pose, rig)
+        s = recover_scale(t_bar, t_hat)
+    except DegenerateTranslationError:
+        return None, nav_prev, prior, selection.solution
+    if s <= 0.0:
+        raise PipelineError("scale", f"backwards scale {s:.6g} in pair {m}")
+
+    if cfg.deviation_mode == "dynamic":
+        t_pnp = _weighted_pnp_refit(
+            t_pnp, pnp_pairs, pnp_mask, list(points), kf_j, rig, cfg)
+        t_hat = metric_alignment(t_pnp, nav_prev.pose, rig)
+        s = recover_scale(t_bar, t_hat)
+        if s <= 0.0:
+            raise PipelineError("scale", f"backwards scale {s:.6g} in pair {m}")
+
+    # chain the metric pose: T_cj^w = T_ci^w o (R, s t_bar)
+    rel = Pose(rel_rot, s * t_bar, "c", "c")
+    body_curr = (cam_prev @ rel) @ rig.T_c_b.invert()
+
+    # velocity from the motion field (forward homography = inverse estimate)
+    t_stage = time.perf_counter()
+    try:
+        refinement = refine_body_velocity(
+            window, h_est.inverse(), nav_prev.velocity, rig, pair=m,
+            R_w_b=nav_prev.pose.rotation.inverse(), gyro_bias=cfg.gyro_bias,
+            config=cfg, points=points)
+    except PlanarInitError as exc:
+        raise PipelineError("velocity", str(exc)) from exc
+    timings[f"velocity_{m}_s"] = time.perf_counter() - t_stage
+
+    trace = PairTrace(
+        pair=m,
+        selection_margin=selection.margin,
+        selection_distances=selection.distances,
+        scale=s,
+        t_hat_norm=float(np.linalg.norm(t_hat)),
+        pnp_inliers=int(pnp_mask.sum()),
+        gn_iterations=refinement.iterations,
+        gn_cost=refinement.cost,
+        gn_converged=refinement.converged,
+        correspondences=len(corrs),
+        homography_inliers=int(np.sum(inlier_mask)),
+    )
+    nav_curr = NavState(kf_j.t, body_curr, refinement.velocity,
+                        nav_prev.gyro_bias, nav_prev.accel_bias)
+    return trace, nav_curr, prior, selection.solution
 
 
 def _rank1_translation(h_est: Homography, rel_rot: Rotation,
@@ -580,7 +594,8 @@ def _weighted_pnp_refit(t_pnp: Pose, pnp_pairs, pnp_mask, pnp_fids, kf_j,
         o = kf_j.observations[fid]
         z_pred = float(inv.apply(pnp_pairs[k][0])[2])
         if z_pred <= 0.0:
-            weights[row] = weight_from_sigma(cfg.fixed_deviation_px, cfg)
+            weights[row] = weight(PixelDeviation(cfg.fixed_deviation_px, STEREO),
+                                  cfg.deviation_floor_px)
             continue
         dev = stereo_deviation(o.uv_l, o.uv_r, rig, z_pred, fid, kf_j.index)
         weights[row] = weight(dev, cfg.deviation_floor_px)
@@ -589,8 +604,3 @@ def _weighted_pnp_refit(t_pnp: Pose, pnp_pairs, pnp_mask, pnp_fids, kf_j,
     r, t, _ = refine_pose(pts, obs, r_wc, t_wc, weights)
     r_cw = r.T
     return Pose(Rotation.from_matrix(r_cw), -r_cw @ t, "c", "w")
-
-
-def weight_from_sigma(sigma_px: float, cfg: PipelineConfig) -> float:
-    s = max(sigma_px, cfg.deviation_floor_px)
-    return 1.0 / (s * s)

@@ -38,12 +38,6 @@ def flow_transfer_matrix(h: Homography, p_i) -> np.ndarray:
     return num / (denom * denom)
 
 
-def predicted_normalized_velocity(h: Homography, p_i, v_i) -> np.ndarray:
-    """Transfer a normalized image velocity from the source to the target view."""
-    v = np.asarray(v_i, dtype=np.float64).reshape(2)
-    return flow_transfer_matrix(h, p_i) @ v
-
-
 def projection_velocity_matrix(p_c) -> np.ndarray:
     """2x3 map from a camera-frame point velocity to normalized image velocity."""
     p = np.asarray(p_c, dtype=np.float64).reshape(3)

@@ -308,6 +308,27 @@ class TestCli:
         result = json.loads((out / "result.json").read_text())
         assert result["status"] == "imu-only-fallback"
 
+    def test_init_failure_keeps_completed_pairs(self, dataset_dir, tmp_path, monkeypatch):
+        import planar_init.initializer as initializer
+        from planar_init.errors import DegeneratePnpError
+        calls = []
+        real = initializer.solve_pnp
+
+        def third_call_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise DegeneratePnpError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(initializer, "solve_pnp", third_call_fails)
+        out = tmp_path / "run"
+        assert main(["init", "--dataset", str(dataset_dir), "--out", str(out)]) == 3
+        result = json.loads((out / "result.json").read_text())
+        assert result["status"] == "failed:pnp"
+        assert "injected" in result["message"]
+        assert [p["pair"] for p in result["diagnostics"]["pairs"]] == [0, 1]
+        assert len(result["diagnostics"]["feature_counts"]) >= 3
+
     def test_init_deviation_flags(self, dataset_dir, tmp_path):
         out = tmp_path / "fixed"
         code = main(["init", "--dataset", str(dataset_dir), "--out", str(out),

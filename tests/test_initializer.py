@@ -9,6 +9,7 @@ from planar_init.errors import (
     DegenerateTranslationError,
     InvalidDisparityError,
     NoSolutionError,
+    PipelineError,
 )
 from planar_init.geometry import Pose, Rotation
 from planar_init.harness import evaluate_against_dataset, run_on_dataset, select_window
@@ -184,7 +185,7 @@ class TestWindowTypes:
         kfs = [Keyframe(0, 0.0, {}), Keyframe(1, 0.0, {})]
         imu = ImuStream([0.0], np.zeros((1, 3)), np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            KeyframeWindow(kfs, imu, nav_state_at_rest(0.0), 10)
+            KeyframeWindow(kfs, imu, nav_state_at_rest(0.0))
 
     def test_shared_features(self, clean_vertical_dataset):
         window = select_window(clean_vertical_dataset, PipelineConfig())
@@ -286,11 +287,38 @@ class TestRunInitialization:
         result = run_on_dataset(noisy_vertical_dataset, PipelineConfig(), seed=0)
         d = result.diagnostics
         assert len(d["pairs"]) == len(result.keyframe_times) - 1
-        assert len(d["selection_margins"]) == len(d["pairs"])
-        assert all(n >= 4 for n in d["pnp_inlier_counts"])
+        assert all(p["selection_margin"] >= 0.0 for p in d["pairs"])
+        assert all(p["pnp_inliers"] >= 4 for p in d["pairs"])
         assert all(isinstance(p["gn_converged"], bool) for p in d["pairs"])
+        # each per-pair value is stored once, in its pair's record
+        for key in ("selection_margins", "pnp_inlier_counts", "gn_iterations", "scales"):
+            assert key not in d
         pct = d["indicator_percentiles"]
         assert pct["p50"] <= pct["p95"] <= pct["p100"]
+
+    def test_triangulates_each_inlier_once(self, noisy_vertical_dataset, monkeypatch):
+        # PnP and the velocity refinement share one stereo point per inlier
+        import planar_init.initializer as initializer
+        calls = []
+        real = initializer.triangulate_stereo
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(initializer, "triangulate_stereo", counted)
+        result = run_on_dataset(noisy_vertical_dataset, PipelineConfig(), seed=0)
+        assert result.status == STATUS_INITIALIZED
+        pairs = result.diagnostics["pairs"]
+        assert len(calls) == sum(p["homography_inliers"] for p in pairs)
+
+    def test_stationarity_gate(self, clean_vertical_dataset):
+        ds = clean_vertical_dataset
+        window = select_window(ds, PipelineConfig())
+        spinning = ImuStream(ds.imu.t, ds.imu.gyro + 0.1, ds.imu.accel)
+        with pytest.raises(PipelineError) as info:
+            run_initialization(window, spinning, ds.rig, PipelineConfig(), seed=0)
+        assert info.value.stage == "stationarity"
 
     def test_result_schema_round_trip(self, clean_vertical_dataset):
         result = run_on_dataset(clean_vertical_dataset, PipelineConfig(), seed=0)
