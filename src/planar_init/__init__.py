@@ -18,7 +18,6 @@ from .geometry import (
     to_euler_ned,
 )
 from .homography import (
-    Correspondence,
     Homography,
     HomographySolution,
     decompose,

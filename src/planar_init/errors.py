@@ -83,4 +83,10 @@ class PipelineError(PlanarInitError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+        self.message = message
         self.diagnostics: dict = {}  # what the pipeline computed before failing
+
+    def __reduce__(self):
+        # Exception pickles only its formatted message, which __init__ cannot
+        # take back; rebuild from the raw parts and restore the diagnostics
+        return type(self), (self.stage, self.message), {"diagnostics": self.diagnostics}

@@ -18,7 +18,7 @@ from . import imu as imu_mod
 from .config import PipelineConfig
 from .errors import AlignmentError, PipelineError
 from .geometry import CameraRig, Rotation, to_euler_ned
-from .homography import Correspondence, decompose, filter_positive_depth, synthesize
+from .homography import decompose, filter_positive_depth, synthesize
 from .imu import PriorNormal
 from .initializer import (
     InitializationResult,
@@ -93,15 +93,22 @@ def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
         raise PipelineError("height-gate",
                             f"altitude never reached {config.preset_height_m} m")
     picked = frames[gate_idx::config.keyframe_stride][:config.window_size]
-    keyframes = [
-        Keyframe(fr.frame, fr.t, {
-            fid: StereoObservation.from_pixels(rig, uv[0], uv[1])
-            for fid, uv in fr.pixels.items()
-        })
-        for fr in picked
-    ]
+    keyframes = [_keyframe(fr, rig) for fr in picked]
     span = imu_mod.slice_between(imu, keyframes[0].t, keyframes[-1].t)
     return KeyframeWindow(keyframes, span, nav)
+
+
+def _keyframe(fr, rig: CameraRig) -> Keyframe:
+    """A picked frame's observations, its pixels normalized in one array step."""
+    uv = np.array(list(fr.pixels.values()), dtype=np.float64).reshape(-1, 2, 2)
+    norm = (uv - np.array([rig.cx, rig.cy])) / rig.f  # geometry.normalize, per row
+    # read-only, so each observation keeps views of its rows instead of copies
+    uv.setflags(write=False)
+    norm.setflags(write=False)
+    return Keyframe(fr.frame, fr.t, {
+        fid: StereoObservation(uv[k, 0], uv[k, 1], norm[k, 0], norm[k, 1])
+        for k, fid in enumerate(fr.pixels)
+    })
 
 
 def _gate_step(imu, excess: np.ndarray, nav, gain: float, height: float,
@@ -315,8 +322,7 @@ def selection_trial(profile_kind: str, seed: int,
 
     # candidates from the exact homography, pruned by positive depth
     candidates = decompose(h_true)
-    corrs = _plane_correspondences(h_true, n_j, rng, count=20)
-    survivors = filter_positive_depth(candidates, corrs)
+    survivors = filter_positive_depth(candidates, _plane_points(h_true, n_j, rng, count=20))
     selection = select_solution(prior, survivors)
 
     truth_angle = min(
@@ -331,10 +337,11 @@ def selection_trial(profile_kind: str, seed: int,
     return SelectionTrial(success, selection.margin, prior_err, gap, len(survivors))
 
 
-def _plane_correspondences(h, n, rng, count=20) -> list[Correspondence]:
-    corrs = []
+def _plane_points(h, n, rng, count=20) -> np.ndarray:
+    """Source points (up to ``count``, 2) of the plane visible in both views of ``h``."""
+    pts = []
     guard = 0
-    while len(corrs) < count and guard < 20 * count:
+    while len(pts) < count and guard < 20 * count:
         guard += 1
         p = rng.uniform(-0.5, 0.5, size=2)
         ph = np.array([p[0], p[1], 1.0])
@@ -343,8 +350,8 @@ def _plane_correspondences(h, n, rng, count=20) -> list[Correspondence]:
         w = h.matrix @ ph
         if w[2] <= 0.05:
             continue
-        corrs.append(Correspondence(p, w[:2] / w[2]))
-    return corrs
+        pts.append(p)
+    return np.array(pts).reshape(-1, 2)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .errors import (
 )
 from .geometry import CameraRig, Pose, Rotation, homogeneous, normalize
 from .homography import (
-    Correspondence,
     Homography,
     HomographySolution,
     decompose,
@@ -60,13 +59,13 @@ class StereoObservation:
 
     def __post_init__(self):
         for name in ("uv_l", "uv_r", "norm_l", "norm_r"):
-            v = np.asarray(getattr(self, name), dtype=np.float64).reshape(2).copy()
+            v = getattr(self, name)
+            if (isinstance(v, np.ndarray) and v.dtype == np.float64
+                    and v.shape == (2,) and not v.flags.writeable):
+                continue  # a read-only 2-vector, such as a row of a frozen array
+            v = np.asarray(v, dtype=np.float64).reshape(2).copy()
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-
-    @classmethod
-    def from_pixels(cls, rig: CameraRig, uv_l, uv_r) -> "StereoObservation":
-        return cls(uv_l, uv_r, normalize(rig, uv_l), normalize(rig, uv_r))
 
 
 @dataclass(frozen=True)
@@ -415,6 +414,7 @@ def run_initialization(
             exc.diagnostics = {"feature_counts": counts, "pairs": diag["pairs"]}
             raise
         if trace is None:
+            diag["indicator_percentiles"] = _percentiles(diag.pop("indicator_values"))
             diag["timings"] = timings
             diag["pure_rotation_pair"] = m
             return _imu_only_result(window, gravity, STATUS_PURE_ROTATION, selected, diag)
@@ -425,18 +425,23 @@ def run_initialization(
             first_selection = selected
 
     velocities.append(velocities[-1])  # last keyframe: hold the last refined value
-    vals = np.asarray(diag.pop("indicator_values"))
-    diag["indicator_percentiles"] = {
-        "p50": float(np.percentile(vals, 50)),
-        "p95": float(np.percentile(vals, 95)),
-        "p100": float(np.max(vals)),
-    }
+    diag["indicator_percentiles"] = _percentiles(diag.pop("indicator_values"))
     timings["total_s"] = time.perf_counter() - t_start
     diag["timings"] = timings
     return InitializationResult(
         STATUS_INITIALIZED,
         [kf.t for kf in window.keyframes],
         poses, velocities, diag["pairs"][0]["scale"], first_selection, diag)
+
+
+def _percentiles(indicator_values: list) -> dict:
+    """The diagnostics summary of the planarity indicator over the window's pairs."""
+    vals = np.asarray(indicator_values)
+    return {
+        "p50": float(np.percentile(vals, 50)),
+        "p95": float(np.percentile(vals, 95)),
+        "p100": float(np.max(vals)),
+    }
 
 
 def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
@@ -458,30 +463,30 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     r_cam = imu_mod.integrate_camera_rotation(pair_imu, cfg.gyro_bias, rig.T_c_b)
     prior = imu_mod.propagate_normal(prior, r_cam, kf_j.t)
 
-    # homography from the current view onto the previous one
-    corrs = [
-        Correspondence(kf_j.observations[f].norm_l, kf_i.observations[f].norm_l, f)
-        for f in window.shared_features(m, m + 1)
-    ]
-    if len(corrs) < 4:
-        raise PipelineError("homography", f"only {len(corrs)} correspondences in pair {m}")
+    # homography from the current view onto the previous one: row k of
+    # p_src / p_dst is feature fids[k] in the current / previous keyframe
+    shared = window.shared_features(m, m + 1)
+    if len(shared) < 4:
+        raise PipelineError("homography", f"only {len(shared)} correspondences in pair {m}")
+    fids = np.array(shared)
+    p_src = np.array([kf_j.observations[f].norm_l for f in shared])
+    p_dst = np.array([kf_i.observations[f].norm_l for f in shared])
     t_stage = time.perf_counter()
     try:
         h_est, inlier_mask = estimate(
-            corrs, threshold=cfg.ransac_threshold,
+            p_src, p_dst, threshold=cfg.ransac_threshold,
             confidence=cfg.ransac_confidence,
             max_iters=cfg.ransac_max_iters, seed=rng)
     except PlanarInitError as exc:
         raise PipelineError("homography", str(exc)) from exc
     timings[f"homography_{m}_s"] = time.perf_counter() - t_stage
-    indicator_values.extend(indicator(h_est, corrs).tolist())
+    indicator_values.extend(indicator(h_est, p_src, p_dst).tolist())
 
     candidates = decompose(h_est)
     if len(candidates) == 1 and candidates[0].normal_indeterminate:
         return None, nav_prev, prior, candidates[0]
-    inlier_corrs = [c for c, keep in zip(corrs, inlier_mask) if keep]
     try:
-        survivors = filter_positive_depth(candidates, inlier_corrs)
+        survivors = filter_positive_depth(candidates, p_src[inlier_mask])
     except InconsistentDataError as exc:
         raise PipelineError("cheirality", str(exc)) from exc
     selection = select_solution(prior, survivors)
@@ -496,7 +501,7 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
 
     # each inlier is triangulated once at the previous keyframe; PnP and
     # the velocity refinement share the points
-    points = _stereo_points(kf_i, [c.feature_id for c in inlier_corrs], rig,
+    points = _stereo_points(kf_i, fids[inlier_mask].tolist(), rig,
                             cfg.min_disparity_px)
     cam_prev = nav_prev.pose @ rig.T_c_b
     pnp_pairs = [(cam_prev.apply(p), kf_j.observations[f].norm_l)
@@ -553,7 +558,7 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
         gn_iterations=refinement.iterations,
         gn_cost=refinement.cost,
         gn_converged=refinement.converged,
-        correspondences=len(corrs),
+        correspondences=len(fids),
         homography_inliers=int(np.sum(inlier_mask)),
     )
     nav_curr = NavState(kf_j.t, body_curr, refinement.velocity,

@@ -20,7 +20,6 @@ from planar_init.harness import (
     trial_seed,
 )
 from planar_init.homography import (
-    Correspondence,
     decompose,
     estimate,
     filter_positive_depth,
@@ -69,7 +68,8 @@ def _random_setup(rng):
 
 
 def _plane_corrs(h, n, rng, count):
-    """Vectorized exact plane correspondences visible in both views."""
+    """Vectorized exact plane correspondences visible in both views, as
+    source and target arrays (count, 2)."""
     m = h.matrix
     for _ in range(60):
         p = rng.uniform(-0.5, 0.5, size=(6 * count, 2))
@@ -79,7 +79,7 @@ def _plane_corrs(h, n, rng, count):
         dst_ok = w[:, 2] > 0.05
         keep = np.flatnonzero(src_ok & dst_ok)[:count]
         if len(keep) == count:
-            return [Correspondence(p[k], w[k, :2] / w[k, 2]) for k in keep]
+            return p[keep], w[keep, :2] / w[keep, 2:3]
     return None
 
 
@@ -97,7 +97,7 @@ def test_c01_homography_round_trip():
             continue
         trials += 1
         sols = decompose(h)
-        kept = filter_positive_depth(sols, corrs)
+        kept = filter_positive_depth(sols, corrs[0])
         max_kept = max(max_kept, len(kept))
         t_bar = t / d
         err = min(
@@ -122,16 +122,15 @@ def test_c02_estimation_exactness():
         r, t, n, d = _random_setup(rng)
         h_true = synthesize(r, t, n, d)
         corrs = _plane_corrs(h_true, n, rng, 50)
-    h, mask = estimate(corrs, seed=0)
+    h, mask = estimate(*corrs, seed=0)
     aligned = h.matrix * np.sign(h.matrix[2, 2] * h_true.matrix[2, 2])
     frob = float(np.linalg.norm(aligned - h_true.matrix))
 
-    outlier_corrs = corrs[:35]
-    while len(outlier_corrs) < 50:
-        p = rng.uniform(-0.5, 0.5, size=2)
-        q = rng.uniform(-0.5, 0.5, size=2) + rng.choice([-0.4, 0.4], size=2)
-        outlier_corrs.append(Correspondence(p, q))
-    _, mask_o = estimate(outlier_corrs, threshold=1e-3, seed=1)
+    src, dst = list(corrs[0][:35]), list(corrs[1][:35])
+    while len(src) < 50:
+        src.append(rng.uniform(-0.5, 0.5, size=2))
+        dst.append(rng.uniform(-0.5, 0.5, size=2) + rng.choice([-0.4, 0.4], size=2))
+    _, mask_o = estimate(np.array(src), np.array(dst), threshold=1e-3, seed=1)
     exact_inliers = bool(mask_o[:35].all() and not mask_o[35:].any())
     elapsed = time.perf_counter() - t0
     ok = frob < 1e-9 and mask.all() and exact_inliers and elapsed < 1.0

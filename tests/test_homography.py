@@ -1,15 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from planar_init.errors import (
     DegenerateEstimationError,
+    DegenerateHomographyError,
     InconsistentDataError,
     InsufficientDataError,
     InvalidPlaneError,
 )
 from planar_init.geometry import Rotation
 from planar_init.homography import (
-    Correspondence,
     Homography,
     decompose,
     estimate,
@@ -35,14 +37,15 @@ def random_plane_setup(rng, max_angle=0.6, t_over_d=(0.05, 2.0)):
 
 
 def plane_correspondences(h, n, rng, count=20):
-    """Exact correspondences of plane points visible in both views.
+    """Exact correspondences of plane points visible in both views, as
+    source and target arrays (M, 2).
 
     Returns fewer than ``count`` when the motion leaves too little shared
     view of the plane; callers that need an exact count resample.
     """
-    out = []
+    src, dst = [], []
     guard = 0
-    while len(out) < count and guard < 50 * count:
+    while len(src) < count and guard < 50 * count:
         guard += 1
         p = rng.uniform(-0.5, 0.5, size=2)
         ph = np.array([p[0], p[1], 1.0])
@@ -51,17 +54,18 @@ def plane_correspondences(h, n, rng, count=20):
         w = h.matrix @ ph
         if w[2] <= 0.05:
             continue
-        out.append(Correspondence(p, w[:2] / w[2], feature_id=len(out)))
-    return out
+        src.append(p)
+        dst.append(w[:2] / w[2])
+    return np.array(src).reshape(-1, 2), np.array(dst).reshape(-1, 2)
 
 
 def sample_setup_with_correspondences(rng, count=20, **kwargs):
     while True:
         r, t, n, d = random_plane_setup(rng, **kwargs)
         h = synthesize(r, t, n, d)
-        corrs = plane_correspondences(h, n, rng, count)
-        if len(corrs) == count:
-            return r, t, n, d, h, corrs
+        src, dst = plane_correspondences(h, n, rng, count)
+        if len(src) == count:
+            return r, t, n, d, h, src, dst
 
 
 class TestHomographyType:
@@ -120,33 +124,32 @@ class TestSynthesize:
 class TestEstimate:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            estimate([Correspondence([0, 0], [0, 0])] * 3)
+            estimate(np.zeros((3, 2)), np.zeros((3, 2)))
 
     def test_identity_motion(self):
         rng = np.random.default_rng(2)
         pts = rng.uniform(-0.5, 0.5, size=(12, 2))
-        corrs = [Correspondence(p, p) for p in pts]
-        h, mask = estimate(corrs, seed=0)
+        h, mask = estimate(pts, pts, seed=0)
         aligned = h.matrix * np.sign(h.matrix[2, 2])
         np.testing.assert_allclose(aligned, np.eye(3), atol=1e-9)
         assert mask.all()
 
     def test_exact_recovery(self):
         rng = np.random.default_rng(3)
-        r, t, n, d, h_true, corrs = sample_setup_with_correspondences(rng, count=50)
-        h, mask = estimate(corrs, seed=1)
+        r, t, n, d, h_true, src, dst = sample_setup_with_correspondences(rng, count=50)
+        h, mask = estimate(src, dst, seed=1)
         aligned = h.matrix * np.sign(h.matrix[2, 2] * h_true.matrix[2, 2])
         assert np.linalg.norm(aligned - h_true.matrix) < 1e-9
         assert mask.sum() == 50
 
     def test_outlier_identification(self):
         rng = np.random.default_rng(4)
-        r, t, n, d, h_true, corrs = sample_setup_with_correspondences(rng, count=35)
+        r, t, n, d, h_true, src, dst = sample_setup_with_correspondences(rng, count=35)
+        src, dst = list(src), list(dst)
         for _ in range(15):  # 30% gross outliers
-            p = rng.uniform(-0.5, 0.5, size=2)
-            q = rng.uniform(-0.5, 0.5, size=2) + rng.choice([-0.4, 0.4], size=2)
-            corrs.append(Correspondence(p, q))
-        h, mask = estimate(corrs, threshold=1e-3, seed=2)
+            src.append(rng.uniform(-0.5, 0.5, size=2))
+            dst.append(rng.uniform(-0.5, 0.5, size=2) + rng.choice([-0.4, 0.4], size=2))
+        h, mask = estimate(np.array(src), np.array(dst), threshold=1e-3, seed=2)
         assert mask[:35].all()
         assert not mask[35:].any()
         aligned = h.matrix * np.sign(h.matrix[2, 2] * h_true.matrix[2, 2])
@@ -155,29 +158,172 @@ class TestEstimate:
     def test_no_consensus_raises(self):
         # all points collinear: every 4-point sample is degenerate
         xs = np.linspace(-0.5, 0.5, 12)
-        corrs = [Correspondence([x, 2 * x], [x + 0.1, 2 * x]) for x in xs]
         with pytest.raises(DegenerateEstimationError):
-            estimate(corrs, max_iters=100, seed=0)
+            estimate(np.c_[xs, 2 * xs], np.c_[xs + 0.1, 2 * xs], max_iters=100, seed=0)
 
     def test_symmetric_transfer_error_on_exact_data(self):
         rng = np.random.default_rng(6)
-        *_, corrs = sample_setup_with_correspondences(rng, count=30)
-        h, mask = estimate(corrs, seed=3)
-        err = symmetric_transfer_error(h, np.array([c.p_i for c in corrs]),
-                                       np.array([c.p_j for c in corrs]))
+        *_, src, dst = sample_setup_with_correspondences(rng, count=30)
+        h, mask = estimate(src, dst, seed=3)
+        err = symmetric_transfer_error(h, src, dst)
         assert err.max() < 1e-10
 
     def test_determinism_and_sign_uniqueness(self):
         rng = np.random.default_rng(7)
-        *_, corrs = sample_setup_with_correspondences(rng, count=40)
-        h1, m1 = estimate(corrs, seed=9)
-        h2, m2 = estimate(corrs, seed=9)
+        *_, src, dst = sample_setup_with_correspondences(rng, count=40)
+        h1, m1 = estimate(src, dst, seed=9)
+        h2, m2 = estimate(src, dst, seed=9)
         assert np.array_equal(h1.matrix, h2.matrix)
         assert np.array_equal(m1, m2)
         # scale invariance: normalization is unique up to sign
         scaled = Homography(-3.7 * h1.matrix)
         assert (np.allclose(scaled.matrix, h1.matrix, atol=1e-12)
                 or np.allclose(scaled.matrix, -h1.matrix, atol=1e-12))
+
+
+def _reference_dlt(p_i, p_j):
+    """Normalized DLT of one correspondence set, as the sequential loop solved it."""
+    def hartley(pts):
+        mean = pts.mean(axis=0)
+        dist = np.linalg.norm(pts - mean, axis=1).mean()
+        s = math.sqrt(2.0) / max(dist, 1e-12)
+        return np.array([[s, 0.0, -s * mean[0]], [0.0, s, -s * mean[1]], [0.0, 0.0, 1.0]])
+
+    t_i, t_j = hartley(p_i), hartley(p_j)
+    a = np.c_[p_i, np.ones(len(p_i))] @ t_i.T
+    b = np.c_[p_j, np.ones(len(p_j))] @ t_j.T
+    rows = np.zeros((2 * len(a), 9))
+    rows[0::2, 0:3] = -a
+    rows[0::2, 6:9] = b[:, 0:1] * a
+    rows[1::2, 3:6] = -a
+    rows[1::2, 6:9] = b[:, 1:2] * a
+    _, _, vt = np.linalg.svd(rows, full_matrices=len(rows) < 9)
+    return np.linalg.inv(t_j) @ vt[-1].reshape(3, 3) @ t_i
+
+
+def _reference_degenerate(pts):
+    scale = max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), 1e-12)
+    for drop in range(4):
+        tri = np.delete(pts, drop, axis=0)
+        u, v = tri[1] - tri[0], tri[2] - tri[0]
+        if abs(u[0] * v[1] - u[1] * v[0]) < 1e-10 * scale * scale:
+            return True
+    return False
+
+
+def _reference_transfer(h, p_i, p_j):
+    err = (np.linalg.norm(h.apply(p_i) - p_j, axis=-1)
+           + np.linalg.norm(h.inverse().apply(p_j) - p_i, axis=-1))
+    err[~np.isfinite(err)] = np.inf
+    return err
+
+
+def reference_estimate(p_i, p_j, rng, threshold=1e-3, confidence=0.999, max_iters=2000):
+    """The one-hypothesis-at-a-time RANSAC loop that the block loop replays."""
+    n = len(p_i)
+    best_mask, best_count = None, 0
+    needed = max_iters
+    it = 0
+    while it < min(needed, max_iters):
+        it += 1
+        idx = rng.choice(n, size=4, replace=False)
+        if _reference_degenerate(p_i[idx]) or _reference_degenerate(p_j[idx]):
+            continue
+        try:
+            cand = Homography(_reference_dlt(p_i[idx], p_j[idx]))
+        except (DegenerateHomographyError, np.linalg.LinAlgError):
+            continue
+        mask = _reference_transfer(cand, p_i, p_j) < threshold
+        count = int(mask.sum())
+        if count > best_count:
+            best_count, best_mask = count, mask
+            ratio = count / n
+            if ratio >= 1.0:
+                break
+            denom = math.log(max(1e-12, 1.0 - ratio ** 4))
+            needed = min(max_iters, int(math.ceil(math.log(1.0 - confidence) / denom)))
+    if best_mask is None or best_count < 4:
+        raise DegenerateEstimationError("no consensus set of size >= 4")
+    m = _reference_dlt(p_i[best_mask], p_j[best_mask])
+    if np.median(np.c_[p_i[best_mask], np.ones(best_count)] @ m[2]) < 0.0:
+        m = -m
+    h = Homography(m)
+    mask = _reference_transfer(h, p_i, p_j) < threshold
+    if int(mask.sum()) < 4:
+        mask = best_mask
+    return h, mask
+
+
+def noisy_plane_with_outliers(seed, count, outlier_share, noise=2e-4):
+    """``count`` correspondences of a random plane with pixel-scale noise, a
+    share of them replaced by gross outliers."""
+    rng = np.random.default_rng(seed)
+    *_, src, dst = sample_setup_with_correspondences(rng, count=count)
+    dst = dst + rng.normal(scale=noise, size=dst.shape)
+    bad = rng.permutation(count)[:int(round(outlier_share * count))]
+    dst[bad] = rng.uniform(-0.5, 0.5, size=(len(bad), 2))
+    return src, dst
+
+
+class TestBlockLoopMatchesSequentialLoop:
+    """The block loop must keep the sequential loop's draws, stopping point
+    and result bit for bit, and leave the generator where it left it."""
+
+    @staticmethod
+    def assert_same(src, dst, seed, **kwargs):
+        rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            h_ref, m_ref = reference_estimate(src, dst, rng_ref, **kwargs)
+        except DegenerateEstimationError:
+            with pytest.raises(DegenerateEstimationError):
+                estimate(src, dst, seed=rng_new, **kwargs)
+        else:
+            h_new, m_new = estimate(src, dst, seed=rng_new, **kwargs)
+            assert np.array_equal(m_new, m_ref)
+            assert h_new.matrix.tobytes() == h_ref.matrix.tobytes()
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("count", [4, 5, 40, 300])
+    @pytest.mark.parametrize("outlier_share", [0.0, 0.3, 0.6])
+    def test_planes_with_outliers(self, count, outlier_share):
+        for seed in range(4):
+            src, dst = noisy_plane_with_outliers(seed, count, outlier_share)
+            self.assert_same(src, dst, seed, threshold=2e-3)
+
+    def test_mostly_collinear(self):
+        # 30 of 36 points on one line: most samples fail the collinearity test
+        rng = np.random.default_rng(21)
+        xs = rng.uniform(-0.5, 0.5, size=30)
+        src = np.r_[np.c_[xs, 0.3 * xs + 0.1], rng.uniform(-0.5, 0.5, size=(6, 2))]
+        dst = 1.1 * src + np.array([0.02, -0.01])
+        for seed in range(4):
+            self.assert_same(src, dst, seed)
+
+    def test_iteration_cap(self):
+        # 70% outliers keep the adaptive count above the cap, which is not a
+        # multiple of the block size, so the last block is a short one
+        for seed in range(4):
+            src, dst = noisy_plane_with_outliers(seed, 60, 0.7)
+            self.assert_same(src, dst, seed, threshold=2e-3, max_iters=45)
+
+    def test_no_consensus(self):
+        xs = np.linspace(-0.5, 0.5, 12)
+        self.assert_same(np.c_[xs, 2 * xs], np.c_[xs + 0.1, 2 * xs], 0, max_iters=100)
+
+    def test_stacked_solve_failure_falls_back_per_sample(self, monkeypatch):
+        # an SVD that does not converge fails a whole stacked call; the
+        # block is then solved sample by sample, with the same result
+        import planar_init.homography as homography
+        real = homography._dlt
+
+        def stack_fails(src, dst):
+            if len(src) > 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(src, dst)
+
+        monkeypatch.setattr(homography, "_dlt", stack_fails)
+        src, dst = noisy_plane_with_outliers(0, 40, 0.3)
+        self.assert_same(src, dst, 0, threshold=2e-3)
 
 
 class TestDecompose:
@@ -227,9 +373,9 @@ class TestFilterPositiveDepth:
         rng = np.random.default_rng(10)
         kept_counts = []
         for _ in range(100):
-            r, t, n, d, h, corrs = sample_setup_with_correspondences(
+            r, t, n, d, h, src, _ = sample_setup_with_correspondences(
                 rng, count=20, max_angle=0.4, t_over_d=(0.05, 1.0))
-            kept = filter_positive_depth(decompose(h), corrs)
+            kept = filter_positive_depth(decompose(h), src)
             kept_counts.append(len(kept))
             assert len(kept) <= 2
             best = min(
@@ -252,15 +398,15 @@ class TestFilterPositiveDepth:
         t = np.array([0.8, 0.5, -0.2])
         d = 2.0
         h = synthesize(r, t, n, d)
-        corrs = []
-        while len(corrs) < 25:
+        src = []
+        while len(src) < 25:
             p = rng.uniform([0.1, -0.15], [0.4, 0.15])
             w = h.matrix @ np.array([p[0], p[1], 1.0])
             if w[2] > 0.05:
-                corrs.append(Correspondence(p, w[:2] / w[2]))
+                src.append(p)
         sols = decompose(h)
         assert len(sols) == 4
-        kept = filter_positive_depth(sols, corrs)
+        kept = filter_positive_depth(sols, np.array(src))
         assert len(kept) == 2
         best = min(
             s.rotation.angle_to(r) + np.linalg.norm(s.t_bar - t / d)
@@ -271,50 +417,47 @@ class TestFilterPositiveDepth:
 
     def test_identity_solution_passes(self):
         sols = decompose(Homography(np.eye(3)))
-        corrs = [Correspondence([0.1, 0.0], [0.1, 0.0])]
-        assert filter_positive_depth(sols, corrs) == sols
+        assert filter_positive_depth(sols, np.array([[0.1, 0.0]])) == sols
 
     def test_antipodal_normal_rejected(self):
         rng = np.random.default_rng(11)
-        r, t, n, d, h, corrs = sample_setup_with_correspondences(
+        r, t, n, d, h, src, _ = sample_setup_with_correspondences(
             rng, count=15, t_over_d=(0.1, 1.0))
         sols = decompose(h)
         flipped = [s for s in sols if float(s.n @ n) < 0.0]
         assert flipped
         with pytest.raises(InconsistentDataError):
-            filter_positive_depth(flipped, corrs)
+            filter_positive_depth(flipped, src)
 
     def test_empty_inputs_raise(self):
         with pytest.raises(InsufficientDataError):
-            filter_positive_depth([], [])
+            filter_positive_depth([], np.empty((0, 2)))
 
 
 class TestIndicator:
     def test_exact_planar_is_zero(self):
         rng = np.random.default_rng(12)
-        *_, h, corrs = sample_setup_with_correspondences(rng, count=10)
-        vals = indicator(h, corrs)
-        assert vals.shape == (len(corrs),)
+        *_, h, src, dst = sample_setup_with_correspondences(rng, count=10)
+        vals = indicator(h, src, dst)
+        assert vals.shape == (len(src),)
         assert np.all(vals < 1e-12)
 
     def test_direct_evaluation(self):
-        c = Correspondence([0.0, 0.0], [0.01, 0.0])
-        assert indicator(Homography(np.eye(3)), [c])[0] == pytest.approx(0.01)
+        vals = indicator(Homography(np.eye(3)), [[0.0, 0.0]], [[0.01, 0.0]])
+        assert vals[0] == pytest.approx(0.01)
 
     def test_zero_iff_constraint_holds(self):
         rng = np.random.default_rng(13)
-        *_, h, corrs = sample_setup_with_correspondences(rng, count=1)
-        c = corrs[0]
-        off = Correspondence(c.p_i, c.p_j + np.array([1e-4, 0.0]))
-        exact, perturbed = indicator(h, [c, off])
+        *_, h, src, dst = sample_setup_with_correspondences(rng, count=1)
+        off = dst + np.array([1e-4, 0.0])
+        exact, perturbed = indicator(h, np.r_[src, src], np.r_[dst, off])
         assert exact == 0.0
         assert perturbed > 0.0
 
     def test_infinite_flag(self):
         # map the point onto the plane at infinity: third row kills p = (1, 0)
         m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
-        c = Correspondence([1.0, 0.0], [0.0, 0.0])
-        finite = Correspondence([0.0, 0.0], [0.0, 0.0])
-        vals = indicator(Homography(m), [c, finite])
+        # row 0 maps to infinity, row 1 stays finite
+        vals = indicator(Homography(m), [[1.0, 0.0], [0.0, 0.0]], np.zeros((2, 2)))
         assert vals[0] == np.inf
         assert vals[1] == 0.0

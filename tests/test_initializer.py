@@ -243,13 +243,12 @@ class TestRunInitialization:
         window = select_window(ds, cfg)
         result = run_initialization(window, ds.imu, ds.rig, cfg, seed=0)
         sel = result.selected
-        from planar_init.homography import Correspondence, estimate
+        from planar_init.homography import estimate
         kf_i, kf_j = window.keyframes[0], window.keyframes[1]
-        corrs = [
-            Correspondence(kf_j.observations[f].norm_l, kf_i.observations[f].norm_l)
-            for f in window.shared_features(0, 1)
-        ]
-        h, _ = estimate(corrs, threshold=cfg.ransac_threshold, seed=0)
+        shared = window.shared_features(0, 1)
+        p_src = np.array([kf_j.observations[f].norm_l for f in shared])
+        p_dst = np.array([kf_i.observations[f].norm_l for f in shared])
+        h, _ = estimate(p_src, p_dst, threshold=cfg.ransac_threshold, seed=0)
         re = sel.reassemble()
         aligned = re * np.sign(re[2, 2] * h.matrix[2, 2])
         s2 = np.linalg.svd(aligned, compute_uv=False)[1]
@@ -273,6 +272,10 @@ class TestRunInitialization:
         assert result.status == STATUS_PURE_ROTATION
         assert result.scale is None
         json.dumps(result.to_json_dict())  # diagnostics stay serializable
+        # the indicator is summarized as for an initialized result
+        pct = result.diagnostics["indicator_percentiles"]
+        assert 0.0 <= pct["p50"] <= pct["p95"] <= pct["p100"]
+        assert "indicator_values" not in result.diagnostics
 
     def test_determinism(self, noisy_vertical_dataset):
         # bit-identical apart from wall-clock stage timings
@@ -319,6 +322,19 @@ class TestRunInitialization:
         with pytest.raises(PipelineError) as info:
             run_initialization(window, spinning, ds.rig, PipelineConfig(), seed=0)
         assert info.value.stage == "stationarity"
+
+    def test_pipeline_error_pickles(self):
+        # crossing a process boundary keeps the stage, the message and what
+        # the pipeline computed before failing
+        import pickle
+        exc = PipelineError("pnp", "boom")
+        exc.diagnostics = {"feature_counts": [40, 38], "pairs": [{"pair": 0}]}
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is PipelineError
+        assert back.stage == "pnp"
+        assert back.message == "boom"
+        assert str(back) == "[pnp] boom"
+        assert back.diagnostics == exc.diagnostics
 
     def test_result_schema_round_trip(self, clean_vertical_dataset):
         result = run_on_dataset(clean_vertical_dataset, PipelineConfig(), seed=0)
