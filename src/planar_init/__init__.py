@@ -38,7 +38,6 @@ from .initializer import (
     InitializationResult,
     Keyframe,
     KeyframeWindow,
-    StereoObservation,
     metric_alignment,
     recover_scale,
     refine_body_velocity,
@@ -64,7 +63,6 @@ from .simulator import (
     synthesize_imu,
 )
 from .weighting import (
-    PixelDeviation,
     estimated_flow,
     stereo_deviation,
     temporal_deviation,

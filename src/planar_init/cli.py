@@ -121,11 +121,18 @@ def _cmd_generate(args) -> int:
 
 def _cmd_init(args) -> int:
     try:
+        cfg = _load_pipeline_config(args)
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ValueError as exc:  # also a JSON syntax error
+        print(f"error: invalid config: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         ds = load_dataset(args.dataset)
     except (OSError, ValueError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    cfg = _load_pipeline_config(args)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

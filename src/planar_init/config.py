@@ -3,8 +3,24 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+
+# fields that must be positive and finite, and integers with their least value
+_POSITIVE = ("min_disparity_px", "ransac_threshold", "pnp_ransac_threshold",
+             "fixed_deviation_px", "deviation_floor_px")
+_AT_LEAST = {"ransac_max_iters": 1, "pnp_ransac_max_iters": 1, "gn_max_iters": 1,
+             "window_size": 2, "keyframe_stride": 1}
+
+
+def _real(cfg, name: str) -> float:
+    value = getattr(cfg, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -45,14 +61,23 @@ class PipelineConfig:
     deviation_floor_px: float = 0.25
 
     def __post_init__(self):
-        if not (0.0 <= self.preset_height_m < 3.0):
+        """Reject a config the pipeline cannot run before any stage starts."""
+        for name in _POSITIVE:
+            value = _real(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name, least in _AT_LEAST.items():
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not 0.0 < _real(self, "ransac_confidence") < 1.0:
+            raise ValueError("ransac_confidence must lie in the open interval (0, 1), "
+                             f"got {self.ransac_confidence!r}")
+        if not (0.0 <= _real(self, "preset_height_m") < 3.0):
             raise ValueError("preset height must lie in [0, 3) m")
         if self.deviation_mode not in ("dynamic", "fixed"):
             raise ValueError(f"unknown deviation mode {self.deviation_mode!r}")
-        if self.window_size < 2:
-            raise ValueError("window size must be >= 2")
-        if self.keyframe_stride < 1:
-            raise ValueError("keyframe stride must be >= 1")
 
     def to_json_dict(self) -> dict:
         d = asdict(self)

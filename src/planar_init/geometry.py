@@ -146,12 +146,16 @@ class Rotation:
         return Rotation((w, -x, -y, -z))
 
     def apply(self, v) -> np.ndarray:
-        """Rotate one 3-vector or an (N, 3) batch."""
+        """Rotate one 3-vector or an (..., 3) stack of them.
+
+        Each row of a stack is one matrix-vector product, so it rounds
+        exactly as the same row rotated on its own (``rows @ m.T`` does not).
+        """
         a = np.asarray(v, dtype=np.float64)
         m = self.matrix()
         if a.ndim == 1:
             return m @ a
-        return a @ m.T
+        return np.matmul(m, a[..., None])[..., 0]
 
     def angle(self) -> float:
         """Rotation angle in [0, pi]."""
@@ -337,12 +341,33 @@ def project(rig: CameraRig, p_c) -> np.ndarray:
 
 
 def normalize(rig: CameraRig, pixel) -> np.ndarray:
-    """Pixel to normalized image coordinates [(u-cx)/f, (v-cy)/f]."""
-    uv = np.asarray(pixel, dtype=np.float64)
-    return np.array([(uv[0] - rig.cx) / rig.f, (uv[1] - rig.cy) / rig.f])
+    """Pixels (..., 2) to normalized image coordinates [(u-cx)/f, (v-cy)/f]."""
+    return (np.asarray(pixel, dtype=np.float64) - (rig.cx, rig.cy)) / rig.f
 
 
 def homogeneous(xy) -> np.ndarray:
-    """Append 1 to a normalized 2-vector."""
+    """Append 1 to normalized coordinates (..., 2)."""
     a = np.asarray(xy, dtype=np.float64)
-    return np.array([a[0], a[1], 1.0])
+    return np.concatenate([a, np.ones(a.shape[:-1] + (1,))], axis=-1)
+
+
+def freeze_feature_rows(record, label: str, names) -> None:
+    """Set a frozen dataclass's ``ids`` and its (N, 2) per-feature arrays
+    ``names`` read-only, copying writeable inputs; ids must ascend strictly
+    and each array needs one row per id."""
+    def frozen(a, dtype=np.float64):
+        a = np.asarray(a, dtype=dtype)
+        if a.flags.writeable:
+            a = a.copy()
+            a.setflags(write=False)
+        return a
+
+    ids = frozen(record.ids, np.int64).reshape(-1)
+    object.__setattr__(record, "ids", ids)
+    for name in names:
+        rows = frozen(getattr(record, name)).reshape(-1, 2)
+        if len(rows) != len(ids):
+            raise ValueError(f"{label}: {name} needs one row per feature id")
+        object.__setattr__(record, name, rows)
+    if np.any(np.diff(ids) <= 0):
+        raise ValueError(f"{label}: feature ids must ascend strictly")

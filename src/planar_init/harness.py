@@ -17,14 +17,13 @@ import numpy as np
 from . import imu as imu_mod
 from .config import PipelineConfig
 from .errors import AlignmentError, PipelineError
-from .geometry import CameraRig, Rotation, to_euler_ned
+from .geometry import CameraRig, Rotation, normalize, to_euler_ned
 from .homography import decompose, filter_positive_depth, synthesize
 from .imu import PriorNormal
 from .initializer import (
     InitializationResult,
     Keyframe,
     KeyframeWindow,
-    StereoObservation,
     run_initialization,
     select_solution,
 )
@@ -100,15 +99,7 @@ def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
 
 def _keyframe(fr, rig: CameraRig) -> Keyframe:
     """A picked frame's observations, its pixels normalized in one array step."""
-    uv = np.array(list(fr.pixels.values()), dtype=np.float64).reshape(-1, 2, 2)
-    norm = (uv - np.array([rig.cx, rig.cy])) / rig.f  # geometry.normalize, per row
-    # read-only, so each observation keeps views of its rows instead of copies
-    uv.setflags(write=False)
-    norm.setflags(write=False)
-    return Keyframe(fr.frame, fr.t, {
-        fid: StereoObservation(uv[k, 0], uv[k, 1], norm[k, 0], norm[k, 1])
-        for k, fid in enumerate(fr.pixels)
-    })
+    return Keyframe(fr.frame, fr.t, fr.ids, fr.uv_l, fr.uv_r, normalize(rig, fr.uv_l))
 
 
 def _gate_step(imu, excess: np.ndarray, nav, gain: float, height: float,

@@ -29,7 +29,14 @@ from .errors import (
     PipelineError,
     PlanarInitError,
 )
-from .geometry import CameraRig, Pose, Rotation, homogeneous, normalize
+from .geometry import (
+    CameraRig,
+    Pose,
+    Rotation,
+    freeze_feature_rows,
+    homogeneous,
+    normalize,
+)
 from .homography import (
     Homography,
     HomographySolution,
@@ -39,9 +46,9 @@ from .homography import (
     indicator,
 )
 from .imu import ImuStream, NavState, PriorNormal
-from .motion_field import FlowObservation, VelocityRefinement, refine_velocity
+from .motion_field import VelocityRefinement, refine_velocity
 from .pnp import refine_pose, solve_pnp
-from .weighting import STEREO, PixelDeviation, stereo_deviation, weight
+from .weighting import stereo_deviation, weight
 
 STATUS_INITIALIZED = "initialized"
 STATUS_IMU_ONLY = "imu-only-fallback"
@@ -49,30 +56,23 @@ STATUS_PURE_ROTATION = "pure-rotation"
 
 
 @dataclass(frozen=True)
-class StereoObservation:
-    """One feature in one stereo keyframe: pixels and normalized coords."""
+class Keyframe:
+    """One stereo keyframe.
 
+    Row k of the read-only (N, 2) arrays ``uv_l``, ``uv_r`` (pixels) and
+    ``norm_l`` (normalized left coordinates) belongs to feature ``ids[k]``;
+    ids ascend strictly.
+    """
+
+    index: int
+    t: float
+    ids: np.ndarray
     uv_l: np.ndarray
     uv_r: np.ndarray
     norm_l: np.ndarray
-    norm_r: np.ndarray
 
     def __post_init__(self):
-        for name in ("uv_l", "uv_r", "norm_l", "norm_r"):
-            v = getattr(self, name)
-            if (isinstance(v, np.ndarray) and v.dtype == np.float64
-                    and v.shape == (2,) and not v.flags.writeable):
-                continue  # a read-only 2-vector, such as a row of a frozen array
-            v = np.asarray(v, dtype=np.float64).reshape(2).copy()
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
-class Keyframe:
-    index: int
-    t: float
-    observations: dict  # feature_id -> StereoObservation
+        freeze_feature_rows(self, f"keyframe {self.index}", ("uv_l", "uv_r", "norm_l"))
 
 
 @dataclass
@@ -89,9 +89,11 @@ class KeyframeWindow:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("keyframe timestamps must be strictly increasing")
 
-    def shared_features(self, a: int, b: int) -> list[int]:
-        ka, kb = self.keyframes[a], self.keyframes[b]
-        return sorted(set(ka.observations) & set(kb.observations))
+    def shared_features(self, a: int, b: int):
+        """Features seen in keyframes ``a`` and ``b``: their ascending ids,
+        and the rows holding them in ``a`` and in ``b``."""
+        return np.intersect1d(self.keyframes[a].ids, self.keyframes[b].ids,
+                              assume_unique=True, return_indices=True)
 
 
 @dataclass(frozen=True)
@@ -121,33 +123,23 @@ def select_solution(n_prior: PriorNormal, candidates: list[HomographySolution]) 
     return Selection(candidates[order], runner_up - nearest, dists)
 
 
-@dataclass(frozen=True)
-class StereoPoint:
-    point: np.ndarray
-    disparity_px: float
-    reliable: bool
+def triangulate_stereo(uv_l, uv_r, rig: CameraRig) -> np.ndarray:
+    """Left-camera points (..., 3) of stereo pixel rows (..., 2).
 
-    def __post_init__(self):
-        v = np.asarray(self.point, dtype=np.float64).reshape(3).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "point", v)
-
-
-def triangulate_stereo(obs_l, obs_r, rig: CameraRig,
-                       min_disparity_px: float = 1.0) -> StereoPoint:
-    """Depth from pixel disparity: z = f b / (uL - uR); point in the left frame.
-
-    Disparity <= 0 raises; disparity below ``min_disparity_px`` flags the
-    point as unreliable.
+    Depth from pixel disparity: z = f b / (uL - uR).  A disparity <= 0
+    raises, so callers drop the rows they do not trust beforehand.
     """
-    u_l = float(np.asarray(obs_l, dtype=np.float64)[0])
-    u_r = float(np.asarray(obs_r, dtype=np.float64)[0])
-    disparity = u_l - u_r
-    if disparity <= 0.0:
-        raise InvalidDisparityError(f"disparity {disparity:.6g} <= 0")
+    uv_l = np.asarray(uv_l, dtype=np.float64)
+    disparity = uv_l[..., 0] - np.asarray(uv_r, dtype=np.float64)[..., 0]
+    if np.any(disparity <= 0.0):
+        raise InvalidDisparityError(f"disparity {np.min(disparity):.6g} <= 0")
     z = rig.f * rig.baseline / disparity
-    p = z * homogeneous(normalize(rig, obs_l))
-    return StereoPoint(p, disparity, disparity >= min_disparity_px)
+    return np.expand_dims(z, -1) * homogeneous(normalize(rig, uv_l))
+
+
+def _reliable(kf: Keyframe, rows: np.ndarray, min_disparity_px: float) -> np.ndarray:
+    """Mask of the ``rows`` of ``kf`` whose disparity reaches ``min_disparity_px``."""
+    return kf.uv_l[rows, 0] - kf.uv_r[rows, 0] >= min_disparity_px
 
 
 def recover_scale(t_bar, t_hat) -> float:
@@ -183,46 +175,6 @@ def metric_alignment(T_pnp: Pose, T_imu_body: Pose, rig: CameraRig) -> np.ndarra
     return r_cw.apply(T_pnp.translation - T_imu_body.translation) - lever
 
 
-def _stereo_points(kf: Keyframe, feature_ids, rig: CameraRig,
-                   min_disparity_px: float) -> dict[int, np.ndarray]:
-    """Left-camera points of the features that triangulate reliably in ``kf``."""
-    points: dict[int, np.ndarray] = {}
-    for fid in feature_ids:
-        obs = kf.observations[fid]
-        try:
-            sp = triangulate_stereo(obs.uv_l, obs.uv_r, rig, min_disparity_px)
-        except InvalidDisparityError:
-            continue
-        if sp.reliable:
-            points[fid] = sp.point
-    return points
-
-
-def measured_flow_observations(
-    window: KeyframeWindow,
-    rig: CameraRig,
-    pair: int = 0,
-    points: dict[int, np.ndarray] | None = None,
-    min_disparity_px: float = 1.0,
-) -> list[FlowObservation]:
-    """Flow observations for one keyframe pair.
-
-    The measured normalized velocity of each feature is the forward
-    difference of its tracked left-camera coordinates over the pair
-    interval; the metric source point comes from stereo triangulation at
-    the earlier keyframe: ``points`` (feature id -> left-camera point), or
-    every shared feature triangulated here when it is ``None``.
-    """
-    kf_i, kf_j = window.keyframes[pair], window.keyframes[pair + 1]
-    dt = kf_j.t - kf_i.t
-    if points is None:
-        points = _stereo_points(kf_i, window.shared_features(pair, pair + 1),
-                                rig, min_disparity_px)
-    obs_i, obs_j = kf_i.observations, kf_j.observations
-    return [FlowObservation(obs_i[f].norm_l, p, (obs_j[f].norm_l - obs_i[f].norm_l) / dt, f)
-            for f, p in points.items()]
-
-
 def refine_body_velocity(
     window: KeyframeWindow,
     h_forward: Homography,
@@ -233,22 +185,31 @@ def refine_body_velocity(
     R_w_b: Rotation | None = None,
     gyro_bias=(0.0, 0.0, 0.0),
     config: PipelineConfig | None = None,
-    points: dict[int, np.ndarray] | None = None,
+    points: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> VelocityRefinement:
     """Gauss-Newton body-velocity refinement over one keyframe pair.
 
     ``h_forward`` maps the earlier keyframe of the pair onto the later
     one (the direction in which feature velocities are transferred).
-    ``points`` is passed on to :func:`measured_flow_observations`.
+    The measured normalized velocity of each feature is the forward
+    difference of its tracked left-camera coordinates over the pair
+    interval; its metric source point comes from stereo triangulation at
+    the earlier keyframe: ``points`` = (feature ids, left-camera points),
+    or every shared feature that triangulates reliably when ``None``.
     """
     cfg = config or PipelineConfig()
     kf_i, kf_j = window.keyframes[pair], window.keyframes[pair + 1]
-    obs = measured_flow_observations(window, rig, pair, points,
-                                     cfg.min_disparity_px)
+    if points is None:
+        _, rows, _ = window.shared_features(pair, pair + 1)
+        rows = rows[_reliable(kf_i, rows, cfg.min_disparity_px)]
+        points = (kf_i.ids[rows], triangulate_stereo(kf_i.uv_l[rows], kf_i.uv_r[rows], rig))
+    ids, p_c = points
+    p_i = kf_i.norm_l[kf_i.ids.searchsorted(ids)]
+    v_measured = (kf_j.norm_l[kf_j.ids.searchsorted(ids)] - p_i) / (kf_j.t - kf_i.t)
     pair_imu = imu_mod.slice_between(window.imu, kf_i.t, kf_j.t)
     omega = imu_mod.mean_gyro(pair_imu, gyro_bias)
     return refine_velocity(
-        obs, h_forward, R_w_b or Rotation.identity(), omega, rig, v_init,
+        p_i, p_c, v_measured, h_forward, R_w_b or Rotation.identity(), omega, rig, v_init,
         max_iters=cfg.gn_max_iters, step_tol=cfg.gn_step_tol,
         cost_tol=cfg.gn_cost_tol)
 
@@ -380,7 +341,7 @@ def run_initialization(
     timings["anchor_s"] = time.perf_counter() - t_start
 
     # feature gate
-    counts = [len(kf.observations) for kf in window.keyframes]
+    counts = [len(kf.ids) for kf in window.keyframes]
     if min(counts) < cfg.min_features:
         return _imu_only_result(
             window, gravity, STATUS_IMU_ONLY, None,
@@ -465,12 +426,11 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
 
     # homography from the current view onto the previous one: row k of
     # p_src / p_dst is feature fids[k] in the current / previous keyframe
-    shared = window.shared_features(m, m + 1)
-    if len(shared) < 4:
-        raise PipelineError("homography", f"only {len(shared)} correspondences in pair {m}")
-    fids = np.array(shared)
-    p_src = np.array([kf_j.observations[f].norm_l for f in shared])
-    p_dst = np.array([kf_i.observations[f].norm_l for f in shared])
+    fids, rows_i, rows_j = window.shared_features(m, m + 1)
+    if len(fids) < 4:
+        raise PipelineError("homography", f"only {len(fids)} correspondences in pair {m}")
+    p_src = kf_j.norm_l[rows_j]
+    p_dst = kf_i.norm_l[rows_i]
     t_stage = time.perf_counter()
     try:
         h_est, inlier_mask = estimate(
@@ -499,19 +459,21 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     rel_rot = r_cam.inverse()
     t_bar = _rank1_translation(h_est, rel_rot, prior)
 
-    # each inlier is triangulated once at the previous keyframe; PnP and
-    # the velocity refinement share the points
-    points = _stereo_points(kf_i, fids[inlier_mask].tolist(), rig,
-                            cfg.min_disparity_px)
+    # the reliable inliers are triangulated at the previous keyframe in one
+    # call; PnP and the velocity refinement share the points
+    used = np.flatnonzero(inlier_mask)
+    used = used[_reliable(kf_i, rows_i[used], cfg.min_disparity_px)]
+    ri, rj = rows_i[used], rows_j[used]
+    p_c = triangulate_stereo(kf_i.uv_l[ri], kf_i.uv_r[ri], rig)
     cam_prev = nav_prev.pose @ rig.T_c_b
-    pnp_pairs = [(cam_prev.apply(p), kf_j.observations[f].norm_l)
-                 for f, p in points.items()]
-    if len(pnp_pairs) < 4:
-        raise PipelineError("pnp", f"only {len(pnp_pairs)} usable stereo points in pair {m}")
+    points_w = cam_prev.apply(p_c)
+    obs_j = kf_j.norm_l[rj]
+    if len(points_w) < 4:
+        raise PipelineError("pnp", f"only {len(points_w)} usable stereo points in pair {m}")
     t_stage = time.perf_counter()
     try:
         t_pnp, pnp_mask = solve_pnp(
-            pnp_pairs, rng, threshold=cfg.pnp_ransac_threshold,
+            points_w, obs_j, rng, threshold=cfg.pnp_ransac_threshold,
             confidence=cfg.ransac_confidence, max_iters=cfg.pnp_ransac_max_iters)
     except PlanarInitError as exc:
         raise PipelineError("pnp", str(exc)) from exc
@@ -526,8 +488,9 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
         raise PipelineError("scale", f"backwards scale {s:.6g} in pair {m}")
 
     if cfg.deviation_mode == "dynamic":
-        t_pnp = _weighted_pnp_refit(
-            t_pnp, pnp_pairs, pnp_mask, list(points), kf_j, rig, cfg)
+        inl = rj[pnp_mask]
+        t_pnp = _weighted_pnp_refit(t_pnp, points_w[pnp_mask], obs_j[pnp_mask],
+                                    kf_j.uv_l[inl], kf_j.uv_r[inl], rig, cfg)
         t_hat = metric_alignment(t_pnp, nav_prev.pose, rig)
         s = recover_scale(t_bar, t_hat)
         if s <= 0.0:
@@ -543,7 +506,7 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
         refinement = refine_body_velocity(
             window, h_est.inverse(), nav_prev.velocity, rig, pair=m,
             R_w_b=nav_prev.pose.rotation.inverse(), gyro_bias=cfg.gyro_bias,
-            config=cfg, points=points)
+            config=cfg, points=(fids[used], p_c))
     except PlanarInitError as exc:
         raise PipelineError("velocity", str(exc)) from exc
     timings[f"velocity_{m}_s"] = time.perf_counter() - t_stage
@@ -577,35 +540,27 @@ def _rank1_translation(h_est: Homography, rel_rot: Rotation,
     return t_bar
 
 
-def _weighted_pnp_refit(t_pnp: Pose, pnp_pairs, pnp_mask, pnp_fids, kf_j,
-                        rig: CameraRig, cfg: PipelineConfig) -> Pose:
-    """Re-refine the PnP pose with dynamic inverse-deviation weights.
+def _weighted_pnp_refit(t_pnp: Pose, points_w: np.ndarray, obs: np.ndarray,
+                        uv_l: np.ndarray, uv_r: np.ndarray, rig: CameraRig,
+                        cfg: PipelineConfig) -> Pose:
+    """Re-refine the PnP pose on its inliers with dynamic inverse-deviation weights.
 
-    Each inlier's stereo deviation at the current keyframe is computed
-    against the depth its world point takes under the current pose
-    estimate, so the weight reflects the feature's own measurement
-    quality rather than its momentary disparity.
+    Each inlier's stereo deviation at the current keyframe (pixels
+    ``uv_l``, ``uv_r``) is computed against the depth its world point takes
+    under the current pose estimate, so the weight reflects the feature's
+    own measurement quality rather than its momentary disparity.  A point
+    behind the camera keeps the fixed deviation.
     """
-    idx = np.flatnonzero(pnp_mask)
-    if len(idx) < 4:
+    if len(points_w) < 4:
         return t_pnp
-    pts = np.array([pnp_pairs[k][0] for k in idx])
-    obs = np.array([pnp_pairs[k][1] for k in idx])
     # camera-frame depths under the current PnP pose
-    inv = t_pnp.invert()
-    weights = np.empty(len(idx))
-    for row, k in enumerate(idx):
-        fid = pnp_fids[k]
-        o = kf_j.observations[fid]
-        z_pred = float(inv.apply(pnp_pairs[k][0])[2])
-        if z_pred <= 0.0:
-            weights[row] = weight(PixelDeviation(cfg.fixed_deviation_px, STEREO),
-                                  cfg.deviation_floor_px)
-            continue
-        dev = stereo_deviation(o.uv_l, o.uv_r, rig, z_pred, fid, kf_j.index)
-        weights[row] = weight(dev, cfg.deviation_floor_px)
+    z_pred = t_pnp.invert().apply(points_w)[:, 2]
+    ahead = z_pred > 0.0
+    sigma = np.full(len(z_pred), cfg.fixed_deviation_px)
+    sigma[ahead] = stereo_deviation(uv_l[ahead], uv_r[ahead], rig, z_pred[ahead])
     r_wc = t_pnp.rotation.inverse().matrix()
     t_wc = -r_wc @ t_pnp.translation
-    r, t, _ = refine_pose(pts, obs, r_wc, t_wc, weights)
+    r, t, _ = refine_pose(points_w, obs, r_wc, t_wc,
+                          weight(sigma, cfg.deviation_floor_px))
     r_cw = r.T
     return Pose(Rotation.from_matrix(r_cw), -r_cw @ t, "c", "w")

@@ -25,29 +25,35 @@ from .homography import Homography
 
 
 def flow_transfer_matrix(h: Homography, p_i) -> np.ndarray:
-    """2x2 Jacobian of the dehomogenized homography map at p_i.
+    """2x2 Jacobians (..., 2, 2) of the dehomogenized homography map at points (..., 2).
 
     With the block partition H = [[h1, h2], [h3, h4]] this is
-    ((h3 p + h4) h1 - (h1 p + h2) h3) / (h3 p + h4)^2.
+    ((h3 p + h4) h1 - (h1 p + h2) h3) / (h3 p + h4)^2.  Each point's
+    products are stacked matrix-vector products, so a stack rounds as its
+    points one by one.
     """
-    p = np.asarray(p_i, dtype=np.float64).reshape(2)
-    denom = float(h.h3 @ p + h.h4)
-    if abs(denom) < 1e-9:
-        raise HorizonSingularityError(f"h3.p + h4 = {denom:.3g} at {p}")
-    num = denom * h.h1 - np.outer(h.h1 @ p + h.h2, h.h3)
-    return num / (denom * denom)
+    p = np.asarray(p_i, dtype=np.float64)[..., None]
+    denom = np.matmul(h.h3, p)[..., 0] + h.h4
+    if np.any(np.abs(denom) < 1e-9):
+        raise HorizonSingularityError(
+            f"|h3.p + h4| = {np.min(np.abs(denom)):.3g} at a feature point")
+    mapped = np.matmul(h.h1, p)[..., 0] + h.h2
+    num = denom[..., None, None] * h.h1 - mapped[..., :, None] * h.h3
+    return num / (denom * denom)[..., None, None]
 
 
 def projection_velocity_matrix(p_c) -> np.ndarray:
-    """2x3 map from a camera-frame point velocity to normalized image velocity."""
-    p = np.asarray(p_c, dtype=np.float64).reshape(3)
-    z = p[2]
-    if abs(z) < 1e-9:
+    """2x3 maps (..., 2, 3) from camera-frame point velocities to normalized
+    image velocities, at camera-frame points (..., 3)."""
+    p = np.asarray(p_c, dtype=np.float64)
+    z = p[..., 2]
+    if np.any(np.abs(z) < 1e-9):
         raise ZeroDepthError("feature depth is zero")
-    return np.array([
-        [1.0 / z, 0.0, -p[0] / (z * z)],
-        [0.0, 1.0 / z, -p[1] / (z * z)],
-    ])
+    out = np.zeros(p.shape[:-1] + (2, 3))
+    out[..., 0, 0] = out[..., 1, 1] = 1.0 / z
+    out[..., 0, 2] = -p[..., 0] / (z * z)
+    out[..., 1, 2] = -p[..., 1] / (z * z)
+    return out
 
 
 def feature_normalized_velocity(p_c, v_c) -> np.ndarray:
@@ -72,27 +78,6 @@ def camera_velocity(v_b_w, omega_b, R_w_b: Rotation, rig: CameraRig) -> np.ndarr
 
 
 @dataclass(frozen=True)
-class FlowObservation:
-    """One feature's contribution to the velocity refinement.
-
-    ``p_source``: normalized coordinate in the source keyframe;
-    ``p_c_source``: its metric camera-frame point there (stereo depth);
-    ``v_measured``: measured normalized velocity in the target keyframe.
-    """
-
-    p_source: np.ndarray
-    p_c_source: np.ndarray
-    v_measured: np.ndarray
-    feature_id: int = -1
-
-    def __post_init__(self):
-        for name, size in (("p_source", 2), ("p_c_source", 3), ("v_measured", 2)):
-            v = np.asarray(getattr(self, name), dtype=np.float64).reshape(size).copy()
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
 class VelocityRefinement:
     velocity: np.ndarray
     iterations: int
@@ -106,7 +91,9 @@ class VelocityRefinement:
 
 
 def refine_velocity(
-    observations: list[FlowObservation],
+    p_source,
+    p_c_source,
+    v_measured,
     h: Homography,
     R_w_b: Rotation,
     omega_b,
@@ -119,15 +106,24 @@ def refine_velocity(
 ) -> VelocityRefinement:
     """Gauss-Newton body-velocity fit to measured normalized velocities.
 
-    Residual per feature: measured velocity in the target view minus the
-    prediction transferred through ``h`` from the source view.  The chain
-    is linear in the body velocity, so the iteration converges in one
-    step; the loop shape matches the general solver contract (no damping,
-    stop on step norm or relative cost decrease).
+    Row k of ``p_source`` (N, 2), ``p_c_source`` (N, 3) and ``v_measured``
+    (N, 2) is one feature: its normalized coordinate in the source
+    keyframe, its metric camera-frame point there (stereo depth), and its
+    measured normalized velocity in the target keyframe.  Residual per
+    feature: measured velocity minus the prediction transferred through
+    ``h`` from the source view.  The chain is linear in the body velocity,
+    so the iteration converges in one step; the loop shape matches the
+    general solver contract (no damping, stop on step norm or relative
+    cost decrease).
     """
-    if len(observations) < 3:
+    p_source = np.asarray(p_source, dtype=np.float64).reshape(-1, 2)
+    p_c_source = np.asarray(p_c_source, dtype=np.float64).reshape(-1, 3)
+    measured = np.asarray(v_measured, dtype=np.float64).reshape(-1, 2)
+    if not len(p_source) == len(p_c_source) == len(measured):
+        raise ValueError("p_source, p_c_source and v_measured need one row per feature")
+    if len(p_source) < 3:
         raise InsufficientDataError(
-            f"need >= 3 flow observations, got {len(observations)}")
+            f"need >= 3 flow observations, got {len(p_source)}")
     omega = np.asarray(omega_b, dtype=np.float64).reshape(3)
     v = np.asarray(v_init, dtype=np.float64).reshape(3).copy()
 
@@ -135,15 +131,8 @@ def refine_velocity(
     r_b_c = rig.T_c_b.rotation.inverse()
     c_mat = (r_b_c @ R_w_b).matrix()
     lever_w = R_w_b.inverse().apply(np.cross(omega, rig.T_c_b.translation))
-    blocks = []
-    measured = []
-    for ob in observations:
-        a = flow_transfer_matrix(h, ob.p_source)
-        j = projection_velocity_matrix(ob.p_c_source)
-        blocks.append(a @ j @ c_mat)  # prediction = -block @ (v + lever_w)
-        measured.append(ob.v_measured)
-    blocks = np.array(blocks)
-    measured = np.array(measured)
+    # prediction = -block @ (v + lever_w)
+    blocks = flow_transfer_matrix(h, p_source) @ projection_velocity_matrix(p_c_source) @ c_mat
     jac = blocks.reshape(-1, 3)  # d(residual)/dv = +block
     if np.linalg.matrix_rank(jac, tol=1e-12) < 3:
         raise UnobservableVelocityError("flow Jacobian rank < 3")

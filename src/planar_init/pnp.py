@@ -184,25 +184,29 @@ def refine_pose(points_w: np.ndarray, obs: np.ndarray, r0: np.ndarray,
 
 
 def solve_pnp(
-    pairs: list[tuple[np.ndarray, np.ndarray]],
+    points_w,
+    obs,
     seed: int | np.random.Generator = 0,
     *,
     threshold: float = 0.02,
     confidence: float = 0.999,
     max_iters: int = 500,
 ) -> tuple[Pose, np.ndarray]:
-    """Robust camera pose from (world point, normalized observation) pairs.
+    """Robust camera pose from world points (N, 3) and their normalized
+    observations (N, 2).
 
     Random 4-point samples: 3 feed the minimal solver, the 4th ranks its
     up-to-four hypotheses.  The consensus pose is refined by Gauss-Newton
     on its inliers.  Returns ``T_c^w`` (camera pose in world) and the
     inlier mask.
     """
-    n = len(pairs)
+    pw = np.asarray(points_w, dtype=np.float64).reshape(-1, 3)
+    ob = np.asarray(obs, dtype=np.float64).reshape(-1, 2)
+    n = len(pw)
+    if len(ob) != n:
+        raise ValueError(f"{n} world points but {len(ob)} observations")
     if n < 4:
         raise InsufficientDataError(f"need >= 4 point pairs, got {n}")
-    pw = np.array([np.asarray(p, dtype=np.float64) for p, _ in pairs])
-    ob = np.array([np.asarray(o, dtype=np.float64) for _, o in pairs])
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     best = None

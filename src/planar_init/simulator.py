@@ -23,7 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraRig, Pose, Rotation, load_rig, quat_matrices, save_rig
+from .geometry import (
+    CameraRig,
+    Pose,
+    Rotation,
+    freeze_feature_rows,
+    load_rig,
+    quat_matrices,
+    save_rig,
+)
 from .imu import GRAVITY_NED, ImuStream, load_imu_csv, save_imu_csv
 
 SCENE_PRESETS = {"helipad": 0.0, "asphalt": 0.01, "lawn": 0.05}
@@ -221,11 +229,20 @@ def generate_scene(cfg: SceneConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrameObservations:
-    """Stereo pixel observations of one camera frame, keyed by feature id."""
+    """Stereo pixel observations of one camera frame.
+
+    Row k of the read-only ``uv_l`` and ``uv_r`` (N, 2) holds the left and
+    right pixels of feature ``ids[k]``; ids ascend strictly.
+    """
 
     frame: int
     t: float
-    pixels: dict  # feature_id -> (uv_left (2,), uv_right (2,))
+    ids: np.ndarray
+    uv_l: np.ndarray
+    uv_r: np.ndarray
+
+    def __post_init__(self):
+        freeze_feature_rows(self, f"frame {self.frame}", ("uv_l", "uv_r"))
 
 
 def render_tracks(scene: np.ndarray, truth: GroundTruth, rig: CameraRig,
@@ -251,22 +268,19 @@ def render_tracks(scene: np.ndarray, truth: GroundTruth, rig: CameraRig,
         p_cr = p_cl.copy()
         p_cr[:, 0] -= rig.baseline
         vis = (p_cl[:, 2] > min_depth) & (p_cr[:, 2] > min_depth)
-        obs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         idx = np.flatnonzero(vis)
-        if len(idx):
-            uvl = rig.f * p_cl[idx, :2] / p_cl[idx, 2:3] + (rig.cx, rig.cy)
-            uvr = rig.f * p_cr[idx, :2] / p_cr[idx, 2:3] + (rig.cx, rig.cy)
-            inb = ((uvl[:, 0] >= 0) & (uvl[:, 0] < rig.width)
-                   & (uvl[:, 1] >= 0) & (uvl[:, 1] < rig.height)
-                   & (uvr[:, 0] >= 0) & (uvr[:, 0] < rig.width)
-                   & (uvr[:, 1] >= 0) & (uvr[:, 1] < rig.height))
-            if noise_px > 0.0:
-                uvl = uvl + rng.normal(0.0, noise_px, size=uvl.shape)
-                uvr = uvr + rng.normal(0.0, noise_px, size=uvr.shape)
-            for fid, ul, ur, ok in zip(idx, uvl, uvr, inb):
-                if ok:
-                    obs[int(fid)] = (ul, ur)
-        frames.append(FrameObservations(frame_no, float(truth.t[k]), obs))
+        uvl = rig.f * p_cl[idx, :2] / p_cl[idx, 2:3] + (rig.cx, rig.cy)
+        uvr = rig.f * p_cr[idx, :2] / p_cr[idx, 2:3] + (rig.cx, rig.cy)
+        inb = ((uvl[:, 0] >= 0) & (uvl[:, 0] < rig.width)
+               & (uvl[:, 1] >= 0) & (uvl[:, 1] < rig.height)
+               & (uvr[:, 0] >= 0) & (uvr[:, 0] < rig.width)
+               & (uvr[:, 1] >= 0) & (uvr[:, 1] < rig.height))
+        if noise_px > 0.0 and len(idx):
+            # every visible feature draws its noise, in bounds or not
+            uvl = uvl + rng.normal(0.0, noise_px, size=uvl.shape)
+            uvr = uvr + rng.normal(0.0, noise_px, size=uvr.shape)
+        frames.append(FrameObservations(frame_no, float(truth.t[k]), idx[inb], uvl[inb],
+                                        uvr[inb]))
     return frames
 
 
@@ -360,14 +374,13 @@ def write_dataset(out_dir, ds: Dataset) -> str:
     save_imu_csv(out / "imu.csv", ds.imu)
 
     with open(out / "features.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(FEATURES_HEADER)
+        csv.writer(fh).writerow(FEATURES_HEADER)
         for fr in ds.frames:
-            for fid in sorted(fr.pixels):
-                ul, ur = fr.pixels[fid]
-                w.writerow([fr.frame, repr(fr.t), fid,
-                            repr(float(ul[0])), repr(float(ul[1])),
-                            repr(float(ur[0])), repr(float(ur[1]))])
+            # the rows csv.writer would write: nothing to quote, \r\n line ends
+            head = f"{fr.frame},{fr.t!r},"
+            fh.writelines(f"{head}{fid},{ul[0]!r},{ul[1]!r},{ur[0]!r},{ur[1]!r}\r\n"
+                          for fid, ul, ur in zip(fr.ids.tolist(), fr.uv_l.tolist(),
+                                                 fr.uv_r.tolist()))
 
     with open(out / "groundtruth.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -423,6 +436,11 @@ class LoadedDataset:
 
 
 def load_dataset(dataset_dir) -> LoadedDataset:
+    """Read a dataset written by :func:`write_dataset`.
+
+    ``features.csv`` rows may come in any order; a repeated
+    ``(frame, feature_id)`` row raises ``ValueError``.
+    """
     root = Path(dataset_dir)
     rig = load_rig(root / "rig.json")
     imu = load_imu_csv(root / "imu.csv")
@@ -433,13 +451,21 @@ def load_dataset(dataset_dir) -> LoadedDataset:
         raw = np.loadtxt(root / "features.csv", delimiter=",", skiprows=1, ndmin=2)
     if raw.size == 0:
         raw = np.empty((0, 7))
+    # one stable sort by (frame, feature id) splits the rows into frames
+    frame_no = raw[:, 0].astype(np.int64)
+    fids = raw[:, 2].astype(np.int64)
+    order = np.lexsort((fids, frame_no))
+    frame_no, fids = frame_no[order], fids[order]
+    dup = (frame_no[1:] == frame_no[:-1]) & (fids[1:] == fids[:-1])
+    if dup.any():
+        k = int(np.flatnonzero(dup)[0])
+        raise ValueError(f"features.csv repeats feature {fids[k]} in frame {frame_no[k]}")
+    uv_l, uv_r = raw[order, 3:5], raw[order, 5:7]
     # the groundtruth rows define the camera-frame timeline; frames without
     # any visible feature are real (empty) frames, not gaps
-    by_frame: dict[int, dict] = {}
-    for r in raw:
-        by_frame.setdefault(int(r[0]), {})[int(r[2])] = (r[3:5].copy(), r[5:7].copy())
-    frames = [FrameObservations(k, float(gt[k, 0]), by_frame.get(k, {}))
-              for k in range(len(gt))]
+    bounds = np.searchsorted(frame_no, np.arange(len(gt) + 1))
+    frames = [FrameObservations(k, float(gt[k, 0]), fids[a:b], uv_l[a:b], uv_r[a:b])
+              for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
     scene_meta = json.loads((root / "scene.json").read_text())
     return LoadedDataset(rig, imu, frames, gt[:, 0], gt[:, 1:4], gt[:, 4:8],
                          gt[:, 8:11], scene_meta)

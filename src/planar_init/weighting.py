@@ -8,53 +8,32 @@ assumption.  Weights are inverse-variance in the deviation, floored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidDisparityError, TimeStepError, ZeroDepthError
 from .geometry import CameraRig, homogeneous, normalize
 from .motion_field import projection_velocity_matrix
 
-STEREO = "stereo"
-TEMPORAL = "temporal"
 
+def stereo_deviation(obs_l, obs_r, rig: CameraRig, depth) -> np.ndarray:
+    """Left-to-right reprojection deviations (...,) in pixels of pixel rows (..., 2).
 
-@dataclass(frozen=True)
-class PixelDeviation:
-    sigma: float
-    kind: str
-    feature_id: int = -1
-    keyframe: int = -1
-
-    def __post_init__(self):
-        if not np.isfinite(self.sigma) or self.sigma < 0.0:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if self.kind not in (STEREO, TEMPORAL):
-            raise ValueError(f"unknown deviation kind {self.kind!r}")
-
-
-def stereo_deviation(obs_l, obs_r, rig: CameraRig, depth: float,
-                     feature_id: int = -1, keyframe: int = -1) -> PixelDeviation:
-    """Left-to-right reprojection deviation in pixels.
-
-    ``depth`` is the feature's reference depth (from its first stereo
-    triangulation); the left observation is pushed across the baseline at
-    that depth and compared with the measured right observation.
+    ``depth`` (...,) is each feature's reference depth; the left
+    observation is pushed across the baseline at that depth and compared
+    with the measured right observation.
     """
-    if depth <= 0.0:
-        raise InvalidDisparityError(f"reference depth {depth} must be positive")
-    p_l = homogeneous(normalize(rig, obs_l))
-    p_r = normalize(rig, obs_r)
-    pred = depth * p_l + np.array([-rig.baseline, 0.0, 0.0])
-    sigma = rig.f * float(np.linalg.norm(pred[:2] / pred[2] - p_r))
-    return PixelDeviation(sigma, STEREO, feature_id, keyframe)
+    depth = np.asarray(depth, dtype=np.float64)
+    if np.any(depth <= 0.0):
+        raise InvalidDisparityError(f"reference depth {np.min(depth)} must be positive")
+    pred = depth[..., None] * homogeneous(normalize(rig, obs_l)) + (-rig.baseline, 0.0, 0.0)
+    diff = pred[..., :2] / pred[..., 2:] - normalize(rig, obs_r)
+    # a stacked row dot rounds as np.linalg.norm of each row on its own
+    return rig.f * np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
 
 
 def temporal_deviation(obs_k, obs_k1, p_c_k, v_rel, omega_c, dt: float,
-                       rig: CameraRig, feature_id: int = -1,
-                       keyframe: int = -1) -> PixelDeviation:
-    """Left-camera deviation between predicted and tracked next coordinates.
+                       rig: CameraRig) -> float:
+    """Left-camera deviation in pixels between predicted and tracked next coordinates.
 
     ``v_rel`` is the camera's translational velocity in its own frame and
     ``omega_c`` its angular rate; the feature's camera-frame velocity is
@@ -70,15 +49,14 @@ def temporal_deviation(obs_k, obs_k1, p_c_k, v_rel, omega_c, dt: float,
         np.asarray(omega_c, dtype=np.float64), p_c)
     v_hat = projection_velocity_matrix(p_c) @ v_c
     predicted = normalize(rig, obs_k) + v_hat * dt
-    sigma = rig.f * float(np.linalg.norm(predicted - normalize(rig, obs_k1)))
-    return PixelDeviation(sigma, TEMPORAL, feature_id, keyframe)
+    return rig.f * float(np.linalg.norm(predicted - normalize(rig, obs_k1)))
 
 
-def weight(dev: PixelDeviation, floor: float = 0.25) -> float:
-    """Inverse-variance weight 1 / max(sigma, floor)^2."""
+def weight(sigma, floor: float = 0.25):
+    """Inverse-variance weights 1 / max(sigma, floor)^2 of deviations in pixels."""
     if floor <= 0.0:
         raise ValueError("floor must be positive")
-    s = max(dev.sigma, floor)
+    s = np.maximum(sigma, floor)
     return 1.0 / (s * s)
 
 

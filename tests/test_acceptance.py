@@ -45,7 +45,7 @@ from planar_init.simulator import (
     make_dataset,
     scene_preset,
 )
-from planar_init.weighting import PixelDeviation, estimated_flow, stereo_deviation, weight
+from planar_init.weighting import estimated_flow, stereo_deviation, weight
 
 _SUITE_T0 = time.perf_counter()
 
@@ -215,16 +215,20 @@ def test_c05_velocity_refinement(clean_vertical_dataset):
     rig = ds.rig
     r_w_b = ds.truth.body_pose(k_i).rotation.inverse()
     c_mat = (rig.T_c_b.rotation.inverse() @ r_w_b).matrix()
-    from planar_init.initializer import measured_flow_observations
-    obs = measured_flow_observations(window, rig, 0)
-    blocks = [flow_transfer_matrix(h_fwd, o.p_source)
-              @ projection_velocity_matrix(o.p_c_source) @ c_mat for o in obs]
-    jac = np.vstack(blocks)
+    # the refinement's flow observations: shared features that triangulate
+    # reliably at the earlier keyframe
+    _, rows_i, rows_j = window.shared_features(0, 1)
+    rows = kf_i.uv_l[rows_i, 0] - kf_i.uv_r[rows_i, 0] >= cfg.min_disparity_px
+    rows_i, rows_j = rows_i[rows], rows_j[rows]
+    p_c = triangulate_stereo(kf_i.uv_l[rows_i], kf_i.uv_r[rows_i], rig)
+    p_src = kf_i.norm_l[rows_i]
+    v_measured = (kf_j.norm_l[rows_j] - p_src) / (kf_j.t - kf_i.t)
+    blocks = flow_transfer_matrix(h_fwd, p_src) @ projection_velocity_matrix(p_c) @ c_mat
+    jac = blocks.reshape(-1, 3)
 
     def residuals(v):
-        pred = np.concatenate([-(b @ v) for b in blocks])
-        meas = np.concatenate([o.v_measured for o in obs])
-        return meas - pred
+        pred = -(blocks @ v)
+        return (v_measured - pred).reshape(-1)
 
     v0 = np.array([0.15, -0.2, -0.6])
     step = 1e-6
@@ -301,14 +305,14 @@ def _weighting_trial(seed: int, rig: CameraRig):
         for _ in range(n_pairs):
             uv_l = uv_l_true + rng.normal(0.0, sigma_px[k], 2)
             uv_r = uv_r_true + rng.normal(0.0, sigma_px[k], 2)
-            devs.append(stereo_deviation(uv_l, uv_r, rig, depth=z).sigma)
+            devs.append(stereo_deviation(uv_l, uv_r, rig, depth=z))
         sigma_hat[k] = np.mean(devs)
 
     # fresh left observations for the pose refit
     obs = (p_c[:, :2] / p_c[:, 2:3]
            + rng.normal(size=(n_pts, 2)) * (sigma_px / rig.f)[:, None])
-    w_dyn = np.array([weight(PixelDeviation(s, "stereo")) for s in sigma_hat])
-    w_fix = np.full(n_pts, weight(PixelDeviation(1.5, "stereo")))
+    w_dyn = weight(sigma_hat)
+    w_fix = np.full(n_pts, weight(1.5))
     r_d, t_d, _ = refine_pose(pts, obs, r_wc, t_wc, weights=w_dyn)
     r_f, t_f, _ = refine_pose(pts, obs, r_wc, t_wc, weights=w_fix)
     err_d = np.linalg.norm(-r_d.T @ t_d - cam_pos)
@@ -339,11 +343,12 @@ def test_c09_flow_consistency(clean_vertical_dataset):
         cam = ds.truth.camera_pose(k, rig)
         v_c = camera_velocity(ds.truth.velocity[k], ds.truth.omega_body[k],
                               ds.truth.body_pose(k).rotation.inverse(), rig)
-        for fid in sorted(set(a.pixels) & set(b.pixels)):
+        shared, rows_a, rows_b = np.intersect1d(a.ids, b.ids, return_indices=True)
+        for fid, ra, rb in zip(shared, rows_a, rows_b):
             p_c = cam.invert().apply(ds.truth.features[fid])
             v_hat = feature_normalized_velocity(p_c, v_c)
-            flow = estimated_flow(normalize(rig, a.pixels[fid][0]), v_hat, dt, rig)
-            true_disp = b.pixels[fid][0] - a.pixels[fid][0]
+            flow = estimated_flow(normalize(rig, a.uv_l[ra]), v_hat, dt, rig)
+            true_disp = b.uv_l[rb] - a.uv_l[ra]
             worst = max(worst, float(np.linalg.norm(flow - true_disp)))
             checked += 1
     ok = worst < 0.5 and checked > 100

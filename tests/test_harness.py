@@ -237,6 +237,28 @@ class TestSweep:
         assert n_fail > 0
 
 
+# configs the pipeline cannot run, or would run to a silently wrong result
+BAD_CONFIGS = [
+    {"deviation_floor_px": 0},
+    {"ransac_confidence": 1.0},
+    {"ransac_confidence": 0},
+    {"window_size": 1},
+    {"preset_heigth_m": 1.0},
+    {"ransac_threshold": -1e-3},
+    {"pnp_ransac_threshold": float("nan")},
+    {"min_disparity_px": 0.0},
+    {"fixed_deviation_px": float("inf")},
+    {"ransac_max_iters": 0},
+    {"pnp_ransac_max_iters": 0},
+    {"gn_max_iters": 2.5},
+    {"deviation_floor_px": "0.25"},
+]
+
+
+def _config_id(cfg: dict) -> str:
+    return ",".join(f"{key}={value}" for key, value in cfg.items())
+
+
 class TestConfigIo:
     def test_round_trip(self, tmp_path):
         cfg = PipelineConfig(preset_height_m=1.2, min_features=30)
@@ -253,6 +275,13 @@ class TestConfigIo:
     def test_preset_height_bound(self):
         with pytest.raises(ValueError):
             PipelineConfig(preset_height_m=3.5)
+
+    @pytest.mark.parametrize("bad", BAD_CONFIGS, ids=_config_id)
+    def test_bad_values_rejected_up_front(self, bad):
+        with pytest.raises(ValueError):
+            PipelineConfig.from_json_dict(bad)
+
+
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +357,45 @@ class TestCli:
         assert "injected" in result["message"]
         assert [p["pair"] for p in result["diagnostics"]["pairs"]] == [0, 1]
         assert len(result["diagnostics"]["feature_counts"]) >= 3
+
+    @pytest.mark.parametrize("bad", BAD_CONFIGS, ids=_config_id)
+    def test_init_bad_config_is_a_usage_error(self, bad, dataset_dir, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "run"
+        code = main(["init", "--dataset", str(dataset_dir), "--config", str(path),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: invalid config:") and len(err.splitlines()) == 1
+        assert not (out / "result.json").exists()
+
+    def test_init_bad_config_process_exit(self, dataset_dir, tmp_path):
+        import os
+        import subprocess
+        import sys
+        import planar_init
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"deviation_floor_px": 0}))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(planar_init.__file__)),
+             os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "planar_init.cli", "init", "--dataset", str(dataset_dir),
+             "--config", str(path), "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "deviation_floor_px" in proc.stderr
+
+    def test_init_duplicate_feature_row_is_an_io_error(self, dataset_dir, tmp_path):
+        import shutil
+        copy = tmp_path / "dup"
+        shutil.copytree(dataset_dir, copy)
+        lines = (copy / "features.csv").read_text().splitlines(keepends=True)
+        (copy / "features.csv").write_text("".join(lines + lines[-1:]))
+        assert main(["init", "--dataset", str(copy), "--out", str(tmp_path / "run")]) == 2
 
     def test_init_deviation_flags(self, dataset_dir, tmp_path):
         out = tmp_path / "fixed"

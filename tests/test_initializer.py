@@ -99,10 +99,10 @@ class TestTriangulateStereo:
         # f=400, b=0.1, disparity=20 -> z = 2
         uv_l = np.array([700.0, 400.0])
         uv_r = np.array([680.0, 400.0])
-        sp = triangulate_stereo(uv_l, uv_r, simple_rig)
-        assert sp.point[2] == pytest.approx(2.0)
-        assert sp.disparity_px == pytest.approx(20.0)
-        assert sp.reliable
+        point = triangulate_stereo(uv_l, uv_r, simple_rig)
+        assert point.shape == (3,)
+        assert point[2] == pytest.approx(2.0)
+        assert uv_l[0] - uv_r[0] == pytest.approx(20.0)
 
     def test_simulated_point(self, clean_vertical_dataset):
         ds = clean_vertical_dataset
@@ -110,19 +110,28 @@ class TestTriangulateStereo:
         fr = ds.frames[70]
         k = int(ds.truth.cam_indices[fr.frame])
         cam = ds.truth.camera_pose(k, rig)
-        for fid, (uv_l, uv_r) in list(fr.pixels.items())[:50]:
-            sp = triangulate_stereo(uv_l, uv_r, rig)
-            expected = cam.invert().apply(ds.truth.features[fid])
-            np.testing.assert_allclose(sp.point, expected, atol=1e-9)
+        points = triangulate_stereo(fr.uv_l[:50], fr.uv_r[:50], rig)
+        expected = cam.invert().apply(ds.truth.features[fr.ids[:50]])
+        assert points.shape == (50, 3)
+        np.testing.assert_allclose(points, expected, atol=1e-9)
 
     def test_zero_disparity(self, simple_rig):
         with pytest.raises(InvalidDisparityError):
             triangulate_stereo([640.0, 400.0], [640.0, 400.0], simple_rig)
 
+    def test_any_nonpositive_row_raises(self, simple_rig):
+        uv_l = np.array([[700.0, 400.0], [640.0, 400.0]])
+        uv_r = np.array([[680.0, 400.0], [640.5, 400.0]])
+        with pytest.raises(InvalidDisparityError):
+            triangulate_stereo(uv_l, uv_r, simple_rig)
+
     def test_unreliable_flag(self, simple_rig):
-        sp = triangulate_stereo([640.5, 400.0], [640.0, 400.0], simple_rig,
-                                min_disparity_px=1.0)
-        assert not sp.reliable
+        # a positive disparity below min_disparity_px is not triangulated
+        from planar_init.initializer import Keyframe, _reliable
+        uv_l = np.array([[700.0, 400.0], [640.5, 400.0]])
+        uv_r = np.array([[680.0, 400.0], [640.0, 400.0]])
+        kf = Keyframe(0, 0.0, [3, 7], uv_l, uv_r, uv_l)
+        np.testing.assert_array_equal(_reliable(kf, np.arange(2), 1.0), [True, False])
 
 
 class TestRecoverScale:
@@ -182,18 +191,31 @@ class TestMetricAlignment:
 class TestWindowTypes:
     def test_strictly_increasing_times(self):
         from planar_init.initializer import Keyframe
-        kfs = [Keyframe(0, 0.0, {}), Keyframe(1, 0.0, {})]
+        kfs = [Keyframe(0, 0.0, [], [], [], []), Keyframe(1, 0.0, [], [], [], [])]
         imu = ImuStream([0.0], np.zeros((1, 3)), np.zeros((1, 3)))
         with pytest.raises(ValueError):
             KeyframeWindow(kfs, imu, nav_state_at_rest(0.0))
 
     def test_shared_features(self, clean_vertical_dataset):
         window = select_window(clean_vertical_dataset, PipelineConfig())
-        shared = window.shared_features(0, 1)
+        shared, rows_0, rows_1 = window.shared_features(0, 1)
         assert len(shared) >= 20
-        assert shared == sorted(shared)
-        for pos in (0, 1):
-            assert set(shared) <= set(window.keyframes[pos].observations)
+        assert np.all(np.diff(shared) > 0)
+        for pos, rows in ((0, rows_0), (1, rows_1)):
+            np.testing.assert_array_equal(window.keyframes[pos].ids[rows], shared)
+
+    def test_keyframe_arrays_read_only(self, clean_vertical_dataset):
+        window = select_window(clean_vertical_dataset, PipelineConfig())
+        kf = window.keyframes[0]
+        for name in ("ids", "uv_l", "uv_r", "norm_l"):
+            with pytest.raises(ValueError):
+                getattr(kf, name)[0] = 0
+
+    def test_keyframe_rejects_unsorted_ids(self):
+        from planar_init.initializer import Keyframe
+        uv = np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            Keyframe(0, 0.0, [5, 5], uv, uv, uv)
 
 
 class TestRefineBodyVelocity:
@@ -245,9 +267,9 @@ class TestRunInitialization:
         sel = result.selected
         from planar_init.homography import estimate
         kf_i, kf_j = window.keyframes[0], window.keyframes[1]
-        shared = window.shared_features(0, 1)
-        p_src = np.array([kf_j.observations[f].norm_l for f in shared])
-        p_dst = np.array([kf_i.observations[f].norm_l for f in shared])
+        _, rows_i, rows_j = window.shared_features(0, 1)
+        p_src = kf_j.norm_l[rows_j]
+        p_dst = kf_i.norm_l[rows_i]
         h, _ = estimate(p_src, p_dst, threshold=cfg.ransac_threshold, seed=0)
         re = sel.reassemble()
         aligned = re * np.sign(re[2, 2] * h.matrix[2, 2])
@@ -300,20 +322,25 @@ class TestRunInitialization:
         assert pct["p50"] <= pct["p95"] <= pct["p100"]
 
     def test_triangulates_each_inlier_once(self, noisy_vertical_dataset, monkeypatch):
-        # PnP and the velocity refinement share one stereo point per inlier
+        # one stacked call per pair covers each inlier's row once; PnP and
+        # the velocity refinement share the points
         import planar_init.initializer as initializer
         calls = []
         real = initializer.triangulate_stereo
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(uv_l, uv_r, rig):
+            calls.append(np.asarray(uv_l))
+            return real(uv_l, uv_r, rig)
 
         monkeypatch.setattr(initializer, "triangulate_stereo", counted)
         result = run_on_dataset(noisy_vertical_dataset, PipelineConfig(), seed=0)
         assert result.status == STATUS_INITIALIZED
         pairs = result.diagnostics["pairs"]
-        assert len(calls) == sum(p["homography_inliers"] for p in pairs)
+        assert len(calls) == len(pairs)
+        for rows, pair in zip(calls, pairs):
+            # every inlier is far above the disparity floor on this dataset
+            assert len(rows) == pair["homography_inliers"]
+            assert len(np.unique(rows, axis=0)) == len(rows)
 
     def test_stationarity_gate(self, clean_vertical_dataset):
         ds = clean_vertical_dataset
@@ -351,3 +378,133 @@ class TestRunInitialization:
         k0 = ds.truth.nearest_index(result.keyframe_times[0])
         np.testing.assert_allclose(result.poses[0].translation,
                                    ds.truth.position[k0], atol=1e-4)
+
+
+# HEAD's per-feature chain, kept here as the oracle for the stacked one: one
+# call per feature, on 2- and 3-vectors
+def _per_feature_normalize(rig, uv):
+    return np.array([(uv[0] - rig.cx) / rig.f, (uv[1] - rig.cy) / rig.f])
+
+
+def _per_feature_triangulate(uv_l, uv_r, rig, min_disparity_px):
+    """The feature's left-camera point, or None where it is not reliable."""
+    disparity = float(uv_l[0]) - float(uv_r[0])
+    if disparity <= 0.0 or disparity < min_disparity_px:
+        return None
+    z = rig.f * rig.baseline / disparity
+    n = _per_feature_normalize(rig, uv_l)
+    return z * np.array([n[0], n[1], 1.0])
+
+
+def _per_feature_apply(pose, p):
+    return pose.rotation.matrix() @ p + pose.translation
+
+
+def _per_feature_stereo_sigma(uv_l, uv_r, rig, depth):
+    n = _per_feature_normalize(rig, uv_l)
+    pred = depth * np.array([n[0], n[1], 1.0]) + np.array([-rig.baseline, 0.0, 0.0])
+    return rig.f * float(np.linalg.norm(pred[:2] / pred[2] - _per_feature_normalize(rig, uv_r)))
+
+
+def _per_feature_weight(sigma, floor):
+    s = max(sigma, floor)
+    return 1.0 / (s * s)
+
+
+def _per_feature_flow_transfer(h, p):
+    denom = float(h.h3 @ p + h.h4)
+    return (denom * h.h1 - np.outer(h.h1 @ p + h.h2, h.h3)) / (denom * denom)
+
+
+def _per_feature_projection_velocity(p):
+    z = p[2]
+    return np.array([[1.0 / z, 0.0, -p[0] / (z * z)], [0.0, 1.0 / z, -p[1] / (z * z)]])
+
+
+class TestStackedChainMatchesPerFeatureChain:
+    """Each stacked per-pair step of a real window must reproduce the
+    per-feature computation it replaced bit for bit: the triangulated
+    points, PnP's world points, the refit weights and the velocity
+    Jacobian blocks."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        import planar_init.initializer as initializer
+        import planar_init.motion_field as motion_field
+        calls = {}
+        for module, name in ((initializer, "estimate"), (initializer, "triangulate_stereo"),
+                             (initializer, "solve_pnp"), (initializer, "refine_pose"),
+                             (initializer, "refine_velocity"),
+                             (motion_field, "flow_transfer_matrix"),
+                             (motion_field, "projection_velocity_matrix")):
+            calls[name] = []
+
+            def wrapper(*args, _real=getattr(module, name), _log=calls[name], **kwargs):
+                out = _real(*args, **kwargs)
+                _log.append((args, out))
+                return out
+
+            monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("kind, seed", [("vertical", 21), ("oblique", 16)])
+    def test_real_window(self, kind, seed, monkeypatch):
+        ds = make_dataset(scene_preset("asphalt"), TrajectoryProfile(kind=kind),
+                          noise=NoiseModel(), seed=seed)
+        cfg = PipelineConfig()
+        rig = ds.rig
+        window = select_window(ds, cfg)
+        calls = self.spy(monkeypatch)
+        result = run_initialization(window, ds.imu, rig, cfg, seed=0)
+        assert result.status == STATUS_INITIALIZED
+        pairs = len(window.keyframes) - 1
+        for name in ("estimate", "triangulate_stereo", "solve_pnp", "refine_pose",
+                     "refine_velocity", "flow_transfer_matrix"):
+            assert len(calls[name]) == pairs, name
+        for m in range(pairs):
+            kf_i, kf_j = window.keyframes[m], window.keyframes[m + 1]
+            rows_i = dict(zip(kf_i.ids.tolist(), range(len(kf_i.ids))))
+            rows_j = dict(zip(kf_j.ids.tolist(), range(len(kf_j.ids))))
+            shared = sorted(set(rows_i) & set(rows_j))
+            _, (_, inliers) = calls["estimate"][m]
+            points = {}
+            for fid in np.array(shared)[inliers].tolist():
+                r = rows_i[fid]
+                p = _per_feature_triangulate(kf_i.uv_l[r], kf_i.uv_r[r], rig,
+                                             cfg.min_disparity_px)
+                if p is not None:
+                    points[fid] = p
+            fids = list(points)
+            _, stacked = calls["triangulate_stereo"][m]
+            np.testing.assert_array_equal(stacked, np.array(list(points.values())))
+
+            cam_prev = result.poses[m] @ rig.T_c_b
+            world = np.array([_per_feature_apply(cam_prev, p) for p in points.values()])
+            (points_w, obs, *_), (t_pnp, pnp_mask) = calls["solve_pnp"][m]
+            np.testing.assert_array_equal(points_w, world)
+            np.testing.assert_array_equal(obs, kf_j.norm_l[[rows_j[f] for f in fids]])
+
+            inv = t_pnp.invert()
+            weights = []
+            for k in np.flatnonzero(pnp_mask):
+                r = rows_j[fids[k]]
+                z = float(_per_feature_apply(inv, world[k])[2])
+                sigma = (_per_feature_stereo_sigma(kf_j.uv_l[r], kf_j.uv_r[r], rig, z)
+                         if z > 0.0 else cfg.fixed_deviation_px)
+                weights.append(_per_feature_weight(sigma, cfg.deviation_floor_px))
+            (*_, refit_weights), _ = calls["refine_pose"][m]
+            np.testing.assert_array_equal(refit_weights, weights)
+
+            (p_source, p_c, v_measured, h, r_w_b, *_), _ = calls["refine_velocity"][m]
+            dt = kf_j.t - kf_i.t
+            np.testing.assert_array_equal(p_c, stacked)
+            np.testing.assert_array_equal(p_source, kf_i.norm_l[[rows_i[f] for f in fids]])
+            np.testing.assert_array_equal(
+                v_measured, [(kf_j.norm_l[rows_j[f]] - kf_i.norm_l[rows_i[f]]) / dt
+                             for f in fids])
+            c_mat = (rig.T_c_b.rotation.inverse() @ r_w_b).matrix()
+            expected = [_per_feature_flow_transfer(h, p) @ _per_feature_projection_velocity(q)
+                        @ c_mat for p, q in zip(p_source, p_c)]
+            _, transfer = calls["flow_transfer_matrix"][m]
+            _, projection = calls["projection_velocity_matrix"][m]
+            np.testing.assert_array_equal(transfer @ projection @ c_mat, expected)

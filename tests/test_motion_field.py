@@ -10,10 +10,10 @@ from planar_init.errors import (
 from planar_init.geometry import CameraRig, Pose, Rotation
 from planar_init.homography import Homography
 from planar_init.motion_field import (
-    FlowObservation,
     camera_velocity,
     feature_normalized_velocity,
     flow_transfer_matrix,
+    projection_velocity_matrix,
     refine_velocity,
 )
 
@@ -58,6 +58,17 @@ class TestPredictedVelocity:
         m = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0.0, 1.0]])
         with pytest.raises(HorizonSingularityError):
             flow_transfer_matrix(Homography(m), [1.0, 0.0]) @ np.array([1.0, 0.0])
+        with pytest.raises(HorizonSingularityError):  # one singular row of a stack
+            flow_transfer_matrix(Homography(m), [[0.2, 0.1], [1.0, 0.0]])
+
+    def test_stack_matches_single_points(self):
+        rng = np.random.default_rng(3)
+        h = Homography(np.eye(3) + rng.normal(0, 0.1, size=(3, 3)))
+        p = rng.uniform(-0.4, 0.4, size=(50, 2))
+        stacked = flow_transfer_matrix(h, p)
+        assert stacked.shape == (50, 2, 2)
+        for k in range(50):
+            np.testing.assert_array_equal(stacked[k], flow_transfer_matrix(h, p[k]))
 
 
 class TestFeatureVelocity:
@@ -86,6 +97,14 @@ class TestFeatureVelocity:
     def test_zero_depth(self):
         with pytest.raises(ZeroDepthError):
             feature_normalized_velocity([1.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+
+    def test_stack_matches_single_points(self):
+        rng = np.random.default_rng(4)
+        p = rng.uniform([-1, -1, 0.5], [1, 1, 4.0], size=(50, 3))
+        stacked = projection_velocity_matrix(p)
+        assert stacked.shape == (50, 2, 3)
+        for k in range(50):
+            np.testing.assert_array_equal(stacked[k], projection_velocity_matrix(p[k]))
 
 
 class TestCameraVelocity:
@@ -127,8 +146,8 @@ def vertical_flow_instance(n_features=12, h_i=1.5, v_true=(0.0, 0.0, -1.0),
     """Exact model-consistent instance: downward camera, constant velocity.
 
     World NED; camera = body (identity extrinsics apart from a small lever),
-    climbing at -v_z.  Returns (observations, forward homography, omega, rig,
-    true body velocity).
+    climbing at -v_z.  Returns ((p_source, p_c_source, v_measured), forward
+    homography, omega, rig, true body velocity).
     """
     rig = CameraRig.default()
     rng = np.random.default_rng(seed)
@@ -138,38 +157,33 @@ def vertical_flow_instance(n_features=12, h_i=1.5, v_true=(0.0, 0.0, -1.0),
     # cameras at altitude h (ground plane below), identity attitude
     t_rel = np.array([-v_true[0] * dt, -v_true[1] * dt, h_j - h_i])
     h_fwd = Homography(np.eye(3) + np.outer(t_rel / h_i, [0.0, 0.0, 1.0]))
-    obs = []
-    for k in range(n_features):
-        p = rng.uniform(-0.4, 0.4, size=2)
-        p_c = h_i * np.array([p[0], p[1], 1.0])
-        # exact target position under the homography
-        mapped = h_fwd.apply(p)
-        v_meas = (mapped - p) / dt
-        obs.append(FlowObservation(p, p_c, v_meas, k))
-    return obs, h_fwd, np.zeros(3), rig, v_true
+    p = rng.uniform(-0.4, 0.4, size=(n_features, 2))
+    p_c = h_i * np.c_[p, np.ones(n_features)]
+    # exact target positions under the homography
+    v_meas = (h_fwd.apply(p) - p) / dt
+    return (p, p_c, v_meas), h_fwd, np.zeros(3), rig, v_true
 
 
 class TestRefineVelocity:
     def test_recovers_truth_from_zero(self):
         obs, h_fwd, omega, rig, v_true = vertical_flow_instance()
-        out = refine_velocity(obs, h_fwd, Rotation.identity(), omega, rig,
+        out = refine_velocity(*obs, h_fwd, Rotation.identity(), omega, rig,
                               np.zeros(3))
         np.testing.assert_allclose(out.velocity, v_true, atol=1e-9)
         assert out.iterations <= 10
 
     def test_warm_start_single_iteration(self):
         obs, h_fwd, omega, rig, v_true = vertical_flow_instance()
-        out = refine_velocity(obs, h_fwd, Rotation.identity(), omega, rig, v_true)
+        out = refine_velocity(*obs, h_fwd, Rotation.identity(), omega, rig, v_true)
         assert out.iterations <= 1
         assert out.cost < 1e-18
 
     def test_descent_property(self):
         rng = np.random.default_rng(2)
         obs, h_fwd, omega, rig, v_true = vertical_flow_instance(seed=3)
-        noisy = [FlowObservation(o.p_source, o.p_c_source,
-                                 o.v_measured + rng.normal(0, 1e-3, 2),
-                                 o.feature_id) for o in obs]
-        out = refine_velocity(noisy, h_fwd, Rotation.identity(), omega, rig,
+        p, p_c, v_meas = obs
+        noisy = v_meas + rng.normal(0, 1e-3, size=v_meas.shape)
+        out = refine_velocity(p, p_c, noisy, h_fwd, Rotation.identity(), omega, rig,
                               np.zeros(3))
         # linear problem: converged at the normal-equation optimum
         assert out.converged
@@ -177,39 +191,36 @@ class TestRefineVelocity:
     def test_too_few_features(self):
         obs, h_fwd, omega, rig, _ = vertical_flow_instance(n_features=2)
         with pytest.raises(InsufficientDataError):
-            refine_velocity(obs, h_fwd, Rotation.identity(), omega, rig, np.zeros(3))
+            refine_velocity(*obs, h_fwd, Rotation.identity(), omega, rig, np.zeros(3))
 
     def test_rank_deficient(self):
         # all features at the same image point: lateral and vertical motion
         # become indistinguishable
         obs, h_fwd, omega, rig, _ = vertical_flow_instance(n_features=12)
-        clones = [FlowObservation(obs[0].p_source, obs[0].p_c_source,
-                                  obs[0].v_measured, k) for k in range(5)]
+        clones = [np.repeat(a[:1], 5, axis=0) for a in obs]
         with pytest.raises(UnobservableVelocityError):
-            refine_velocity(clones, h_fwd, Rotation.identity(), omega, rig,
+            refine_velocity(*clones, h_fwd, Rotation.identity(), omega, rig,
                             np.zeros(3))
 
     def test_analytic_jacobian_matches_finite_differences(self):
-        obs, h_fwd, omega, rig, v_true = vertical_flow_instance(seed=5)
-        from planar_init.motion_field import projection_velocity_matrix
+        (p, p_c, v_meas), h_fwd, omega, rig, v_true = vertical_flow_instance(seed=5)
         r_w_b = Rotation.about_z(0.3)
         c_mat = (rig.T_c_b.rotation.inverse() @ r_w_b).matrix()
         lever = r_w_b.inverse().apply(np.cross(omega, rig.T_c_b.translation))
 
         def residuals(v):
             res = []
-            for o in obs:
-                a = flow_transfer_matrix(h_fwd, o.p_source)
-                j = projection_velocity_matrix(o.p_c_source)
+            for p_k, p_c_k, v_k in zip(p, p_c, v_meas):
+                a = flow_transfer_matrix(h_fwd, p_k)
+                j = projection_velocity_matrix(p_c_k)
                 pred = -(a @ j @ c_mat) @ (v + lever)
-                res.append(o.v_measured - pred)
+                res.append(v_k - pred)
             return np.concatenate(res)
 
         v0 = np.array([0.2, -0.1, -0.7])
         jac_analytic = np.vstack([
-            flow_transfer_matrix(h_fwd, o.p_source)
-            @ projection_velocity_matrix(o.p_c_source) @ c_mat
-            for o in obs
+            flow_transfer_matrix(h_fwd, p_k) @ projection_velocity_matrix(p_c_k) @ c_mat
+            for p_k, p_c_k in zip(p, p_c)
         ])
         step = 1e-6
         jac_fd = np.empty_like(jac_analytic)

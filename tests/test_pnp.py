@@ -52,7 +52,7 @@ class TestSolvePnp:
         rng = np.random.default_rng(1)
         pts = np.c_[rng.uniform(-1, 1, size=(30, 2)), rng.uniform(1.0, 3.0, 30)]
         obs = pts[:, :2] / pts[:, 2:3]
-        pose, mask = solve_pnp(list(zip(pts, obs)), seed=0)
+        pose, mask = solve_pnp(pts, obs, seed=0)
         assert pose.rotation.angle() < 1e-9
         assert np.linalg.norm(pose.translation) < 1e-9
         assert mask.all()
@@ -65,7 +65,7 @@ class TestSolvePnp:
             if view is None:
                 continue
             pts, obs, (r_cw, cam_pos) = view
-            pose, mask = solve_pnp(list(zip(pts, obs)), seed=done)
+            pose, mask = solve_pnp(pts, obs, seed=done)
             assert pose.rotation.angle_to(r_cw) < 1e-6
             assert np.linalg.norm(pose.translation - cam_pos) < 1e-6
             assert mask.all()
@@ -83,7 +83,7 @@ class TestSolvePnp:
                 continue
             pts, obs, (r_cw, cam_pos) = view
             noisy = obs + rng.normal(0.0, 1.0 / 400.0, size=obs.shape)
-            pose, _ = solve_pnp(list(zip(pts, noisy)), seed=trial)
+            pose, _ = solve_pnp(pts, noisy, seed=trial)
             errs.append(np.linalg.norm(pose.translation - cam_pos))
         assert np.median(errs) < 0.05
 
@@ -95,14 +95,18 @@ class TestSolvePnp:
         pts, obs, (r_cw, cam_pos) = view
         obs = obs.copy()
         obs[45:] += rng.choice([-1, 1], size=(15, 2)) * rng.uniform(0.1, 0.4, (15, 2))
-        pose, mask = solve_pnp(list(zip(pts, obs)), seed=4)
+        pose, mask = solve_pnp(pts, obs, seed=4)
         assert mask[:45].all()
         assert not mask[45:].any()
         assert np.linalg.norm(pose.translation - cam_pos) < 1e-9
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            solve_pnp([(np.zeros(3), np.zeros(2))] * 3)
+            solve_pnp(np.zeros((3, 3)), np.zeros((3, 2)))
+
+    def test_row_count_mismatch(self):
+        with pytest.raises(ValueError):
+            solve_pnp(np.zeros((5, 3)), np.zeros((4, 2)))
 
     def test_no_consensus(self):
         # every 3-point world sample is collinear
@@ -110,7 +114,7 @@ class TestSolvePnp:
         rng = np.random.default_rng(5)
         obs = rng.uniform(-0.5, 0.5, size=(10, 2))
         with pytest.raises(DegeneratePnpError):
-            solve_pnp(list(zip(pts, obs)), seed=0, max_iters=60)
+            solve_pnp(pts, obs, seed=0, max_iters=60)
 
     def test_determinism(self):
         rng = np.random.default_rng(6)
@@ -119,8 +123,8 @@ class TestSolvePnp:
             view = make_view(rng, n_points=40)
         pts, obs, _ = view
         noisy = obs + rng.normal(0, 2e-3, size=obs.shape)
-        p1, m1 = solve_pnp(list(zip(pts, noisy)), seed=7)
-        p2, m2 = solve_pnp(list(zip(pts, noisy)), seed=7)
+        p1, m1 = solve_pnp(pts, noisy, seed=7)
+        p2, m2 = solve_pnp(pts, noisy, seed=7)
         assert np.array_equal(p1.translation, p2.translation)
         assert np.array_equal(p1.rotation.quat, p2.rotation.quat)
         assert np.array_equal(m1, m2)

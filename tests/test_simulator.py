@@ -98,12 +98,11 @@ class TestRenderTracks:
         rel = cam_b.invert() @ cam_a  # T_ca^cb
         n_a, d_a = truth.plane_in_camera(int(k_a), rig)
         h = synthesize(rel.rotation, rel.translation, n_a, d_a)
-        shared = sorted(set(f_a.pixels) & set(f_b.pixels))
+        shared, rows_a, rows_b = np.intersect1d(f_a.ids, f_b.ids, return_indices=True)
         assert len(shared) >= 20
-        for fid in shared:
-            p_a = normalize(rig, f_a.pixels[fid][0])
-            p_b = normalize(rig, f_b.pixels[fid][0])
-            np.testing.assert_allclose(h.apply(p_a), p_b, atol=1e-12)
+        p_a = normalize(rig, f_a.uv_l[rows_a])
+        p_b = normalize(rig, f_b.uv_l[rows_b])
+        np.testing.assert_allclose(h.apply(p_a), p_b, atol=1e-12)
 
     def test_stereo_disparity_consistency(self, rig):
         ds = make_dataset(scene_preset("helipad"), TrajectoryProfile(kind="vertical"),
@@ -112,11 +111,10 @@ class TestRenderTracks:
         fr = ds.frames[80]
         k = int(truth.cam_indices[fr.frame])
         cam = truth.camera_pose(k, rig)
-        for fid, (uv_l, uv_r) in fr.pixels.items():
-            p_c = cam.invert().apply(truth.features[fid])
-            np.testing.assert_allclose(uv_l[0] - uv_r[0],
-                                       rig.f * rig.baseline / p_c[2], atol=1e-9)
-            np.testing.assert_allclose(uv_l[1], uv_r[1], atol=1e-9)
+        p_c = cam.invert().apply(truth.features[fr.ids])
+        np.testing.assert_allclose(fr.uv_l[:, 0] - fr.uv_r[:, 0],
+                                   rig.f * rig.baseline / p_c[:, 2], atol=1e-9)
+        np.testing.assert_allclose(fr.uv_l[:, 1], fr.uv_r[:, 1], atol=1e-9)
 
     def test_low_altitude_starves_features(self, rig):
         # below 0.2 m of camera altitude the stereo overlap holds almost
@@ -128,15 +126,14 @@ class TestRenderTracks:
         for fr in frames:
             cam_alt = alt[fr.frame] - rig.T_c_b.translation[2]
             if 0.01 < cam_alt < 0.2:
-                assert len(fr.pixels) < 20
+                assert len(fr.ids) < 20
 
     def test_track_ids_stable(self, clean_vertical_dataset):
         ds = clean_vertical_dataset
         f_a, f_b = ds.frames[70], ds.frames[80]
-        shared = set(f_a.pixels) & set(f_b.pixels)
-        assert shared  # same physical features carry the same id
-        for fid in shared:
-            assert fid < len(ds.truth.features)
+        shared = np.intersect1d(f_a.ids, f_b.ids)
+        assert len(shared)  # same physical features carry the same id
+        assert shared.max() < len(ds.truth.features)
 
     def test_noise_determinism(self, rig):
         scene = generate_scene(SceneConfig(feature_count=100, seed=1))
@@ -144,13 +141,11 @@ class TestRenderTracks:
         a = render_tracks(scene, truth, rig, noise_px=0.5, seed=3)
         b = render_tracks(scene, truth, rig, noise_px=0.5, seed=3)
         c = render_tracks(scene, truth, rig, noise_px=0.5, seed=4)
-        fa, fb, fc = a[70].pixels, b[70].pixels, c[70].pixels
-        shared = sorted(fa)
-        assert shared == sorted(fb)
-        for fid in shared:
-            np.testing.assert_array_equal(fa[fid][0], fb[fid][0])
-        assert any(not np.array_equal(fa[fid][0], fc[fid][0])
-                   for fid in shared if fid in fc)
+        fa, fb, fc = a[70], b[70], c[70]
+        np.testing.assert_array_equal(fa.ids, fb.ids)
+        np.testing.assert_array_equal(fa.uv_l, fb.uv_l)
+        _, rows_a, rows_c = np.intersect1d(fa.ids, fc.ids, return_indices=True)
+        assert not np.array_equal(fa.uv_l[rows_a], fc.uv_l[rows_c])
 
 
 class TestSynthesizeImu:
@@ -194,10 +189,50 @@ class TestDatasetIo:
         assert len(loaded.frames) == len(ds.frames)  # empty frames survive
         assert loaded.scene_meta["preset"] == "asphalt"
         # pixel payloads survive exactly
-        orig = next(fr for fr in ds.frames if fr.pixels)
+        orig = next(fr for fr in ds.frames if len(fr.ids))
         back = next(fr for fr in loaded.frames if fr.frame == orig.frame)
-        fid = sorted(orig.pixels)[0]
-        np.testing.assert_array_equal(orig.pixels[fid][0], back.pixels[fid][0])
+        np.testing.assert_array_equal(orig.ids[0], back.ids[0])
+        np.testing.assert_array_equal(orig.uv_l[0], back.uv_l[0])
+
+    @staticmethod
+    def rewrite_features(path, edit):
+        lines = (path / "features.csv").read_text().splitlines(keepends=True)
+        (path / "features.csv").write_text("".join(lines[:1] + edit(lines[1:])))
+
+    def test_shuffled_rows_load_the_same_frames(self, tmp_path, rig):
+        ds = make_dataset(scene_preset("asphalt"),
+                          TrajectoryProfile(kind="vertical", duration=3.0),
+                          rig=rig, noise=NoiseModel(), seed=8)
+        write_dataset(tmp_path / "a", ds)
+        before = load_dataset(tmp_path / "a")
+        order = np.random.default_rng(0).permutation
+        self.rewrite_features(tmp_path / "a", lambda rows: [rows[k] for k in order(len(rows))])
+        after = load_dataset(tmp_path / "a")
+        assert len(after.frames) == len(before.frames)
+        for a, b in zip(before.frames, after.frames):
+            assert (a.frame, a.t) == (b.frame, b.t)
+            for name in ("ids", "uv_l", "uv_r"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_duplicate_row_raises(self, tmp_path, rig):
+        ds = make_dataset(scene_preset("helipad"),
+                          TrajectoryProfile(kind="vertical", duration=3.0),
+                          rig=rig, noise=NoiseModel(), seed=8)
+        write_dataset(tmp_path / "a", ds)
+        self.rewrite_features(tmp_path / "a", lambda rows: rows + rows[len(rows) // 2:][:1])
+        with pytest.raises(ValueError, match="repeats feature"):
+            load_dataset(tmp_path / "a")
+
+    def test_frame_arrays_read_only(self, tmp_path, rig):
+        ds = make_dataset(scene_preset("helipad"),
+                          TrajectoryProfile(kind="vertical", duration=3.0),
+                          rig=rig, noise=NoiseModel(), seed=8)
+        write_dataset(tmp_path / "a", ds)
+        for fr in (ds.frames[-1], load_dataset(tmp_path / "a").frames[-1]):
+            assert len(fr.ids)
+            for name in ("ids", "uv_l", "uv_r"):
+                with pytest.raises(ValueError):
+                    getattr(fr, name)[0] = 0
 
     def test_dataset_pure_function_of_seed(self, rig):
         a = make_dataset(scene_preset("helipad"), TrajectoryProfile(), rig=rig, seed=4)

@@ -5,9 +5,6 @@ from planar_init.errors import InvalidDisparityError, TimeStepError
 from planar_init.geometry import normalize, project
 from planar_init.motion_field import camera_velocity, feature_normalized_velocity
 from planar_init.weighting import (
-    STEREO,
-    TEMPORAL,
-    PixelDeviation,
     estimated_flow,
     stereo_deviation,
     temporal_deviation,
@@ -23,17 +20,16 @@ class TestStereoDeviation:
         uv_l = project(simple_rig, z * np.array([p_l[0], p_l[1], 1.0]))
         p_r = p_l - np.array([simple_rig.baseline / z, 0.0])
         uv_r = project(simple_rig, z * np.array([p_r[0], p_r[1], 1.0]))
-        dev = stereo_deviation(uv_l, uv_r, simple_rig, depth=z)
-        assert dev.sigma < 1e-9
-        assert dev.kind == STEREO
+        sigma = stereo_deviation(uv_l, uv_r, simple_rig, depth=z)
+        assert sigma < 1e-9
 
     def test_direct_evaluation(self, simple_rig):
         # p_l = [0,0,1], z = 2, b = 0.1, f = 400: prediction [-0.05, 0, 1];
         # measured right at [-0.0525, 0]: sigma = 400 * 0.0025 = 1 px
         uv_l = np.array([simple_rig.cx, simple_rig.cy])
         uv_r = np.array([simple_rig.cx - 0.0525 * simple_rig.f, simple_rig.cy])
-        dev = stereo_deviation(uv_l, uv_r, simple_rig, depth=2.0)
-        assert dev.sigma == pytest.approx(1.0, abs=1e-12)
+        sigma = stereo_deviation(uv_l, uv_r, simple_rig, depth=2.0)
+        assert sigma == pytest.approx(1.0, abs=1e-12)
 
     def test_noise_scaling(self, rig):
         # 0.5 px right-image noise: mean sigma tracks the noise level
@@ -46,7 +42,7 @@ class TestStereoDeviation:
             p_r = p_l - [rig.baseline / z, 0.0]
             uv_r = project(rig, z * np.array([p_r[0], p_r[1], 1.0]))
             uv_r = uv_r + rng.normal(0.0, 0.5, size=2)
-            sigmas.append(stereo_deviation(uv_l, uv_r, rig, depth=z).sigma)
+            sigmas.append(stereo_deviation(uv_l, uv_r, rig, depth=z))
         mean = float(np.mean(sigmas))
         # mean of a Rayleigh(0.5) is 0.5 sqrt(pi/2) ~ 0.627
         assert abs(mean - 0.5) < 0.3 * 0.5 or abs(mean - 0.627) < 0.3 * 0.627
@@ -54,16 +50,29 @@ class TestStereoDeviation:
     def test_invalid_depth(self, simple_rig):
         with pytest.raises(InvalidDisparityError):
             stereo_deviation([0, 0], [0, 0], simple_rig, depth=-1.0)
+        with pytest.raises(InvalidDisparityError):  # one bad row of a stack
+            stereo_deviation(np.zeros((2, 2)), np.zeros((2, 2)), simple_rig,
+                             depth=[2.0, 0.0])
 
     def test_zero_noise_simulator(self, clean_vertical_dataset):
         ds = clean_vertical_dataset
         rig = ds.rig
         fr = ds.frames[70]
         cam = ds.truth.camera_pose(int(ds.truth.cam_indices[fr.frame]), rig)
-        for fid, (uv_l, uv_r) in list(fr.pixels.items())[:100]:
-            z = float(cam.invert().apply(ds.truth.features[fid])[2])
-            dev = stereo_deviation(uv_l, uv_r, rig, depth=z)
-            assert dev.sigma < 1e-9
+        z = cam.invert().apply(ds.truth.features[fr.ids[:100]])[:, 2]
+        sigma = stereo_deviation(fr.uv_l[:100], fr.uv_r[:100], rig, depth=z)
+        assert sigma.shape == z.shape
+        assert np.all(sigma < 1e-9)
+
+    def test_stack_matches_single_rows(self, rig):
+        # each row of a stacked call rounds as the row on its own
+        rng = np.random.default_rng(5)
+        uv_l = rng.uniform(100.0, 700.0, size=(200, 2))
+        uv_r = uv_l - [30.0, 0.0] + rng.normal(0.0, 0.5, size=(200, 2))
+        z = rng.uniform(1.0, 4.0, size=200)
+        stacked = stereo_deviation(uv_l, uv_r, rig, z)
+        for k in range(200):
+            assert stacked[k] == stereo_deviation(uv_l[k], uv_r[k], rig, z[k])
 
 
 class TestTemporalDeviation:
@@ -72,10 +81,9 @@ class TestTemporalDeviation:
         uv_k = np.array([700.0, 420.0])
         uv_k1 = uv_k + np.array([2.0, -1.0])
         p_c = np.array([0.15, 0.05, 2.0])
-        dev = temporal_deviation(uv_k, uv_k1, p_c, np.zeros(3), np.zeros(3),
-                                 0.05, simple_rig)
-        assert dev.sigma == pytest.approx(np.hypot(2.0, -1.0), abs=1e-9)
-        assert dev.kind == TEMPORAL
+        sigma = temporal_deviation(uv_k, uv_k1, p_c, np.zeros(3), np.zeros(3),
+                                   0.05, simple_rig)
+        assert sigma == pytest.approx(np.hypot(2.0, -1.0), abs=1e-9)
 
     def test_direct_evaluation(self, simple_rig):
         # predicted [0.11, 0], measured [0.1125, 0]: sigma = 400*0.0025 = 1 px
@@ -84,9 +92,9 @@ class TestTemporalDeviation:
         uv_k1 = np.array([simple_rig.cx + 0.1125 * f, simple_rig.cy])
         # choose v_rel so that the predicted normalized velocity is [0.2, 0]:
         # with p_c = [0.1, 0, 1] z=1, J v_c = [0.2, 0] for v_c = [0.2, 0, 0]
-        dev = temporal_deviation(uv_k, uv_k1, [0.1, 0.0, 1.0],
-                                 [-0.2, 0.0, 0.0], np.zeros(3), 0.05, simple_rig)
-        assert dev.sigma == pytest.approx(1.0, abs=1e-9)
+        sigma = temporal_deviation(uv_k, uv_k1, [0.1, 0.0, 1.0],
+                                   [-0.2, 0.0, 0.0], np.zeros(3), 0.05, simple_rig)
+        assert sigma == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_ascent_small_sigma(self, clean_vertical_dataset):
         # noise-free tracking during constant-rate ascent: prediction error is
@@ -102,13 +110,13 @@ class TestTemporalDeviation:
         omega = ds.truth.omega_body[k]
         v_rel = -camera_velocity(v_b, omega, r_w_b, rig)
         omega_c = rig.T_c_b.rotation.inverse().apply(omega)
-        shared = sorted(set(a.pixels) & set(b.pixels))
-        assert shared
-        for fid in shared:
+        shared, rows_a, rows_b = np.intersect1d(a.ids, b.ids, return_indices=True)
+        assert len(shared)
+        for fid, ra, rb in zip(shared, rows_a, rows_b):
             p_c = cam.invert().apply(ds.truth.features[fid])
-            dev = temporal_deviation(a.pixels[fid][0], b.pixels[fid][0], p_c,
-                                     v_rel, omega_c, dt, rig)
-            assert dev.sigma < 0.5
+            sigma = temporal_deviation(a.uv_l[ra], b.uv_l[rb], p_c,
+                                       v_rel, omega_c, dt, rig)
+            assert sigma < 0.5
 
     def test_bad_dt(self, simple_rig):
         with pytest.raises(TimeStepError):
@@ -118,21 +126,22 @@ class TestTemporalDeviation:
 
 class TestWeight:
     def test_fixed_baseline_value(self):
-        w = weight(PixelDeviation(1.5, STEREO), floor=0.25)
+        w = weight(1.5, floor=0.25)
         assert w == pytest.approx(1.0 / 2.25)
 
     def test_floor_clamps(self):
-        assert weight(PixelDeviation(0.0, STEREO), floor=0.25) == pytest.approx(16.0)
+        assert weight(0.0, floor=0.25) == pytest.approx(16.0)
 
     def test_monotone(self):
         rng = np.random.default_rng(1)
         sig = np.sort(rng.uniform(0.3, 5.0, size=50))
-        ws = [weight(PixelDeviation(s, STEREO)) for s in sig]
+        ws = weight(sig)
         assert all(a > b for a, b in zip(ws, ws[1:]))
+        np.testing.assert_array_equal(ws, [weight(s) for s in sig])
 
     def test_bad_floor(self):
         with pytest.raises(ValueError):
-            weight(PixelDeviation(1.0, STEREO), floor=0.0)
+            weight(1.0, floor=0.0)
 
 
 class TestEstimatedFlow:
@@ -155,13 +164,13 @@ class TestEstimatedFlow:
         cam = ds.truth.camera_pose(k, rig)
         v_c = camera_velocity(ds.truth.velocity[k], ds.truth.omega_body[k],
                               ds.truth.body_pose(k).rotation.inverse(), rig)
-        shared = sorted(set(a.pixels) & set(b.pixels))
+        shared, rows_a, rows_b = np.intersect1d(a.ids, b.ids, return_indices=True)
         checked = 0
-        for fid in shared:
+        for fid, ra, rb in zip(shared, rows_a, rows_b):
             p_c = cam.invert().apply(ds.truth.features[fid])
             v_hat = feature_normalized_velocity(p_c, v_c)
-            flow = estimated_flow(normalize(rig, a.pixels[fid][0]), v_hat, dt, rig)
-            true_disp = b.pixels[fid][0] - a.pixels[fid][0]
+            flow = estimated_flow(normalize(rig, a.uv_l[ra]), v_hat, dt, rig)
+            true_disp = b.uv_l[rb] - a.uv_l[ra]
             assert np.linalg.norm(flow - true_disp) < 0.5
             checked += 1
         assert checked >= 20
@@ -182,5 +191,5 @@ class TestPixelUnitConsistency:
             p_l = normalize(rig, uv_l)
             p_r = p_l - [rig.baseline / z, 0.0]
             uv_r = project(rig, z * np.array([p_r[0], p_r[1], 1.0])) + [1.3, 0.0]
-            dev = stereo_deviation(uv_l, uv_r, rig, depth=z)
-            assert dev.sigma == pytest.approx(1.3, abs=1e-9)
+            sigma = stereo_deviation(uv_l, uv_r, rig, depth=z)
+            assert sigma == pytest.approx(1.3, abs=1e-9)
