@@ -6,13 +6,12 @@ dynamic stereo-residual weighting, and a deterministic take-off
 simulator that serves as the test oracle.
 """
 
-from .config import PipelineConfig, load_config, save_config
+from .config import PipelineConfig, load_config
 from .geometry import (
     CameraRig,
     EulerAngles,
     Pose,
     Rotation,
-    euler_to_rotation,
     normalize,
     project,
     to_euler_ned,
@@ -45,11 +44,7 @@ from .initializer import (
     select_solution,
     triangulate_stereo,
 )
-from .motion_field import (
-    camera_velocity,
-    feature_normalized_velocity,
-    refine_velocity,
-)
+from .motion_field import FlowModel, flow_model, refine_velocity
 from .pnp import solve_pnp
 from .simulator import (
     NoiseModel,
@@ -63,7 +58,6 @@ from .simulator import (
     synthesize_imu,
 )
 from .weighting import (
-    estimated_flow,
     stereo_deviation,
     temporal_deviation,
     weight,

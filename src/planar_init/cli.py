@@ -18,7 +18,7 @@ from .config import PipelineConfig, load_config
 from .errors import AlignmentError, PipelineError, PlanarInitError
 from .harness import (
     PLOT_HEADER,
-    evaluate,
+    evaluate_against_dataset,
     run_on_dataset,
     run_sweep,
 )
@@ -100,15 +100,15 @@ def _load_pipeline_config(args) -> PipelineConfig:
 def _cmd_generate(args) -> int:
     try:
         scene = scene_preset(args.scene, seed=args.seed)
+        if args.features is not None:
+            scene = replace(scene, feature_count=args.features)
+        noise = NoiseModel.noiseless() if args.noiseless else NoiseModel(pixel_px=args.noise_px)
+        profile = TrajectoryProfile(kind=args.profile)
+        ds = make_dataset(scene, profile, rig=CameraRig.default(), noise=noise,
+                          seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.features is not None:
-        scene = replace(scene, feature_count=args.features)
-    noise = NoiseModel.noiseless() if args.noiseless else NoiseModel(pixel_px=args.noise_px)
-    profile = TrajectoryProfile(kind=args.profile)
-    ds = make_dataset(scene, profile, rig=CameraRig.default(), noise=noise,
-                      seed=args.seed)
     try:
         digest = write_dataset(args.out, ds)
     except OSError as exc:
@@ -149,8 +149,7 @@ def _cmd_init(args) -> int:
         return EXIT_PIPELINE
     (out / "result.json").write_text(json.dumps(result.to_json_dict(), indent=2))
     try:
-        report = evaluate(result, ds.gt_t, ds.gt_position, ds.gt_quat,
-                          ds.gt_velocity, ds.cam_period)
+        report = evaluate_against_dataset(result, ds)
     except AlignmentError as exc:
         print(f"pipeline failure: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
@@ -177,8 +176,7 @@ def _cmd_evaluate(args) -> int:
             if name in runs:
                 name = f"{name}:{len(runs)}"
             result = _result_from_json(payload)
-            report = evaluate(result, ds.gt_t, ds.gt_position, ds.gt_quat,
-                              ds.gt_velocity, ds.cam_period)
+            report = evaluate_against_dataset(result, ds)
             runs[name] = report
             suffix = "" if len(payloads) == 1 else f"_{name}"
             with open(out / f"errors{suffix}.csv", "w", newline="") as fh:

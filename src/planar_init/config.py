@@ -31,7 +31,6 @@ class PipelineConfig:
     keyframe_stride: int = 5           # camera frames between keyframes
     min_features: int = 20
     min_disparity_px: float = 1.0
-    imu_rate_hint: float = 200.0
 
     # robust homography estimation
     ransac_threshold: float = 5e-3     # normalized coords (~2 px at f=400)
@@ -100,7 +99,3 @@ class PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     return PipelineConfig.from_json_dict(json.loads(Path(path).read_text()))
-
-
-def save_config(path, cfg: PipelineConfig) -> None:
-    Path(path).write_text(json.dumps(cfg.to_json_dict(), indent=2))

@@ -240,11 +240,6 @@ class EulerAngles(NamedTuple):
     gimbal_lock: bool = False
 
 
-def euler_to_rotation(roll: float, pitch: float, yaw: float) -> Rotation:
-    """ZYX composition: R = Rz(yaw) Ry(pitch) Rx(roll)."""
-    return Rotation.about_z(yaw) @ Rotation.about_y(pitch) @ Rotation.about_x(roll)
-
-
 def to_euler_ned(rotation: Rotation) -> EulerAngles:
     """ZYX (yaw-pitch-roll) Euler angles in NED, radians.
 
@@ -333,11 +328,11 @@ def load_rig(path) -> CameraRig:
 
 
 def project(rig: CameraRig, p_c) -> np.ndarray:
-    """Pinhole projection of a camera-frame point to pixels."""
-    p = _as_vec3(p_c)
-    if p[2] <= 0.0:
-        raise BehindCameraError(f"point depth {p[2]:.6g} <= 0")
-    return np.array([rig.f * p[0] / p[2] + rig.cx, rig.f * p[1] / p[2] + rig.cy])
+    """Pinhole projection of camera-frame points (..., 3) to pixels (..., 2)."""
+    p = np.asarray(p_c, dtype=np.float64)
+    if np.any(p[..., 2] <= 0.0):
+        raise BehindCameraError(f"point depth {np.min(p[..., 2]):.6g} <= 0")
+    return rig.f * p[..., :2] / p[..., 2:] + (rig.cx, rig.cy)
 
 
 def normalize(rig: CameraRig, pixel) -> np.ndarray:

@@ -267,9 +267,7 @@ class SelectionTrial:
 
 
 def selection_trial(profile_kind: str, seed: int,
-                    noise: NoiseModel | None = None,
-                    config: PipelineConfig | None = None,
-                    rig: CameraRig | None = None) -> SelectionTrial:
+                    noise: NoiseModel | None = None) -> SelectionTrial:
     """One lightweight take-off: noisy-gyro prior vs. exact decomposition.
 
     Simulates the trajectory analytically, integrates the *noisy* gyro
@@ -278,8 +276,8 @@ def selection_trial(profile_kind: str, seed: int,
     checks whether the prior normal selects the true candidate.
     """
     noise = noise or NoiseModel()
-    cfg = config or PipelineConfig()
-    rig = rig or CameraRig.default()
+    cfg = PipelineConfig()
+    rig = CameraRig.default()
     rng = np.random.default_rng(seed)
     tilt = float(rng.uniform(0.1, 0.35)) if profile_kind == "oblique" else 0.25
     profile = TrajectoryProfile(
@@ -356,19 +354,12 @@ class FullTrial:
     scale_error: float
 
 
-def full_trial(scene_name: str, profile_kind: str, seed: int,
-               noise: NoiseModel | None = None,
-               config: PipelineConfig | None = None,
-               rig: CameraRig | None = None,
-               window_size: int | None = None) -> FullTrial:
-    cfg = config or PipelineConfig()
-    if window_size is not None:
-        from dataclasses import replace
-        cfg = replace(cfg, window_size=window_size)
+def full_trial(scene_name: str, profile_kind: str, seed: int) -> FullTrial:
+    """One end-to-end window on an in-memory dataset with default noise and config."""
     ds = make_dataset(scene_preset(scene_name, seed=0), TrajectoryProfile(kind=profile_kind),
-                      rig=rig, noise=noise or NoiseModel(), seed=seed)
+                      seed=seed)
     try:
-        result = run_on_dataset(ds, cfg, seed=seed)
+        result = run_on_dataset(ds, seed=seed)
     except PipelineError:
         return FullTrial("failed", (np.nan,) * 3, (np.nan,) * 3, (np.nan,) * 3, np.nan)
     report = evaluate_against_dataset(result, ds)
@@ -457,8 +448,12 @@ def run_sweep(mode: str, scenes: list[str], profiles: list[str], trials: int,
     (master + global trial index), so the aggregate is a pure function of
     the inputs regardless of ``jobs``.
     """
+    if mode not in ("selection", "full"):
+        raise ValueError(f"unknown sweep mode {mode!r}; choose selection or full")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not scenes or not profiles:
+        raise ValueError("a sweep needs at least one scene and one profile")
     for s in scenes:
         if s not in SCENE_PRESETS:
             raise ValueError(f"unknown scene preset {s!r}")

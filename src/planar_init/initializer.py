@@ -181,37 +181,31 @@ def refine_body_velocity(
     v_init,
     rig: CameraRig,
     *,
-    pair: int = 0,
-    R_w_b: Rotation | None = None,
-    gyro_bias=(0.0, 0.0, 0.0),
-    config: PipelineConfig | None = None,
-    points: tuple[np.ndarray, np.ndarray] | None = None,
+    pair: int,
+    R_w_b: Rotation,
+    gyro_bias,
+    config: PipelineConfig,
+    points: tuple[np.ndarray, np.ndarray],
 ) -> VelocityRefinement:
-    """Gauss-Newton body-velocity refinement over one keyframe pair.
+    """Gauss-Newton body-velocity refinement over keyframe pair ``pair``.
 
     ``h_forward`` maps the earlier keyframe of the pair onto the later
     one (the direction in which feature velocities are transferred).
     The measured normalized velocity of each feature is the forward
     difference of its tracked left-camera coordinates over the pair
     interval; its metric source point comes from stereo triangulation at
-    the earlier keyframe: ``points`` = (feature ids, left-camera points),
-    or every shared feature that triangulates reliably when ``None``.
+    the earlier keyframe: ``points`` = (feature ids, left-camera points).
     """
-    cfg = config or PipelineConfig()
     kf_i, kf_j = window.keyframes[pair], window.keyframes[pair + 1]
-    if points is None:
-        _, rows, _ = window.shared_features(pair, pair + 1)
-        rows = rows[_reliable(kf_i, rows, cfg.min_disparity_px)]
-        points = (kf_i.ids[rows], triangulate_stereo(kf_i.uv_l[rows], kf_i.uv_r[rows], rig))
     ids, p_c = points
     p_i = kf_i.norm_l[kf_i.ids.searchsorted(ids)]
     v_measured = (kf_j.norm_l[kf_j.ids.searchsorted(ids)] - p_i) / (kf_j.t - kf_i.t)
     pair_imu = imu_mod.slice_between(window.imu, kf_i.t, kf_j.t)
     omega = imu_mod.mean_gyro(pair_imu, gyro_bias)
     return refine_velocity(
-        p_i, p_c, v_measured, h_forward, R_w_b or Rotation.identity(), omega, rig, v_init,
-        max_iters=cfg.gn_max_iters, step_tol=cfg.gn_step_tol,
-        cost_tol=cfg.gn_cost_tol)
+        p_i, p_c, v_measured, h_forward, R_w_b, omega, rig, v_init,
+        max_iters=config.gn_max_iters, step_tol=config.gn_step_tol,
+        cost_tol=config.gn_cost_tol)
 
 
 @dataclass
@@ -332,11 +326,13 @@ def run_initialization(
             cfg.stationary_gyro_tol):
         raise PipelineError("stationarity", "stream does not start at rest")
 
-    # IMU-only anchor at the first keyframe (the height-gate instant)
+    # IMU-only anchor at the first keyframe (the height-gate instant), within
+    # half a sample interval (the stationarity gate saw >= 2 samples)
     t0 = float(imu_samples.t[0])
     kf0 = window.keyframes[0]
     anchor = window.anchor
-    if abs(anchor.t - kf0.t) > 0.5 / max(cfg.imu_rate_hint, 1.0):
+    interval = (float(imu_samples.t[-1]) - t0) / (len(imu_samples) - 1)
+    if abs(anchor.t - kf0.t) > 0.5 * interval:
         raise PipelineError("imu", "IMU stream does not reach the first keyframe")
     timings["anchor_s"] = time.perf_counter() - t_start
 

@@ -4,8 +4,9 @@ The image-plane velocity of a tracked plane feature constrains the body
 velocity through a linear chain: body velocity -> camera velocity
 (rigid-lever arm) -> apparent feature velocity in the camera ->
 normalized image velocity -> transfer through the inter-keyframe
-homography.  Gauss-Newton on the stacked residuals recovers the body
-velocity in the world frame.
+homography.  :func:`flow_model` builds that chain once per keyframe pair;
+Gauss-Newton on the stacked residuals against its prediction recovers
+the body velocity in the world frame.
 """
 
 from __future__ import annotations
@@ -56,25 +57,41 @@ def projection_velocity_matrix(p_c) -> np.ndarray:
     return out
 
 
-def feature_normalized_velocity(p_c, v_c) -> np.ndarray:
-    """Normalized image velocity of a camera-frame point with velocity v_c."""
-    v = np.asarray(v_c, dtype=np.float64).reshape(3)
-    return projection_velocity_matrix(p_c) @ v
+@dataclass(frozen=True)
+class FlowModel:
+    """The motion-field prediction of one keyframe pair, linear in the body velocity.
 
-
-def camera_velocity(v_b_w, omega_b, R_w_b: Rotation, rig: CameraRig) -> np.ndarray:
-    """Apparent velocity of static scene points in the camera frame.
-
-    The camera origin moves at v_c^w = v_b^w + R_b^w (omega_b x t_c^b);
-    ignoring the camera's rotational flow, static points then appear to
-    move at -R_b^c R_w^b v_c^w.
+    Feature k's predicted normalized velocity in the target view is
+    ``-blocks[k] @ (v + lever_w)`` for body velocity ``v`` in the world
+    frame: ``lever_w`` is the camera's lever-arm velocity in the world
+    frame, and each (2, 3) block chains world -> camera rotation,
+    projection at the feature's source point and transfer through the
+    homography.
     """
-    v = np.asarray(v_b_w, dtype=np.float64).reshape(3)
-    w = np.asarray(omega_b, dtype=np.float64).reshape(3)
-    r_b_w = R_w_b.inverse()
-    v_cam_w = v + r_b_w.apply(np.cross(w, rig.T_c_b.translation))
+
+    blocks: np.ndarray
+    lever_w: np.ndarray
+
+    def predict(self, v) -> np.ndarray:
+        """Predicted normalized velocities (N, 2) for body velocity ``v`` (3,)."""
+        return -np.einsum("nij,j->ni", self.blocks, v + self.lever_w)
+
+
+def flow_model(p_source, p_c_source, h: Homography, R_w_b: Rotation, omega_b,
+               rig: CameraRig) -> FlowModel:
+    """The flow prediction at source points (N, 2) with camera-frame points (N, 3).
+
+    The camera origin moves at v + R_b^w (omega_b x t_c^b), so static
+    points appear to move at -R_b^c R_w^b (v + lever_w) in the camera;
+    their normalized velocity is then transferred through ``h`` (source
+    view -> target view).  The camera's rotational flow is left out.
+    """
+    omega = np.asarray(omega_b, dtype=np.float64).reshape(3)
     r_b_c = rig.T_c_b.rotation.inverse()
-    return -r_b_c.apply(R_w_b.apply(v_cam_w))
+    c_mat = (r_b_c @ R_w_b).matrix()
+    lever_w = R_w_b.inverse().apply(np.cross(omega, rig.T_c_b.translation))
+    blocks = flow_transfer_matrix(h, p_source) @ projection_velocity_matrix(p_c_source) @ c_mat
+    return FlowModel(blocks, lever_w)
 
 
 @dataclass(frozen=True)
@@ -124,22 +141,15 @@ def refine_velocity(
     if len(p_source) < 3:
         raise InsufficientDataError(
             f"need >= 3 flow observations, got {len(p_source)}")
-    omega = np.asarray(omega_b, dtype=np.float64).reshape(3)
     v = np.asarray(v_init, dtype=np.float64).reshape(3).copy()
 
-    # constant pieces of the chain
-    r_b_c = rig.T_c_b.rotation.inverse()
-    c_mat = (r_b_c @ R_w_b).matrix()
-    lever_w = R_w_b.inverse().apply(np.cross(omega, rig.T_c_b.translation))
-    # prediction = -block @ (v + lever_w)
-    blocks = flow_transfer_matrix(h, p_source) @ projection_velocity_matrix(p_c_source) @ c_mat
-    jac = blocks.reshape(-1, 3)  # d(residual)/dv = +block
+    model = flow_model(p_source, p_c_source, h, R_w_b, omega_b, rig)
+    jac = model.blocks.reshape(-1, 3)  # d(residual)/dv = +block
     if np.linalg.matrix_rank(jac, tol=1e-12) < 3:
         raise UnobservableVelocityError("flow Jacobian rank < 3")
 
     def cost_at(vel: np.ndarray) -> tuple[float, np.ndarray]:
-        pred = -np.einsum("nij,j->ni", blocks, vel + lever_w)
-        res = measured - pred
+        res = measured - model.predict(vel)
         return float(np.sum(res * res)), res.reshape(-1)
 
     cost, res = cost_at(v)

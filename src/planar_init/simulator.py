@@ -29,6 +29,7 @@ from .geometry import (
     Rotation,
     freeze_feature_rows,
     load_rig,
+    project,
     quat_matrices,
     save_rig,
 )
@@ -269,8 +270,8 @@ def render_tracks(scene: np.ndarray, truth: GroundTruth, rig: CameraRig,
         p_cr[:, 0] -= rig.baseline
         vis = (p_cl[:, 2] > min_depth) & (p_cr[:, 2] > min_depth)
         idx = np.flatnonzero(vis)
-        uvl = rig.f * p_cl[idx, :2] / p_cl[idx, 2:3] + (rig.cx, rig.cy)
-        uvr = rig.f * p_cr[idx, :2] / p_cr[idx, 2:3] + (rig.cx, rig.cy)
+        uvl = project(rig, p_cl[idx])
+        uvr = project(rig, p_cr[idx])
         inb = ((uvl[:, 0] >= 0) & (uvl[:, 0] < rig.width)
                & (uvl[:, 1] >= 0) & (uvl[:, 1] < rig.height)
                & (uvr[:, 0] >= 0) & (uvr[:, 0] < rig.width)
@@ -318,6 +319,17 @@ class NoiseModel:
     accel_noise_density: float = 2e-3   # m/s^2/sqrt(Hz)
     gyro_bias: tuple = (2e-4, -1.5e-4, 1e-4)
     accel_bias: tuple = (5e-3, -4e-3, 6e-3)
+
+    def __post_init__(self):
+        """Reject a noise level that is negative or not finite, and a bias
+        that is not finite."""
+        for name in ("pixel_px", "gyro_noise_density", "accel_noise_density"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        for name in ("gyro_bias", "accel_bias"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @classmethod
     def noiseless(cls) -> "NoiseModel":

@@ -59,10 +59,3 @@ def weight(sigma, floor: float = 0.25):
     s = np.maximum(sigma, floor)
     return 1.0 / (s * s)
 
-
-def estimated_flow(p_l, v_hat, dt: float, rig: CameraRig) -> np.ndarray:
-    """Predicted inter-frame pixel displacement at a normalized point."""
-    if dt <= 0.0:
-        raise TimeStepError(f"dt must be positive, got {dt}")
-    del p_l  # the pinhole flow f * v * dt does not depend on the point
-    return rig.f * np.asarray(v_hat, dtype=np.float64).reshape(2) * dt

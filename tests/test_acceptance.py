@@ -11,7 +11,7 @@ import numpy as np
 
 from planar_init.config import PipelineConfig
 from planar_init.errors import InvalidDisparityError
-from planar_init.geometry import CameraRig, Rotation, normalize
+from planar_init.geometry import CameraRig, Rotation
 from planar_init.harness import (
     evaluate_against_dataset,
     run_on_dataset,
@@ -32,12 +32,7 @@ from planar_init.initializer import (
     refine_body_velocity,
     triangulate_stereo,
 )
-from planar_init.motion_field import (
-    camera_velocity,
-    feature_normalized_velocity,
-    flow_transfer_matrix,
-    projection_velocity_matrix,
-)
+from planar_init.motion_field import flow_model
 from planar_init.pnp import refine_pose
 from planar_init.simulator import (
     NoiseModel,
@@ -45,7 +40,7 @@ from planar_init.simulator import (
     make_dataset,
     scene_preset,
 )
-from planar_init.weighting import estimated_flow, stereo_deviation, weight
+from planar_init.weighting import stereo_deviation, weight
 
 _SUITE_T0 = time.perf_counter()
 
@@ -196,39 +191,39 @@ def test_c04_scale_recovery(clean_vertical_dataset):
 
 def test_c05_velocity_refinement(clean_vertical_dataset):
     ds = clean_vertical_dataset
+    rig = ds.rig
     cfg = PipelineConfig()
     window = select_window(ds, cfg)
     kf_i, kf_j = window.keyframes[0], window.keyframes[1]
     k_i = int(ds.truth.cam_indices[kf_i.index])
-    cam_i = ds.truth.camera_pose(k_i, ds.rig)
-    cam_j = ds.truth.camera_pose(int(ds.truth.cam_indices[kf_j.index]), ds.rig)
+    cam_i = ds.truth.camera_pose(k_i, rig)
+    cam_j = ds.truth.camera_pose(int(ds.truth.cam_indices[kf_j.index]), rig)
     rel = cam_j.invert() @ cam_i
-    n_i, d_i = ds.truth.plane_in_camera(k_i, ds.rig)
+    n_i, d_i = ds.truth.plane_in_camera(k_i, rig)
     h_fwd = synthesize(rel.rotation, rel.translation, n_i, d_i)
-
-    out = refine_body_velocity(window, h_fwd, np.zeros(3), ds.rig,
-                               R_w_b=ds.truth.body_pose(k_i).rotation.inverse(),
-                               config=cfg)
-    v_err = float(np.linalg.norm(out.velocity - ds.truth.velocity[k_i]))
-
-    # analytic Jacobian vs central differences on the same instance
-    rig = ds.rig
     r_w_b = ds.truth.body_pose(k_i).rotation.inverse()
-    c_mat = (rig.T_c_b.rotation.inverse() @ r_w_b).matrix()
+
     # the refinement's flow observations: shared features that triangulate
     # reliably at the earlier keyframe
     _, rows_i, rows_j = window.shared_features(0, 1)
     rows = kf_i.uv_l[rows_i, 0] - kf_i.uv_r[rows_i, 0] >= cfg.min_disparity_px
     rows_i, rows_j = rows_i[rows], rows_j[rows]
     p_c = triangulate_stereo(kf_i.uv_l[rows_i], kf_i.uv_r[rows_i], rig)
+
+    out = refine_body_velocity(window, h_fwd, np.zeros(3), rig, pair=0, R_w_b=r_w_b,
+                               gyro_bias=cfg.gyro_bias, config=cfg,
+                               points=(kf_i.ids[rows_i], p_c))
+    v_err = float(np.linalg.norm(out.velocity - ds.truth.velocity[k_i]))
+
+    # analytic Jacobian (the model's blocks) vs central differences of the
+    # residual on the model's prediction, on the same instance
     p_src = kf_i.norm_l[rows_i]
     v_measured = (kf_j.norm_l[rows_j] - p_src) / (kf_j.t - kf_i.t)
-    blocks = flow_transfer_matrix(h_fwd, p_src) @ projection_velocity_matrix(p_c) @ c_mat
-    jac = blocks.reshape(-1, 3)
+    model = flow_model(p_src, p_c, h_fwd, r_w_b, ds.truth.omega_body[k_i], rig)
+    jac = model.blocks.reshape(-1, 3)
 
     def residuals(v):
-        pred = -(blocks @ v)
-        return (v_measured - pred).reshape(-1)
+        return (v_measured - model.predict(v)).reshape(-1)
 
     v0 = np.array([0.15, -0.2, -0.6])
     step = 1e-6
@@ -331,26 +326,30 @@ def test_c08_dynamic_weighting():
             f"over {len(errs)} trials")
 
 
+def _flow_errors(ds, a_idx: int) -> np.ndarray:
+    """Pixel distances (N,) between the pipeline's flow model, fed truth, and
+    the rendered displacement of each feature shared by frames a_idx, a_idx + 1."""
+    truth, rig = ds.truth, ds.rig
+    a, b = ds.frames[a_idx], ds.frames[a_idx + 1]
+    k_a = int(truth.cam_indices[a.frame])
+    cam_a = truth.camera_pose(k_a, rig)
+    cam_b = truth.camera_pose(int(truth.cam_indices[b.frame]), rig)
+    rel = cam_b.invert() @ cam_a
+    n_a, d_a = truth.plane_in_camera(k_a, rig)
+    h_fwd = synthesize(rel.rotation, rel.translation, n_a, d_a)
+    shared, rows_a, rows_b = np.intersect1d(a.ids, b.ids, return_indices=True)
+    p_c = cam_a.invert().apply(truth.features[shared])
+    model = flow_model(p_c[:, :2] / p_c[:, 2:], p_c, h_fwd,
+                       truth.body_pose(k_a).rotation.inverse(), truth.omega_body[k_a], rig)
+    flow = rig.f * model.predict(truth.velocity[k_a]) * (b.t - a.t)
+    return np.linalg.norm(flow - (b.uv_l[rows_b] - a.uv_l[rows_a]), axis=1)
+
+
 def test_c09_flow_consistency(clean_vertical_dataset):
-    ds = clean_vertical_dataset
-    rig = ds.rig
-    worst = 0.0
-    checked = 0
-    for a_idx in (70, 80, 90, 100):
-        a, b = ds.frames[a_idx], ds.frames[a_idx + 1]
-        dt = b.t - a.t
-        k = int(ds.truth.cam_indices[a.frame])
-        cam = ds.truth.camera_pose(k, rig)
-        v_c = camera_velocity(ds.truth.velocity[k], ds.truth.omega_body[k],
-                              ds.truth.body_pose(k).rotation.inverse(), rig)
-        shared, rows_a, rows_b = np.intersect1d(a.ids, b.ids, return_indices=True)
-        for fid, ra, rb in zip(shared, rows_a, rows_b):
-            p_c = cam.invert().apply(ds.truth.features[fid])
-            v_hat = feature_normalized_velocity(p_c, v_c)
-            flow = estimated_flow(normalize(rig, a.uv_l[ra]), v_hat, dt, rig)
-            true_disp = b.uv_l[rb] - a.uv_l[ra]
-            worst = max(worst, float(np.linalg.norm(flow - true_disp)))
-            checked += 1
+    errors = np.concatenate([_flow_errors(clean_vertical_dataset, a_idx)
+                             for a_idx in (70, 80, 90, 100)])
+    worst = float(errors.max())
+    checked = len(errors)
     ok = worst < 0.5 and checked > 100
     _report("criterion 9 (flow consistency)", ok,
             f"worst flow error {worst:.3f} px (< 0.5) over {checked} features")

@@ -8,7 +8,6 @@ from planar_init.geometry import (
     CameraRig,
     Pose,
     Rotation,
-    euler_to_rotation,
     homogeneous,
     load_rig,
     normalize,
@@ -18,6 +17,11 @@ from planar_init.geometry import (
 )
 
 from conftest import random_rotation
+
+
+def zyx_rotation(roll: float, pitch: float, yaw: float) -> Rotation:
+    """ZYX composition: R = Rz(yaw) Ry(pitch) Rx(roll)."""
+    return Rotation.about_z(yaw) @ Rotation.about_y(pitch) @ Rotation.about_x(roll)
 
 
 class TestRotation:
@@ -119,6 +123,16 @@ class TestProjection:
         with pytest.raises(BehindCameraError):
             project(simple_rig, [0.0, 0.0, 0.0])
 
+    def test_stack_matches_single_points(self, rig):
+        rng = np.random.default_rng(8)
+        p = rng.uniform([-1, -1, 0.5], [1, 1, 5.0], size=(40, 3))
+        stacked = project(rig, p)
+        assert stacked.shape == (40, 2)
+        for k in range(40):
+            np.testing.assert_array_equal(stacked[k], project(rig, p[k]))
+        with pytest.raises(BehindCameraError):  # one row behind the camera
+            project(rig, [[0.0, 0.0, 2.0], [0.0, 0.0, -1.0]])
+
     def test_normalize_center(self, simple_rig):
         np.testing.assert_allclose(normalize(simple_rig, [640.0, 400.0]), [0.0, 0.0])
 
@@ -152,18 +166,18 @@ class TestEulerNed:
         for _ in range(300):
             roll, yaw = rng.uniform(-math.pi, math.pi, size=2)
             pitch = rng.uniform(-math.pi / 2 + 0.05, math.pi / 2 - 0.05)
-            e = to_euler_ned(euler_to_rotation(roll, pitch, yaw))
+            e = to_euler_ned(zyx_rotation(roll, pitch, yaw))
             np.testing.assert_allclose([e.roll, e.pitch, e.yaw], [roll, pitch, yaw],
                                        atol=1e-10)
 
     def test_gimbal_lock_flagged(self):
-        e = to_euler_ned(euler_to_rotation(0.4, math.pi / 2, 0.2))
+        e = to_euler_ned(zyx_rotation(0.4, math.pi / 2, 0.2))
         assert e.gimbal_lock
         assert e.yaw == 0.0
         # the recovered rotation must still reproduce the matrix
-        r = euler_to_rotation(e.roll, e.pitch, e.yaw)
+        r = zyx_rotation(e.roll, e.pitch, e.yaw)
         np.testing.assert_allclose(
-            r.matrix(), euler_to_rotation(0.4, math.pi / 2, 0.2).matrix(), atol=1e-9)
+            r.matrix(), zyx_rotation(0.4, math.pi / 2, 0.2).matrix(), atol=1e-9)
 
 
 class TestCameraRig:

@@ -9,7 +9,7 @@ import pytest
 
 from planar_init import imu as imu_mod
 from planar_init.cli import main
-from planar_init.config import PipelineConfig, load_config, save_config
+from planar_init.config import PipelineConfig, load_config
 from planar_init.errors import AlignmentError, PipelineError
 from planar_init.geometry import Pose, Rotation
 from planar_init.harness import (
@@ -219,6 +219,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_sweep("selection", ["moon"], ["vertical"], 1, 0)
 
+    @pytest.mark.parametrize("mode, scenes, profiles", [
+        ("selection", [], ["vertical"]),
+        ("full", ["helipad"], []),
+        ("fulll", ["helipad"], ["vertical"]),
+    ])
+    def test_empty_lists_and_unknown_mode_rejected(self, mode, scenes, profiles):
+        with pytest.raises(ValueError):
+            run_sweep(mode, scenes, profiles, 1, 0)
+
     def test_full_mode_single_trial(self):
         rows = run_sweep("full", ["helipad"], ["vertical"], trials=1, master_seed=2)
         assert rows[0]["initialized"] == 1
@@ -263,7 +272,7 @@ class TestConfigIo:
     def test_round_trip(self, tmp_path):
         cfg = PipelineConfig(preset_height_m=1.2, min_features=30)
         path = tmp_path / "cfg.json"
-        save_config(path, cfg)
+        path.write_text(json.dumps(cfg.to_json_dict()))
         assert load_config(path) == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -426,6 +435,25 @@ class TestCli:
         assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
         assert main(args + ["--jobs", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--scenes", "--profiles"])
+    def test_sweep_empty_list_is_a_usage_error(self, flag, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--trials", "1", flag, "", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--noise-px", "-3"), ("--noise-px", "nan"),
+                                             ("--features", "-1")])
+    def test_generate_bad_input_is_a_usage_error(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "ds"
+        code = main(["generate", "--scene", "helipad", flag, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_io_error_exit_code(self, dataset_dir, tmp_path):
         assert main(["init", "--dataset", str(tmp_path / "missing"),

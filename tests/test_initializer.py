@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from planar_init.initializer import (
     select_solution,
     triangulate_stereo,
 )
+from planar_init.motion_field import flow_model
 from planar_init.simulator import (
     NoiseModel,
     TrajectoryProfile,
@@ -233,9 +235,14 @@ class TestRefineBodyVelocity:
         n_i, d_i = ds.truth.plane_in_camera(k_i, ds.rig)
         from planar_init.homography import synthesize
         h_fwd = synthesize(rel.rotation, rel.translation, n_i, d_i)
-        out = refine_body_velocity(window, h_fwd, np.zeros(3), ds.rig,
+        # the points the pipeline passes: shared features that triangulate
+        # reliably at the earlier keyframe
+        _, rows, _ = window.shared_features(0, 1)
+        rows = rows[kf_i.uv_l[rows, 0] - kf_i.uv_r[rows, 0] >= cfg.min_disparity_px]
+        points = (kf_i.ids[rows], triangulate_stereo(kf_i.uv_l[rows], kf_i.uv_r[rows], ds.rig))
+        out = refine_body_velocity(window, h_fwd, np.zeros(3), ds.rig, pair=0,
                                    R_w_b=ds.truth.body_pose(k_i).rotation.inverse(),
-                                   config=cfg)
+                                   gyro_bias=cfg.gyro_bias, config=cfg, points=points)
         v_true = ds.truth.velocity[k_i]
         np.testing.assert_allclose(out.velocity, v_true, atol=1e-6)
         assert out.iterations <= 10
@@ -350,6 +357,20 @@ class TestRunInitialization:
             run_initialization(window, spinning, ds.rig, PipelineConfig(), seed=0)
         assert info.value.stage == "stationarity"
 
+    @pytest.mark.parametrize("shift_s, reaches", [(0.002, True), (0.003, False)])
+    def test_anchor_within_half_a_sample(self, clean_vertical_dataset, shift_s, reaches):
+        # the 200 Hz stream allows the anchor 2.5 ms from the first keyframe
+        ds = clean_vertical_dataset
+        window = select_window(ds, PipelineConfig())
+        anchor = replace(window.anchor, t=window.anchor.t - shift_s)
+        moved = KeyframeWindow(window.keyframes, window.imu, anchor)
+        if reaches:
+            assert run_initialization(moved, ds.imu, ds.rig, PipelineConfig(), seed=0).initialized
+            return
+        with pytest.raises(PipelineError, match="does not reach the first keyframe") as info:
+            run_initialization(moved, ds.imu, ds.rig, PipelineConfig(), seed=0)
+        assert info.value.stage == "imu"
+
     def test_pipeline_error_pickles(self):
         # crossing a process boundary keeps the stage, the message and what
         # the pipeline computed before failing
@@ -425,7 +446,7 @@ class TestStackedChainMatchesPerFeatureChain:
     """Each stacked per-pair step of a real window must reproduce the
     per-feature computation it replaced bit for bit: the triangulated
     points, PnP's world points, the refit weights and the velocity
-    Jacobian blocks."""
+    Jacobian factors, whose stacked blocks round as each feature's alone."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -435,6 +456,7 @@ class TestStackedChainMatchesPerFeatureChain:
         for module, name in ((initializer, "estimate"), (initializer, "triangulate_stereo"),
                              (initializer, "solve_pnp"), (initializer, "refine_pose"),
                              (initializer, "refine_velocity"),
+                             (motion_field, "flow_model"),
                              (motion_field, "flow_transfer_matrix"),
                              (motion_field, "projection_velocity_matrix")):
             calls[name] = []
@@ -495,16 +517,20 @@ class TestStackedChainMatchesPerFeatureChain:
             (*_, refit_weights), _ = calls["refine_pose"][m]
             np.testing.assert_array_equal(refit_weights, weights)
 
-            (p_source, p_c, v_measured, h, r_w_b, *_), _ = calls["refine_velocity"][m]
+            (p_source, p_c, v_measured, h, r_w_b, omega, *_), _ = calls["refine_velocity"][m]
             dt = kf_j.t - kf_i.t
             np.testing.assert_array_equal(p_c, stacked)
             np.testing.assert_array_equal(p_source, kf_i.norm_l[[rows_i[f] for f in fids]])
             np.testing.assert_array_equal(
                 v_measured, [(kf_j.norm_l[rows_j[f]] - kf_i.norm_l[rows_i[f]]) / dt
                              for f in fids])
-            c_mat = (rig.T_c_b.rotation.inverse() @ r_w_b).matrix()
-            expected = [_per_feature_flow_transfer(h, p) @ _per_feature_projection_velocity(q)
-                        @ c_mat for p, q in zip(p_source, p_c)]
             _, transfer = calls["flow_transfer_matrix"][m]
             _, projection = calls["projection_velocity_matrix"][m]
-            np.testing.assert_array_equal(transfer @ projection @ c_mat, expected)
+            np.testing.assert_array_equal(
+                transfer, [_per_feature_flow_transfer(h, p) for p in p_source])
+            np.testing.assert_array_equal(
+                projection, [_per_feature_projection_velocity(q) for q in p_c])
+            _, model = calls["flow_model"][m]
+            singles = [flow_model(p_source[k:k + 1], p_c[k:k + 1], h, r_w_b, omega,
+                                  rig).blocks[0] for k in range(len(p_source))]
+            np.testing.assert_array_equal(model.blocks, singles)

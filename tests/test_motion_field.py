@@ -10,8 +10,7 @@ from planar_init.errors import (
 from planar_init.geometry import CameraRig, Pose, Rotation
 from planar_init.homography import Homography
 from planar_init.motion_field import (
-    camera_velocity,
-    feature_normalized_velocity,
+    flow_model,
     flow_transfer_matrix,
     projection_velocity_matrix,
     refine_velocity,
@@ -75,12 +74,11 @@ class TestFeatureVelocity:
     def test_direct_evaluation(self):
         # p = [1, 2, 2], v = [0, 0, 1]: [-x/z^2, -y/z^2] = [-0.25, -0.5]
         np.testing.assert_allclose(
-            feature_normalized_velocity([1.0, 2.0, 2.0], [0.0, 0.0, 1.0]),
-            [-0.25, -0.5])
+            projection_velocity_matrix([1.0, 2.0, 2.0]) @ [0.0, 0.0, 1.0], [-0.25, -0.5])
 
     def test_zero_velocity(self):
         np.testing.assert_allclose(
-            feature_normalized_velocity([1.0, 2.0, 2.0], np.zeros(3)), [0.0, 0.0])
+            projection_velocity_matrix([1.0, 2.0, 2.0]) @ np.zeros(3), [0.0, 0.0])
 
     def test_matches_finite_difference(self):
         rng = np.random.default_rng(1)
@@ -91,12 +89,14 @@ class TestFeatureVelocity:
             ahead = (p + step * v)
             behind = (p - step * v)
             fd = ((ahead[:2] / ahead[2]) - (behind[:2] / behind[2])) / (2 * step)
-            np.testing.assert_allclose(feature_normalized_velocity(p, v), fd,
+            np.testing.assert_allclose(projection_velocity_matrix(p) @ v, fd,
                                        atol=1e-6, rtol=1e-6)
 
     def test_zero_depth(self):
         with pytest.raises(ZeroDepthError):
-            feature_normalized_velocity([1.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+            projection_velocity_matrix([1.0, 1.0, 0.0])
+        with pytest.raises(ZeroDepthError):  # one zero-depth row of a stack
+            projection_velocity_matrix([[1.0, 1.0, 2.0], [1.0, 1.0, 0.0]])
 
     def test_stack_matches_single_points(self):
         rng = np.random.default_rng(4)
@@ -107,38 +107,73 @@ class TestFeatureVelocity:
             np.testing.assert_array_equal(stacked[k], projection_velocity_matrix(p[k]))
 
 
+IDENTITY_H = Homography(np.eye(3))
+
+
 class TestCameraVelocity:
+    """The flow model's camera-velocity part, seen through an identity homography."""
+
     def test_sign_convention(self, simple_rig):
-        v_c = camera_velocity([0.0, 0.0, 1.5], np.zeros(3), Rotation.identity(),
-                              simple_rig)
-        np.testing.assert_allclose(v_c, [0.0, 0.0, -1.5])
+        # descending 1.5 m/s towards the plane (NED z down): static points move
+        # at [0, 0, -1.5] in the camera and spread away from the optical axis
+        model = flow_model([[0.5, 1.0]], [[1.0, 2.0, 2.0]], IDENTITY_H,
+                           Rotation.identity(), np.zeros(3), simple_rig)
+        np.testing.assert_allclose(model.predict(np.array([0.0, 0.0, 1.5])),
+                                   [[0.375, 0.75]])
 
     def test_lever_arm(self):
         rig = CameraRig(
             f=400.0, cx=640.0, cy=400.0, baseline=0.1, width=1280, height=800,
             T_c_b=Pose(Rotation.identity(), np.array([1.0, 0.0, 0.0]), "c", "b"))
-        # omega x t_cb = [0,0,1] x [1,0,0] = [0,1,0], then the apparent-motion sign flip
-        v_c = camera_velocity(np.zeros(3), [0.0, 0.0, 1.0], Rotation.identity(), rig)
-        np.testing.assert_allclose(v_c, [0.0, -1.0, 0.0], atol=1e-15)
+        # omega x t_cb = [0,0,1] x [1,0,0] = [0,1,0]: the camera moves along +y,
+        # so a point on the optical axis at depth 2 drifts along -y at 1/2
+        model = flow_model([[0.0, 0.0]], [[0.0, 0.0, 2.0]], IDENTITY_H,
+                           Rotation.identity(), [0.0, 0.0, 1.0], rig)
+        np.testing.assert_allclose(model.lever_w, [0.0, 1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(model.predict(np.zeros(3)), [[0.0, -0.5]], atol=1e-15)
 
     def test_numeric_differentiation_oracle(self, rig):
-        # camera position: p_b + R_b^w(t) t_cb; differentiate numerically for a
-        # rotating, translating body and compare against the lever-arm formula
+        # static points seen from a rotating, translating body: differentiate
+        # their normalized coordinates numerically as the camera origin moves
+        # (its attitude held, since the model leaves out the rotational flow)
         omega = np.array([0.1, -0.2, 0.3])
         v_b = np.array([0.4, 0.2, -1.0])
+        body_0 = Rotation.about_z(0.4) @ Rotation.about_x(0.2)
         step = 1e-6
 
-        def body_rot(t):
-            return Rotation.from_rotvec(omega * t)
+        def camera(t):
+            body = Pose(body_0 @ Rotation.from_rotvec(omega * t), v_b * t, "b", "w")
+            return body @ rig.T_c_b
 
-        def cam_pos(t):
-            return v_b * t + body_rot(t).apply(rig.T_c_b.translation)
+        cam_0 = camera(0.0)
+        p_c = np.array([[0.3, -0.2, 2.0], [-0.5, 0.4, 3.0], [0.1, 0.6, 1.5]])
+        points_w = cam_0.apply(p_c)
 
-        v_cam_w_fd = (cam_pos(step) - cam_pos(-step)) / (2 * step)
-        r_w_b = Rotation.identity()
-        v_c = camera_velocity(v_b, omega, r_w_b, rig)
-        expected = -(rig.T_c_b.rotation.inverse() @ r_w_b).apply(v_cam_w_fd)
-        np.testing.assert_allclose(v_c, expected, atol=1e-3)
+        def normalized(t):
+            q = cam_0.rotation.inverse().apply(points_w - camera(t).translation)
+            return q[:, :2] / q[:, 2:]
+
+        fd = (normalized(step) - normalized(-step)) / (2 * step)
+        model = flow_model(p_c[:, :2] / p_c[:, 2:], p_c, IDENTITY_H, body_0.inverse(),
+                           omega, rig)
+        np.testing.assert_allclose(model.predict(v_b), fd, atol=1e-8)
+
+
+class TestFlowModel:
+    def test_transfer_matches_finite_difference(self, rig):
+        # the model's velocities are its identity-homography velocities pushed
+        # through the dehomogenized map of h
+        rng = np.random.default_rng(6)
+        h = Homography(np.eye(3) + rng.normal(0, 0.05, size=(3, 3)))
+        p = rng.uniform(-0.4, 0.4, size=(20, 2))
+        p_c = rng.uniform(1.0, 4.0, size=(20, 1)) * np.c_[p, np.ones(20)]
+        args = (Rotation.about_y(0.2), [0.05, -0.1, 0.2], rig)
+        v = np.array([0.3, -0.1, -0.8])
+        local = flow_model(p, p_c, IDENTITY_H, *args).predict(v)
+        transferred = flow_model(p, p_c, h, *args).predict(v)
+        for k in range(20):
+            np.testing.assert_allclose(transferred[k], fd_homography_velocity(h, p[k], local[k]),
+                                       atol=1e-8)
 
 
 def vertical_flow_instance(n_features=12, h_i=1.5, v_true=(0.0, 0.0, -1.0),
@@ -203,25 +238,16 @@ class TestRefineVelocity:
                             np.zeros(3))
 
     def test_analytic_jacobian_matches_finite_differences(self):
-        (p, p_c, v_meas), h_fwd, omega, rig, v_true = vertical_flow_instance(seed=5)
-        r_w_b = Rotation.about_z(0.3)
-        c_mat = (rig.T_c_b.rotation.inverse() @ r_w_b).matrix()
-        lever = r_w_b.inverse().apply(np.cross(omega, rig.T_c_b.translation))
+        # the solver's Jacobian is the model's blocks: check them against
+        # central differences of the residual on the model's prediction
+        (p, p_c, v_meas), h_fwd, _, rig, _ = vertical_flow_instance(seed=5)
+        model = flow_model(p, p_c, h_fwd, Rotation.about_z(0.3), [0.02, -0.01, 0.05], rig)
 
         def residuals(v):
-            res = []
-            for p_k, p_c_k, v_k in zip(p, p_c, v_meas):
-                a = flow_transfer_matrix(h_fwd, p_k)
-                j = projection_velocity_matrix(p_c_k)
-                pred = -(a @ j @ c_mat) @ (v + lever)
-                res.append(v_k - pred)
-            return np.concatenate(res)
+            return (v_meas - model.predict(v)).reshape(-1)
 
         v0 = np.array([0.2, -0.1, -0.7])
-        jac_analytic = np.vstack([
-            flow_transfer_matrix(h_fwd, p_k) @ projection_velocity_matrix(p_c_k) @ c_mat
-            for p_k, p_c_k in zip(p, p_c)
-        ])
+        jac_analytic = model.blocks.reshape(-1, 3)
         step = 1e-6
         jac_fd = np.empty_like(jac_analytic)
         for k in range(3):

@@ -173,6 +173,21 @@ class TestSynthesizeImu:
         assert not np.array_equal(a.gyro[100], c.gyro[100])
 
 
+class TestNoiseModel:
+    @pytest.mark.parametrize("bad", [
+        {"pixel_px": -3.0}, {"pixel_px": float("nan")}, {"pixel_px": float("inf")},
+        {"gyro_noise_density": -1e-4}, {"accel_noise_density": float("nan")},
+        {"gyro_bias": (0.0, float("inf"), 0.0)}, {"accel_bias": (float("nan"), 0.0, 0.0)},
+    ])
+    def test_rejects_negative_or_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            NoiseModel(**bad)
+
+    def test_negative_bias_and_zero_noise_are_valid(self):
+        assert NoiseModel(gyro_bias=(-1e-3, 0.0, 0.0)).gyro_bias[0] == -1e-3
+        assert NoiseModel.noiseless().pixel_px == 0.0
+
+
 class TestDatasetIo:
     def test_round_trip_and_digest(self, tmp_path, rig):
         ds = make_dataset(scene_preset("asphalt"),
