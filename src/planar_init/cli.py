@@ -120,6 +120,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_init(args) -> int:
+    if args.seed < 0:  # checked before --out is created
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         cfg = _load_pipeline_config(args)
     except OSError as exc:

@@ -330,9 +330,15 @@ def load_rig(path) -> CameraRig:
 def project(rig: CameraRig, p_c) -> np.ndarray:
     """Pinhole projection of camera-frame points (..., 3) to pixels (..., 2)."""
     p = np.asarray(p_c, dtype=np.float64)
-    if np.any(p[..., 2] <= 0.0):
-        raise BehindCameraError(f"point depth {np.min(p[..., 2]):.6g} <= 0")
-    return rig.f * p[..., :2] / p[..., 2:] + (rig.cx, rig.cy)
+    z = p[..., 2]
+    if np.any(z <= 0.0):
+        raise BehindCameraError(f"point depth {np.min(z):.6g} <= 0")
+    # one coordinate at a time: a 1-D pass runs several times faster than
+    # broadcasting an (..., 1) depth over (..., 2) pixels
+    uv = np.empty(p.shape[:-1] + (2,))
+    uv[..., 0] = rig.f * p[..., 0] / z + rig.cx
+    uv[..., 1] = rig.f * p[..., 1] / z + rig.cy
+    return uv
 
 
 def normalize(rig: CameraRig, pixel) -> np.ndarray:

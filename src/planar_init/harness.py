@@ -452,6 +452,8 @@ def run_sweep(mode: str, scenes: list[str], profiles: list[str], trials: int,
         raise ValueError(f"unknown sweep mode {mode!r}; choose selection or full")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not scenes or not profiles:
         raise ValueError("a sweep needs at least one scene and one profile")
     for s in scenes:

@@ -36,13 +36,18 @@ def _grunert_quartic(a2, b2, c2, ca, cb, cg) -> np.ndarray:
 
 
 def _absolute_orientation(p_world: np.ndarray, p_cam: np.ndarray):
-    """Least-squares (R, t) with p_cam = R p_world + t (Kabsch)."""
+    """Least-squares (R, t) with p_cam = R p_world + t (Kabsch), for a
+    stack of camera-frame point sets p_cam (K, 3, 3) of the same world
+    points; returns R (K, 3, 3) and t (K, 3)."""
     cw = p_world.mean(axis=0)
-    cc = p_cam.mean(axis=0)
-    h = (p_world - cw).T @ (p_cam - cc)
+    cc = p_cam.mean(axis=1)
+    h = (p_world - cw).T @ (p_cam - cc[:, None])
     u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    v, ut = vt.swapaxes(1, 2), u.swapaxes(1, 2)
+    flip = np.zeros((len(h), 3, 3))
+    flip[:, 0, 0] = flip[:, 1, 1] = 1.0
+    flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+    r = v @ flip @ ut
     return r, cc - r @ cw
 
 
@@ -93,7 +98,7 @@ def p3p(points_w: np.ndarray, obs: np.ndarray) -> list[tuple[np.ndarray, np.ndar
     cg = float(bearings[0] @ bearings[1])
 
     roots = np.roots(_grunert_quartic(a2, b2, c2, ca, cb, cg))
-    poses: list[tuple[np.ndarray, np.ndarray]] = []
+    p_cam = []  # camera-frame points of each surviving root
     for root in roots:
         if abs(root.imag) > 1e-8 * max(1.0, abs(root.real)):
             continue
@@ -115,9 +120,10 @@ def p3p(points_w: np.ndarray, obs: np.ndarray) -> list[tuple[np.ndarray, np.ndar
                                  a2, b2, c2, ca, cb, cg)
         if np.any(dist <= 0.0) or not np.all(np.isfinite(dist)):
             continue
-        p_cam = dist[:, None] * bearings
-        poses.append(_absolute_orientation(pw, p_cam))
-    return poses
+        p_cam.append(dist[:, None] * bearings)
+    if not p_cam:
+        return []
+    return list(zip(*_absolute_orientation(pw, np.array(p_cam))))
 
 
 def _reprojection_errors(r: np.ndarray, t: np.ndarray, points_w: np.ndarray,
@@ -145,6 +151,8 @@ def refine_pose(points_w: np.ndarray, obs: np.ndarray, r0: np.ndarray,
     sw = np.ones(n) if weights is None else np.sqrt(np.asarray(weights, dtype=np.float64))
     r, t = r0.copy(), t0.copy()
     cost = np.inf
+    # rows (2k, 2k+1) of the Jacobian belong to point k; columns [dtheta, dt]
+    jac = np.zeros((n, 2, 6))
     for _ in range(max_iters):
         p_c = pw @ r.T + t
         z = p_c[:, 2]
@@ -152,26 +160,26 @@ def refine_pose(points_w: np.ndarray, obs: np.ndarray, r0: np.ndarray,
             break
         res = (p_c[:, :2] / z[:, None] - ob) * sw[:, None]
         new_cost = float(np.sum(res * res))
-        jac = np.zeros((2 * n, 6))
+        # d(residual)/d(p_c) = [[1/z, 0, gx], [0, 1/z, gy]], chained with
+        # d(p_c)/d[dtheta, dt] = [-[p_c-t]x | I].  Each dtheta entry sums
+        # its non-zero products onto 0.0, left to right, which is the full
+        # 3-term product down to the sign of an exact zero.
         inv_z = 1.0 / z
-        # d(residual)/d(p_c), chain with d(p_c)/d[dtheta, dt] = [-[p_c-t]x | I]
-        j_pi = np.zeros((n, 2, 3))
-        j_pi[:, 0, 0] = inv_z
-        j_pi[:, 1, 1] = inv_z
-        j_pi[:, 0, 2] = -p_c[:, 0] * inv_z * inv_z
-        j_pi[:, 1, 2] = -p_c[:, 1] * inv_z * inv_z
-        rp = p_c - t
-        skew = np.zeros((n, 3, 3))
-        skew[:, 0, 1] = -rp[:, 2]
-        skew[:, 0, 2] = rp[:, 1]
-        skew[:, 1, 0] = rp[:, 2]
-        skew[:, 1, 2] = -rp[:, 0]
-        skew[:, 2, 0] = -rp[:, 1]
-        skew[:, 2, 1] = rp[:, 0]
-        jtheta = np.einsum("nij,njk->nik", j_pi, -skew)  # d p_c / d theta = -[rp]x
-        jac[:, :3] = (jtheta * sw[:, None, None]).reshape(2 * n, 3)
-        jac[:, 3:] = (j_pi * sw[:, None, None]).reshape(2 * n, 3)
-        step, *_ = np.linalg.lstsq(jac, -res.reshape(-1), rcond=None)
+        gx = -p_c[:, 0] * inv_z * inv_z
+        gy = -p_c[:, 1] * inv_z * inv_z
+        rx, ry, rz = (p_c - t).T
+        jac[:, 0, 0] = 0.0 + gx * ry
+        jac[:, 0, 1] = (0.0 + inv_z * rz) + gx * -rx
+        jac[:, 0, 2] = 0.0 + inv_z * -ry
+        jac[:, 1, 0] = (0.0 + inv_z * -rz) + gy * ry
+        jac[:, 1, 1] = 0.0 + gy * -rx
+        jac[:, 1, 2] = 0.0 + inv_z * rx
+        jac[:, 0, 3] = inv_z
+        jac[:, 0, 5] = gx
+        jac[:, 1, 4] = inv_z
+        jac[:, 1, 5] = gy
+        jac *= sw[:, None, None]
+        step, *_ = np.linalg.lstsq(jac.reshape(2 * n, 6), -res.reshape(-1), rcond=None)
         if not np.all(np.isfinite(step)):
             break
         r = Rotation.from_rotvec(step[:3]).matrix() @ r

@@ -37,6 +37,10 @@ from .imu import GRAVITY_NED, ImuStream, load_imu_csv, save_imu_csv
 
 SCENE_PRESETS = {"helipad": 0.0, "asphalt": 0.01, "lawn": 0.05}
 PROFILE_KINDS = ("vertical", "oblique", "hover")
+# camera frames that render_tracks projects in one stacked pass, chosen by
+# measurement: with 800 features a chunk's temporaries stay near 150 kB,
+# while a whole 121-frame flight in one pass was slower and page-faulted more
+_RENDER_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -255,33 +259,55 @@ def render_tracks(scene: np.ndarray, truth: GroundTruth, rig: CameraRig,
     views (evaluated noise-free); i.i.d. Gaussian pixel noise of std
     ``noise_px`` is then added.  Track ids are the feature indices, so
     they are stable across keyframes.
+
+    Frames are projected ``_RENDER_CHUNK`` at a time in one stacked pass.
+    The noise draw order is that of one frame at a time: each visible
+    feature, in bounds or not, draws its left pixel noise, then its right,
+    as an (n, 2) block per view and frame.
     """
     rng = np.random.default_rng(seed)
     r_cb = rig.T_c_b.rotation.matrix()
     t_cb = rig.T_c_b.translation
-    body_mats = quat_matrices(truth.quat_wxyz)
+    cam = truth.cam_indices
+    r_bw = quat_matrices(truth.quat_wxyz)[cam]
+    cam_pos = truth.position[cam] + r_bw @ t_cb
+    r_wc = (r_bw @ r_cb).transpose(0, 2, 1)
+    scene_t = np.ascontiguousarray(scene.T)
     frames: list[FrameObservations] = []
-    for frame_no, k in enumerate(truth.cam_indices):
-        r_bw = body_mats[k]
-        cam_pos = truth.position[k] + r_bw @ t_cb
-        r_wc = (r_bw @ r_cb).T
-        p_cl = (scene - cam_pos) @ r_wc.T
-        p_cr = p_cl.copy()
-        p_cr[:, 0] -= rig.baseline
-        vis = (p_cl[:, 2] > min_depth) & (p_cr[:, 2] > min_depth)
-        idx = np.flatnonzero(vis)
-        uvl = project(rig, p_cl[idx])
-        uvr = project(rig, p_cr[idx])
+    for lo in range(0, len(cam), _RENDER_CHUNK):
+        hi = min(lo + _RENDER_CHUNK, len(cam))
+        # left-camera points, coordinate-major (F, 3, N); the right camera
+        # sits at +baseline along camera x, so it sees the same depths
+        p_c = r_wc[lo:hi] @ (scene_t - cam_pos[lo:hi, :, None])
+        rows = np.flatnonzero(p_c[:, 2] > min_depth)
+        frame_of, ids = np.divmod(rows, len(scene))  # frame by frame, ids ascending
+        p_l = np.stack([p_c[:, c].reshape(-1)[rows] for c in range(3)], axis=-1)
+        p_r = p_l.copy()
+        p_r[:, 0] -= rig.baseline
+        uvl = project(rig, p_l)
+        uvr = project(rig, p_r)
         inb = ((uvl[:, 0] >= 0) & (uvl[:, 0] < rig.width)
                & (uvl[:, 1] >= 0) & (uvl[:, 1] < rig.height)
                & (uvr[:, 0] >= 0) & (uvr[:, 0] < rig.width)
                & (uvr[:, 1] >= 0) & (uvr[:, 1] < rig.height))
-        if noise_px > 0.0 and len(idx):
-            # every visible feature draws its noise, in bounds or not
-            uvl = uvl + rng.normal(0.0, noise_px, size=uvl.shape)
-            uvr = uvr + rng.normal(0.0, noise_px, size=uvr.shape)
-        frames.append(FrameObservations(frame_no, float(truth.t[k]), idx[inb], uvl[inb],
-                                        uvr[inb]))
+        uvl, uvr = uvl[inb], uvr[inb]
+        if noise_px > 0.0 and len(ids):
+            noise = rng.normal(0.0, noise_px, size=4 * len(ids))
+            counts = np.bincount(frame_of, minlength=hi - lo)
+            first = np.cumsum(counts) - counts  # first visible row of each frame
+            # the frames before a row's frame drew 4 values per visible row,
+            # its own frame 2 per row before it; its right draws follow the
+            # frame's left block
+            left = 2 * (first[frame_of] + np.arange(len(ids)))[inb, None] + (0, 1)
+            uvl = uvl + noise[left]
+            uvr = uvr + noise[left + 2 * counts[frame_of[inb], None]]
+        ids, frame_of = ids[inb], frame_of[inb]
+        for a in (ids, uvl, uvr):
+            a.setflags(write=False)  # FrameObservations keeps views, not copies
+        bounds = np.searchsorted(frame_of, np.arange(hi - lo + 1))
+        for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            frames.append(FrameObservations(lo + j, float(truth.t[cam[lo + j]]),
+                                            ids[a:b], uvl[a:b], uvr[a:b]))
     return frames
 
 
@@ -447,6 +473,11 @@ class LoadedDataset:
         return 1.0 / float(self.scene_meta["cam_rate_hz"])
 
 
+def _is_integer(v: np.ndarray) -> np.ndarray:
+    """Which values are integers that int64 holds."""
+    return np.isfinite(v) & (np.floor(v) == v) & (np.abs(v) < 2.0 ** 63)
+
+
 def load_dataset(dataset_dir) -> LoadedDataset:
     """Read a dataset written by :func:`write_dataset`.
 
@@ -463,6 +494,17 @@ def load_dataset(dataset_dir) -> LoadedDataset:
         raw = np.loadtxt(root / "features.csv", delimiter=",", skiprows=1, ndmin=2)
     if raw.size == 0:
         raw = np.empty((0, 7))
+    # rows the stable sort below would misfile: a fractional id, or a frame
+    # with no groundtruth row
+    frame, fid = raw[:, 0], raw[:, 2]
+    for name, col, bad, what in (
+            ("frame", frame, ~_is_integer(frame), "is not an integer"),
+            ("feature_id", fid, ~_is_integer(fid), "is not an integer"),
+            ("frame", frame, (frame < 0) | (frame >= len(gt)),
+             f"lies outside the {len(gt)} groundtruth frames")):
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"features.csv data row {k + 1}: {name} {float(col[k])!r} {what}")
     # one stable sort by (frame, feature id) splits the rows into frames
     frame_no = raw[:, 0].astype(np.int64)
     fids = raw[:, 2].astype(np.int64)

@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import ctypes
 import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -227,6 +228,11 @@ class TestSweep:
     def test_empty_lists_and_unknown_mode_rejected(self, mode, scenes, profiles):
         with pytest.raises(ValueError):
             run_sweep(mode, scenes, profiles, 1, 0)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_sweep("selection", ["helipad"], ["vertical"], 1, 0, jobs=jobs)
 
     def test_full_mode_single_trial(self):
         rows = run_sweep("full", ["helipad"], ["vertical"], trials=1, master_seed=2)
@@ -454,6 +460,34 @@ class TestCli:
         assert code == 1
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_init_negative_seed_is_a_usage_error(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["init", "--dataset", str(dataset_dir), "--out", str(out),
+                     "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_jobs_below_one_is_a_usage_error(self, jobs, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--trials", "1", "--jobs", jobs, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_malformed_features_row_is_an_io_error(self, dataset_dir, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        with open(ds / "features.csv", "a", newline="") as fh:
+            fh.write("7.5,0.35,3,1.0,2.0,3.0,4.0\r\n")
+        code = main(["init", "--dataset", str(ds), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "frame 7.5 is not an integer" in err
 
     def test_io_error_exit_code(self, dataset_dir, tmp_path):
         assert main(["init", "--dataset", str(tmp_path / "missing"),

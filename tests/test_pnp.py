@@ -3,7 +3,67 @@ import pytest
 
 from planar_init.errors import DegeneratePnpError, InsufficientDataError
 from planar_init.geometry import Rotation
+from planar_init import pnp
 from planar_init.pnp import p3p, refine_pose, solve_pnp
+
+
+def kabsch_reference(p_world, p_cam):
+    """(R, t) with p_cam = R p_world + t for one root's points (3, 3)."""
+    cw = p_world.mean(axis=0)
+    cc = p_cam.mean(axis=0)
+    h = (p_world - cw).T @ (p_cam - cc)
+    u, _, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    return r, cc - r @ cw
+
+
+def refine_pose_reference(points_w, obs, r0, t0, weights=None, max_iters=15):
+    """Gauss-Newton pose refinement with the Jacobian built from the full
+    (n, 2, 3) projection derivative and (n, 3, 3) skew matrices."""
+    n = len(points_w)
+    sw = np.ones(n) if weights is None else np.sqrt(weights)
+    r, t = r0.copy(), t0.copy()
+    cost = np.inf
+    for _ in range(max_iters):
+        p_c = points_w @ r.T + t
+        z = p_c[:, 2]
+        if np.any(z <= 1e-9):
+            break
+        res = (p_c[:, :2] / z[:, None] - obs) * sw[:, None]
+        new_cost = float(np.sum(res * res))
+        jac = np.zeros((2 * n, 6))
+        inv_z = 1.0 / z
+        j_pi = np.zeros((n, 2, 3))
+        j_pi[:, 0, 0] = inv_z
+        j_pi[:, 1, 1] = inv_z
+        j_pi[:, 0, 2] = -p_c[:, 0] * inv_z * inv_z
+        j_pi[:, 1, 2] = -p_c[:, 1] * inv_z * inv_z
+        rp = p_c - t
+        skew = np.zeros((n, 3, 3))
+        skew[:, 0, 1] = -rp[:, 2]
+        skew[:, 0, 2] = rp[:, 1]
+        skew[:, 1, 0] = rp[:, 2]
+        skew[:, 1, 2] = -rp[:, 0]
+        skew[:, 2, 0] = -rp[:, 1]
+        skew[:, 2, 1] = rp[:, 0]
+        jtheta = np.einsum("nij,njk->nik", j_pi, -skew)
+        jac[:, :3] = (jtheta * sw[:, None, None]).reshape(2 * n, 3)
+        jac[:, 3:] = (j_pi * sw[:, None, None]).reshape(2 * n, 3)
+        step, *_ = np.linalg.lstsq(jac, -res.reshape(-1), rcond=None)
+        if not np.all(np.isfinite(step)):
+            break
+        r = Rotation.from_rotvec(step[:3]).matrix() @ r
+        t = t + step[3:]
+        if new_cost >= cost - 1e-16 and np.linalg.norm(step) < 1e-12:
+            cost = min(cost, new_cost)
+            break
+        cost = new_cost
+    return r, t, cost
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def make_view(rng, n_points=100, coplanar=True, altitude=2.0, max_tilt=0.2):
@@ -45,6 +105,36 @@ class TestP3p:
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
         obs = pts[:, :2] / 2.0
         assert p3p(pts, obs) == []
+
+
+    def test_stacked_kabsch_matches_per_root_reference(self, monkeypatch):
+        # each root's pose has the bits of aligning that root's points alone
+        stacks = []
+
+        def spy(p_world, p_cam):
+            stacks.append(p_cam.copy())
+            return absolute_orientation(p_world, p_cam)
+
+        absolute_orientation = pnp._absolute_orientation
+        monkeypatch.setattr(pnp, "_absolute_orientation", spy)
+        rng = np.random.default_rng(5)
+        roots = 0
+        for k in range(120):
+            view = make_view(rng, n_points=3, coplanar=k % 2 == 0)
+            if view is None:
+                continue
+            pts, obs, _ = view
+            obs = obs + rng.normal(0.0, 1e-3 * (k % 3), obs.shape)
+            stacks.clear()
+            sols = p3p(pts, obs)
+            if not sols:
+                continue
+            assert len(stacks) == 1 and len(stacks[0]) == len(sols)
+            for (r, t), p_cam in zip(sols, stacks[0]):
+                r_ref, t_ref = kabsch_reference(pts, p_cam)
+                assert same_bits(r, r_ref) and same_bits(t, t_ref)
+            roots += len(sols)
+        assert roots > 120
 
 
 class TestSolvePnp:
@@ -152,3 +242,29 @@ class TestRefinePose:
             if err_w < err_u:
                 gains_ok += 1
         assert gains_ok >= 8
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_full_jacobian_reference(self, weighted):
+        # same bits as the Jacobian built from full 3x3 products, from a
+        # near start and from the identity, including points with exact
+        # zero coordinates
+        rng = np.random.default_rng(21)
+        for k in range(12):
+            view = None
+            while view is None:
+                view = make_view(rng, n_points=40 + 10 * k)
+            pts, obs, (r_cw, cam_pos) = view
+            if k % 3 == 0:
+                pts[::5, :2] = np.round(pts[::5, :2])
+            r_wc = r_cw.matrix().T
+            t_wc = -r_wc @ cam_pos
+            noisy = obs + rng.normal(0.0, 2e-3, obs.shape)
+            w = rng.uniform(0.1, 4.0, len(pts)) if weighted else None
+            starts = [(Rotation.from_rotvec(rng.normal(0, 0.05, 3)).matrix() @ r_wc,
+                       t_wc + rng.normal(0, 0.05, 3)),
+                      (np.eye(3), np.array([0.0, 0.0, 2.0]))]
+            for r0, t0 in starts:
+                r, t, cost = refine_pose(pts, noisy, r0, t0, weights=w)
+                r_ref, t_ref, cost_ref = refine_pose_reference(pts, noisy, r0, t0, w)
+                assert same_bits(r, r_ref) and same_bits(t, t_ref)
+                assert cost == cost_ref

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from planar_init.geometry import normalize
+from planar_init import simulator
+from planar_init.geometry import normalize, quat_matrices
 from planar_init.homography import synthesize
 from planar_init.imu import propagate, nav_state_at_rest
 from planar_init.simulator import (
@@ -18,6 +19,36 @@ from planar_init.simulator import (
     synthesize_imu,
     write_dataset,
 )
+
+
+def per_frame_render(scene, truth, rig, noise_px=0.0, seed=0, min_depth=0.05):
+    """Reference renderer, one camera frame at a time: (frame, t, ids, uv_l,
+    uv_r) per frame, and the number of visible features per frame."""
+    rng = np.random.default_rng(seed)
+    r_cb = rig.T_c_b.rotation.matrix()
+    t_cb = rig.T_c_b.translation
+    body_mats = quat_matrices(truth.quat_wxyz)
+    frames, visible = [], []
+    for frame_no, k in enumerate(truth.cam_indices):
+        r_bw = body_mats[k]
+        cam_pos = truth.position[k] + r_bw @ t_cb
+        r_wc = (r_bw @ r_cb).T
+        p_cl = (scene - cam_pos) @ r_wc.T
+        p_cr = p_cl.copy()
+        p_cr[:, 0] -= rig.baseline
+        idx = np.flatnonzero((p_cl[:, 2] > min_depth) & (p_cr[:, 2] > min_depth))
+        uvl = rig.f * p_cl[idx, :2] / p_cl[idx, 2:] + (rig.cx, rig.cy)
+        uvr = rig.f * p_cr[idx, :2] / p_cr[idx, 2:] + (rig.cx, rig.cy)
+        inb = ((uvl[:, 0] >= 0) & (uvl[:, 0] < rig.width)
+               & (uvl[:, 1] >= 0) & (uvl[:, 1] < rig.height)
+               & (uvr[:, 0] >= 0) & (uvr[:, 0] < rig.width)
+               & (uvr[:, 1] >= 0) & (uvr[:, 1] < rig.height))
+        if noise_px > 0.0 and len(idx):
+            uvl = uvl + rng.normal(0.0, noise_px, size=uvl.shape)
+            uvr = uvr + rng.normal(0.0, noise_px, size=uvr.shape)
+        frames.append((frame_no, float(truth.t[k]), idx[inb], uvl[inb], uvr[inb]))
+        visible.append(len(idx))
+    return frames, np.array(visible)
 
 
 class TestScene:
@@ -135,6 +166,41 @@ class TestRenderTracks:
         assert len(shared)  # same physical features carry the same id
         assert shared.max() < len(ds.truth.features)
 
+    @pytest.mark.parametrize("kind, duration", [("vertical", 6.0), ("oblique", 6.0),
+                                                ("hover", 6.0), ("vertical", 3.0),
+                                                ("hover", 0.3)])
+    @pytest.mark.parametrize("noise_px", [0.5, 0.0])
+    def test_matches_per_frame_reference(self, rig, kind, duration, noise_px):
+        # the stacked chunks give every frame the same bits, and the same
+        # noise draws, as projecting one frame at a time
+        scene = generate_scene(scene_preset("asphalt", seed=2))
+        truth = generate_trajectory(TrajectoryProfile(kind=kind, duration=duration))
+        frames = render_tracks(scene, truth, rig, noise_px=noise_px, seed=9)
+        expected, _ = per_frame_render(scene, truth, rig, noise_px=noise_px, seed=9)
+        assert len(frames) % simulator._RENDER_CHUNK != 0  # a partial last chunk
+        assert len(frames) == len(expected)
+        for fr, (frame_no, t, ids, uv_l, uv_r) in zip(frames, expected):
+            assert (fr.frame, fr.t) == (frame_no, t)
+            np.testing.assert_array_equal(fr.ids, ids)
+            assert fr.uv_l.tobytes() == uv_l.tobytes()
+            assert fr.uv_r.tobytes() == uv_r.tobytes()
+
+    @pytest.mark.parametrize("noise_px", [0.5, 0.0])
+    def test_matches_reference_on_starved_frames(self, rig, noise_px):
+        # below the plane no feature is visible; just above it features are
+        # visible but fall outside the stereo overlap
+        scene = generate_scene(SceneConfig(feature_count=800, seed=7))
+        truth = generate_trajectory(TrajectoryProfile(kind="vertical"))
+        frames = render_tracks(scene, truth, rig, noise_px=noise_px, seed=1)
+        expected, visible = per_frame_render(scene, truth, rig, noise_px=noise_px, seed=1)
+        kept = np.array([len(ids) for _, _, ids, _, _ in expected])
+        assert np.any(visible == 0)
+        assert np.any((visible > 0) & (kept == 0))
+        for fr, (_, _, ids, uv_l, uv_r) in zip(frames, expected):
+            np.testing.assert_array_equal(fr.ids, ids)
+            assert fr.uv_l.tobytes() == uv_l.tobytes()
+            assert fr.uv_r.tobytes() == uv_r.tobytes()
+
     def test_noise_determinism(self, rig):
         scene = generate_scene(SceneConfig(feature_count=100, seed=1))
         truth = generate_trajectory(TrajectoryProfile(kind="vertical"))
@@ -236,6 +302,25 @@ class TestDatasetIo:
         write_dataset(tmp_path / "a", ds)
         self.rewrite_features(tmp_path / "a", lambda rows: rows + rows[len(rows) // 2:][:1])
         with pytest.raises(ValueError, match="repeats feature"):
+            load_dataset(tmp_path / "a")
+
+    @pytest.mark.parametrize("row, message", [
+        ("999,50.0,3,1.0,2.0,3.0,4.0", "frame 999.0 lies outside the 61 groundtruth frames"),
+        ("-1,0.0,3,1.0,2.0,3.0,4.0", "frame -1.0 lies outside"),
+        ("7.5,0.35,3,1.0,2.0,3.0,4.0", "frame 7.5 is not an integer"),
+        ("7,0.35,3.7,1.0,2.0,3.0,4.0", "feature_id 3.7 is not an integer"),
+        ("nan,0.35,3,1.0,2.0,3.0,4.0", "frame nan is not an integer"),
+    ])
+    def test_malformed_row_raises(self, tmp_path, rig, row, message):
+        # such rows used to vanish (frame past the groundtruth) or be
+        # truncated into another feature (7.5 -> frame 7, 3.7 -> id 3)
+        ds = make_dataset(scene_preset("helipad"),
+                          TrajectoryProfile(kind="vertical", duration=3.0),
+                          rig=rig, noise=NoiseModel(), seed=8)
+        write_dataset(tmp_path / "a", ds)
+        n_rows = sum(len(fr.ids) for fr in ds.frames)
+        self.rewrite_features(tmp_path / "a", lambda rows: rows + [row + "\r\n"])
+        with pytest.raises(ValueError, match=f"data row {n_rows + 1}: {message}"):
             load_dataset(tmp_path / "a")
 
     def test_frame_arrays_read_only(self, tmp_path, rig):
