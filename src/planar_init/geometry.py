@@ -370,5 +370,5 @@ def freeze_feature_rows(record, label: str, names) -> None:
         if len(rows) != len(ids):
             raise ValueError(f"{label}: {name} needs one row per feature id")
         object.__setattr__(record, name, rows)
-    if np.any(np.diff(ids) <= 0):
+    if np.any(ids[1:] <= ids[:-1]):
         raise ValueError(f"{label}: feature ids must ascend strictly")

@@ -281,26 +281,27 @@ def render_tracks(scene: np.ndarray, truth: GroundTruth, rig: CameraRig,
         p_c = r_wc[lo:hi] @ (scene_t - cam_pos[lo:hi, :, None])
         rows = np.flatnonzero(p_c[:, 2] > min_depth)
         frame_of, ids = np.divmod(rows, len(scene))  # frame by frame, ids ascending
-        p_l = np.stack([p_c[:, c].reshape(-1)[rows] for c in range(3)], axis=-1)
-        p_r = p_l.copy()
-        p_r[:, 0] -= rig.baseline
-        uvl = project(rig, p_l)
-        uvr = project(rig, p_r)
+        # visible points, coordinate-major (3, M), so project reads contiguous columns
+        q_l = np.take(p_c.transpose(1, 0, 2).reshape(3, -1), rows, axis=1)
+        q_r = q_l.copy()
+        q_r[0] -= rig.baseline
+        uvl = project(rig, q_l.T)
+        uvr = project(rig, q_r.T)
         inb = ((uvl[:, 0] >= 0) & (uvl[:, 0] < rig.width)
                & (uvl[:, 1] >= 0) & (uvl[:, 1] < rig.height)
                & (uvr[:, 0] >= 0) & (uvr[:, 0] < rig.width)
                & (uvr[:, 1] >= 0) & (uvr[:, 1] < rig.height))
         uvl, uvr = uvl[inb], uvr[inb]
         if noise_px > 0.0 and len(ids):
-            noise = rng.normal(0.0, noise_px, size=4 * len(ids))
+            # draws in pairs: the frames before row j's frame drew 2 pairs
+            # per visible row, its own frame 1 pair per row before j for the
+            # left view, then its whole left block before the right view
+            noise = rng.normal(0.0, noise_px, size=(2 * len(ids), 2))
             counts = np.bincount(frame_of, minlength=hi - lo)
-            first = np.cumsum(counts) - counts  # first visible row of each frame
-            # the frames before a row's frame drew 4 values per visible row,
-            # its own frame 2 per row before it; its right draws follow the
-            # frame's left block
-            left = 2 * (first[frame_of] + np.arange(len(ids)))[inb, None] + (0, 1)
-            uvl = uvl + noise[left]
-            uvr = uvr + noise[left + 2 * counts[frame_of[inb], None]]
+            left = (np.cumsum(counts) - counts)[frame_of] + np.arange(len(ids))
+            right = left + counts[frame_of]
+            uvl = uvl + np.take(noise, left[inb], axis=0)
+            uvr = uvr + np.take(noise, right[inb], axis=0)
         ids, frame_of = ids[inb], frame_of[inb]
         for a in (ids, uvl, uvr):
             a.setflags(write=False)  # FrameObservations keeps views, not copies
