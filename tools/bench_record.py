@@ -107,10 +107,10 @@ def pair_wins(first: dict, last: dict, spec: dict) -> dict:
 
 
 def record(checkouts: dict[str, Path], seeds: list[int], seconds: float,
-           smoke: bool, log=print) -> dict:
+           smoke: bool) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
-    entries = {label: {"path": str(path), "commit": commit_of(path),
+    entries = {label: {"commit": commit_of(path),
                        "runs": {w: [] for w in workloads}, "traced": {}}
                for label, path in checkouts.items()}
     labels = list(checkouts)
@@ -119,13 +119,14 @@ def record(checkouts: dict[str, Path], seeds: list[int], seconds: float,
             for workload in workloads:
                 run = run_bench(checkouts[label], workload, seed, seconds, 0, smoke)
                 entries[label]["runs"][workload].append(run)
-                log(f"{label} {workload} seed {seed}: {json.dumps(run['metrics'])}"
-                    f" correct={run['correct']}")
+                print(f"{label} {workload} seed {seed}: {json.dumps(run['metrics'])}"
+                      f" correct={run['correct']}", flush=True)
     for label in labels:
         for workload in workloads:
             run = run_bench(checkouts[label], workload, seeds[0], seconds, 1, smoke)
             entries[label]["traced"][workload] = run
-            log(f"{label} {workload} traced seed {seeds[0]}: correct={run['correct']}")
+            print(f"{label} {workload} traced seed {seeds[0]}: correct={run['correct']}",
+                  flush=True)
     for entry in entries.values():
         entry["summary"] = {
             w: {name: summarize([r["metrics"][name] for r in runs])
