@@ -12,8 +12,8 @@ from pathlib import Path
 # fields that must be positive and finite, and integers with their least value
 _POSITIVE = ("min_disparity_px", "ransac_threshold", "pnp_ransac_threshold",
              "fixed_deviation_px", "deviation_floor_px")
-_AT_LEAST = {"ransac_max_iters": 1, "pnp_ransac_max_iters": 1, "gn_max_iters": 1,
-             "window_size": 2, "keyframe_stride": 1}
+_AT_LEAST = {"ransac_max_iters": 1, "gn_max_iters": 1, "window_size": 2,
+             "keyframe_stride": 1}
 
 
 def _real(cfg, name: str) -> float:
@@ -37,9 +37,8 @@ class PipelineConfig:
     ransac_confidence: float = 0.999
     ransac_max_iters: int = 2000
 
-    # robust PnP
+    # known-rotation PnP: inlier gate on the reprojection error
     pnp_ransac_threshold: float = 0.02
-    pnp_ransac_max_iters: int = 500
 
     # Gauss-Newton velocity refinement
     gn_max_iters: int = 25

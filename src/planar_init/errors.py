@@ -45,10 +45,6 @@ class InvalidDisparityError(PlanarInitError):
     """Stereo disparity is zero or negative."""
 
 
-class DegeneratePnpError(PlanarInitError):
-    """Robust PnP found no consensus set."""
-
-
 class DegenerateTranslationError(PlanarInitError):
     """Up-to-scale translation too small for scale recovery (pure rotation)."""
 

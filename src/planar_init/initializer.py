@@ -466,11 +466,12 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     obs_j = kf_j.norm_l[rj]
     if len(points_w) < 4:
         raise PipelineError("pnp", f"only {len(points_w)} usable stereo points in pair {m}")
+    # the current camera's rotation comes from the gyro chain; PnP solves
+    # only for its centre
     t_stage = time.perf_counter()
     try:
-        t_pnp, pnp_mask = solve_pnp(
-            points_w, obs_j, rng, threshold=cfg.pnp_ransac_threshold,
-            confidence=cfg.ransac_confidence, max_iters=cfg.pnp_ransac_max_iters)
+        t_pnp, pnp_mask = solve_pnp(points_w, obs_j, cam_prev.rotation @ rel_rot,
+                                    threshold=cfg.pnp_ransac_threshold)
     except PlanarInitError as exc:
         raise PipelineError("pnp", str(exc)) from exc
     timings[f"pnp_{m}_s"] = time.perf_counter() - t_stage
@@ -539,7 +540,8 @@ def _rank1_translation(h_est: Homography, rel_rot: Rotation,
 def _weighted_pnp_refit(t_pnp: Pose, points_w: np.ndarray, obs: np.ndarray,
                         uv_l: np.ndarray, uv_r: np.ndarray, rig: CameraRig,
                         cfg: PipelineConfig) -> Pose:
-    """Re-refine the PnP pose on its inliers with dynamic inverse-deviation weights.
+    """Refit the PnP camera centre on its inliers with dynamic
+    inverse-deviation weights, under the same camera rotation.
 
     Each inlier's stereo deviation at the current keyframe (pixels
     ``uv_l``, ``uv_r``) is computed against the depth its world point takes
@@ -547,16 +549,11 @@ def _weighted_pnp_refit(t_pnp: Pose, points_w: np.ndarray, obs: np.ndarray,
     own measurement quality rather than its momentary disparity.  A point
     behind the camera keeps the fixed deviation.
     """
-    if len(points_w) < 4:
-        return t_pnp
     # camera-frame depths under the current PnP pose
     z_pred = t_pnp.invert().apply(points_w)[:, 2]
     ahead = z_pred > 0.0
     sigma = np.full(len(z_pred), cfg.fixed_deviation_px)
     sigma[ahead] = stereo_deviation(uv_l[ahead], uv_r[ahead], rig, z_pred[ahead])
-    r_wc = t_pnp.rotation.inverse().matrix()
-    t_wc = -r_wc @ t_pnp.translation
-    r, t, _ = refine_pose(points_w, obs, r_wc, t_wc,
-                          weight(sigma, cfg.deviation_floor_px))
-    r_cw = r.T
-    return Pose(Rotation.from_matrix(r_cw), -r_cw @ t, "c", "w")
+    centre = refine_pose(points_w, obs, t_pnp.rotation,
+                         weight(sigma, cfg.deviation_floor_px))
+    return Pose(t_pnp.rotation, centre, "c", "w")

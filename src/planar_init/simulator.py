@@ -496,13 +496,18 @@ def load_dataset(dataset_dir) -> LoadedDataset:
     if raw.size == 0:
         raw = np.empty((0, 7))
     # rows the stable sort below would misfile: a fractional id, or a frame
-    # with no groundtruth row
-    frame, fid = raw[:, 0], raw[:, 2]
+    # with no groundtruth row; and a row whose time is not its frame's
+    # groundtruth time (both are written with repr, so they compare exactly)
+    frame, t, fid = raw[:, 0], raw[:, 1], raw[:, 2]
+    whole = _is_integer(frame)
+    mistimed = whole & (frame >= 0) & (frame < len(gt))
+    mistimed[mistimed] = t[mistimed] != gt[frame[mistimed].astype(np.int64), 0]
     for name, col, bad, what in (
-            ("frame", frame, ~_is_integer(frame), "is not an integer"),
+            ("frame", frame, ~whole, "is not an integer"),
             ("feature_id", fid, ~_is_integer(fid), "is not an integer"),
             ("frame", frame, (frame < 0) | (frame >= len(gt)),
-             f"lies outside the {len(gt)} groundtruth frames")):
+             f"lies outside the {len(gt)} groundtruth frames"),
+            ("t", t, mistimed, "is not its frame's groundtruth time")):
         if bad.any():
             k = int(np.flatnonzero(bad)[0])
             raise ValueError(f"features.csv data row {k + 1}: {name} {float(col[k])!r} {what}")

@@ -308,10 +308,8 @@ def _weighting_trial(seed: int, rig: CameraRig):
            + rng.normal(size=(n_pts, 2)) * (sigma_px / rig.f)[:, None])
     w_dyn = weight(sigma_hat)
     w_fix = np.full(n_pts, weight(1.5))
-    r_d, t_d, _ = refine_pose(pts, obs, r_wc, t_wc, weights=w_dyn)
-    r_f, t_f, _ = refine_pose(pts, obs, r_wc, t_wc, weights=w_fix)
-    err_d = np.linalg.norm(-r_d.T @ t_d - cam_pos)
-    err_f = np.linalg.norm(-r_f.T @ t_f - cam_pos)
+    err_d = np.linalg.norm(refine_pose(pts, obs, r_cw, w_dyn) - cam_pos)
+    err_f = np.linalg.norm(refine_pose(pts, obs, r_cw, w_fix) - cam_pos)
     return err_d, err_f
 
 

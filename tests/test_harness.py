@@ -264,7 +264,6 @@ BAD_CONFIGS = [
     {"min_disparity_px": 0.0},
     {"fixed_deviation_px": float("inf")},
     {"ransac_max_iters": 0},
-    {"pnp_ransac_max_iters": 0},
     {"gn_max_iters": 2.5},
     {"deviation_floor_px": "0.25"},
 ]
@@ -285,6 +284,15 @@ class TestConfigIo:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset_heigth_m": 1.0}))
         with pytest.raises(ValueError):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, value", [("attitude_source", "gyro"),
+                                            ("pnp_ransac_max_iters", 500)])
+    def test_removed_key_rejected(self, key, value, tmp_path):
+        # a saved config from before the field was deleted
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**PipelineConfig().to_json_dict(), key: value}))
+        with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
             load_config(path)
 
     def test_preset_height_bound(self):
@@ -354,14 +362,14 @@ class TestCli:
 
     def test_init_failure_keeps_completed_pairs(self, dataset_dir, tmp_path, monkeypatch):
         import planar_init.initializer as initializer
-        from planar_init.errors import DegeneratePnpError
+        from planar_init.errors import InsufficientDataError
         calls = []
         real = initializer.solve_pnp
 
         def third_call_fails(*args, **kwargs):
             calls.append(1)
             if len(calls) == 3:
-                raise DegeneratePnpError("injected")
+                raise InsufficientDataError("injected")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(initializer, "solve_pnp", third_call_fails)

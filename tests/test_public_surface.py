@@ -14,7 +14,7 @@ import planar_init
 PACKAGE = Path(planar_init.__file__).parent
 
 # kept without a caller until it is wired into the velocity fit or deleted
-# (ROADMAP item 3)
+# (ROADMAP item 1)
 ALLOWED = {"temporal_deviation"}
 
 

@@ -323,6 +323,24 @@ class TestDatasetIo:
         with pytest.raises(ValueError, match=f"data row {n_rows + 1}: {message}"):
             load_dataset(tmp_path / "a")
 
+    def test_row_time_off_its_frame_raises(self, tmp_path, rig):
+        # a frame's time comes from groundtruth.csv; a row that says
+        # otherwise used to load silently
+        ds = make_dataset(scene_preset("helipad"),
+                          TrajectoryProfile(kind="vertical", duration=3.0),
+                          rig=rig, noise=NoiseModel(), seed=8)
+        write_dataset(tmp_path / "a", ds)
+        k = sum(len(fr.ids) for fr in ds.frames) // 2
+
+        def retime(rows):
+            frame, _, rest = rows[k].split(",", 2)
+            return rows[:k] + [f"{frame},999.5,{rest}"] + rows[k + 1:]
+
+        self.rewrite_features(tmp_path / "a", retime)
+        with pytest.raises(ValueError,
+                           match=f"data row {k + 1}: t 999.5 is not its frame's groundtruth time"):
+            load_dataset(tmp_path / "a")
+
     def test_frame_arrays_read_only(self, tmp_path, rig):
         ds = make_dataset(scene_preset("helipad"),
                           TrajectoryProfile(kind="vertical", duration=3.0),
