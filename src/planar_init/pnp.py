@@ -74,7 +74,10 @@ def solve_pnp(points_w, obs, rotation: Rotation, *,
 
     The centre is fitted on every point, the points whose reprojection
     error is below ``threshold`` are kept, and the centre is refitted on
-    them.  Returns the pose and that inlier mask.
+    them.  Returns the pose and that inlier mask.  The gate is not a
+    sampling loop: the pipeline's points are homography inliers already,
+    and a large share of gross outliers would pull the first fit too far
+    for the gate to find the inliers.
     """
     pw, ob = _pairs(points_w, obs)
     if len(pw) < 4:
