@@ -21,7 +21,7 @@ from .errors import (
     UnobservableVelocityError,
     ZeroDepthError,
 )
-from .geometry import CameraRig, Rotation
+from .geometry import CameraRig, Rotation, cross
 from .homography import Homography
 
 
@@ -89,7 +89,7 @@ def flow_model(p_source, p_c_source, h: Homography, R_w_b: Rotation, omega_b,
     omega = np.asarray(omega_b, dtype=np.float64).reshape(3)
     r_b_c = rig.T_c_b.rotation.inverse()
     c_mat = (r_b_c @ R_w_b).matrix()
-    lever_w = R_w_b.inverse().apply(np.cross(omega, rig.T_c_b.translation))
+    lever_w = R_w_b.inverse().apply(cross(omega, rig.T_c_b.translation))
     blocks = flow_transfer_matrix(h, p_source) @ projection_velocity_matrix(p_c_source) @ c_mat
     return FlowModel(blocks, lever_w)
 

@@ -8,6 +8,7 @@ from planar_init.geometry import (
     CameraRig,
     Pose,
     Rotation,
+    cross,
     homogeneous,
     load_rig,
     normalize,
@@ -106,6 +107,17 @@ class TestPose:
     def test_apply(self):
         t = Pose(Rotation.about_z(math.pi / 2), np.array([0.0, 0.0, 1.0]), "c", "w")
         np.testing.assert_allclose(t.apply([1.0, 0.0, 0.0]), [0.0, 1.0, 1.0], atol=1e-15)
+
+
+def test_cross_matches_np_cross_bit_for_bit():
+    # magnitudes from 1e-200 to 1e150 keep every product finite, with
+    # underflows to signed zero; a quarter of the components are exact +-0
+    rng = np.random.default_rng(40)
+    vecs = rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-200, 150, size=(2000, 3))
+    zero = rng.random(size=vecs.shape) < 0.25
+    vecs[zero] = np.copysign(0.0, rng.normal(size=int(zero.sum())))
+    for a, b in zip(vecs[:1000], vecs[1000:]):
+        assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 class TestProjection:

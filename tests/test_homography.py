@@ -311,19 +311,22 @@ class TestBlockLoopMatchesSequentialLoop:
         self.assert_same(np.c_[xs, 2 * xs], np.c_[xs + 0.1, 2 * xs], 0, max_iters=100)
 
     def test_stacked_solve_failure_falls_back_per_sample(self, monkeypatch):
-        # an SVD that does not converge fails a whole stacked call; the
-        # block is then solved sample by sample, with the same result
+        # one singular basis fails a whole stacked solve; the block is then
+        # solved sample by sample, with the same result
         import planar_init.homography as homography
-        real = homography._dlt
+        real = homography._basis
+        failed = []
 
-        def stack_fails(src, dst):
-            if len(src) > 1:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return real(src, dst)
+        def stack_fails(pts):
+            if len(pts) > 1:
+                failed.append(len(pts))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(pts)
 
-        monkeypatch.setattr(homography, "_dlt", stack_fails)
+        monkeypatch.setattr(homography, "_basis", stack_fails)
         src, dst = noisy_plane_with_outliers(0, 40, 0.3)
         self.assert_same(src, dst, 0, threshold=2e-3)
+        assert failed  # the stacked solve was reached and the fallback taken
 
 
 class TestDecompose:

@@ -14,7 +14,7 @@ from planar_init.errors import (
 )
 from planar_init.geometry import Pose, Rotation
 from planar_init.harness import evaluate_against_dataset, run_on_dataset, select_window
-from planar_init.homography import HomographySolution
+from planar_init.homography import HomographySolution, estimate
 from planar_init.imu import ImuStream, PriorNormal, nav_state_at_rest
 from planar_init.initializer import (
     STATUS_IMU_ONLY,
@@ -272,7 +272,6 @@ class TestRunInitialization:
         window = select_window(ds, cfg)
         result = run_initialization(window, ds.imu, ds.rig, cfg, seed=0)
         sel = result.selected
-        from planar_init.homography import estimate
         kf_i, kf_j = window.keyframes[0], window.keyframes[1]
         _, rows_i, rows_j = window.shared_features(0, 1)
         p_src = kf_j.norm_l[rows_j]
@@ -534,3 +533,49 @@ class TestStackedChainMatchesPerFeatureChain:
             singles = [flow_model(p_source[k:k + 1], p_c[k:k + 1], h, r_w_b, omega,
                                   rig).blocks[0] for k in range(len(p_source))]
             np.testing.assert_array_equal(model.blocks, singles)
+
+
+class TestPipelineMatchesReferenceRansac:
+    """A window run with the block RANSAC must give the same bits as one run
+    with the one-hypothesis-at-a-time reference loop of test_homography:
+    the comparison is program against reference, not against pinned bytes."""
+
+    def test_oblique_window(self, monkeypatch):
+        import planar_init.initializer as initializer
+        from test_homography import reference_estimate
+
+        ds = make_dataset(scene_preset("asphalt"), TrajectoryProfile(kind="oblique"),
+                          noise=NoiseModel(), seed=16)
+        cfg = PipelineConfig()
+        window = select_window(ds, cfg)
+
+        def run(solver):
+            # the generator state after each pair's search, next to the result
+            states = []
+
+            def recorded(p_src, p_dst, *, threshold, confidence, max_iters, seed):
+                out = solver(p_src, p_dst, seed, threshold=threshold,
+                             confidence=confidence, max_iters=max_iters)
+                states.append(seed.bit_generator.state)
+                return out
+
+            monkeypatch.setattr(initializer, "estimate", recorded)
+            return run_initialization(window, ds.imu, ds.rig, cfg, seed=0), states
+
+        fast, fast_states = run(lambda p_src, p_dst, rng, **kw:
+                                estimate(p_src, p_dst, seed=rng, **kw))
+        ref, ref_states = run(reference_estimate)
+
+        assert fast.status == ref.status == STATUS_INITIALIZED
+        assert len(fast_states) == len(window.keyframes) - 1
+        assert fast_states == ref_states
+        assert np.float64(fast.scale).tobytes() == np.float64(ref.scale).tobytes()
+        assert len(fast.poses) == len(ref.poses)
+        for a, b in zip(fast.poses, ref.poses):
+            assert a.rotation.quat.tobytes() == b.rotation.quat.tobytes()
+            assert a.translation.tobytes() == b.translation.tobytes()
+        for a, b in zip(fast.velocities, ref.velocities, strict=True):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        counts = [[(p["homography_inliers"], p["pnp_inliers"]) for p in r.diagnostics["pairs"]]
+                  for r in (fast, ref)]
+        assert counts[0] == counts[1]
