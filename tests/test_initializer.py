@@ -570,8 +570,7 @@ class TestPipelineMatchesReferenceRansac:
         assert len(fast_states) == len(window.keyframes) - 1
         assert fast_states == ref_states
         assert np.float64(fast.scale).tobytes() == np.float64(ref.scale).tobytes()
-        assert len(fast.poses) == len(ref.poses)
-        for a, b in zip(fast.poses, ref.poses):
+        for a, b in zip(fast.poses, ref.poses, strict=True):
             assert a.rotation.quat.tobytes() == b.rotation.quat.tobytes()
             assert a.translation.tobytes() == b.translation.tobytes()
         for a, b in zip(fast.velocities, ref.velocities, strict=True):
