@@ -1,7 +1,7 @@
 """Visual-inertial initialization for a downward-looking stereo MAV.
 
 Planar-homography estimation and decomposition, IMU-propagated prior
-normal selection, PnP scale recovery, motion-field velocity refinement,
+normal selection, PnP scale recovery, velocity from the PnP displacement,
 dynamic stereo-residual weighting, and a deterministic take-off
 simulator that serves as the test oracle.
 """
@@ -44,7 +44,7 @@ from .initializer import (
     select_solution,
     triangulate_stereo,
 )
-from .motion_field import FlowModel, flow_model, refine_velocity
+from .motion_field import refine_velocity
 from .pnp import solve_pnp
 from .simulator import (
     NoiseModel,
@@ -57,10 +57,6 @@ from .simulator import (
     scene_preset,
     synthesize_imu,
 )
-from .weighting import (
-    stereo_deviation,
-    temporal_deviation,
-    weight,
-)
+from .weighting import stereo_deviation, weight
 
 __version__ = "0.1.0"

@@ -12,8 +12,7 @@ from pathlib import Path
 # fields that must be positive and finite, and integers with their least value
 _POSITIVE = ("min_disparity_px", "ransac_threshold", "pnp_ransac_threshold",
              "fixed_deviation_px", "deviation_floor_px")
-_AT_LEAST = {"ransac_max_iters": 1, "gn_max_iters": 1, "window_size": 2,
-             "keyframe_stride": 1}
+_AT_LEAST = {"ransac_max_iters": 1, "window_size": 2, "keyframe_stride": 1}
 
 
 def _real(cfg, name: str) -> float:
@@ -39,11 +38,6 @@ class PipelineConfig:
 
     # known-rotation PnP: inlier gate on the reprojection error
     pnp_ransac_threshold: float = 0.02
-
-    # Gauss-Newton velocity refinement
-    gn_max_iters: int = 25
-    gn_step_tol: float = 1e-10
-    gn_cost_tol: float = 1e-12
 
     # IMU model
     gravity: tuple = (0.0, 0.0, 9.81)  # NED, down-positive

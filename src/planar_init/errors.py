@@ -49,24 +49,8 @@ class DegenerateTranslationError(PlanarInitError):
     """Up-to-scale translation too small for scale recovery (pure rotation)."""
 
 
-class UnobservableVelocityError(PlanarInitError):
-    """Motion-field Jacobian is rank deficient; velocity unobservable."""
-
-
-class ZeroDepthError(PlanarInitError):
-    """Feature depth is (numerically) zero in a motion-field expression."""
-
-
-class HorizonSingularityError(PlanarInitError):
-    """Homography denominator vanishes at the requested image point."""
-
-
 class InvalidPlaneError(PlanarInitError):
     """Plane distance must be strictly positive."""
-
-
-class TimeStepError(PlanarInitError):
-    """Non-positive time step."""
 
 
 class AlignmentError(PlanarInitError):

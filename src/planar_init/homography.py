@@ -370,20 +370,19 @@ _PURE_ROTATION_GAP = 1e-9
 
 
 def _dedupe(solutions: list[HomographySolution]) -> list[HomographySolution]:
-    kept: list[HomographySolution] = []
-    for s in solutions:
-        dup = False
-        for k in kept:
-            if (
-                s.rotation.angle_to(k.rotation) < 1e-8
-                and np.linalg.norm(s.t_bar - k.t_bar) < 1e-8
-                and np.linalg.norm(s.n - k.n) < 1e-8
-            ):
-                dup = True
-                break
-        if not dup:
-            kept.append(s)
-    return kept
+    """Drop the sign -1 candidates that repeat a sign +1 one.
+
+    ``solutions`` holds two flip pairs, (R_+, +-t_bar_+, +-n_+) then
+    (R_-, +-t_bar_-, +-n_-).  Flip partners share one rotation and their
+    normals are ||2n|| = 2 apart, so only a pair across the two signs can
+    coincide, and only when the two rotations do.
+    """
+    plus, minus = solutions[:2], solutions[2:]
+    if not minus[0].rotation.angle_to(plus[0].rotation) < 1e-8:
+        return solutions
+    return plus + [s for s in minus
+                   if not any(np.linalg.norm(s.t_bar - k.t_bar) < 1e-8
+                              and np.linalg.norm(s.n - k.n) < 1e-8 for k in plus)]
 
 
 def decompose(h: Homography) -> list[HomographySolution]:

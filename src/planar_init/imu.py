@@ -244,11 +244,6 @@ def slice_between(samples: ImuStream, t0: float, t1: float,
     return samples._view(start, max(start, stop))
 
 
-def mean_gyro(samples: ImuStream, gyro_bias=(0.0, 0.0, 0.0)) -> np.ndarray:
-    _require(samples, 1, "average")
-    return np.mean(samples.gyro, axis=0) - np.asarray(gyro_bias, dtype=np.float64)
-
-
 IMU_CSV_HEADER = ["t", "gx", "gy", "gz", "ax", "ay", "az"]
 
 

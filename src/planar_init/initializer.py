@@ -1,5 +1,5 @@
 """The initialization pipeline: solution selection, stereo scale recovery,
-motion-field velocity refinement, and the window-level orchestration.
+velocity from the metric displacement, and the window-level orchestration.
 
 Per consecutive keyframe pair (previous ``i``, current ``j``) the pipeline
 estimates the homography mapping the *current* view onto the *previous*
@@ -8,7 +8,9 @@ one, so the decomposed plane normal lives in the current camera frame
 translation is the current camera's position in the previous camera
 frame.  PnP against stereo points triangulated at the previous keyframe
 supplies the metric counterpart of that translation, and their
-least-squares ratio is the scale.
+least-squares ratio is the scale.  The PnP camera centre's displacement
+over the pair interval is the body velocity: the paper's motion-field
+constraint integrated over the interval.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .homography import (
     indicator,
 )
 from .imu import ImuStream, NavState, PriorNormal
-from .motion_field import VelocityRefinement, refine_velocity
+from .motion_field import refine_velocity
 from .pnp import refine_pose, solve_pnp
 from .weighting import stereo_deviation, weight
 
@@ -175,37 +177,17 @@ def metric_alignment(T_pnp: Pose, T_imu_body: Pose, rig: CameraRig) -> np.ndarra
     return r_cw.apply(T_pnp.translation - T_imu_body.translation) - lever
 
 
-def refine_body_velocity(
-    window: KeyframeWindow,
-    h_forward: Homography,
-    v_init,
-    rig: CameraRig,
-    *,
-    pair: int,
-    R_w_b: Rotation,
-    gyro_bias,
-    config: PipelineConfig,
-    points: tuple[np.ndarray, np.ndarray],
-) -> VelocityRefinement:
-    """Gauss-Newton body-velocity refinement over keyframe pair ``pair``.
+def refine_body_velocity(window: KeyframeWindow, pair: int, body_prev: Pose,
+                         cam_curr: Pose, rig: CameraRig) -> np.ndarray:
+    """Mean body velocity (3,) over keyframe pair ``pair``, in the world frame.
 
-    ``h_forward`` maps the earlier keyframe of the pair onto the later
-    one (the direction in which feature velocities are transferred).
-    The measured normalized velocity of each feature is the forward
-    difference of its tracked left-camera coordinates over the pair
-    interval; its metric source point comes from stereo triangulation at
-    the earlier keyframe: ``points`` = (feature ids, left-camera points).
+    ``body_prev`` is the body pose at the earlier keyframe and ``cam_curr``
+    the known-rotation PnP camera pose (c -> w) at the later one; the
+    lever arm is handled by composing ``cam_curr`` with the inverse
+    extrinsics.
     """
-    kf_i, kf_j = window.keyframes[pair], window.keyframes[pair + 1]
-    ids, p_c = points
-    p_i = kf_i.norm_l[kf_i.ids.searchsorted(ids)]
-    v_measured = (kf_j.norm_l[kf_j.ids.searchsorted(ids)] - p_i) / (kf_j.t - kf_i.t)
-    pair_imu = imu_mod.slice_between(window.imu, kf_i.t, kf_j.t)
-    omega = imu_mod.mean_gyro(pair_imu, gyro_bias)
-    return refine_velocity(
-        p_i, p_c, v_measured, h_forward, R_w_b, omega, rig, v_init,
-        max_iters=config.gn_max_iters, step_tol=config.gn_step_tol,
-        cost_tol=config.gn_cost_tol)
+    dt = window.keyframes[pair + 1].t - window.keyframes[pair].t
+    return refine_velocity(body_prev, cam_curr @ rig.T_c_b.invert(), dt)
 
 
 @dataclass
@@ -270,9 +252,6 @@ class PairTrace:
     scale: float
     t_hat_norm: float
     pnp_inliers: int
-    gn_iterations: int
-    gn_cost: float
-    gn_converged: bool
     correspondences: int
     homography_inliers: int
 
@@ -381,7 +360,9 @@ def run_initialization(
         if m == 0:
             first_selection = selected
 
-    velocities.append(velocities[-1])  # last keyframe: hold the last refined value
+    # keyframe m carries the mean velocity over [t_m, t_m+1]; the last one
+    # holds the last pair's
+    velocities.append(velocities[-1])
     diag["indicator_percentiles"] = _percentiles(diag.pop("indicator_values"))
     timings["total_s"] = time.perf_counter() - t_start
     diag["timings"] = timings
@@ -455,8 +436,7 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     rel_rot = r_cam.inverse()
     t_bar = _rank1_translation(h_est, rel_rot, prior)
 
-    # the reliable inliers are triangulated at the previous keyframe in one
-    # call; PnP and the velocity refinement share the points
+    # the reliable inliers are triangulated at the previous keyframe in one call
     used = np.flatnonzero(inlier_mask)
     used = used[_reliable(kf_i, rows_i[used], cfg.min_disparity_px)]
     ri, rj = rows_i[used], rows_j[used]
@@ -484,6 +464,10 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     if s <= 0.0:
         raise PipelineError("scale", f"backwards scale {s:.6g} in pair {m}")
 
+    # velocity from the PnP fit, before the weighted refit below: the
+    # deviation mode reaches it only through the previous position's rounding
+    velocity = refine_body_velocity(window, m, nav_prev.pose, t_pnp, rig)
+
     if cfg.deviation_mode == "dynamic":
         inl = rj[pnp_mask]
         t_pnp = _weighted_pnp_refit(t_pnp, points_w[pnp_mask], obs_j[pnp_mask],
@@ -497,17 +481,6 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     rel = Pose(rel_rot, s * t_bar, "c", "c")
     body_curr = (cam_prev @ rel) @ rig.T_c_b.invert()
 
-    # velocity from the motion field (forward homography = inverse estimate)
-    t_stage = time.perf_counter()
-    try:
-        refinement = refine_body_velocity(
-            window, h_est.inverse(), nav_prev.velocity, rig, pair=m,
-            R_w_b=nav_prev.pose.rotation.inverse(), gyro_bias=cfg.gyro_bias,
-            config=cfg, points=(fids[used], p_c))
-    except PlanarInitError as exc:
-        raise PipelineError("velocity", str(exc)) from exc
-    timings[f"velocity_{m}_s"] = time.perf_counter() - t_stage
-
     trace = PairTrace(
         pair=m,
         selection_margin=selection.margin,
@@ -515,13 +488,10 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
         scale=s,
         t_hat_norm=float(np.linalg.norm(t_hat)),
         pnp_inliers=int(pnp_mask.sum()),
-        gn_iterations=refinement.iterations,
-        gn_cost=refinement.cost,
-        gn_converged=refinement.converged,
         correspondences=len(fids),
         homography_inliers=int(np.sum(inlier_mask)),
     )
-    nav_curr = NavState(kf_j.t, body_curr, refinement.velocity,
+    nav_curr = NavState(kf_j.t, body_curr, velocity,
                         nav_prev.gyro_bias, nav_prev.accel_bias)
     return trace, nav_curr, prior, selection.solution
 

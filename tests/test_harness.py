@@ -264,7 +264,7 @@ BAD_CONFIGS = [
     {"min_disparity_px": 0.0},
     {"fixed_deviation_px": float("inf")},
     {"ransac_max_iters": 0},
-    {"gn_max_iters": 2.5},
+    {"ransac_max_iters": 2.5},
     {"deviation_floor_px": "0.25"},
 ]
 

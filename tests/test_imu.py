@@ -15,7 +15,6 @@ from planar_init.imu import (
     integrate_camera_rotation,
     is_stationary,
     load_imu_csv,
-    mean_gyro,
     nav_state_at_rest,
     propagate,
     propagate_normal,
@@ -264,10 +263,6 @@ class TestStreamUtils:
         np.testing.assert_array_equal(slice_between(s, 0.1 + 1e-10, 0.3 - 1e-10).t, t[1:6])
         np.testing.assert_array_equal(slice_between(s, 0.2, 0.2).t, [0.2])
         assert len(slice_between(s, 0.11, 0.19)) == 0
-
-    def test_mean_gyro(self):
-        s = ImuStream([0.0, 0.1], [[1.0, 0, 0], [3.0, 0, 0]], [[0, 0, -9.81]] * 2)
-        np.testing.assert_allclose(mean_gyro(s, [0.5, 0, 0]), [1.5, 0.0, 0.0])
 
     def test_empty_stream_raises(self):
         with pytest.raises(StreamError):

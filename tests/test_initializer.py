@@ -28,7 +28,6 @@ from planar_init.initializer import (
     select_solution,
     triangulate_stereo,
 )
-from planar_init.motion_field import flow_model
 from planar_init.simulator import (
     NoiseModel,
     TrajectoryProfile,
@@ -222,30 +221,23 @@ class TestWindowTypes:
 
 class TestRefineBodyVelocity:
     def test_noise_free_ascent(self, clean_vertical_dataset):
-        # acceptance criterion 5 core: recover the true body velocity from
-        # rendered tracks, starting at zero
+        # the true body pose at the earlier keyframe and the true camera pose
+        # at the later one give the true (constant) climb velocity
         ds = clean_vertical_dataset
-        cfg = PipelineConfig()
-        window = select_window(ds, cfg)
-        kf_i, kf_j = window.keyframes[0], window.keyframes[1]
-        k_i = int(ds.truth.cam_indices[kf_i.index])
-        cam_i = ds.truth.camera_pose(k_i, ds.rig)
-        cam_j = ds.truth.camera_pose(int(ds.truth.cam_indices[kf_j.index]), ds.rig)
-        rel = cam_j.invert() @ cam_i  # maps frame i into frame j
-        n_i, d_i = ds.truth.plane_in_camera(k_i, ds.rig)
-        from planar_init.homography import synthesize
-        h_fwd = synthesize(rel.rotation, rel.translation, n_i, d_i)
-        # the points the pipeline passes: shared features that triangulate
-        # reliably at the earlier keyframe
-        _, rows, _ = window.shared_features(0, 1)
-        rows = rows[kf_i.uv_l[rows, 0] - kf_i.uv_r[rows, 0] >= cfg.min_disparity_px]
-        points = (kf_i.ids[rows], triangulate_stereo(kf_i.uv_l[rows], kf_i.uv_r[rows], ds.rig))
-        out = refine_body_velocity(window, h_fwd, np.zeros(3), ds.rig, pair=0,
-                                   R_w_b=ds.truth.body_pose(k_i).rotation.inverse(),
-                                   gyro_bias=cfg.gyro_bias, config=cfg, points=points)
-        v_true = ds.truth.velocity[k_i]
-        np.testing.assert_allclose(out.velocity, v_true, atol=1e-6)
-        assert out.iterations <= 10
+        window = select_window(ds, PipelineConfig())
+        k_i, k_j = (ds.truth.nearest_index(kf.t) for kf in window.keyframes[:2])
+        out = refine_body_velocity(window, 0, ds.truth.body_pose(k_i),
+                                   ds.truth.camera_pose(k_j, ds.rig), ds.rig)
+        np.testing.assert_allclose(out, ds.truth.velocity[k_i], rtol=0.0, atol=1e-12)
+
+    def test_lever_arm(self, clean_vertical_dataset):
+        # a body turning in place moves its offset camera, but not itself
+        ds = clean_vertical_dataset
+        window = select_window(ds, PipelineConfig())
+        still = Pose(Rotation.identity(), np.zeros(3), "b", "w")
+        turned = Pose(Rotation.about_z(0.5) @ Rotation.about_x(0.2), np.zeros(3), "b", "w")
+        out = refine_body_velocity(window, 0, still, turned @ ds.rig.T_c_b, ds.rig)
+        np.testing.assert_allclose(out, np.zeros(3), rtol=0.0, atol=1e-15)
 
 
 class TestRunInitialization:
@@ -255,8 +247,40 @@ class TestRunInitialization:
         assert result.status == STATUS_INITIALIZED
         report = evaluate_against_dataset(result, ds)
         assert np.abs(report.translation_errors).max() < 1e-4
-        assert np.abs(report.velocity_errors).max() < 1e-4
+        assert np.abs(report.velocity_errors).max() < 1e-9
         assert report.euler_rmse.max() < 1e-5
+
+    @pytest.mark.parametrize("scene", ["helipad", "asphalt"])
+    @pytest.mark.parametrize("kind", ["vertical", "oblique"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_noise_free_body_frame_velocity(self, scene, kind, seed):
+        # every keyframe's velocity, seen in its estimated body frame, is the
+        # true body-frame velocity: the IMU-only anchor's attitude error
+        # (about 6e-6 rad on oblique windows) turns the whole world frame,
+        # the velocity along with it
+        ds = make_dataset(scene_preset(scene), TrajectoryProfile(kind=kind),
+                          noise=NoiseModel.noiseless(), seed=seed)
+        result = run_on_dataset(ds, PipelineConfig(), seed=0)
+        assert result.status == STATUS_INITIALIZED
+        for t, pose, v in zip(result.keyframe_times, result.poses, result.velocities):
+            k = ds.truth.nearest_index(t)
+            true_b = ds.truth.body_pose(k).rotation.inverse().apply(ds.truth.velocity[k])
+            np.testing.assert_allclose(pose.rotation.inverse().apply(v), true_b,
+                                       rtol=0.0, atol=1e-9)
+
+    def test_velocity_does_not_depend_on_deviation_mode(self, noisy_vertical_dataset):
+        # the velocity comes from the PnP fit before the weighted refit: the
+        # first pair's is bit-identical in both modes; later pairs start from
+        # chained positions the refit moved by millimetres, and their PnP
+        # world points round differently, by far less than 1e-12 m/s
+        dynamic, fixed = (run_on_dataset(noisy_vertical_dataset,
+                                         PipelineConfig(deviation_mode=mode), seed=0)
+                          for mode in ("dynamic", "fixed"))
+        assert dynamic.status == fixed.status == STATUS_INITIALIZED
+        assert dynamic.velocities[0].tobytes() == fixed.velocities[0].tobytes()
+        np.testing.assert_allclose(dynamic.velocities, fixed.velocities, rtol=0.0, atol=1e-12)
+        shift = np.abs(dynamic.poses[-1].translation - fixed.poses[-1].translation).max()
+        assert shift > 1e-4
 
     def test_scale_matches_plane_distance(self, clean_vertical_dataset):
         ds = clean_vertical_dataset
@@ -320,16 +344,14 @@ class TestRunInitialization:
         assert len(d["pairs"]) == len(result.keyframe_times) - 1
         assert all(p["selection_margin"] >= 0.0 for p in d["pairs"])
         assert all(p["pnp_inliers"] >= 4 for p in d["pairs"])
-        assert all(isinstance(p["gn_converged"], bool) for p in d["pairs"])
         # each per-pair value is stored once, in its pair's record
-        for key in ("selection_margins", "pnp_inlier_counts", "gn_iterations", "scales"):
+        for key in ("selection_margins", "pnp_inlier_counts", "scales"):
             assert key not in d
         pct = d["indicator_percentiles"]
         assert pct["p50"] <= pct["p95"] <= pct["p100"]
 
     def test_triangulates_each_inlier_once(self, noisy_vertical_dataset, monkeypatch):
-        # one stacked call per pair covers each inlier's row once; PnP and
-        # the velocity refinement share the points
+        # one stacked call per pair covers each inlier's row once
         import planar_init.initializer as initializer
         calls = []
         real = initializer.triangulate_stereo
@@ -431,33 +453,19 @@ def _per_feature_weight(sigma, floor):
     return 1.0 / (s * s)
 
 
-def _per_feature_flow_transfer(h, p):
-    denom = float(h.h3 @ p + h.h4)
-    return (denom * h.h1 - np.outer(h.h1 @ p + h.h2, h.h3)) / (denom * denom)
-
-
-def _per_feature_projection_velocity(p):
-    z = p[2]
-    return np.array([[1.0 / z, 0.0, -p[0] / (z * z)], [0.0, 1.0 / z, -p[1] / (z * z)]])
-
-
 class TestStackedChainMatchesPerFeatureChain:
     """Each stacked per-pair step of a real window must reproduce the
     per-feature computation it replaced bit for bit: the triangulated
-    points, PnP's world points, the refit weights and the velocity
-    Jacobian factors, whose stacked blocks round as each feature's alone."""
+    points, PnP's world points and the refit weights.  The velocity is the
+    displacement of the body pose PnP gives, before the refit."""
 
     @staticmethod
     def spy(monkeypatch):
         import planar_init.initializer as initializer
-        import planar_init.motion_field as motion_field
         calls = {}
         for module, name in ((initializer, "estimate"), (initializer, "triangulate_stereo"),
                              (initializer, "solve_pnp"), (initializer, "refine_pose"),
-                             (initializer, "refine_velocity"),
-                             (motion_field, "flow_model"),
-                             (motion_field, "flow_transfer_matrix"),
-                             (motion_field, "projection_velocity_matrix")):
+                             (initializer, "refine_velocity")):
             calls[name] = []
 
             def wrapper(*args, _real=getattr(module, name), _log=calls[name], **kwargs):
@@ -480,7 +488,7 @@ class TestStackedChainMatchesPerFeatureChain:
         assert result.status == STATUS_INITIALIZED
         pairs = len(window.keyframes) - 1
         for name in ("estimate", "triangulate_stereo", "solve_pnp", "refine_pose",
-                     "refine_velocity", "flow_transfer_matrix"):
+                     "refine_velocity"):
             assert len(calls[name]) == pairs, name
         for m in range(pairs):
             kf_i, kf_j = window.keyframes[m], window.keyframes[m + 1]
@@ -516,23 +524,12 @@ class TestStackedChainMatchesPerFeatureChain:
             (*_, refit_weights), _ = calls["refine_pose"][m]
             np.testing.assert_array_equal(refit_weights, weights)
 
-            (p_source, p_c, v_measured, h, r_w_b, omega, *_), _ = calls["refine_velocity"][m]
-            dt = kf_j.t - kf_i.t
-            np.testing.assert_array_equal(p_c, stacked)
-            np.testing.assert_array_equal(p_source, kf_i.norm_l[[rows_i[f] for f in fids]])
-            np.testing.assert_array_equal(
-                v_measured, [(kf_j.norm_l[rows_j[f]] - kf_i.norm_l[rows_i[f]]) / dt
-                             for f in fids])
-            _, transfer = calls["flow_transfer_matrix"][m]
-            _, projection = calls["projection_velocity_matrix"][m]
-            np.testing.assert_array_equal(
-                transfer, [_per_feature_flow_transfer(h, p) for p in p_source])
-            np.testing.assert_array_equal(
-                projection, [_per_feature_projection_velocity(q) for q in p_c])
-            _, model = calls["flow_model"][m]
-            singles = [flow_model(p_source[k:k + 1], p_c[k:k + 1], h, r_w_b, omega,
-                                  rig).blocks[0] for k in range(len(p_source))]
-            np.testing.assert_array_equal(model.blocks, singles)
+            (body_prev, body_curr, dt), velocity = calls["refine_velocity"][m]
+            assert body_prev is result.poses[m]
+            assert body_curr.translation.tobytes() == \
+                (t_pnp @ rig.T_c_b.invert()).translation.tobytes()
+            assert dt == kf_j.t - kf_i.t
+            assert velocity.tobytes() == result.velocities[m].tobytes()
 
 
 class TestPipelineMatchesReferenceRansac:

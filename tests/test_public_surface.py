@@ -13,9 +13,8 @@ import planar_init
 
 PACKAGE = Path(planar_init.__file__).parent
 
-# kept without a caller until it is wired into the velocity fit or deleted
-# (ROADMAP item 1)
-ALLOWED = {"temporal_deviation"}
+# public names exempt from the caller check; none today
+ALLOWED: set[str] = set()
 
 
 def _modules() -> dict[str, ast.Module]:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from planar_init.errors import InvalidDisparityError, TimeStepError
+from planar_init.errors import InvalidDisparityError
 from planar_init.geometry import normalize, project
-from planar_init.weighting import stereo_deviation, temporal_deviation, weight
+from planar_init.weighting import stereo_deviation, weight
 
 
 class TestStereoDeviation:
@@ -67,56 +67,6 @@ class TestStereoDeviation:
         stacked = stereo_deviation(uv_l, uv_r, rig, z)
         for k in range(200):
             assert stacked[k] == stereo_deviation(uv_l[k], uv_r[k], rig, z[k])
-
-
-class TestTemporalDeviation:
-    def test_static_camera(self, simple_rig):
-        # static camera and feature: prediction stays put, sigma = f * ||track||
-        uv_k = np.array([700.0, 420.0])
-        uv_k1 = uv_k + np.array([2.0, -1.0])
-        p_c = np.array([0.15, 0.05, 2.0])
-        sigma = temporal_deviation(uv_k, uv_k1, p_c, np.zeros(3), np.zeros(3),
-                                   0.05, simple_rig)
-        assert sigma == pytest.approx(np.hypot(2.0, -1.0), abs=1e-9)
-
-    def test_direct_evaluation(self, simple_rig):
-        # predicted [0.11, 0], measured [0.1125, 0]: sigma = 400*0.0025 = 1 px
-        f = simple_rig.f
-        uv_k = np.array([simple_rig.cx + 0.1 * f, simple_rig.cy])
-        uv_k1 = np.array([simple_rig.cx + 0.1125 * f, simple_rig.cy])
-        # choose v_rel so that the predicted normalized velocity is [0.2, 0]:
-        # with p_c = [0.1, 0, 1] z=1, J v_c = [0.2, 0] for v_c = [0.2, 0, 0]
-        sigma = temporal_deviation(uv_k, uv_k1, [0.1, 0.0, 1.0],
-                                   [-0.2, 0.0, 0.0], np.zeros(3), 0.05, simple_rig)
-        assert sigma == pytest.approx(1.0, abs=1e-9)
-
-    def test_uniform_ascent_small_sigma(self, clean_vertical_dataset):
-        # noise-free tracking during constant-rate ascent: prediction error is
-        # only the uniform-motion discretization, well under half a pixel
-        ds = clean_vertical_dataset
-        rig = ds.rig
-        a, b = ds.frames[70], ds.frames[71]
-        dt = b.t - a.t
-        k = int(ds.truth.cam_indices[a.frame])
-        cam = ds.truth.camera_pose(k, rig)
-        omega = ds.truth.omega_body[k]
-        # the camera origin's world velocity, then in the camera frame
-        v_cam_w = ds.truth.velocity[k] + ds.truth.body_pose(k).rotation.apply(
-            np.cross(omega, rig.T_c_b.translation))
-        v_rel = cam.rotation.inverse().apply(v_cam_w)
-        omega_c = rig.T_c_b.rotation.inverse().apply(omega)
-        shared, rows_a, rows_b = np.intersect1d(a.ids, b.ids, return_indices=True)
-        assert len(shared)
-        for fid, ra, rb in zip(shared, rows_a, rows_b):
-            p_c = cam.invert().apply(ds.truth.features[fid])
-            sigma = temporal_deviation(a.uv_l[ra], b.uv_l[rb], p_c,
-                                       v_rel, omega_c, dt, rig)
-            assert sigma < 0.5
-
-    def test_bad_dt(self, simple_rig):
-        with pytest.raises(TimeStepError):
-            temporal_deviation([0, 0], [0, 0], [0, 0, 1.0], np.zeros(3),
-                               np.zeros(3), 0.0, simple_rig)
 
 
 class TestWeight:
