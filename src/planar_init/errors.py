@@ -46,7 +46,7 @@ class InvalidDisparityError(PlanarInitError):
 
 
 class DegenerateTranslationError(PlanarInitError):
-    """Up-to-scale translation too small for scale recovery (pure rotation)."""
+    """Up-to-scale translation too small for scale recovery."""
 
 
 class InvalidPlaneError(PlanarInitError):

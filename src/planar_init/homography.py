@@ -47,30 +47,9 @@ class Homography:
         m.setflags(write=False)
         self._m = m
 
-    @classmethod
-    def from_matrix(cls, matrix) -> "Homography":
-        return cls(matrix)
-
     @property
     def matrix(self) -> np.ndarray:
         return self._m
-
-    # Block partition: H = [[h1 (2x2), h2 (2x1)], [h3 (1x2), h4 (1x1)]].
-    @property
-    def h1(self) -> np.ndarray:
-        return self._m[:2, :2]
-
-    @property
-    def h2(self) -> np.ndarray:
-        return self._m[:2, 2]
-
-    @property
-    def h3(self) -> np.ndarray:
-        return self._m[2, :2]
-
-    @property
-    def h4(self) -> float:
-        return float(self._m[2, 2])
 
     def apply(self, p_i) -> np.ndarray:
         """Map normalized source points (2,) or (N, 2) through H, dehomogenized."""
@@ -92,7 +71,6 @@ class HomographySolution:
     rotation: Rotation
     t_bar: np.ndarray
     n: np.ndarray
-    normal_indeterminate: bool = False
 
     def __post_init__(self):
         for name in ("t_bar", "n"):
@@ -366,9 +344,6 @@ def estimate(
     return h, mask
 
 
-_PURE_ROTATION_GAP = 1e-9
-
-
 def _dedupe(solutions: list[HomographySolution]) -> list[HomographySolution]:
     """Drop the sign -1 candidates that repeat a sign +1 one.
 
@@ -389,20 +364,16 @@ def decompose(h: Homography) -> list[HomographySolution]:
     """Analytic SVD decomposition into (R, t_bar, n) candidates.
 
     Returns up to four physically distinct solutions.  A homography whose
-    singular values are all (numerically) equal is a pure rotation: the
-    translation is zero and the plane normal unobservable, reported as a
-    single solution with ``normal_indeterminate`` set.
+    singular values are all (numerically) equal is a rotation, with no
+    translation or normal to recover, and raises; the pipeline's parallax
+    gate stops a pure-rotation pair before its H is estimated.
     """
     m = h.matrix
-    u, s, vt = np.linalg.svd(m)
+    _, s, vt = np.linalg.svd(m)
     if not np.all(np.isfinite(s)) or s[2] < 1e-12:
         raise DegenerateHomographyError("cannot decompose rank-deficient H")
-
-    if s[0] - s[2] < _PURE_ROTATION_GAP:
-        # project to the nearest rotation
-        r = u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt)]) @ vt
-        return [HomographySolution(Rotation.from_matrix(r), np.zeros(3),
-                                   np.array([0.0, 0.0, 1.0]), True)]
+    if s[0] - s[2] < 1e-9:
+        raise DegenerateHomographyError("H is a rotation: no translation to decompose")
 
     # work with right singular vectors of H (eigenvectors of H^T H)
     v = vt.T
@@ -430,9 +401,6 @@ def decompose(h: Homography) -> list[HomographySolution]:
             solutions.append(HomographySolution(rotation, flip * t_bar, flip * normal))
 
     solutions = _dedupe(solutions)
-    if all(np.linalg.norm(s.t_bar) < 1e-6 for s in solutions):
-        r = solutions[0].rotation
-        return [HomographySolution(r, np.zeros(3), np.array([0.0, 0.0, 1.0]), True)]
     # deterministic order: normals closest to the optical axis first
     solutions.sort(key=lambda s: (-s.n[2], -s.n[0], -s.n[1]))
     return solutions
@@ -454,9 +422,6 @@ def filter_positive_depth(
     pts = np.c_[p_src, np.ones(len(p_src))]
     kept: list[HomographySolution] = []
     for s in solutions:
-        if s.normal_indeterminate:
-            kept.append(s)
-            continue
         if np.any(pts @ s.n <= 0.0):
             continue
         if np.any(pts @ s.reassemble()[2] <= 0.0):

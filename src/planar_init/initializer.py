@@ -153,7 +153,7 @@ def recover_scale(t_bar, t_hat) -> float:
     tb = np.asarray(t_bar, dtype=np.float64).reshape(3)
     th = np.asarray(t_hat, dtype=np.float64).reshape(3)
     nrm2 = float(tb @ tb)
-    if nrm2 <= 1e-12:  # ||t_bar|| <= 1e-6: pure rotation, scale unobservable
+    if nrm2 <= 1e-12:  # ||t_bar|| <= 1e-6: no direction to scale along
         raise DegenerateTranslationError("up-to-scale translation is degenerate")
     return float(tb @ th) / nrm2
 
@@ -237,7 +237,6 @@ class InitializationResult:
                 "q_wxyz": [float(v) for v in self.selected.rotation.quat],
                 "t_bar": [float(v) for v in self.selected.t_bar],
                 "n": [float(v) for v in self.selected.n],
-                "normal_indeterminate": self.selected.normal_indeterminate,
             }
         return d
 
@@ -247,6 +246,7 @@ class PairTrace:
     """What one keyframe pair computed: one entry of ``diagnostics["pairs"]``."""
 
     pair: int
+    parallax: float
     selection_margin: float
     selection_distances: tuple
     scale: float
@@ -257,7 +257,6 @@ class PairTrace:
 
 
 def _imu_only_result(window: KeyframeWindow, gravity, status: str,
-                     selected: HomographySolution | None,
                      diagnostics: dict) -> InitializationResult:
     """IMU-only result: the propagated body pose and velocity at every keyframe."""
     times, poses, vels = [], [], []
@@ -269,7 +268,7 @@ def _imu_only_result(window: KeyframeWindow, gravity, status: str,
         times.append(kf.t)
         poses.append(nav.pose)
         vels.append(nav.velocity.copy())
-    return InitializationResult(status, times, poses, vels, None, selected, diagnostics)
+    return InitializationResult(status, times, poses, vels, None, None, diagnostics)
 
 
 def run_initialization(
@@ -319,7 +318,7 @@ def run_initialization(
     counts = [len(kf.ids) for kf in window.keyframes]
     if min(counts) < cfg.min_features:
         return _imu_only_result(
-            window, gravity, STATUS_IMU_ONLY, None,
+            window, gravity, STATUS_IMU_ONLY,
             {"feature_counts": counts, "min_features": cfg.min_features,
              "timings": timings})
 
@@ -343,17 +342,21 @@ def run_initialization(
     velocities: list[np.ndarray] = []
     for m in range(len(window.keyframes) - 1):
         try:
-            trace, nav, prior, selected = _initialize_pair(
-                window, m, nav, prior, rig, cfg, rng, timings,
-                diag["indicator_values"])
+            step = _initialize_pair(window, m, nav, prior, rig, cfg, rng, timings,
+                                    diag["indicator_values"])
         except PipelineError as exc:
             exc.diagnostics = {"feature_counts": counts, "pairs": diag["pairs"]}
             raise
-        if trace is None:
-            diag["indicator_percentiles"] = _percentiles(diag.pop("indicator_values"))
+        if isinstance(step, float):
+            # the gate found no parallax above noise: no translation to recover
+            values = diag.pop("indicator_values")
+            if values:  # empty when the first pair is the pure-rotation one
+                diag["indicator_percentiles"] = _percentiles(values)
             diag["timings"] = timings
             diag["pure_rotation_pair"] = m
-            return _imu_only_result(window, gravity, STATUS_PURE_ROTATION, selected, diag)
+            diag["pure_rotation_parallax"] = step
+            return _imu_only_result(window, gravity, STATUS_PURE_ROTATION, diag)
+        trace, nav, prior, selected = step
         diag["pairs"].append(asdict(trace))
         poses.append(nav.pose)
         velocities.append(nav.velocity)
@@ -387,10 +390,11 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
                      rng: np.random.Generator, timings: dict, indicator_values: list):
     """One keyframe pair (previous ``m``, current ``m + 1``) of the chain.
 
-    Returns the pair's :class:`PairTrace` (``None`` for pure rotation), the
-    navigation state and prior normal at the current keyframe, and the
-    selected solution; stage timings and indicator values are appended to
-    ``timings`` and ``indicator_values``.
+    Returns the pair's :class:`PairTrace`, the navigation state and prior
+    normal at the current keyframe, and the selected solution; stage
+    timings and indicator values are appended to ``timings`` and
+    ``indicator_values``.  A pure-rotation pair, whose derotated parallax
+    is below the RANSAC threshold, returns only that parallax.
     """
     kf_i, kf_j = window.keyframes[m], window.keyframes[m + 1]
     pair_imu = imu_mod.slice_between(window.imu, kf_i.t, kf_j.t)
@@ -400,6 +404,7 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     # prior normal into the current camera frame
     r_cam = imu_mod.integrate_camera_rotation(pair_imu, cfg.gyro_bias, rig.T_c_b)
     prior = imu_mod.propagate_normal(prior, r_cam, kf_j.t)
+    rel_rot = r_cam.inverse()
 
     # homography from the current view onto the previous one: row k of
     # p_src / p_dst is feature fids[k] in the current / previous keyframe
@@ -408,6 +413,14 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
         raise PipelineError("homography", f"only {len(fids)} correspondences in pair {m}")
     p_src = kf_j.norm_l[rows_j]
     p_dst = kf_i.norm_l[rows_i]
+
+    # pure-rotation gate: with the gyro rotation taken out, a pair whose
+    # features moved less than the RANSAC inlier threshold (what the
+    # pipeline counts as noise) has no observable translation
+    parallax = _derotated_parallax(p_src, p_dst, rel_rot)
+    if parallax < cfg.ransac_threshold:
+        return parallax
+
     t_stage = time.perf_counter()
     try:
         h_est, inlier_mask = estimate(
@@ -419,11 +432,8 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     timings[f"homography_{m}_s"] = time.perf_counter() - t_stage
     indicator_values.extend(indicator(h_est, p_src, p_dst).tolist())
 
-    candidates = decompose(h_est)
-    if len(candidates) == 1 and candidates[0].normal_indeterminate:
-        return None, nav_prev, prior, candidates[0]
     try:
-        survivors = filter_positive_depth(candidates, p_src[inlier_mask])
+        survivors = filter_positive_depth(decompose(h_est), p_src[inlier_mask])
     except InconsistentDataError as exc:
         raise PipelineError("cheirality", str(exc)) from exc
     selection = select_solution(prior, survivors)
@@ -433,7 +443,6 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     # straddle the truth by O(sqrt(noise)).  With the gyro rotation in
     # hand, t_bar n^T = H - R is a well-conditioned rank-1 fit, so the
     # pose chain uses that extraction; selection output is unchanged.
-    rel_rot = r_cam.inverse()
     t_bar = _rank1_translation(h_est, rel_rot, prior)
 
     # the reliable inliers are triangulated at the previous keyframe in one call
@@ -456,11 +465,11 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
         raise PipelineError("pnp", str(exc)) from exc
     timings[f"pnp_{m}_s"] = time.perf_counter() - t_stage
 
+    t_hat = metric_alignment(t_pnp, nav_prev.pose, rig)
     try:
-        t_hat = metric_alignment(t_pnp, nav_prev.pose, rig)
         s = recover_scale(t_bar, t_hat)
-    except DegenerateTranslationError:
-        return None, nav_prev, prior, selection.solution
+    except DegenerateTranslationError as exc:
+        raise PipelineError("scale", f"{exc} in pair {m}") from exc
     if s <= 0.0:
         raise PipelineError("scale", f"backwards scale {s:.6g} in pair {m}")
 
@@ -483,6 +492,7 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
 
     trace = PairTrace(
         pair=m,
+        parallax=parallax,
         selection_margin=selection.margin,
         selection_distances=selection.distances,
         scale=s,
@@ -494,6 +504,15 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     nav_curr = NavState(kf_j.t, body_curr, velocity,
                         nav_prev.gyro_bias, nav_prev.accel_bias)
     return trace, nav_curr, prior, selection.solution
+
+
+def _derotated_parallax(p_src: np.ndarray, p_dst: np.ndarray,
+                        rel_rot: Rotation) -> float:
+    """Median distance, in normalized units, from each previous-view point
+    ``p_dst`` to its current-view match ``p_src`` rotated into the previous
+    view by the gyro rotation ``rel_rot``."""
+    rays = rel_rot.apply(homogeneous(p_src))
+    return float(np.median(np.linalg.norm(p_dst - rays[:, :2] / rays[:, 2:], axis=1)))
 
 
 def _rank1_translation(h_est: Homography, rel_rot: Rotation,

@@ -13,6 +13,7 @@ from planar_init.errors import (
 from planar_init.geometry import Rotation
 from planar_init.homography import (
     Homography,
+    HomographySolution,
     decompose,
     estimate,
     filter_positive_depth,
@@ -75,15 +76,6 @@ class TestHomographyType:
             h = Homography(rng.normal(size=(3, 3)) + 3 * np.eye(3))
             s = np.linalg.svd(h.matrix, compute_uv=False)
             assert abs(s[1] - 1.0) < 1e-12
-
-    def test_partition_reassembles_exactly(self):
-        h = Homography(np.diag([2.0, 1.0, 0.5]))
-        m = np.zeros((3, 3))
-        m[:2, :2] = h.h1
-        m[:2, 2] = h.h2
-        m[2, :2] = h.h3
-        m[2, 2] = h.h4
-        assert np.array_equal(m, h.matrix)
 
 
 class TestSynthesize:
@@ -330,20 +322,14 @@ class TestBlockLoopMatchesSequentialLoop:
 
 
 class TestDecompose:
-    def test_identity_is_pure_rotation(self):
-        sols = decompose(Homography(np.eye(3)))
-        assert len(sols) == 1
-        assert sols[0].normal_indeterminate
-        assert sols[0].rotation.angle() < 1e-12
-        assert np.linalg.norm(sols[0].t_bar) == 0.0
-
-    def test_pure_rotation(self):
-        r = Rotation.about_x(0.2) @ Rotation.about_z(-0.4)
-        sols = decompose(Homography(r.matrix()))
-        assert len(sols) == 1
-        assert sols[0].normal_indeterminate
-        assert sols[0].rotation.angle_to(r) < 1e-9
-        assert np.linalg.norm(sols[0].t_bar) < 1e-9
+    @pytest.mark.parametrize("rotation", [
+        Rotation.identity(), Rotation.about_x(0.2) @ Rotation.about_z(-0.4),
+    ], ids=["identity", "rotation"])
+    def test_rotation_raises(self, rotation):
+        # no translation or normal to recover; the pipeline's parallax gate
+        # reports such a pair as pure rotation before H is estimated
+        with pytest.raises(DegenerateHomographyError, match="rotation"):
+            decompose(Homography(rotation.matrix()))
 
     def test_round_trip_contains_truth(self):
         # acceptance criterion 1 at reduced count; the full 1000 draws run in
@@ -419,7 +405,8 @@ class TestFilterPositiveDepth:
         assert best < 1e-6
 
     def test_identity_solution_passes(self):
-        sols = decompose(Homography(np.eye(3)))
+        # no motion, plane facing the camera: a point in front stays in front
+        sols = [HomographySolution(Rotation.identity(), np.zeros(3), [0.0, 0.0, 1.0])]
         assert filter_positive_depth(sols, np.array([[0.1, 0.0]])) == sols
 
     def test_antipodal_normal_rejected(self):

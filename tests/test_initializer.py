@@ -322,12 +322,53 @@ class TestRunInitialization:
         cfg = PipelineConfig(preset_height_m=0.0)
         result = run_on_dataset(ds, cfg, seed=0)
         assert result.status == STATUS_PURE_ROTATION
-        assert result.scale is None
-        json.dumps(result.to_json_dict())  # diagnostics stay serializable
-        # the indicator is summarized as for an initialized result
-        pct = result.diagnostics["indicator_percentiles"]
-        assert 0.0 <= pct["p50"] <= pct["p95"] <= pct["p100"]
-        assert "indicator_values" not in result.diagnostics
+        assert result.scale is None and result.selected is None
+        payload = json.loads(json.dumps(result.to_json_dict()))  # serializable
+        assert "selected" not in payload
+        d = result.diagnostics
+        # the gate stops the first pair, before any homography or indicator
+        assert d["pure_rotation_pair"] == 0
+        assert 0.0 <= d["pure_rotation_parallax"] < cfg.ransac_threshold
+        assert "indicator_percentiles" not in d and "indicator_values" not in d
+
+    @pytest.mark.parametrize("pixel_px", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scene", ["helipad", "asphalt", "lawn"])
+    def test_noisy_hover_is_pure_rotation(self, scene, seed, pixel_px):
+        # a hover pair's median derotated parallax is 1.5-2.5 pixel-noise
+        # sigmas, below the 3.2 px RANSAC threshold even at 1 px noise
+        ds = make_dataset(scene_preset(scene, seed=seed), TrajectoryProfile(kind="hover"),
+                          noise=NoiseModel(pixel_px=pixel_px), seed=seed)
+        result = run_on_dataset(ds, PipelineConfig(preset_height_m=0.0), seed=0)
+        assert result.status == STATUS_PURE_ROTATION
+        assert result.scale is None and result.selected is None
+
+    @pytest.mark.parametrize("pixel_px", [0.5, 1.0])
+    @pytest.mark.parametrize("scene", ["helipad", "asphalt", "lawn"])
+    def test_slow_climb_clears_the_parallax_gate(self, scene, pixel_px):
+        # 0.1 m/s gated at 0.5 m; the 10 m default field would leave fewer
+        # than min_features in view that low, so the same 800 features are
+        # spread over 3 m
+        ds = make_dataset(scene_preset(scene, seed=1, extent=(3.0, 3.0)),
+                          TrajectoryProfile(kind="vertical", climb_rate=0.1, duration=12.0),
+                          noise=NoiseModel(pixel_px=pixel_px), seed=1)
+        cfg = PipelineConfig(preset_height_m=0.5)
+        result = run_on_dataset(ds, cfg, seed=0)
+        assert result.status == STATUS_INITIALIZED
+        # every pair clears the gate with room to spare
+        assert min(p["parallax"] for p in result.diagnostics["pairs"]) > 2 * cfg.ransac_threshold
+
+    def test_degenerate_translation_is_a_scale_failure(self, clean_vertical_dataset,
+                                                       monkeypatch):
+        import planar_init.initializer as initializer
+
+        def degenerate(t_bar, t_hat):
+            raise DegenerateTranslationError("up-to-scale translation is degenerate")
+
+        monkeypatch.setattr(initializer, "recover_scale", degenerate)
+        with pytest.raises(PipelineError) as info:
+            run_on_dataset(clean_vertical_dataset, PipelineConfig(), seed=0)
+        assert info.value.stage == "scale"
 
     def test_determinism(self, noisy_vertical_dataset):
         # bit-identical apart from wall-clock stage timings
