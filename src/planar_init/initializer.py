@@ -243,17 +243,20 @@ class InitializationResult:
 
 @dataclass(frozen=True)
 class PairTrace:
-    """What one keyframe pair computed: one entry of ``diagnostics["pairs"]``."""
+    """What one keyframe pair computed: one entry of ``diagnostics["pairs"]``.
+
+    A pair stopped by the pure-rotation gate computed only its parallax.
+    """
 
     pair: int
     parallax: float
-    selection_margin: float
-    selection_distances: tuple
-    scale: float
-    t_hat_norm: float
-    pnp_inliers: int
-    correspondences: int
-    homography_inliers: int
+    selection_margin: float | None = None
+    selection_distances: tuple | None = None
+    scale: float | None = None
+    t_hat_norm: float | None = None
+    pnp_inliers: int | None = None
+    correspondences: int | None = None
+    homography_inliers: int | None = None
 
 
 def _imu_only_result(window: KeyframeWindow, gravity, status: str,
@@ -342,21 +345,21 @@ def run_initialization(
     velocities: list[np.ndarray] = []
     for m in range(len(window.keyframes) - 1):
         try:
-            step = _initialize_pair(window, m, nav, prior, rig, cfg, rng, timings,
-                                    diag["indicator_values"])
+            trace, nav, prior, selected = _initialize_pair(
+                window, m, nav, prior, rig, cfg, rng, timings,
+                diag["indicator_values"])
         except PipelineError as exc:
             exc.diagnostics = {"feature_counts": counts, "pairs": diag["pairs"]}
             raise
-        if isinstance(step, float):
+        if nav is None:
             # the gate found no parallax above noise: no translation to recover
             values = diag.pop("indicator_values")
             if values:  # empty when the first pair is the pure-rotation one
                 diag["indicator_percentiles"] = _percentiles(values)
             diag["timings"] = timings
             diag["pure_rotation_pair"] = m
-            diag["pure_rotation_parallax"] = step
+            diag["pure_rotation_parallax"] = trace.parallax
             return _imu_only_result(window, gravity, STATUS_PURE_ROTATION, diag)
-        trace, nav, prior, selected = step
         diag["pairs"].append(asdict(trace))
         poses.append(nav.pose)
         velocities.append(nav.velocity)
@@ -394,7 +397,8 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     normal at the current keyframe, and the selected solution; stage
     timings and indicator values are appended to ``timings`` and
     ``indicator_values``.  A pure-rotation pair, whose derotated parallax
-    is below the RANSAC threshold, returns only that parallax.
+    is below the RANSAC threshold, returns a trace of that parallax alone
+    and no navigation state or solution.
     """
     kf_i, kf_j = window.keyframes[m], window.keyframes[m + 1]
     pair_imu = imu_mod.slice_between(window.imu, kf_i.t, kf_j.t)
@@ -419,7 +423,7 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     # pipeline counts as noise) has no observable translation
     parallax = _derotated_parallax(p_src, p_dst, rel_rot)
     if parallax < cfg.ransac_threshold:
-        return parallax
+        return PairTrace(pair=m, parallax=parallax), None, prior, None
 
     t_stage = time.perf_counter()
     try:
