@@ -242,13 +242,20 @@ def evaluate(result: InitializationResult, gt_t: np.ndarray,
 
 
 def evaluate_against_dataset(result: InitializationResult, dataset) -> MetricsReport:
+    """Score a result against a dataset's ground truth, positions taken from rest.
+
+    The pipeline's world frame starts at the body at rest, the first
+    ground-truth row; a hover starts aloft, a take-off at the origin.
+    """
     if isinstance(dataset, Dataset):
         tr = dataset.truth
-        return evaluate(result, tr.t[tr.cam_indices], tr.position[tr.cam_indices],
+        return evaluate(result, tr.t[tr.cam_indices],
+                        tr.position[tr.cam_indices] - tr.position[0],
                         tr.quat_wxyz[tr.cam_indices], tr.velocity[tr.cam_indices],
                         dataset.cam_period)
     if isinstance(dataset, LoadedDataset):
-        return evaluate(result, dataset.gt_t, dataset.gt_position, dataset.gt_quat,
+        return evaluate(result, dataset.gt_t,
+                        dataset.gt_position - dataset.gt_position[0], dataset.gt_quat,
                         dataset.gt_velocity, dataset.cam_period)
     raise TypeError(f"unsupported dataset type {type(dataset)!r}")
 
@@ -391,55 +398,6 @@ def _full_job(args) -> tuple[int, FullTrial]:
     return idx, full_trial(scene, profile_kind, seed)
 
 
-# OpenBLAS thread setters, most specific first: numpy wheels ship an
-# OpenBLAS whose symbols carry the ``scipy_`` prefix and the ILP64 suffix.
-_OPENBLAS_SET_THREADS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-
-
-def _loaded_openblas() -> str | None:
-    """Path of the OpenBLAS library mapped into this process, if any."""
-    try:
-        with open("/proc/self/maps") as fh:
-            for line in fh:
-                path = line.split(maxsplit=5)[-1].strip()
-                if "openblas" in path.rsplit("/", 1)[-1].lower():
-                    return path
-    except OSError:
-        pass
-    return None
-
-
-def _single_thread_blas() -> None:
-    """Pool initializer: put the worker's already-loaded OpenBLAS on one thread.
-
-    Each forked worker inherits numpy's multi-threaded OpenBLAS, whose
-    helper threads spin-wait after every threaded call; with one worker
-    per core that oversubscribes the cores.  Trials parallelize across
-    workers instead.  Without OpenBLAS or ``/proc`` this does nothing.
-    """
-    path = _loaded_openblas()
-    if path is None:
-        return
-    import ctypes
-
-    try:
-        lib = ctypes.CDLL(path)
-    except OSError:
-        return
-    for name in _OPENBLAS_SET_THREADS:
-        setter = getattr(lib, name, None)
-        if setter is not None:
-            setter.argtypes = [ctypes.c_int]
-            setter.restype = None
-            setter(1)
-            return
-
-
 def run_sweep(mode: str, scenes: list[str], profiles: list[str], trials: int,
               master_seed: int, jobs: int = 1) -> list[dict]:
     """Seeded trial matrix; aggregation is independent of completion order.
@@ -473,8 +431,8 @@ def run_sweep(mode: str, scenes: list[str], profiles: list[str], trials: int,
     job = _selection_job if mode == "selection" else _full_job
     results: dict[int, object] = {}
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, initializer=_single_thread_blas) as pool:
+        import numpy.random  # loaded lazily by numpy; once here, not in every worker
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             for i, out in pool.map(job, tasks):
                 results[i] = out
     else:

@@ -2,11 +2,12 @@
 stereo feature tracks, and IMU streams.
 
 World frame is NED (z down); the ground plane is z = 0 and altitude h
-means body position z = -h.  The body starts level and at rest, so the
-world frame coincides with the initial body frame, matching the
-pipeline's IMU-only anchor.  The downward-looking left camera shares the
-body axes by default (optical axis +z = down); the right camera sits at
-+baseline along camera x.
+means body position z = -h.  The body starts level and at rest.  A
+take-off starts at the origin, so the world frame coincides with the
+initial body frame, matching the pipeline's IMU-only anchor; a hover
+starts aloft, and evaluation measures positions from rest.  The
+downward-looking left camera shares the body axes by default (optical
+axis +z = down); the right camera sits at +baseline along camera x.
 
 All randomness flows from explicit seeds; a dataset is a pure function of
 its configuration.

@@ -1,7 +1,7 @@
 import concurrent.futures
 import csv
-import ctypes
 import json
+import os
 import shutil
 from dataclasses import replace
 
@@ -14,9 +14,8 @@ from planar_init.config import PipelineConfig, load_config
 from planar_init.errors import AlignmentError, PipelineError
 from planar_init.geometry import Pose, Rotation
 from planar_init.harness import (
-    _loaded_openblas,
-    _single_thread_blas,
     evaluate,
+    full_trial,
     run_on_dataset,
     run_sweep,
     select_window,
@@ -33,22 +32,11 @@ from planar_init.simulator import (
 )
 
 
-def _openblas_get_threads() -> int | None:
-    """Thread count of this process's OpenBLAS, or None without one."""
-    path = _loaded_openblas()
-    if path is None:
-        return None
-    lib = ctypes.CDLL(path)
-    for name in ("scipy_openblas_get_num_threads64_",
-                 "scipy_openblas_get_num_threads",
-                 "openblas_get_num_threads64_",
-                 "openblas_get_num_threads"):
-        getter = getattr(lib, name, None)
-        if getter is not None:
-            getter.argtypes = []
-            getter.restype = ctypes.c_int
-            return getter()
-    return None
+def _os_threads_after_trials() -> int:
+    """This process's OS thread count after one trial of each sweep mode."""
+    selection_trial("oblique", seed=1)
+    full_trial("helipad", "oblique", seed=1)
+    return len(os.listdir("/proc/self/task"))
 
 
 class TestSeeds:
@@ -201,20 +189,21 @@ class TestSweep:
         assert a == b
 
     def test_parallel_determinism_full_mode(self):
-        # full trials reach the BLAS-backed estimators the pool workers run
-        # single-threaded; their rows must not depend on --jobs
+        # full trials run every estimator in the pool workers; their rows
+        # must not depend on --jobs
         args = ("full", ["helipad"], ["vertical", "oblique"])
         a = run_sweep(*args, trials=2, master_seed=4, jobs=1)
         b = run_sweep(*args, trials=2, master_seed=4, jobs=2)
         assert a == b
         assert all(row["initialized"] == 2 for row in a)
 
-    def test_pool_workers_run_single_thread_blas(self):
-        if _openblas_get_threads() is None:
-            pytest.skip("no OpenBLAS loaded in this process")
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=1, initializer=_single_thread_blas) as pool:
-            assert pool.submit(_openblas_get_threads).result(timeout=60) == 1
+    def test_pool_worker_runs_trials_on_one_thread(self):
+        # a forked worker inherits no BLAS helper threads, and no trial
+        # makes a BLAS call large enough to start them
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count threads")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(_os_threads_after_trials).result(timeout=120) == 1
 
     def test_unknown_scene(self):
         with pytest.raises(ValueError):
@@ -425,6 +414,19 @@ class TestCli:
         code = main(["init", "--dataset", str(dataset_dir), "--out", str(out),
                      "--deviation", "fixed", "--fixed-deviation-px", "2.0"])
         assert code == 0
+
+    def test_hover_metrics_measured_from_rest(self, tmp_path):
+        # the hover starts 2 m up; the pipeline's world frame starts at rest
+        ds, run = tmp_path / "hover", tmp_path / "run"
+        assert main(["generate", "--scene", "helipad", "--profile", "hover",
+                     "--seed", "0", "--out", str(ds)]) == 0
+        cfg = tmp_path / "hover.json"
+        cfg.write_text(json.dumps({"preset_height_m": 0}))
+        assert main(["init", "--dataset", str(ds), "--config", str(cfg),
+                     "--out", str(run)]) == 3
+        metrics = json.loads((run / "metrics.json").read_text())
+        assert metrics["status"] == "pure-rotation"
+        assert all(v < 0.1 for v in metrics["translation_rmse_m"].values())
 
     def test_evaluate_writes_plot_csv(self, dataset_dir, tmp_path):
         run_dir = tmp_path / "run"

@@ -358,6 +358,31 @@ class TestRunInitialization:
         # every pair clears the gate with room to spare
         assert min(p["parallax"] for p in result.diagnostics["pairs"]) > 2 * cfg.ransac_threshold
 
+    def test_vertical_climb_t_parallel_n_under_default_noise(self):
+        # a vertical climb translates the camera along the plane normal
+        # (t ∥ n), the rank-1 translation's degenerate-looking case
+        max_err, scale_err = [], []
+        for scene in ("helipad", "asphalt", "lawn"):
+            for seed in range(1, 6):
+                ds = make_dataset(scene_preset(scene, seed=seed),
+                                  TrajectoryProfile(kind="vertical"),
+                                  noise=NoiseModel(), seed=seed)
+                result = run_on_dataset(ds, PipelineConfig(), seed=seed)
+                assert result.status == STATUS_INITIALIZED, (scene, seed)
+                tr = ds.truth
+                idx = [tr.nearest_index(t) for t in result.keyframe_times]
+                for a, b in zip(idx, idx[1:]):
+                    t = (tr.camera_pose(a, ds.rig).invert() @ tr.camera_pose(b, ds.rig)).translation
+                    n, _ = tr.plane_in_camera(a, ds.rig)
+                    cos = abs(t @ n) / np.linalg.norm(t)
+                    assert math.degrees(math.acos(min(cos, 1.0))) < 1.0
+                report = evaluate_against_dataset(result, ds)
+                max_err.append(np.abs(report.translation_errors).max())
+                _, d_true = tr.plane_in_camera(idx[1], ds.rig)
+                scale_err.append(abs(result.scale - d_true) / d_true)
+        assert max(max_err) < 0.1
+        assert np.median(scale_err) < 0.05
+
     def test_degenerate_translation_is_a_scale_failure(self, clean_vertical_dataset,
                                                        monkeypatch):
         import planar_init.initializer as initializer
