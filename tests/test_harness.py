@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import json
 import os
@@ -8,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from planar_init import harness
 from planar_init import imu as imu_mod
 from planar_init.cli import main
 from planar_init.config import PipelineConfig, load_config
@@ -15,7 +15,6 @@ from planar_init.errors import AlignmentError, PipelineError
 from planar_init.geometry import Pose, Rotation
 from planar_init.harness import (
     evaluate,
-    full_trial,
     run_on_dataset,
     run_sweep,
     select_window,
@@ -32,11 +31,18 @@ from planar_init.simulator import (
 )
 
 
-def _os_threads_after_trials() -> int:
-    """This process's OS thread count after one trial of each sweep mode."""
+_FULL_JOB = harness._full_job
+
+
+def _full_job_on_one_thread(args):
+    """A full sweep job, after a selection trial, that fails unless its
+    process still runs on one OS thread."""
     selection_trial("oblique", seed=1)
-    full_trial("helipad", "oblique", seed=1)
-    return len(os.listdir("/proc/self/task"))
+    out = _FULL_JOB(args)
+    threads = len(os.listdir("/proc/self/task"))
+    if threads != 1:
+        raise AssertionError(f"the sweep worker runs {threads} OS threads")
+    return out
 
 
 class TestSeeds:
@@ -197,13 +203,14 @@ class TestSweep:
         assert a == b
         assert all(row["initialized"] == 2 for row in a)
 
-    def test_pool_worker_runs_trials_on_one_thread(self):
+    def test_pool_worker_runs_trials_on_one_thread(self, monkeypatch):
         # a forked worker inherits no BLAS helper threads, and no trial
         # makes a BLAS call large enough to start them
         if not os.path.isdir("/proc/self/task"):
             pytest.skip("no /proc/self/task to count threads")
-        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
-            assert pool.submit(_os_threads_after_trials).result(timeout=120) == 1
+        monkeypatch.setattr(harness, "_full_job", _full_job_on_one_thread)
+        rows = run_sweep("full", ["helipad"], ["oblique"], trials=1, master_seed=1, jobs=2)
+        assert rows[0]["initialized"] == 1
 
     def test_unknown_scene(self):
         with pytest.raises(ValueError):

@@ -372,7 +372,8 @@ class TestRunInitialization:
                 tr = ds.truth
                 idx = [tr.nearest_index(t) for t in result.keyframe_times]
                 for a, b in zip(idx, idx[1:]):
-                    t = (tr.camera_pose(a, ds.rig).invert() @ tr.camera_pose(b, ds.rig)).translation
+                    rel = tr.camera_pose(a, ds.rig).invert() @ tr.camera_pose(b, ds.rig)
+                    t = rel.translation
                     n, _ = tr.plane_in_camera(a, ds.rig)
                     cos = abs(t @ n) / np.linalg.norm(t)
                     assert math.degrees(math.acos(min(cos, 1.0))) < 1.0
