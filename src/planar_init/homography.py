@@ -7,11 +7,22 @@ the source camera frame.  Such an H always has its second-largest
 singular value equal to 1, which is the normalization every
 :class:`Homography` instance carries.
 
-Estimation is a random-sampling consensus loop whose minimal-sample
-hypotheses are the closed-form 4-point interpolants, with a normalized DLT
-refit on the final inliers; decomposition is the analytic SVD
-construction returning up to four ``(R, t_bar, n)`` triples, of which
-positive-depth filtering keeps at most two.
+Estimation holds R and n fixed, as the pipeline knows them from the gyro
+rotation and the IMU-propagated prior normal, so H is linear in t_bar
+alone and two correspondences fix a hypothesis (Saurer et al., TPAMI 2017;
+Troiani et al., ICRA 2014): a 2-point random-sampling consensus loop,
+then a depth-weighted least-squares refit on the inliers.  Over 36
+default-noise take-off windows (324 pairs) the fitted t_bar is a median
+0.17 deg off the true direction.  The 8-DoF 4-point fit it replaced gave,
+through the four-way decomposition and prior selection, a t_bar 4.7 deg
+off (0.23 deg for the rank-1 factor of H - R the pose chain used then),
+at about four times the cost per call.
+
+Decomposition is the analytic SVD construction returning up to four
+``(R, t_bar, n)`` triples, of which positive-depth filtering keeps at most
+two.  The pipeline runs both on the fitted H as its positive-depth check;
+``harness.selection_trial`` runs them on exact homographies, reproducing
+the paper's prior-normal disambiguation.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from .errors import (
     InsufficientDataError,
     InvalidPlaneError,
 )
-from .geometry import Rotation, cross
+from .geometry import Rotation, cross, homogeneous
 
 
 class Homography:
@@ -56,9 +67,6 @@ class Homography:
         p = np.asarray(p_i, dtype=np.float64)
         out = _map(self._m, np.atleast_2d(p))
         return out[0] if p.ndim == 1 else out
-
-    def inverse(self) -> "Homography":
-        return Homography(np.linalg.inv(self._m))
 
     def __repr__(self) -> str:
         return f"Homography({np.array2string(self._m, precision=6)})"
@@ -119,229 +127,144 @@ def _map(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def symmetric_transfer_error(h: Homography, p_src, p_dst) -> np.ndarray:
-    """Forward plus backward transfer distance per correspondence."""
-    p_src, p_dst = _points(p_src), _points(p_dst)
-    err = (np.linalg.norm(h.apply(p_src) - p_dst, axis=-1)
-           + np.linalg.norm(h.inverse().apply(p_dst) - p_src, axis=-1))
-    err[~np.isfinite(err)] = np.inf
-    return err
+def _normal_equations(y: np.ndarray, rx: np.ndarray,
+                      s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each correspondence's least-squares equations in t_bar.
 
-
-def _hartley_normalization(pts: np.ndarray) -> np.ndarray:
-    """Similarity transforms taking each point set of a stack (K, M, 2) to
-    zero mean and sqrt(2) mean radius, (K, 3, 3)."""
-    mean = pts.mean(axis=1)
-    dist = np.linalg.norm(pts - mean[:, None], axis=2).mean(axis=1)
-    s = math.sqrt(2.0) / np.maximum(dist, 1e-12)
-    t = np.zeros((len(pts), 3, 3))
-    t[:, 0, 0] = t[:, 1, 1] = s
-    t[:, :2, 2] = -s[:, None] * mean
-    t[:, 2, 2] = 1.0
-    return t
-
-
-def _dlt(p_src: np.ndarray, p_dst: np.ndarray) -> np.ndarray:
-    """Normalized DLT on a stack (K, M, 2) of M >= 4 correspondences each;
-    returns the unnormalized (K, 3, 3) solutions."""
-    t_src = _hartley_normalization(p_src)
-    t_dst = _hartley_normalization(p_dst)
-    ones = np.ones(p_src.shape[:2] + (1,))
-    a = np.concatenate([p_src, ones], axis=2) @ np.swapaxes(t_src, 1, 2)
-    b = np.concatenate([p_dst, ones], axis=2) @ np.swapaxes(t_dst, 1, 2)
-    k, m = a.shape[:2]
-    rows = np.zeros((k, 2 * m, 9))
-    rows[:, 0::2, 0:3] = -a
-    rows[:, 0::2, 6:9] = b[:, :, 0:1] * a
-    rows[:, 1::2, 3:6] = -a
-    rows[:, 1::2, 6:9] = b[:, :, 1:2] * a
-    # the null vector is the last row of V^T; below 9 rows only the full
-    # factorization has one, above it the reduced one skips the unused U
-    _, _, vt = np.linalg.svd(rows, full_matrices=2 * m < 9)
-    h_hat = vt[:, -1].reshape(k, 3, 3)
-    return np.linalg.inv(t_dst) @ h_hat @ t_src
-
-
-def _basis(pts: np.ndarray) -> np.ndarray:
-    """Matrices (K, 3, 3) mapping e1, e2, e3 and (1, 1, 1) onto the four
-    points of each sample of a stack (K, 4, 2), homogeneous: the columns
-    are the first three points, scaled to sum to the fourth."""
-    cols = np.ones((len(pts), 3, 4))
-    cols[:, :2] = np.swapaxes(pts, 1, 2)
-    scale = np.linalg.solve(cols[:, :, :3], cols[:, :, 3:])
-    return cols[:, :, :3] * np.swapaxes(scale, 1, 2)
-
-
-def _interpolants(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The homographies (K, 3, 3) taking each 4-point sample of ``src``
-    exactly onto ``dst``, as the map between two projective bases
-    (Hartley & Zisserman, Multiple View Geometry, 2nd ed., sec. 2.3)."""
-    return _basis(dst) @ np.linalg.inv(_basis(src))
-
-
-# the 3 points left of a 4-point sample when each one in turn is dropped
-_TRIPLES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-
-
-def _collinear(pts: np.ndarray) -> np.ndarray:
-    """Per sample of a stack (K, 4, 2): are any 3 of its points (nearly) collinear?"""
-    extent = pts.max(axis=1) - pts.min(axis=1)
-    scale = np.maximum(np.maximum(extent[:, 0], extent[:, 1]), 1e-12)
-    tri = pts[:, _TRIPLES]
-    u = tri[:, :, 1] - tri[:, :, 0]
-    v = tri[:, :, 2] - tri[:, :, 0]
-    area = np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
-    return np.any(area < (1e-10 * scale * scale)[:, None], axis=1)
-
-
-def _hypotheses(src: np.ndarray, dst: np.ndarray):
-    """Minimal-sample homographies of a stack of 4-point samples (K, 4, 2).
-
-    Returns the usable ones and their inverses, each scaled to unit second
-    singular value as :class:`Homography` scales it, and the (K,) mask of
-    usable samples: a sample is dropped where ``Homography`` would reject
-    its interpolant or that interpolant's inverse (non-finite, or
-    numerically rank deficient).
+    For a source point x and a target point y = (u, v, 1), with R x (N, 3)
+    in ``rx`` and n . x (N,) in ``s``, let w = R x + t_bar (n . x).  Two rows
+    of [y]x w = 0 read ``A t_bar - b = (u, v) w_z - (w_x, w_y)``, the forward
+    transfer error times the predicted depth w_z.  Their normal matrix
+    A^T A = [[q0, 0, q1], [0, q0, q2], [q1, q2, q3]] keeps that pattern
+    under sums, so it is returned as q (N, 4), and A^T b as g (N, 3).
     """
-    try:
-        m = _interpolants(src, dst)
-    except np.linalg.LinAlgError:
-        # one singular basis fails the stacked call; solve the samples one
-        # by one and drop only the failing ones
-        m = np.full((len(src), 3, 3), np.nan)
-        for k in range(len(src)):
-            try:
-                m[k] = _interpolants(src[k:k + 1], dst[k:k + 1])[0]
-            except np.linalg.LinAlgError:
-                pass
-    ok = np.all(np.isfinite(m), axis=(1, 2))
-    s = np.ones((len(m), 3))
-    s[ok] = np.linalg.svd(m[ok], compute_uv=False)
-    ok &= s[:, 1] >= 1e-12 * np.maximum(1.0, s[:, 0])
-    ok &= s[:, 2] >= 1e-12 * s[:, 1]  # else the inverse is rank deficient
-    h = m[ok] / s[ok, 1, None, None]
-    # the singular values of the inverse are 1 / s, so its second is 1 too
-    return h, np.linalg.inv(h), ok
+    u, v = y[:, 0], y[:, 1]
+    b0 = rx[:, 0] - u * rx[:, 2]
+    b1 = rx[:, 1] - v * rx[:, 2]
+    q = (s * s)[:, None] * np.stack([np.ones_like(u), -u, -v, u * u + v * v], axis=1)
+    g = s[:, None] * np.stack([-b0, -b1, u * b0 + v * b1], axis=1)
+    return q, g
 
 
-def _transfer_distances(m: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Distances (K, N) from each point ``p`` (N, 2) mapped through each of
-    a stack ``m`` (K, 3, 3) to its ``q``, rounded as ``_map`` and
-    ``np.linalg.norm`` round them but without their temporaries; nan or
-    inf where a point maps to infinity.  Call under ``np.errstate``
+def _solve(q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solutions (K, 3) of normal equations (K, 4) and (K, 3) in the form
+    ``_normal_equations`` returns, by the Schur complement on t_z; a
+    singular one gives non-finite entries.  Call under ``np.errstate``
+    ignoring divide and invalid."""
+    q0, q1, q2, q3 = q.T
+    tz = (q0 * g[:, 2] - q1 * g[:, 0] - q2 * g[:, 1]) / (q0 * q3 - q1 * q1 - q2 * q2)
+    return np.stack([(g[:, 0] - q1 * tz) / q0, (g[:, 1] - q2 * tz) / q0, tz], axis=1)
+
+
+def _distances(w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Distances (K, N) from the dehomogenized points w (K, N, 3) to p (N, 2);
+    nan or inf where a point maps to infinity.  Call under ``np.errstate``
     ignoring divide, invalid and over."""
-    w = p @ np.swapaxes(m[:, :, :2], 1, 2) + m[:, None, :, 2]
-    dx = w[..., 0] / w[..., 2] - q[:, 0]
-    dy = w[..., 1] / w[..., 2] - q[:, 1]
+    dx = w[..., 0] / w[..., 2] - p[:, 0]
+    dy = w[..., 1] / w[..., 2] - p[:, 1]
     return np.sqrt(dx * dx + dy * dy)
 
 
-def _block_inliers(p_src: np.ndarray, p_dst: np.ndarray, idx: np.ndarray,
-                   threshold: float) -> np.ndarray:
-    """Inlier masks (K, N) of the hypotheses fitted to the samples ``idx``
-    (K, 4); a collinear or unusable sample gets an empty mask."""
-    src, dst = p_src[idx], p_dst[idx]
-    collinear = _collinear(np.concatenate([src, dst]))
-    keep = ~(collinear[:len(idx)] | collinear[len(idx):])
-    masks = np.zeros((len(idx), len(p_src)), dtype=bool)
-    h, h_inv, ok = _hypotheses(src[keep], dst[keep])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # a non-finite error compares False, as symmetric_transfer_error's inf does
-        err = _transfer_distances(h, p_src, p_dst) + _transfer_distances(h_inv, p_dst, p_src)
-        masks[np.flatnonzero(keep)[ok]] = err < threshold
-    return masks
-
-
-def _fix_sign(m: np.ndarray, p_src: np.ndarray) -> np.ndarray:
-    """Choose the sign making H p_src have positive third components."""
-    third = np.c_[p_src, np.ones(len(p_src))] @ m[2]
-    if np.median(third) < 0.0:
-        return -m
-    return m
-
-
-# hypotheses drawn and scored together; replaying the 162 estimate calls of
-# 18 default-noise window inits (3 scenes x 2 profiles x seeds 11-13) on a
-# 2-core x86-64 host took, best of 60 passes, 1.91 / 1.52 / 1.49 / 2.27 ms
-# per call at blocks of 8 / 16 / 32 / 64
-_BLOCK = 32
+# hypotheses drawn and scored together: at the pipeline's median inlier
+# ratio of 0.87 the 2-point stopping rule needs 5.  Replaying the 162
+# estimate calls of 18 default-noise window inits (3 scenes x 2 profiles x
+# seeds 11-13) on a 2-core x86-64 host took, best of 30 passes, 0.52 / 0.44
+# / 0.58 / 0.66 ms per call at blocks of 4 / 8 / 16 / 32 (the 4-point
+# estimator it replaced: 1.88 ms at its block of 32).
+_BLOCK = 8
 
 
 def estimate(
     p_src,
     p_dst,
+    rotation: Rotation,
+    n,
     *,
     threshold: float = 1e-3,
     confidence: float = 0.999,
     max_iters: int = 2000,
     seed: int | np.random.Generator = 0,
-) -> tuple[Homography, np.ndarray]:
-    """Robust homography mapping normalized points ``p_src`` onto ``p_dst``.
+) -> tuple[Homography, np.ndarray, np.ndarray]:
+    """Robust homography H = R + t_bar n^T mapping normalized points
+    ``p_src`` onto ``p_dst``, with the rotation R and the unit plane normal
+    ``n`` (source frame) known: only t_bar (3,) is estimated.
 
     ``p_src`` and ``p_dst`` are (N, 2) arrays, row k one correspondence.
-    Random 4-point sampling with the closed-form 4-point interpolant as
-    hypothesis; inliers are correspondences whose symmetric transfer error
-    falls below ``threshold`` (normalized-coordinate units).  The returned
-    homography is a least-squares normalized-DLT refit on the final
-    inlier set.
+    Each correspondence gives two equations linear in t_bar
+    (``_normal_equations``), so two points fix a hypothesis.  Inliers are
+    the correspondences whose symmetric transfer error falls below
+    ``threshold`` (normalized-coordinate units).  The returned t_bar is the
+    least-squares fit on the best consensus set, each point's rows divided
+    by its predicted depth under the best hypothesis, so that the cost is
+    the forward transfer error.
 
-    Hypotheses are drawn, fitted and scored in blocks of ``_BLOCK``, then
-    replayed in draw order under the sequential rule: the first strictly
-    larger consensus wins, the adaptive iteration count shrinks with it,
-    and a full consensus stops the search.  The generator state is saved
-    after every draw; when the search stops inside a block, it is restored
-    to the state after the last sample used, so it ends where a
-    one-at-a-time loop leaves it.
+    Hypotheses come in blocks of ``_BLOCK``: one generator call draws a
+    block's ordered pairs of distinct points, the block is scored at once,
+    then replayed in draw order: the first strictly larger consensus wins,
+    the 2-point adaptive iteration count shrinks with it, and a full
+    consensus stops the search.
 
-    Returns the scale-normalized homography and a boolean inlier mask.
+    Returns the scale-normalized homography, t_bar and a boolean inlier mask.
     """
     p_src, p_dst = _points(p_src), _points(p_dst)
-    n = len(p_src)
-    if len(p_dst) != n:
-        raise ValueError(f"{n} source points but {len(p_dst)} target points")
-    if n < 4:
-        raise InsufficientDataError(f"need >= 4 correspondences, got {n}")
+    count = len(p_src)
+    if len(p_dst) != count:
+        raise ValueError(f"{count} source points but {len(p_dst)} target points")
+    if count < 4:
+        raise InsufficientDataError(f"need >= 4 correspondences, got {count}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    bit_generator = rng.bit_generator
+    r = rotation.matrix()
+    n = np.asarray(n, dtype=np.float64).reshape(3)
+    x, y = homogeneous(p_src), homogeneous(p_dst)
+    rx, s = x @ r.T, x @ n
+    q, g = _normal_equations(y, rx, s)
+    # the backward map, by Sherman-Morrison: H^-1 y = R^T y - c (n . R^T y)
+    # with c = R^T t_bar / (1 + n . R^T t_bar)
+    ry = y @ r
+    ny = ry @ n
 
-    best_mask: np.ndarray | None = None
+    def inliers(t: np.ndarray) -> np.ndarray:
+        """Masks (K, N) of the hypotheses t (K, 3); a non-finite transfer
+        error compares False.  Elementwise, so a hypothesis rounds the same
+        in any block."""
+        c = t[:, :1] * r[0] + t[:, 1:2] * r[1] + t[:, 2:] * r[2]
+        c /= 1.0 + (c[:, :1] * n[0] + c[:, 1:2] * n[1] + c[:, 2:] * n[2])
+        return (_distances(rx + t[:, None, :] * s[:, None], p_dst)
+                + _distances(ry - c[:, None, :] * ny[:, None], p_src)) < threshold
+
     best_count = 0
     needed = max_iters
     it = 0
     done = False
-    while not done and it < min(needed, max_iters):
-        size = min(_BLOCK, min(needed, max_iters) - it)
-        idx = np.empty((size, 4), dtype=np.int64)
-        states = []
-        for k in range(size):
-            idx[k] = rng.choice(n, size=4, replace=False)
-            states.append(bit_generator.state)
-        masks = _block_inliers(p_src, p_dst, idx, threshold)
-        for used, count in enumerate(masks.sum(axis=1).tolist(), start=1):
-            it += 1
-            if count > best_count:
-                best_count = count
-                best_mask = masks[used - 1]
-                ratio = count / n
-                if ratio >= 1.0:
-                    done = True
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while not done and it < needed:
+            idx = rng.integers(0, (count, count - 1), size=(min(_BLOCK, needed - it), 2))
+            idx[:, 1] += idx[:, 1] >= idx[:, 0]
+            t = _solve(q[idx[:, 0]] + q[idx[:, 1]], g[idx[:, 0]] + g[idx[:, 1]])
+            masks = inliers(t)
+            for k, size in enumerate(masks.sum(axis=1).tolist()):
+                it += 1
+                if size > best_count:
+                    best_count, best_mask, best_t = size, masks[k], t[k]
+                    ratio = size / count
+                    if ratio >= 1.0:
+                        done = True
+                        break
+                    # adaptive stopping rule for 2-point samples
+                    denom = math.log(max(1e-12, 1.0 - ratio * ratio))
+                    needed = min(max_iters, int(math.ceil(math.log(1.0 - confidence) / denom)))
+                if it >= needed:
                     break
-                # standard adaptive stopping rule for 4-point samples
-                denom = math.log(max(1e-12, 1.0 - ratio ** 4))
-                needed = min(max_iters, int(math.ceil(math.log(1.0 - confidence) / denom)))
-            if it >= min(needed, max_iters):
-                break
-        if used < size:
-            bit_generator.state = states[used - 1]
-    if best_mask is None or best_count < 4:
-        raise DegenerateEstimationError("no consensus set of size >= 4")
+        if best_count < 4:
+            raise DegenerateEstimationError("no consensus set of size >= 4")
 
-    src, dst = p_src[best_mask], p_dst[best_mask]
-    h = Homography(_fix_sign(_dlt(src[None], dst[None])[0], src))
-    mask = symmetric_transfer_error(h, p_src, p_dst) < threshold
+        depth = rx[best_mask, 2] + s[best_mask] * best_t[2]
+        w = 1.0 / (depth * depth)
+        t_bar = _solve((w @ q[best_mask])[None], (w @ g[best_mask])[None])
+        mask = inliers(t_bar)[0]
     if int(mask.sum()) < 4:
         mask = best_mask
-    return h, mask
+    return Homography(r + np.outer(t_bar[0], n)), t_bar[0], mask
 
 
 def _dedupe(solutions: list[HomographySolution]) -> list[HomographySolution]:

@@ -2,15 +2,16 @@
 velocity from the metric displacement, and the window-level orchestration.
 
 Per consecutive keyframe pair (previous ``i``, current ``j``) the pipeline
-estimates the homography mapping the *current* view onto the *previous*
-one, so the decomposed plane normal lives in the current camera frame
-(where the gyro-propagated prior normal is maintained) and the decomposed
-translation is the current camera's position in the previous camera
-frame.  PnP against stereo points triangulated at the previous keyframe
-supplies the metric counterpart of that translation, and their
-least-squares ratio is the scale.  The PnP camera centre's displacement
-over the pair interval is the body velocity: the paper's motion-field
-constraint integrated over the interval.
+fits the homography H = R + t_bar n^T mapping the *current* view onto the
+*previous* one with the gyro rotation R and the prior normal n held fixed:
+n lives in the current camera frame, where the gyro-propagated prior is
+maintained, and the one unknown t_bar is the current camera's position in
+the previous camera frame over the plane distance.  PnP against stereo
+points triangulated at the previous keyframe supplies the metric
+counterpart of that translation, and their least-squares ratio is the
+scale.  The PnP camera centre's displacement over the pair interval is
+the body velocity: the paper's motion-field constraint integrated over
+the interval.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .geometry import (
     normalize,
 )
 from .homography import (
-    Homography,
     HomographySolution,
     decompose,
     estimate,
@@ -182,9 +182,9 @@ def refine_body_velocity(window: KeyframeWindow, pair: int, body_prev: Pose,
     """Mean body velocity (3,) over keyframe pair ``pair``, in the world frame.
 
     ``body_prev`` is the body pose at the earlier keyframe and ``cam_curr``
-    the known-rotation PnP camera pose (c -> w) at the later one; the
-    lever arm is handled by composing ``cam_curr`` with the inverse
-    extrinsics.
+    the known-rotation PnP camera pose (c -> w) at the later one, both in
+    world axes about any one origin; the lever arm is handled by composing
+    ``cam_curr`` with the inverse extrinsics.
     """
     dt = window.keyframes[pair + 1].t - window.keyframes[pair].t
     return refine_velocity(body_prev, cam_curr @ rig.T_c_b.invert(), dt)
@@ -196,7 +196,8 @@ class InitializationResult:
 
     ``poses`` are body poses in the window's world frame (anchored at the
     IMU-propagated body pose of the first keyframe); ``scale`` is the
-    first pair's recovered scale factor.
+    first pair's recovered scale factor and ``selected`` its fitted
+    (R_gyro, t_bar, n_prior), the solution the chain uses.
     """
 
     status: str
@@ -257,6 +258,7 @@ class PairTrace:
     pnp_inliers: int | None = None
     correspondences: int | None = None
     homography_inliers: int | None = None
+    transfer_rms_px: float | None = None
 
 
 def _imu_only_result(window: KeyframeWindow, gravity, status: str,
@@ -394,7 +396,7 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     """One keyframe pair (previous ``m``, current ``m + 1``) of the chain.
 
     Returns the pair's :class:`PairTrace`, the navigation state and prior
-    normal at the current keyframe, and the selected solution; stage
+    normal at the current keyframe, and the fitted (R, t_bar, n); stage
     timings and indicator values are appended to ``timings`` and
     ``indicator_values``.  A pure-rotation pair, whose derotated parallax
     is below the RANSAC threshold, returns a trace of that parallax alone
@@ -427,49 +429,50 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
 
     t_stage = time.perf_counter()
     try:
-        h_est, inlier_mask = estimate(
-            p_src, p_dst, threshold=cfg.ransac_threshold,
+        h_est, t_bar, inlier_mask = estimate(
+            p_src, p_dst, rel_rot, prior.n, threshold=cfg.ransac_threshold,
             confidence=cfg.ransac_confidence,
             max_iters=cfg.ransac_max_iters, seed=rng)
     except PlanarInitError as exc:
         raise PipelineError("homography", str(exc)) from exc
     timings[f"homography_{m}_s"] = time.perf_counter() - t_stage
-    indicator_values.extend(indicator(h_est, p_src, p_dst).tolist())
+    residuals = indicator(h_est, p_src, p_dst)
+    indicator_values.extend(residuals.tolist())
 
+    # the paper's four-way decomposition of the fitted H, kept as the
+    # positive-depth check and the selection diagnostics; the chain uses
+    # the fit's own (R, t_bar, n)
     try:
         survivors = filter_positive_depth(decompose(h_est), p_src[inlier_mask])
     except InconsistentDataError as exc:
         raise PipelineError("cheirality", str(exc)) from exc
     selection = select_solution(prior, survivors)
 
-    # For vertical take-off t is nearly parallel to n; the four-way
-    # decomposition then splits one double root into two candidates that
-    # straddle the truth by O(sqrt(noise)).  With the gyro rotation in
-    # hand, t_bar n^T = H - R is a well-conditioned rank-1 fit, so the
-    # pose chain uses that extraction; selection output is unchanged.
-    t_bar = _rank1_translation(h_est, rel_rot, prior)
-
-    # the reliable inliers are triangulated at the previous keyframe in one call
+    # the reliable inliers are triangulated at the previous keyframe in one
+    # call; the metric step is solved in world axes centred on the previous
+    # camera, so the chained position, which the weighted refit moves,
+    # enters neither PnP nor the velocity
     used = np.flatnonzero(inlier_mask)
     used = used[_reliable(kf_i, rows_i[used], cfg.min_disparity_px)]
     ri, rj = rows_i[used], rows_j[used]
     p_c = triangulate_stereo(kf_i.uv_l[ri], kf_i.uv_r[ri], rig)
     cam_prev = nav_prev.pose @ rig.T_c_b
-    points_w = cam_prev.apply(p_c)
+    body_prev = Pose(cam_prev.rotation, np.zeros(3), "c", "w") @ rig.T_c_b.invert()
+    points = cam_prev.rotation.apply(p_c)
     obs_j = kf_j.norm_l[rj]
-    if len(points_w) < 4:
-        raise PipelineError("pnp", f"only {len(points_w)} usable stereo points in pair {m}")
+    if len(points) < 4:
+        raise PipelineError("pnp", f"only {len(points)} usable stereo points in pair {m}")
     # the current camera's rotation comes from the gyro chain; PnP solves
     # only for its centre
     t_stage = time.perf_counter()
     try:
-        t_pnp, pnp_mask = solve_pnp(points_w, obs_j, cam_prev.rotation @ rel_rot,
+        t_pnp, pnp_mask = solve_pnp(points, obs_j, cam_prev.rotation @ rel_rot,
                                     threshold=cfg.pnp_ransac_threshold)
     except PlanarInitError as exc:
         raise PipelineError("pnp", str(exc)) from exc
     timings[f"pnp_{m}_s"] = time.perf_counter() - t_stage
 
-    t_hat = metric_alignment(t_pnp, nav_prev.pose, rig)
+    t_hat = metric_alignment(t_pnp, body_prev, rig)
     try:
         s = recover_scale(t_bar, t_hat)
     except DegenerateTranslationError as exc:
@@ -477,15 +480,14 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     if s <= 0.0:
         raise PipelineError("scale", f"backwards scale {s:.6g} in pair {m}")
 
-    # velocity from the PnP fit, before the weighted refit below: the
-    # deviation mode reaches it only through the previous position's rounding
-    velocity = refine_body_velocity(window, m, nav_prev.pose, t_pnp, rig)
+    # velocity from the PnP fit, before the weighted refit below
+    velocity = refine_body_velocity(window, m, body_prev, t_pnp, rig)
 
     if cfg.deviation_mode == "dynamic":
         inl = rj[pnp_mask]
-        t_pnp = _weighted_pnp_refit(t_pnp, points_w[pnp_mask], obs_j[pnp_mask],
+        t_pnp = _weighted_pnp_refit(t_pnp, points[pnp_mask], obs_j[pnp_mask],
                                     kf_j.uv_l[inl], kf_j.uv_r[inl], rig, cfg)
-        t_hat = metric_alignment(t_pnp, nav_prev.pose, rig)
+        t_hat = metric_alignment(t_pnp, body_prev, rig)
         s = recover_scale(t_bar, t_hat)
         if s <= 0.0:
             raise PipelineError("scale", f"backwards scale {s:.6g} in pair {m}")
@@ -504,10 +506,11 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
         pnp_inliers=int(pnp_mask.sum()),
         correspondences=len(fids),
         homography_inliers=int(np.sum(inlier_mask)),
+        transfer_rms_px=rig.f * float(np.sqrt(np.mean(residuals[inlier_mask] ** 2))),
     )
     nav_curr = NavState(kf_j.t, body_curr, velocity,
                         nav_prev.gyro_bias, nav_prev.accel_bias)
-    return trace, nav_curr, prior, selection.solution
+    return trace, nav_curr, prior, HomographySolution(rel_rot, t_bar, prior.n)
 
 
 def _derotated_parallax(p_src: np.ndarray, p_dst: np.ndarray,
@@ -517,17 +520,6 @@ def _derotated_parallax(p_src: np.ndarray, p_dst: np.ndarray,
     view by the gyro rotation ``rel_rot``."""
     rays = rel_rot.apply(homogeneous(p_src))
     return float(np.median(np.linalg.norm(p_dst - rays[:, :2] / rays[:, 2:], axis=1)))
-
-
-def _rank1_translation(h_est: Homography, rel_rot: Rotation,
-                       prior: PriorNormal) -> np.ndarray:
-    """Best rank-1 factor t_bar of (H - R), signed so the normal faces the prior."""
-    residual = h_est.matrix - rel_rot.matrix()
-    u, s, vt = np.linalg.svd(residual)
-    t_bar = s[0] * u[:, 0]
-    if float(vt[0] @ prior.n) < 0.0:
-        t_bar = -t_bar
-    return t_bar
 
 
 def _weighted_pnp_refit(t_pnp: Pose, points_w: np.ndarray, obs: np.ndarray,

@@ -115,15 +115,15 @@ def test_c02_estimation_exactness():
         r, t, n, d = _random_setup(rng)
         h_true = synthesize(r, t, n, d)
         corrs = _plane_corrs(h_true, n, rng, 50)
-    h, mask = estimate(*corrs, seed=0)
-    aligned = h.matrix * np.sign(h.matrix[2, 2] * h_true.matrix[2, 2])
-    frob = float(np.linalg.norm(aligned - h_true.matrix))
+    # the gyro rotation and the prior normal are known: only t/d is fitted
+    h, t_bar, mask = estimate(*corrs, r, n, seed=0)
+    frob = float(np.linalg.norm(h.matrix - h_true.matrix))
 
     src, dst = list(corrs[0][:35]), list(corrs[1][:35])
     while len(src) < 50:
         src.append(rng.uniform(-0.5, 0.5, size=2))
         dst.append(rng.uniform(-0.5, 0.5, size=2) + rng.choice([-0.4, 0.4], size=2))
-    _, mask_o = estimate(np.array(src), np.array(dst), threshold=1e-3, seed=1)
+    _, _, mask_o = estimate(np.array(src), np.array(dst), r, n, threshold=1e-3, seed=1)
     exact_inliers = bool(mask_o[:35].all() and not mask_o[35:].any())
     elapsed = time.perf_counter() - t0
     ok = frob < 1e-9 and mask.all() and exact_inliers and elapsed < 1.0
