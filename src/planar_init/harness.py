@@ -72,7 +72,7 @@ def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
     gravity = np.asarray(config.gravity, dtype=np.float64)
     nav = imu_mod.nav_state_at_rest(float(imu.t[0]), config.gyro_bias, config.accel_bias)
     z0 = nav.pose.translation[2]
-    frame_t = np.array([fr.t for fr in frames])
+    frame_t = frames.times
     # the last sample of each frame's propagation (slice_between's tolerance)
     frame_end = np.searchsorted(imu.t, frame_t + 1e-9, side="right") - 1
     excess = np.linalg.norm(imu.accel - nav.accel_bias, axis=1) - gravity[2]
@@ -91,8 +91,8 @@ def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
     if gate_idx is None:
         raise PipelineError("height-gate",
                             f"altitude never reached {config.preset_height_m} m")
-    picked = frames[gate_idx::config.keyframe_stride][:config.window_size]
-    keyframes = [_keyframe(fr, rig) for fr in picked]
+    picked = range(gate_idx, len(frames), config.keyframe_stride)[:config.window_size]
+    keyframes = [_keyframe(frames[k], rig) for k in picked]
     span = imu_mod.slice_between(imu, keyframes[0].t, keyframes[-1].t)
     return KeyframeWindow(keyframes, span, nav)
 
@@ -133,16 +133,16 @@ def run_on_dataset(dataset, config: PipelineConfig | None = None,
 
 # ------------------------------------------------------------------ metrics
 
-def _five_number(values: np.ndarray) -> dict:
-    if values.size == 0:
-        return {"min": 0.0, "q1": 0.0, "median": 0.0, "q3": 0.0, "max": 0.0}
-    return {
-        "min": float(np.min(values)),
-        "q1": float(np.percentile(values, 25)),
-        "median": float(np.percentile(values, 50)),
-        "q3": float(np.percentile(values, 75)),
-        "max": float(np.max(values)),
-    }
+def _five_numbers(errors: np.ndarray, names) -> dict:
+    """Min, quartiles and max of each column of ``errors`` (n, 3), keyed by ``names``."""
+    if errors.size == 0:
+        zero = {"min": 0.0, "q1": 0.0, "median": 0.0, "q3": 0.0, "max": 0.0}
+        return {name: dict(zero) for name in names}
+    q1, median, q3 = np.percentile(errors, [25, 50, 75], axis=0).tolist()
+    lo, hi = np.min(errors, axis=0).tolist(), np.max(errors, axis=0).tolist()
+    return {name: {"min": lo[k], "q1": q1[k], "median": median[k], "q3": q3[k],
+                   "max": hi[k]}
+            for k, name in enumerate(names)}
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:
@@ -174,12 +174,9 @@ class MetricsReport:
             "velocity_rmse_mps": dict(zip(axes, map(float, self.velocity_rmse))),
             "euler_rmse_rad": dict(zip(angles, map(float, self.euler_rmse))),
             "boxplots": {
-                "translation": {a: _five_number(self.translation_errors[:, k])
-                                for k, a in enumerate(axes)},
-                "velocity": {a: _five_number(self.velocity_errors[:, k])
-                             for k, a in enumerate(axes)},
-                "euler": {a: _five_number(self.euler_errors[:, k])
-                          for k, a in enumerate(angles)},
+                "translation": _five_numbers(self.translation_errors, axes),
+                "velocity": _five_numbers(self.velocity_errors, axes),
+                "euler": _five_numbers(self.euler_errors, angles),
             },
             "indicator_percentiles": self.indicator_percentiles,
             "timings": self.timings,
@@ -384,8 +381,7 @@ def full_trial(scene_name: str, profile_kind: str, seed: int) -> FullTrial:
 
 
 def _frame_of_time(ds: Dataset, t: float) -> int:
-    times = np.array([fr.t for fr in ds.frames])
-    return int(np.argmin(np.abs(times - t)))
+    return int(np.argmin(np.abs(ds.frames.times - t)))
 
 
 def _selection_job(args) -> tuple[int, SelectionTrial]:

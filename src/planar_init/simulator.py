@@ -19,6 +19,9 @@ import csv
 import hashlib
 import json
 import math
+import operator
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -251,37 +254,116 @@ class FrameObservations:
         freeze_feature_rows(self, f"frame {self.frame}", ("uv_l", "uv_r"))
 
 
-def render_tracks(scene: np.ndarray, truth: GroundTruth, rig: CameraRig,
-                  noise_px: float = 0.0, seed: int = 0,
-                  min_depth: float = 0.05) -> list[FrameObservations]:
-    """Project every feature into both cameras at every camera frame.
+class Frames(Sequence):
+    """Read-only sequence of a flight's camera frames, each built on first
+    access and then kept.
 
-    Visibility requires positive depth and in-bounds pixels in both
-    views (evaluated noise-free); i.i.d. Gaussian pixel noise of std
-    ``noise_px`` is then added.  Track ids are the feature indices, so
-    they are stable across keyframes.
-
-    Frames are projected ``_RENDER_CHUNK`` at a time in one stacked pass.
-    The noise draw order is that of one frame at a time: each visible
-    feature, in bounds or not, draws its left pixel noise, then its right,
-    as an (n, 2) block per view and frame.
+    ``times`` (read-only) holds every frame's timestamp, so finding a frame
+    by time builds none.  ``build(lo, hi)`` returns the frames ``lo`` to
+    ``hi - 1``: indexing builds one frame, iteration builds ``block`` at a
+    time, and a slice is a list of the frames it picks.  Building holds a
+    lock, so threads may share a sequence.
     """
-    rng = np.random.default_rng(seed)
-    r_cb = rig.T_c_b.rotation.matrix()
-    t_cb = rig.T_c_b.translation
-    cam = truth.cam_indices
-    r_bw = quat_matrices(truth.quat_wxyz)[cam]
-    cam_pos = truth.position[cam] + r_bw @ t_cb
-    r_wc = (r_bw @ r_cb).transpose(0, 2, 1)
-    scene_t = np.ascontiguousarray(scene.T)
-    frames: list[FrameObservations] = []
-    for lo in range(0, len(cam), _RENDER_CHUNK):
-        hi = min(lo + _RENDER_CHUNK, len(cam))
-        # left-camera points, coordinate-major (F, 3, N); the right camera
-        # sits at +baseline along camera x, so it sees the same depths
-        p_c = r_wc[lo:hi] @ (scene_t - cam_pos[lo:hi, :, None])
-        rows = np.flatnonzero(p_c[:, 2] > min_depth)
-        frame_of, ids = np.divmod(rows, len(scene))  # frame by frame, ids ascending
+
+    def __init__(self, times, build, block: int = 1):
+        self.times = np.array(times, dtype=np.float64)
+        self.times.setflags(write=False)
+        self._build = build
+        self._block = block
+        self._built: list = [None] * len(self.times)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[k] for k in range(*key.indices(len(self)))]
+        k = operator.index(key)
+        if not -len(self) <= k < len(self):
+            raise IndexError(f"frame {k} of {len(self)}")
+        k %= len(self)
+        fr = self._built[k]
+        return fr if fr is not None else self._fill(k, k + 1)[0]
+
+    def __iter__(self):
+        for lo in range(0, len(self), self._block):
+            yield from self._fill(lo, min(lo + self._block, len(self)))
+
+    def _fill(self, lo: int, hi: int) -> list:
+        """Frames ``lo`` to ``hi - 1``, building each run of consecutive
+        frames not built yet in one call."""
+        with self._lock:
+            k = lo
+            while k < hi:
+                if self._built[k] is not None:
+                    k += 1
+                    continue
+                end = k + 1
+                while end < hi and self._built[end] is None:
+                    end += 1
+                self._built[k:end] = self._build(k, end)
+                k = end
+            return self._built[lo:hi]
+
+
+class _Render:
+    """Renders camera frames ``lo`` to ``hi - 1`` of one flight.
+
+    Frames are projected in one stacked pass.  The noise draw order is that
+    of one frame at a time from frame 0: each visible feature, in bounds or
+    not, draws its left pixel noise, then its right, as an (n, 2) block per
+    view and frame.  Frames are rendered in any order: reaching a frame
+    first draws, and drops, the noise of the earlier frames not drawn yet,
+    keeping the generator state at each one's start for when it is
+    rendered later.
+    """
+
+    def __init__(self, scene, truth, rig, noise_px, seed, min_depth):
+        r_cb = rig.T_c_b.rotation.matrix()
+        cam = truth.cam_indices
+        r_bw = quat_matrices(truth.quat_wxyz)[cam]
+        self.times = truth.t[cam]
+        self._cam_pos = truth.position[cam] + r_bw @ rig.T_c_b.translation
+        self._r_wc = (r_bw @ r_cb).transpose(0, 2, 1)
+        self._scene_t = np.ascontiguousarray(scene.T)
+        self._rig = rig
+        self._noise_px = noise_px
+        self._min_depth = min_depth
+        self._rng = np.random.default_rng(seed)
+        self._next = 0  # the frame whose noise self._rng draws next
+        self._starts: dict[int, dict] = {}  # frame -> state, for frames skipped
+
+    def _camera_points(self, lo: int, hi: int) -> np.ndarray:
+        """Left-camera points of frames lo..hi-1, coordinate-major (F, 3, N);
+        the right camera sits at +baseline along camera x, so it sees the
+        same depths."""
+        return self._r_wc[lo:hi] @ (self._scene_t - self._cam_pos[lo:hi, :, None])
+
+    def _generator(self, lo: int, hi: int) -> np.random.Generator:
+        """The generator positioned at frame lo's noise, for frames lo..hi-1."""
+        if lo >= self._next:
+            for a in range(self._next, lo, _RENDER_CHUNK):
+                b = min(a + _RENDER_CHUNK, lo)
+                visible = np.count_nonzero(self._camera_points(a, b)[:, 2] > self._min_depth,
+                                           axis=1)
+                for k, n in enumerate(visible.tolist(), a):
+                    self._starts[k] = self._rng.bit_generator.state
+                    self._rng.standard_normal(4 * n)
+            rng = self._rng
+        else:
+            bits = np.random.PCG64()
+            bits.state = self._starts[lo]
+            rng = np.random.Generator(bits)
+        if hi > self._next:
+            self._rng, self._next = rng, hi
+        return rng
+
+    def __call__(self, lo: int, hi: int) -> list[FrameObservations]:
+        rig = self._rig
+        p_c = self._camera_points(lo, hi)
+        rows = np.flatnonzero(p_c[:, 2] > self._min_depth)
+        frame_of, ids = np.divmod(rows, p_c.shape[2])  # frame by frame, ids ascending
         # visible points, coordinate-major (3, M), so project reads contiguous columns
         q_l = np.take(p_c.transpose(1, 0, 2).reshape(3, -1), rows, axis=1)
         q_r = q_l.copy()
@@ -293,24 +375,41 @@ def render_tracks(scene: np.ndarray, truth: GroundTruth, rig: CameraRig,
                & (uvr[:, 0] >= 0) & (uvr[:, 0] < rig.width)
                & (uvr[:, 1] >= 0) & (uvr[:, 1] < rig.height))
         uvl, uvr = uvl[inb], uvr[inb]
-        if noise_px > 0.0 and len(ids):
-            # draws in pairs: the frames before row j's frame drew 2 pairs
-            # per visible row, its own frame 1 pair per row before j for the
-            # left view, then its whole left block before the right view
-            noise = rng.normal(0.0, noise_px, size=(2 * len(ids), 2))
-            counts = np.bincount(frame_of, minlength=hi - lo)
-            left = (np.cumsum(counts) - counts)[frame_of] + np.arange(len(ids))
-            right = left + counts[frame_of]
-            uvl = uvl + np.take(noise, left[inb], axis=0)
-            uvr = uvr + np.take(noise, right[inb], axis=0)
+        if self._noise_px > 0.0:
+            rng = self._generator(lo, hi)
+            if len(ids):
+                # draws in pairs: the frames before row j's frame drew 2 pairs
+                # per visible row, its own frame 1 pair per row before j for
+                # the left view, then its whole left block before the right view
+                noise = rng.normal(0.0, self._noise_px, size=(2 * len(ids), 2))
+                counts = np.bincount(frame_of, minlength=hi - lo)
+                left = (np.cumsum(counts) - counts)[frame_of] + np.arange(len(ids))
+                right = left + counts[frame_of]
+                uvl = uvl + np.take(noise, left[inb], axis=0)
+                uvr = uvr + np.take(noise, right[inb], axis=0)
         ids, frame_of = ids[inb], frame_of[inb]
         for a in (ids, uvl, uvr):
             a.setflags(write=False)  # FrameObservations keeps views, not copies
-        bounds = np.searchsorted(frame_of, np.arange(hi - lo + 1))
-        for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            frames.append(FrameObservations(lo + j, float(truth.t[cam[lo + j]]),
-                                            ids[a:b], uvl[a:b], uvr[a:b]))
-    return frames
+        bounds = np.searchsorted(frame_of, np.arange(hi - lo + 1)).tolist()
+        return [FrameObservations(k, float(self.times[k]), ids[a:b], uvl[a:b], uvr[a:b])
+                for k, a, b in zip(range(lo, hi), bounds[:-1], bounds[1:])]
+
+
+def render_tracks(scene: np.ndarray, truth: GroundTruth, rig: CameraRig,
+                  noise_px: float = 0.0, seed: int = 0,
+                  min_depth: float = 0.05) -> Frames:
+    """Every feature projected into both cameras at every camera frame,
+    each frame rendered on first access.
+
+    Visibility requires positive depth and in-bounds pixels in both
+    views (evaluated noise-free); i.i.d. Gaussian pixel noise of std
+    ``noise_px`` is then added.  Track ids are the feature indices, so
+    they are stable across keyframes.  A frame's pixels do not depend on
+    which frames were rendered before it, nor in what order.  Iteration
+    renders ``_RENDER_CHUNK`` frames in one stacked pass.
+    """
+    render = _Render(scene, truth, rig, noise_px, seed, min_depth)
+    return Frames(render.times, render, _RENDER_CHUNK)
 
 
 def synthesize_imu(truth: GroundTruth, gyro_bias=(0.0, 0.0, 0.0),
@@ -370,7 +469,7 @@ class Dataset:
 
     rig: CameraRig
     imu: ImuStream
-    frames: list
+    frames: Frames
     truth: GroundTruth
     scene_config: SceneConfig
     profile: TrajectoryProfile
@@ -463,7 +562,7 @@ class LoadedDataset:
 
     rig: CameraRig
     imu: ImuStream
-    frames: list
+    frames: Frames
     gt_t: np.ndarray
     gt_position: np.ndarray
     gt_quat: np.ndarray
@@ -522,11 +621,19 @@ def load_dataset(dataset_dir) -> LoadedDataset:
         k = int(np.flatnonzero(dup)[0])
         raise ValueError(f"features.csv repeats feature {fids[k]} in frame {frame_no[k]}")
     uv_l, uv_r = raw[order, 3:5], raw[order, 5:7]
+    for a in (fids, uv_l, uv_r):
+        a.setflags(write=False)  # each frame keeps views, not copies
     # the groundtruth rows define the camera-frame timeline; frames without
     # any visible feature are real (empty) frames, not gaps
-    bounds = np.searchsorted(frame_no, np.arange(len(gt) + 1))
-    frames = [FrameObservations(k, float(gt[k, 0]), fids[a:b], uv_l[a:b], uv_r[a:b])
-              for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    bounds = np.searchsorted(frame_no, np.arange(len(gt) + 1)).tolist()
+    times = gt[:, 0]
+
+    def build(lo: int, hi: int) -> list[FrameObservations]:
+        return [FrameObservations(k, float(times[k]), fids[bounds[k]:bounds[k + 1]],
+                                  uv_l[bounds[k]:bounds[k + 1]], uv_r[bounds[k]:bounds[k + 1]])
+                for k in range(lo, hi)]
+
+    frames = Frames(times, build)
     scene_meta = json.loads((root / "scene.json").read_text())
     return LoadedDataset(rig, imu, frames, gt[:, 0], gt[:, 1:4], gt[:, 4:8],
                          gt[:, 8:11], scene_meta)

@@ -110,6 +110,17 @@ class TestSelectWindow:
         assert window.keyframes[0].index == fr.frame
         assert window.anchor.t == nav.t
 
+    def test_builds_only_the_window_frames(self):
+        # the height gate reads frame times only; the window's frames are
+        # the only ones rendered
+        cfg = PipelineConfig()
+        ds = make_dataset(scene_preset("asphalt"), TrajectoryProfile(kind="oblique"),
+                          seed=1)
+        window = select_window(ds, cfg)
+        built = [k for k, fr in enumerate(ds.frames._built) if fr is not None]
+        assert built == [kf.index for kf in window.keyframes]
+        assert len(built) == cfg.window_size < len(ds.frames)
+
     def test_gate_never_fires(self):
         ds = make_dataset(scene_preset("helipad"), TrajectoryProfile(kind="hover"),
                           noise=NoiseModel.noiseless(), seed=3)
@@ -321,6 +332,20 @@ class TestCli:
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         d2 = capsys.readouterr().out.splitlines()[-1]
         assert d1 == d2 and d1.startswith("digest:")
+
+    # Pinned so that a change to the render's noise stream or the written
+    # bytes shows; ROADMAP item 7 (per-feature noise, draws only for kept
+    # rows) changes every noisy dataset and re-pins these on purpose.
+    @pytest.mark.parametrize("scene, profile, seed, digest", [
+        ("asphalt", "oblique", 1,
+         "37da20ace18520b790ce2bf9a4f19aa7458b26fb39ce68008c833c63d5ba1bfa"),
+        ("helipad", "hover", 0,
+         "321a37f85684078b0f12f99f328cc1aea6d98a4e905e6b6f9668c6fe0e9c697b"),
+    ])
+    def test_generate_digest_is_pinned(self, tmp_path, capsys, scene, profile, seed, digest):
+        assert main(["generate", "--scene", scene, "--profile", profile,
+                     "--seed", str(seed), "--out", str(tmp_path / "ds")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"digest: {digest}"
 
     def test_generate_scene_echo(self, tmp_path):
         assert main(["generate", "--scene", "lawn", "--seed", "1",

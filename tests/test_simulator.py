@@ -214,6 +214,92 @@ class TestRenderTracks:
         assert not np.array_equal(fa.uv_l[rows_a], fc.uv_l[rows_c])
 
 
+def assert_frame_matches(fr, expected):
+    frame_no, t, ids, uv_l, uv_r = expected
+    assert (fr.frame, fr.t) == (frame_no, t)
+    np.testing.assert_array_equal(fr.ids, ids)
+    assert fr.uv_l.tobytes() == uv_l.tobytes()
+    assert fr.uv_r.tobytes() == uv_r.tobytes()
+
+
+def access_orders(n):
+    """Frame index sequences that build the frames of a sequence of n in
+    different orders; each ends having touched every frame."""
+    return {
+        "forward": list(range(n)),
+        "reverse": list(range(n - 1, -1, -1)),
+        "strided": list(range(61, n, 5)) + list(range(n)),
+        "negative": [-1, -n, -7] + [k - n for k in range(n)],
+        "late first": [n - 1, 3, n // 2] + list(range(n)),
+    }
+
+
+class TestFrames:
+    @pytest.mark.parametrize("order", ["forward", "reverse", "strided", "negative",
+                                       "late first"])
+    @pytest.mark.parametrize("noise_px", [0.5, 0.0])
+    def test_any_access_order_matches_reference(self, rig, order, noise_px):
+        # a frame's pixels and noise do not depend on which frames were
+        # rendered before it
+        scene = generate_scene(scene_preset("asphalt", seed=2))
+        truth = generate_trajectory(TrajectoryProfile(kind="oblique"))
+        frames = render_tracks(scene, truth, rig, noise_px=noise_px, seed=9)
+        expected, _ = per_frame_render(scene, truth, rig, noise_px=noise_px, seed=9)
+        for k in access_orders(len(frames))[order]:
+            assert_frame_matches(frames[k], expected[k])
+
+    @pytest.mark.parametrize("noise_px", [0.5, 0.0])
+    def test_slices_and_iteration_after_indexing(self, rig, noise_px):
+        scene = generate_scene(scene_preset("lawn", seed=4))
+        truth = generate_trajectory(TrajectoryProfile(kind="vertical"))
+        frames = render_tracks(scene, truth, rig, noise_px=noise_px, seed=2)
+        expected, _ = per_frame_render(scene, truth, rig, noise_px=noise_px, seed=2)
+        picked = frames[61::5]
+        assert [fr.frame for fr in picked] == list(range(61, len(frames), 5))
+        assert frames[61] is picked[0]  # built once, then kept
+        for fr, k in zip(frames[-3:2:-4], range(len(frames) - 3, 2, -4)):
+            assert_frame_matches(fr, expected[k])
+        assert frames[5:5] == []
+        for fr, exp in zip(frames, expected, strict=True):
+            assert_frame_matches(fr, exp)
+        with pytest.raises(IndexError):
+            frames[len(frames)]
+        with pytest.raises(IndexError):
+            frames[-len(frames) - 1]
+
+    @pytest.mark.parametrize("order", ["strided", "reverse"])
+    @pytest.mark.parametrize("noise_px", [0.5, 0.0])
+    def test_starved_frames_in_any_order(self, rig, order, noise_px):
+        scene = generate_scene(SceneConfig(feature_count=800, seed=7))
+        truth = generate_trajectory(TrajectoryProfile(kind="vertical"))
+        frames = render_tracks(scene, truth, rig, noise_px=noise_px, seed=1)
+        expected, visible = per_frame_render(scene, truth, rig, noise_px=noise_px, seed=1)
+        assert np.any(visible == 0)
+        for k in access_orders(len(frames))[order]:
+            assert_frame_matches(frames[k], expected[k])
+
+    def test_times_are_the_frame_times(self, rig, tmp_path):
+        ds = make_dataset(scene_preset("asphalt"), TrajectoryProfile(kind="oblique"),
+                          rig=rig, seed=3)
+        write_dataset(tmp_path / "a", ds)
+        for frames in (ds.frames, load_dataset(tmp_path / "a").frames):
+            assert len(frames.times) == len(frames)
+            assert not frames.times.flags.writeable
+            assert [fr.t for fr in frames] == frames.times.tolist()
+
+    def test_loaded_frames_equal_the_written_ones(self, rig, tmp_path):
+        # every frame, empty ones included, in any access order
+        ds = make_dataset(scene_preset("lawn"), TrajectoryProfile(kind="vertical"),
+                          rig=rig, seed=6)
+        write_dataset(tmp_path / "a", ds)
+        expected = [(fr.frame, fr.t, fr.ids, fr.uv_l, fr.uv_r) for fr in ds.frames]
+        assert any(len(ids) == 0 for _, _, ids, _, _ in expected)
+        loaded = load_dataset(tmp_path / "a").frames
+        assert len(loaded) == len(expected)
+        for k in access_orders(len(loaded))["late first"]:
+            assert_frame_matches(loaded[k], expected[k])
+
+
 class TestSynthesizeImu:
     def test_hover_reads_gravity(self):
         truth = generate_trajectory(TrajectoryProfile(kind="hover"))
