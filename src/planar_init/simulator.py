@@ -260,16 +260,15 @@ class Frames(Sequence):
 
     ``times`` (read-only) holds every frame's timestamp, so finding a frame
     by time builds none.  ``build(lo, hi)`` returns the frames ``lo`` to
-    ``hi - 1``: indexing builds one frame, iteration builds ``block`` at a
-    time, and a slice is a list of the frames it picks.  Building holds a
-    lock, so threads may share a sequence.
+    ``hi - 1``: indexing builds one frame, iteration builds
+    ``_RENDER_CHUNK`` at a time, and a slice is a list of the frames it
+    picks.  Building holds a lock, so threads may share a sequence.
     """
 
-    def __init__(self, times, build, block: int = 1):
+    def __init__(self, times, build):
         self.times = np.array(times, dtype=np.float64)
         self.times.setflags(write=False)
         self._build = build
-        self._block = block
         self._built: list = [None] * len(self.times)
         self._lock = threading.Lock()
 
@@ -287,8 +286,8 @@ class Frames(Sequence):
         return fr if fr is not None else self._fill(k, k + 1)[0]
 
     def __iter__(self):
-        for lo in range(0, len(self), self._block):
-            yield from self._fill(lo, min(lo + self._block, len(self)))
+        for lo in range(0, len(self), _RENDER_CHUNK):
+            yield from self._fill(lo, min(lo + _RENDER_CHUNK, len(self)))
 
     def _fill(self, lo: int, hi: int) -> list:
         """Frames ``lo`` to ``hi - 1``, building each run of consecutive
@@ -340,13 +339,24 @@ class _Render:
         same depths."""
         return self._r_wc[lo:hi] @ (self._scene_t - self._cam_pos[lo:hi, :, None])
 
+    def _depths(self, lo: int, hi: int) -> np.ndarray:
+        """Feature depths of frames lo..hi-1, (F, N), from the depth row of
+        the rotation only.  Rounded otherwise than ``_camera_points``; a
+        frame with a depth within 1 nm of ``min_depth`` is recomputed as
+        there, so both count the same features visible."""
+        r_z = self._r_wc[lo:hi, 2]
+        depth = r_z @ self._scene_t - np.einsum("fk,fk->f", r_z, self._cam_pos[lo:hi])[:, None]
+        near = np.abs(depth - self._min_depth) < 1e-9
+        for f in np.flatnonzero(near.any(axis=1)).tolist():
+            depth[f] = self._camera_points(lo + f, lo + f + 1)[0, 2]
+        return depth
+
     def _generator(self, lo: int, hi: int) -> np.random.Generator:
         """The generator positioned at frame lo's noise, for frames lo..hi-1."""
         if lo >= self._next:
             for a in range(self._next, lo, _RENDER_CHUNK):
                 b = min(a + _RENDER_CHUNK, lo)
-                visible = np.count_nonzero(self._camera_points(a, b)[:, 2] > self._min_depth,
-                                           axis=1)
+                visible = np.count_nonzero(self._depths(a, b) > self._min_depth, axis=1)
                 for k, n in enumerate(visible.tolist(), a):
                     self._starts[k] = self._rng.bit_generator.state
                     self._rng.standard_normal(4 * n)
@@ -409,7 +419,7 @@ def render_tracks(scene: np.ndarray, truth: GroundTruth, rig: CameraRig,
     renders ``_RENDER_CHUNK`` frames in one stacked pass.
     """
     render = _Render(scene, truth, rig, noise_px, seed, min_depth)
-    return Frames(render.times, render, _RENDER_CHUNK)
+    return Frames(render.times, render)
 
 
 def synthesize_imu(truth: GroundTruth, gyro_bias=(0.0, 0.0, 0.0),
@@ -626,14 +636,14 @@ def load_dataset(dataset_dir) -> LoadedDataset:
     # the groundtruth rows define the camera-frame timeline; frames without
     # any visible feature are real (empty) frames, not gaps
     bounds = np.searchsorted(frame_no, np.arange(len(gt) + 1)).tolist()
-    times = gt[:, 0]
 
     def build(lo: int, hi: int) -> list[FrameObservations]:
-        return [FrameObservations(k, float(times[k]), fids[bounds[k]:bounds[k + 1]],
+        # frames.times is a frozen copy: a later write to gt_t reaches no frame
+        return [FrameObservations(k, float(frames.times[k]), fids[bounds[k]:bounds[k + 1]],
                                   uv_l[bounds[k]:bounds[k + 1]], uv_r[bounds[k]:bounds[k + 1]])
                 for k in range(lo, hi)]
 
-    frames = Frames(times, build)
+    frames = Frames(gt[:, 0], build)
     scene_meta = json.loads((root / "scene.json").read_text())
     return LoadedDataset(rig, imu, frames, gt[:, 0], gt[:, 1:4], gt[:, 4:8],
                          gt[:, 8:11], scene_meta)

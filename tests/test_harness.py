@@ -9,6 +9,7 @@ import pytest
 
 from planar_init import harness
 from planar_init import imu as imu_mod
+from planar_init import simulator
 from planar_init.cli import main
 from planar_init.config import PipelineConfig, load_config
 from planar_init.errors import AlignmentError, PipelineError
@@ -24,6 +25,7 @@ from planar_init.harness import (
 )
 from planar_init.initializer import InitializationResult, STATUS_INITIALIZED
 from planar_init.simulator import (
+    FrameObservations,
     NoiseModel,
     TrajectoryProfile,
     make_dataset,
@@ -110,14 +112,20 @@ class TestSelectWindow:
         assert window.keyframes[0].index == fr.frame
         assert window.anchor.t == nav.t
 
-    def test_builds_only_the_window_frames(self):
+    def test_builds_only_the_window_frames(self, monkeypatch):
         # the height gate reads frame times only; the window's frames are
         # the only ones rendered
+        built = []
+
+        def recording(frame, *args):
+            built.append(frame)
+            return FrameObservations(frame, *args)
+
+        monkeypatch.setattr(simulator, "FrameObservations", recording)
         cfg = PipelineConfig()
         ds = make_dataset(scene_preset("asphalt"), TrajectoryProfile(kind="oblique"),
                           seed=1)
         window = select_window(ds, cfg)
-        built = [k for k, fr in enumerate(ds.frames._built) if fr is not None]
         assert built == [kf.index for kf in window.keyframes]
         assert len(built) == cfg.window_size < len(ds.frames)
 

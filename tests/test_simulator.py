@@ -278,6 +278,21 @@ class TestFrames:
         for k in access_orders(len(frames))[order]:
             assert_frame_matches(frames[k], expected[k])
 
+    def test_skip_counts_the_rendered_visibility(self, rig):
+        # skipping a frame counts its visible features from cheaper depths;
+        # features exactly at min_depth must count as rendering counts them
+        scene = generate_scene(scene_preset("asphalt", seed=2))
+        truth = generate_trajectory(TrajectoryProfile(kind="oblique"))
+        n = len(truth.cam_indices)
+        exact = simulator._Render(scene, truth, rig, 0.5, 9, 0.05)._camera_points(0, n)[:, 2]
+        for min_depth in exact[40, :40].tolist():
+            render = simulator._Render(scene, truth, rig, 0.5, 9, min_depth)
+            np.testing.assert_array_equal(render._depths(0, n) > min_depth,
+                                          exact > min_depth)
+        skipped = render_tracks(scene, truth, rig, noise_px=0.5, seed=9, min_depth=min_depth)
+        forward = render_tracks(scene, truth, rig, noise_px=0.5, seed=9, min_depth=min_depth)
+        assert skipped[60].uv_l.tobytes() == forward[:61][60].uv_l.tobytes()
+
     def test_times_are_the_frame_times(self, rig, tmp_path):
         ds = make_dataset(scene_preset("asphalt"), TrajectoryProfile(kind="oblique"),
                           rig=rig, seed=3)
@@ -294,7 +309,9 @@ class TestFrames:
         write_dataset(tmp_path / "a", ds)
         expected = [(fr.frame, fr.t, fr.ids, fr.uv_l, fr.uv_r) for fr in ds.frames]
         assert any(len(ids) == 0 for _, _, ids, _, _ in expected)
-        loaded = load_dataset(tmp_path / "a").frames
+        loaded_ds = load_dataset(tmp_path / "a")
+        loaded_ds.gt_t[:] = -1.0  # frames keep their own copy of the times
+        loaded = loaded_ds.frames
         assert len(loaded) == len(expected)
         for k in access_orders(len(loaded))["late first"]:
             assert_frame_matches(loaded[k], expected[k])
