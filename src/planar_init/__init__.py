@@ -35,7 +35,6 @@ from .imu import (
 )
 from .initializer import (
     InitializationResult,
-    Keyframe,
     KeyframeWindow,
     metric_alignment,
     recover_scale,

@@ -12,10 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import PipelineConfig, load_config
-from .errors import AlignmentError, PipelineError, PlanarInitError
+from .errors import AlignmentError, PipelineError, PlanarInitError, StreamError
 from .harness import (
     PLOT_HEADER,
     evaluate_against_dataset,
@@ -23,6 +21,7 @@ from .harness import (
     run_sweep,
 )
 from .geometry import CameraRig
+from .initializer import InitializationResult
 from .simulator import (
     NoiseModel,
     SCENE_PRESETS,
@@ -133,7 +132,7 @@ def _cmd_init(args) -> int:
         return EXIT_USAGE
     try:
         ds = load_dataset(args.dataset)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, StreamError) as exc:  # StreamError: a bad imu.csv
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     out = Path(args.out)
@@ -167,7 +166,7 @@ def _cmd_evaluate(args) -> int:
     try:
         ds = load_dataset(args.dataset)
         payloads = [(Path(p), json.loads(Path(p).read_text())) for p in args.result]
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, StreamError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     out = Path(args.out)
@@ -178,7 +177,7 @@ def _cmd_evaluate(args) -> int:
             name = payload.get("diagnostics", {}).get("deviation_mode") or path.stem
             if name in runs:
                 name = f"{name}:{len(runs)}"
-            result = _result_from_json(payload)
+            result = InitializationResult.from_json_dict(payload)
             report = evaluate_against_dataset(result, ds)
             runs[name] = report
             suffix = "" if len(payloads) == 1 else f"_{name}"
@@ -201,21 +200,6 @@ def _cmd_evaluate(args) -> int:
         return EXIT_IO
     print(f"metrics written to {out}")
     return EXIT_OK
-
-
-def _result_from_json(payload: dict):
-    from .geometry import Pose, Rotation
-    from .initializer import InitializationResult
-
-    times, poses, vels = [], [], []
-    for kf in payload.get("keyframes", []):
-        times.append(float(kf["t"]))
-        poses.append(Pose(Rotation(kf["q_wxyz"]),
-                          np.asarray(kf["t_xyz"], dtype=np.float64), "b", "w"))
-        vels.append(np.asarray(kf["v_xyz"], dtype=np.float64))
-    return InitializationResult(payload["status"], times, poses, vels,
-                                payload.get("scale"), None,
-                                payload.get("diagnostics", {}))
 
 
 def _cmd_sweep(args) -> int:

@@ -39,13 +39,9 @@ class PipelineConfig:
     # known-rotation PnP: inlier gate on the reprojection error
     pnp_ransac_threshold: float = 0.02
 
-    # IMU model
-    gravity: tuple = (0.0, 0.0, 9.81)  # NED, down-positive
+    # IMU model; gravity and the stationarity gate are fixed in planar_init.imu
     gyro_bias: tuple = (0.0, 0.0, 0.0)
     accel_bias: tuple = (0.0, 0.0, 0.0)
-    stationary_window_s: float = 0.5
-    stationary_accel_tol: float = 0.05  # fraction of g
-    stationary_gyro_tol: float = 0.01   # rad/s
 
     # visual-residual weighting
     deviation_mode: str = "dynamic"     # "dynamic" | "fixed"
@@ -73,7 +69,7 @@ class PipelineConfig:
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
-        for key in ("gravity", "gyro_bias", "accel_bias"):
+        for key in ("gyro_bias", "accel_bias"):
             d[key] = list(d[key])
         return d
 
@@ -84,7 +80,7 @@ class PipelineConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(d)
-        for key in ("gravity", "gyro_bias", "accel_bias"):
+        for key in ("gyro_bias", "accel_bias"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)

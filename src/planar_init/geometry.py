@@ -1,4 +1,5 @@
-"""Rotations, labeled poses, and the pinhole stereo rig.
+"""Rotations, labeled poses, the pinhole stereo rig, and the stereo
+observations of one camera frame.
 
 Conventions
 -----------
@@ -361,23 +362,36 @@ def cross(a, b) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def freeze_feature_rows(record, label: str, names) -> None:
-    """Set a frozen dataclass's ``ids`` and its (N, 2) per-feature arrays
-    ``names`` read-only, copying writeable inputs; ids must ascend strictly
-    and each array needs one row per id."""
-    def frozen(a, dtype=np.float64):
-        a = np.asarray(a, dtype=dtype)
-        if a.flags.writeable:
-            a = a.copy()
-            a.setflags(write=False)
-        return a
+@dataclass(frozen=True)
+class FrameObservations:
+    """Stereo pixel observations of one camera frame; a keyframe is one of
+    these, picked by the height gate.
 
-    ids = frozen(record.ids, np.int64).reshape(-1)
-    object.__setattr__(record, "ids", ids)
-    for name in names:
-        rows = frozen(getattr(record, name)).reshape(-1, 2)
-        if len(rows) != len(ids):
-            raise ValueError(f"{label}: {name} needs one row per feature id")
-        object.__setattr__(record, name, rows)
-    if np.any(ids[1:] <= ids[:-1]):
-        raise ValueError(f"{label}: feature ids must ascend strictly")
+    Row k of the read-only ``uv_l`` and ``uv_r`` (N, 2) holds the left and
+    right pixels of feature ``ids[k]``; ids ascend strictly.  Writeable
+    inputs are copied, so no caller can change a frame under the pipeline.
+    """
+
+    frame: int
+    t: float
+    ids: np.ndarray
+    uv_l: np.ndarray
+    uv_r: np.ndarray
+
+    def __post_init__(self):
+        def frozen(a, dtype=np.float64):
+            a = np.asarray(a, dtype=dtype)
+            if a.flags.writeable:
+                a = a.copy()
+                a.setflags(write=False)
+            return a
+
+        ids = frozen(self.ids, np.int64).reshape(-1)
+        object.__setattr__(self, "ids", ids)
+        for name in ("uv_l", "uv_r"):
+            rows = frozen(getattr(self, name)).reshape(-1, 2)
+            if len(rows) != len(ids):
+                raise ValueError(f"frame {self.frame}: {name} needs one row per feature id")
+            object.__setattr__(self, name, rows)
+        if np.any(ids[1:] <= ids[:-1]):
+            raise ValueError(f"frame {self.frame}: feature ids must ascend strictly")

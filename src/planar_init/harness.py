@@ -17,12 +17,11 @@ import numpy as np
 from . import imu as imu_mod
 from .config import PipelineConfig
 from .errors import AlignmentError, PipelineError
-from .geometry import CameraRig, Rotation, normalize, to_euler_ned
+from .geometry import CameraRig, Rotation, to_euler_ned
 from .homography import decompose, filter_positive_depth, synthesize
-from .imu import PriorNormal
+from .imu import GRAVITY_NED, PriorNormal
 from .initializer import (
     InitializationResult,
-    Keyframe,
     KeyframeWindow,
     run_initialization,
     select_solution,
@@ -66,22 +65,19 @@ def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
     """
     frames = dataset.frames
     imu = dataset.imu
-    rig = dataset.rig
     if not frames:
         raise PipelineError("height-gate", "dataset has no camera frames")
-    gravity = np.asarray(config.gravity, dtype=np.float64)
     nav = imu_mod.nav_state_at_rest(float(imu.t[0]), config.gyro_bias, config.accel_bias)
     z0 = nav.pose.translation[2]
     frame_t = frames.times
     # the last sample of each frame's propagation (slice_between's tolerance)
     frame_end = np.searchsorted(imu.t, frame_t + 1e-9, side="right") - 1
-    excess = np.linalg.norm(imu.accel - nav.accel_bias, axis=1) - gravity[2]
+    excess = np.linalg.norm(imu.accel - nav.accel_bias, axis=1) - GRAVITY_NED[2]
     gate_idx = None
     k = 0
     while k < len(frames):
         if frame_t[k] > nav.t + 1e-9:
-            nav = imu_mod.propagate(
-                nav, imu_mod.slice_between(imu, nav.t, frame_t[k]), gravity)
+            nav = imu_mod.propagate(nav, imu_mod.slice_between(imu, nav.t, frame_t[k]))
         gain = z0 - nav.pose.translation[2]
         if gain >= config.preset_height_m:
             gate_idx = k
@@ -92,14 +88,9 @@ def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
         raise PipelineError("height-gate",
                             f"altitude never reached {config.preset_height_m} m")
     picked = range(gate_idx, len(frames), config.keyframe_stride)[:config.window_size]
-    keyframes = [_keyframe(frames[k], rig) for k in picked]
+    keyframes = [frames[k] for k in picked]
     span = imu_mod.slice_between(imu, keyframes[0].t, keyframes[-1].t)
     return KeyframeWindow(keyframes, span, nav)
-
-
-def _keyframe(fr, rig: CameraRig) -> Keyframe:
-    """A picked frame's observations, its pixels normalized in one array step."""
-    return Keyframe(fr.frame, fr.t, fr.ids, fr.uv_l, fr.uv_r, normalize(rig, fr.uv_l))
 
 
 def _gate_step(imu, excess: np.ndarray, nav, gain: float, height: float,

@@ -1,8 +1,8 @@
 """Discrete-time IMU propagation for the pre-initialization phase.
 
 Midpoint (trapezoidal) integration between consecutive samples; biases
-are held constant.  Gravity is a world-frame constant, down-positive in
-NED by default.
+are held constant.  Gravity is the world-frame constant ``GRAVITY_NED``,
+down-positive along +z: the prior normal n_0 = [0, 0, 1] assumes it.
 
 A stream is held as arrays (:class:`ImuStream`).  Propagation computes
 every interval's rotation increment in one vectorized step; only the
@@ -24,6 +24,7 @@ from .errors import StreamError
 from .geometry import Pose, Rotation, quat_matrices
 
 GRAVITY_NED = np.array([0.0, 0.0, 9.81])
+GRAVITY_NED.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +156,7 @@ def _chain(q0: np.ndarray, increments: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def propagate(state: NavState, samples: ImuStream, gravity=GRAVITY_NED) -> NavState:
+def propagate(state: NavState, samples: ImuStream) -> NavState:
     """Midpoint strapdown propagation through a sample stream.
 
     The stream must start at ``state.t``.  Rotation integrates the
@@ -171,7 +172,7 @@ def propagate(state: NavState, samples: ImuStream, gravity=GRAVITY_NED) -> NavSt
     dt = np.diff(samples.t)[:, None]
     quats = _chain(state.pose.rotation.quat, _increments(samples, b_g))
     f_w = np.einsum("nij,nj->ni", quat_matrices(quats), samples.accel - b_a)
-    a_w = 0.5 * (f_w[:-1] + f_w[1:]) + gravity
+    a_w = 0.5 * (f_w[:-1] + f_w[1:]) + GRAVITY_NED
     # v_k+1 = v_k + a_k dt and p_k+1 = (p_k + v_k dt) + a_k dt^2 / 2, each
     # summed left to right in that order
     v = np.cumsum(np.concatenate(([state.velocity], a_w * dt)), axis=0)
@@ -217,7 +218,7 @@ def propagate_normal(n_prev: PriorNormal, rotation: Rotation,
     return PriorNormal(n, n_prev.t if t is None else t)
 
 
-def is_stationary(samples: ImuStream, gravity_mag: float = 9.81,
+def is_stationary(samples: ImuStream, gravity_mag: float = float(GRAVITY_NED[2]),
                   window: float = 0.5, accel_tol: float = 0.05,
                   gyro_tol: float = 0.01) -> bool:
     """Stationarity gate for the n_0 = [0, 0, 1] assumption.
@@ -258,5 +259,5 @@ def save_imu_csv(path, samples: ImuStream) -> None:
 def load_imu_csv(path) -> ImuStream:
     data = np.loadtxt(Path(path), delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 7:
-        raise StreamError(f"expected 7 columns in IMU csv, got {data.shape[1]}")
+        raise StreamError(f"{Path(path).name}: expected 7 columns, got {data.shape[1]}")
     return ImuStream(data[:, 0], data[:, 1:4], data[:, 4:7])

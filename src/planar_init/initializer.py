@@ -34,9 +34,9 @@ from .errors import (
 )
 from .geometry import (
     CameraRig,
+    FrameObservations,
     Pose,
     Rotation,
-    freeze_feature_rows,
     homogeneous,
     normalize,
 )
@@ -57,32 +57,13 @@ STATUS_IMU_ONLY = "imu-only-fallback"
 STATUS_PURE_ROTATION = "pure-rotation"
 
 
-@dataclass(frozen=True)
-class Keyframe:
-    """One stereo keyframe.
-
-    Row k of the read-only (N, 2) arrays ``uv_l``, ``uv_r`` (pixels) and
-    ``norm_l`` (normalized left coordinates) belongs to feature ``ids[k]``;
-    ids ascend strictly.
-    """
-
-    index: int
-    t: float
-    ids: np.ndarray
-    uv_l: np.ndarray
-    uv_r: np.ndarray
-    norm_l: np.ndarray
-
-    def __post_init__(self):
-        freeze_feature_rows(self, f"keyframe {self.index}", ("uv_l", "uv_r", "norm_l"))
-
-
 @dataclass
 class KeyframeWindow:
-    """Keyframes after the height gate, the IMU samples spanning them, and
-    the IMU-only state at the first keyframe that anchors the window."""
+    """Keyframes after the height gate (the dataset's own
+    :class:`FrameObservations`), the IMU samples spanning them, and the
+    IMU-only state at the first keyframe that anchors the window."""
 
-    keyframes: list
+    keyframes: list[FrameObservations]
     imu: ImuStream
     anchor: NavState
 
@@ -139,7 +120,7 @@ def triangulate_stereo(uv_l, uv_r, rig: CameraRig) -> np.ndarray:
     return np.expand_dims(z, -1) * homogeneous(normalize(rig, uv_l))
 
 
-def _reliable(kf: Keyframe, rows: np.ndarray, min_disparity_px: float) -> np.ndarray:
+def _reliable(kf: FrameObservations, rows: np.ndarray, min_disparity_px: float) -> np.ndarray:
     """Mask of the ``rows`` of ``kf`` whose disparity reaches ``min_disparity_px``."""
     return kf.uv_l[rows, 0] - kf.uv_r[rows, 0] >= min_disparity_px
 
@@ -241,11 +222,25 @@ class InitializationResult:
             }
         return d
 
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "InitializationResult":
+        """The result that :meth:`to_json_dict` wrote as ``d``."""
+        kfs = d.get("keyframes", [])
+        poses = [Pose(Rotation(kf["q_wxyz"]), kf["t_xyz"], "b", "w") for kf in kfs]
+        selected = d.get("selected")
+        if selected is not None:
+            selected = HomographySolution(Rotation(selected["q_wxyz"]),
+                                          selected["t_bar"], selected["n"])
+        return cls(d["status"], [float(kf["t"]) for kf in kfs], poses,
+                   [np.asarray(kf["v_xyz"], dtype=np.float64) for kf in kfs],
+                   d.get("scale"), selected, d.get("diagnostics", {}))
+
 
 @dataclass(frozen=True)
 class PairTrace:
     """What one keyframe pair computed: one entry of ``diagnostics["pairs"]``.
 
+    ``homography_s`` and ``pnp_s`` are the wall times of those two stages.
     A pair stopped by the pure-rotation gate computed only its parallax.
     """
 
@@ -259,17 +254,18 @@ class PairTrace:
     correspondences: int | None = None
     homography_inliers: int | None = None
     transfer_rms_px: float | None = None
+    homography_s: float | None = None
+    pnp_s: float | None = None
 
 
-def _imu_only_result(window: KeyframeWindow, gravity, status: str,
+def _imu_only_result(window: KeyframeWindow, status: str,
                      diagnostics: dict) -> InitializationResult:
     """IMU-only result: the propagated body pose and velocity at every keyframe."""
     times, poses, vels = [], [], []
     nav = window.anchor
     for kf in window.keyframes:
         if kf.t > nav.t + 1e-9:
-            nav = imu_mod.propagate(
-                nav, imu_mod.slice_between(window.imu, nav.t, kf.t), gravity)
+            nav = imu_mod.propagate(nav, imu_mod.slice_between(window.imu, nav.t, kf.t))
         times.append(kf.t)
         poses.append(nav.pose)
         vels.append(nav.velocity.copy())
@@ -291,116 +287,106 @@ def run_initialization(
     prefix by :func:`planar_init.harness.select_window`.  Any stage failure
     raises :class:`PipelineError` naming the stage (and the pairs completed
     before it); an inadequate feature count falls back to an IMU-only result.
+
+    Every outcome carries the same diagnostics dict, a failure as its
+    ``PipelineError.diagnostics``: ``feature_counts``, ``deviation_mode``,
+    ``pairs`` (one :class:`PairTrace` per pair run, a pure-rotation pair
+    included), ``timings`` (``anchor_s`` once the anchor is checked, and
+    ``total_s``), and ``indicator_percentiles`` once a pair in ``pairs``
+    has fitted its homography.
     """
     cfg = config or PipelineConfig()
     rng = np.random.default_rng(seed)
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
-
-    if len(window.keyframes) < 2:
-        raise PipelineError("window", "need at least two keyframes")
-    if len(imu_samples) == 0:
-        raise PipelineError("imu", "empty IMU stream")
-
-    gravity = np.asarray(cfg.gravity, dtype=np.float64)
-    if not imu_mod.is_stationary(
-            imu_samples, float(np.linalg.norm(gravity)),
-            cfg.stationary_window_s, cfg.stationary_accel_tol,
-            cfg.stationary_gyro_tol):
-        raise PipelineError("stationarity", "stream does not start at rest")
-
-    # IMU-only anchor at the first keyframe (the height-gate instant), within
-    # half a sample interval (the stationarity gate saw >= 2 samples)
-    t0 = float(imu_samples.t[0])
-    kf0 = window.keyframes[0]
-    anchor = window.anchor
-    interval = (float(imu_samples.t[-1]) - t0) / (len(imu_samples) - 1)
-    if abs(anchor.t - kf0.t) > 0.5 * interval:
-        raise PipelineError("imu", "IMU stream does not reach the first keyframe")
-    timings["anchor_s"] = time.perf_counter() - t_start
-
-    # feature gate
     counts = [len(kf.ids) for kf in window.keyframes]
-    if min(counts) < cfg.min_features:
-        return _imu_only_result(
-            window, gravity, STATUS_IMU_ONLY,
-            {"feature_counts": counts, "min_features": cfg.min_features,
-             "timings": timings})
+    diag: dict = {"feature_counts": counts, "deviation_mode": cfg.deviation_mode,
+                  "pairs": [], "timings": timings}
+    residuals: list[np.ndarray] = []  # the indicator residuals of each fitted pair
+    try:
+        if len(window.keyframes) < 2:
+            raise PipelineError("window", "need at least two keyframes")
+        if len(imu_samples) == 0:
+            raise PipelineError("imu", "empty IMU stream")
+        if not imu_mod.is_stationary(imu_samples):
+            raise PipelineError("stationarity", "stream does not start at rest")
 
-    # prior normal chained from the stationary instant to the first keyframe
-    # (the world frame is the body frame at rest, so the anchor's attitude
-    # is the body rotation since t0)
-    prior = PriorNormal(np.array([0.0, 0.0, 1.0]), t0)
-    if anchor.t > t0:
-        r_pre = imu_mod.camera_rotation(anchor.pose.rotation, rig.T_c_b)
-        prior = imu_mod.propagate_normal(prior, r_pre, kf0.t)
+        # IMU-only anchor at the first keyframe (the height-gate instant), within
+        # half a sample interval (the stationarity gate saw >= 2 samples)
+        t0 = float(imu_samples.t[0])
+        kf0 = window.keyframes[0]
+        anchor = window.anchor
+        interval = (float(imu_samples.t[-1]) - t0) / (len(imu_samples) - 1)
+        if abs(anchor.t - kf0.t) > 0.5 * interval:
+            raise PipelineError("imu", "IMU stream does not reach the first keyframe")
+        timings["anchor_s"] = time.perf_counter() - t_start
 
-    diag: dict = {
-        "feature_counts": counts,
-        "deviation_mode": cfg.deviation_mode,
-        "pairs": [],
-        "indicator_values": [],
-    }
+        # feature gate
+        if min(counts) < cfg.min_features:
+            return _imu_only_result(window, STATUS_IMU_ONLY, diag)
 
-    nav = anchor
-    poses: list[Pose] = [anchor.pose]
-    velocities: list[np.ndarray] = []
-    for m in range(len(window.keyframes) - 1):
-        try:
-            trace, nav, prior, selected = _initialize_pair(
-                window, m, nav, prior, rig, cfg, rng, timings,
-                diag["indicator_values"])
-        except PipelineError as exc:
-            exc.diagnostics = {"feature_counts": counts, "pairs": diag["pairs"]}
-            raise
-        if nav is None:
-            # the gate found no parallax above noise: no translation to recover
-            values = diag.pop("indicator_values")
-            if values:  # empty when the first pair is the pure-rotation one
-                diag["indicator_percentiles"] = _percentiles(values)
-            diag["timings"] = timings
-            diag["pure_rotation_pair"] = m
-            diag["pure_rotation_parallax"] = trace.parallax
-            return _imu_only_result(window, gravity, STATUS_PURE_ROTATION, diag)
-        diag["pairs"].append(asdict(trace))
-        poses.append(nav.pose)
-        velocities.append(nav.velocity)
-        if m == 0:
-            first_selection = selected
+        # prior normal chained from the stationary instant to the first keyframe
+        # (the world frame is the body frame at rest, so the anchor's attitude
+        # is the body rotation since t0)
+        prior = PriorNormal(np.array([0.0, 0.0, 1.0]), t0)
+        if anchor.t > t0:
+            r_pre = imu_mod.camera_rotation(anchor.pose.rotation, rig.T_c_b)
+            prior = imu_mod.propagate_normal(prior, r_pre, kf0.t)
 
-    # keyframe m carries the mean velocity over [t_m, t_m+1]; the last one
-    # holds the last pair's
-    velocities.append(velocities[-1])
-    diag["indicator_percentiles"] = _percentiles(diag.pop("indicator_values"))
-    timings["total_s"] = time.perf_counter() - t_start
-    diag["timings"] = timings
-    return InitializationResult(
-        STATUS_INITIALIZED,
-        [kf.t for kf in window.keyframes],
-        poses, velocities, diag["pairs"][0]["scale"], first_selection, diag)
+        nav = anchor
+        poses: list[Pose] = [anchor.pose]
+        velocities: list[np.ndarray] = []
+        for m in range(len(window.keyframes) - 1):
+            trace, nav, prior, selected, pair_residuals = _initialize_pair(
+                window, m, nav, prior, rig, cfg, rng)
+            diag["pairs"].append(asdict(trace))
+            if nav is None:
+                # the gate found no parallax above noise: no translation to recover
+                return _imu_only_result(window, STATUS_PURE_ROTATION, diag)
+            residuals.append(pair_residuals)
+            poses.append(nav.pose)
+            velocities.append(nav.velocity)
+            if m == 0:
+                first_selection = selected
+
+        # keyframe m carries the mean velocity over [t_m, t_m+1]; the last one
+        # holds the last pair's
+        velocities.append(velocities[-1])
+        return InitializationResult(
+            STATUS_INITIALIZED,
+            [kf.t for kf in window.keyframes],
+            poses, velocities, diag["pairs"][0]["scale"], first_selection, diag)
+    except PipelineError as exc:
+        exc.diagnostics = diag
+        raise
+    finally:
+        # completes the one dict every outcome holds, after any return value
+        # or exception is built
+        if residuals:
+            diag["indicator_percentiles"] = _percentiles(np.concatenate(residuals))
+        timings["total_s"] = time.perf_counter() - t_start
 
 
-def _percentiles(indicator_values: list) -> dict:
+def _percentiles(values: np.ndarray) -> dict:
     """The diagnostics summary of the planarity indicator over the window's pairs."""
-    vals = np.asarray(indicator_values)
     return {
-        "p50": float(np.percentile(vals, 50)),
-        "p95": float(np.percentile(vals, 95)),
-        "p100": float(np.max(vals)),
+        "p50": float(np.percentile(values, 50)),
+        "p95": float(np.percentile(values, 95)),
+        "p100": float(np.max(values)),
     }
 
 
 def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
                      prior: PriorNormal, rig: CameraRig, cfg: PipelineConfig,
-                     rng: np.random.Generator, timings: dict, indicator_values: list):
+                     rng: np.random.Generator):
     """One keyframe pair (previous ``m``, current ``m + 1``) of the chain.
 
     Returns the pair's :class:`PairTrace`, the navigation state and prior
-    normal at the current keyframe, and the fitted (R, t_bar, n); stage
-    timings and indicator values are appended to ``timings`` and
-    ``indicator_values``.  A pure-rotation pair, whose derotated parallax
-    is below the RANSAC threshold, returns a trace of that parallax alone
-    and no navigation state or solution.
+    normal at the current keyframe, the fitted (R, t_bar, n), and the
+    planarity indicator's residuals over the pair's correspondences.  A
+    pure-rotation pair, whose derotated parallax is below the RANSAC
+    threshold, returns a trace of that parallax alone, and no navigation
+    state, solution or residuals.
     """
     kf_i, kf_j = window.keyframes[m], window.keyframes[m + 1]
     pair_imu = imu_mod.slice_between(window.imu, kf_i.t, kf_j.t)
@@ -417,15 +403,15 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     fids, rows_i, rows_j = window.shared_features(m, m + 1)
     if len(fids) < 4:
         raise PipelineError("homography", f"only {len(fids)} correspondences in pair {m}")
-    p_src = kf_j.norm_l[rows_j]
-    p_dst = kf_i.norm_l[rows_i]
+    p_src = normalize(rig, kf_j.uv_l[rows_j])
+    p_dst = normalize(rig, kf_i.uv_l[rows_i])
 
     # pure-rotation gate: with the gyro rotation taken out, a pair whose
     # features moved less than the RANSAC inlier threshold (what the
     # pipeline counts as noise) has no observable translation
     parallax = _derotated_parallax(p_src, p_dst, rel_rot)
     if parallax < cfg.ransac_threshold:
-        return PairTrace(pair=m, parallax=parallax), None, prior, None
+        return PairTrace(pair=m, parallax=parallax), None, prior, None, None
 
     t_stage = time.perf_counter()
     try:
@@ -435,9 +421,8 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
             max_iters=cfg.ransac_max_iters, seed=rng)
     except PlanarInitError as exc:
         raise PipelineError("homography", str(exc)) from exc
-    timings[f"homography_{m}_s"] = time.perf_counter() - t_stage
+    homography_s = time.perf_counter() - t_stage
     residuals = indicator(h_est, p_src, p_dst)
-    indicator_values.extend(residuals.tolist())
 
     # the paper's four-way decomposition of the fitted H, kept as the
     # positive-depth check and the selection diagnostics; the chain uses
@@ -459,7 +444,7 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     cam_prev = nav_prev.pose @ rig.T_c_b
     body_prev = Pose(cam_prev.rotation, np.zeros(3), "c", "w") @ rig.T_c_b.invert()
     points = cam_prev.rotation.apply(p_c)
-    obs_j = kf_j.norm_l[rj]
+    obs_j = p_src[used]
     if len(points) < 4:
         raise PipelineError("pnp", f"only {len(points)} usable stereo points in pair {m}")
     # the current camera's rotation comes from the gyro chain; PnP solves
@@ -470,7 +455,7 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
                                     threshold=cfg.pnp_ransac_threshold)
     except PlanarInitError as exc:
         raise PipelineError("pnp", str(exc)) from exc
-    timings[f"pnp_{m}_s"] = time.perf_counter() - t_stage
+    pnp_s = time.perf_counter() - t_stage
 
     t_hat = metric_alignment(t_pnp, body_prev, rig)
     try:
@@ -507,10 +492,12 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
         correspondences=len(fids),
         homography_inliers=int(np.sum(inlier_mask)),
         transfer_rms_px=rig.f * float(np.sqrt(np.mean(residuals[inlier_mask] ** 2))),
+        homography_s=homography_s,
+        pnp_s=pnp_s,
     )
     nav_curr = NavState(kf_j.t, body_curr, velocity,
                         nav_prev.gyro_bias, nav_prev.accel_bias)
-    return trace, nav_curr, prior, HomographySolution(rel_rot, t_bar, prior.n)
+    return trace, nav_curr, prior, HomographySolution(rel_rot, t_bar, prior.n), residuals
 
 
 def _derotated_parallax(p_src: np.ndarray, p_dst: np.ndarray,

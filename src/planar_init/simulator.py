@@ -21,6 +21,7 @@ import json
 import math
 import operator
 import threading
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -29,9 +30,9 @@ import numpy as np
 
 from .geometry import (
     CameraRig,
+    FrameObservations,
     Pose,
     Rotation,
-    freeze_feature_rows,
     load_rig,
     project,
     quat_matrices,
@@ -236,24 +237,6 @@ def generate_scene(cfg: SceneConfig) -> np.ndarray:
     return np.vstack(kept) if kept else np.empty((0, 3))
 
 
-@dataclass(frozen=True)
-class FrameObservations:
-    """Stereo pixel observations of one camera frame.
-
-    Row k of the read-only ``uv_l`` and ``uv_r`` (N, 2) holds the left and
-    right pixels of feature ``ids[k]``; ids ascend strictly.
-    """
-
-    frame: int
-    t: float
-    ids: np.ndarray
-    uv_l: np.ndarray
-    uv_r: np.ndarray
-
-    def __post_init__(self):
-        freeze_feature_rows(self, f"frame {self.frame}", ("uv_l", "uv_r"))
-
-
 class Frames(Sequence):
     """Read-only sequence of a flight's camera frames, each built on first
     access and then kept.
@@ -339,24 +322,13 @@ class _Render:
         same depths."""
         return self._r_wc[lo:hi] @ (self._scene_t - self._cam_pos[lo:hi, :, None])
 
-    def _depths(self, lo: int, hi: int) -> np.ndarray:
-        """Feature depths of frames lo..hi-1, (F, N), from the depth row of
-        the rotation only.  Rounded otherwise than ``_camera_points``; a
-        frame with a depth within 1 nm of ``min_depth`` is recomputed as
-        there, so both count the same features visible."""
-        r_z = self._r_wc[lo:hi, 2]
-        depth = r_z @ self._scene_t - np.einsum("fk,fk->f", r_z, self._cam_pos[lo:hi])[:, None]
-        near = np.abs(depth - self._min_depth) < 1e-9
-        for f in np.flatnonzero(near.any(axis=1)).tolist():
-            depth[f] = self._camera_points(lo + f, lo + f + 1)[0, 2]
-        return depth
-
     def _generator(self, lo: int, hi: int) -> np.random.Generator:
         """The generator positioned at frame lo's noise, for frames lo..hi-1."""
         if lo >= self._next:
             for a in range(self._next, lo, _RENDER_CHUNK):
                 b = min(a + _RENDER_CHUNK, lo)
-                visible = np.count_nonzero(self._depths(a, b) > self._min_depth, axis=1)
+                visible = np.count_nonzero(
+                    self._camera_points(a, b)[:, 2] > self._min_depth, axis=1)
                 for k, n in enumerate(visible.tolist(), a):
                     self._starts[k] = self._rng.bit_generator.state
                     self._rng.standard_normal(4 * n)
@@ -424,20 +396,18 @@ def render_tracks(scene: np.ndarray, truth: GroundTruth, rig: CameraRig,
 
 def synthesize_imu(truth: GroundTruth, gyro_bias=(0.0, 0.0, 0.0),
                    accel_bias=(0.0, 0.0, 0.0), gyro_noise_density: float = 0.0,
-                   accel_noise_density: float = 0.0, gravity=GRAVITY_NED,
-                   seed: int = 0) -> ImuStream:
+                   accel_noise_density: float = 0.0, seed: int = 0) -> ImuStream:
     """IMU stream from the analytic trajectory.
 
     Gyro: body angular rate plus bias plus white noise; accel: specific
-    force R_w^b (a_world - g) plus bias plus white noise.  Noise
-    densities are continuous-time (per sqrt(Hz)); the per-sample standard
-    deviation is density * sqrt(rate).
+    force R_w^b (a_world - g), g = ``GRAVITY_NED``, plus bias plus white
+    noise.  Noise densities are continuous-time (per sqrt(Hz)); the
+    per-sample standard deviation is density * sqrt(rate).
     """
     rng = np.random.default_rng(seed)
-    g = np.asarray(gravity, dtype=np.float64)
     rate = 1.0 / float(np.mean(np.diff(truth.t)))
     mats = quat_matrices(truth.quat_wxyz)
-    specific = np.einsum("nij,nj->ni", mats.transpose(0, 2, 1), truth.accel_world - g)
+    specific = np.einsum("nij,nj->ni", mats.transpose(0, 2, 1), truth.accel_world - GRAVITY_NED)
     gyro = truth.omega_body + np.asarray(gyro_bias, dtype=np.float64)
     accel = specific + np.asarray(accel_bias, dtype=np.float64)
     if gyro_noise_density > 0.0:
@@ -492,8 +462,7 @@ class Dataset:
 
 def make_dataset(scene_cfg: SceneConfig, profile: TrajectoryProfile,
                  rig: CameraRig | None = None,
-                 noise: NoiseModel | None = None, seed: int = 0,
-                 gravity=GRAVITY_NED) -> Dataset:
+                 noise: NoiseModel | None = None, seed: int = 0) -> Dataset:
     """Generate a complete dataset; pure function of configs and seed."""
     rig = rig or CameraRig.default()
     noise = noise or NoiseModel()
@@ -505,7 +474,7 @@ def make_dataset(scene_cfg: SceneConfig, profile: TrajectoryProfile,
     frames = render_tracks(scene, truth, rig, noise.pixel_px, seed=track_seed)
     imu = synthesize_imu(truth, noise.gyro_bias, noise.accel_bias,
                          noise.gyro_noise_density, noise.accel_noise_density,
-                         gravity, seed=imu_seed)
+                         seed=imu_seed)
     return Dataset(rig, imu, frames, truth, scene_cfg, profile, noise)
 
 
@@ -589,22 +558,35 @@ def _is_integer(v: np.ndarray) -> np.ndarray:
     return np.isfinite(v) & (np.floor(v) == v) & (np.abs(v) < 2.0 ** 63)
 
 
+def _read_rows(path: Path, columns: int) -> np.ndarray:
+    """The data rows (n, ``columns``) of a csv file below its header line.
+
+    A file with no data rows gives none (``features.csv`` of a flight that
+    sees no feature); another column count raises ``ValueError`` naming
+    the file.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if rows.size == 0:
+        return np.empty((0, columns))
+    if rows.shape[1] != columns:
+        raise ValueError(f"{path.name}: expected {columns} columns, got {rows.shape[1]}")
+    return rows
+
+
 def load_dataset(dataset_dir) -> LoadedDataset:
     """Read a dataset written by :func:`write_dataset`.
 
     ``features.csv`` rows may come in any order; a repeated
-    ``(frame, feature_id)`` row raises ``ValueError``.
+    ``(frame, feature_id)`` row raises ``ValueError``, as does a csv file
+    with a column too many or too few.
     """
     root = Path(dataset_dir)
     rig = load_rig(root / "rig.json")
     imu = load_imu_csv(root / "imu.csv")
-    gt = np.loadtxt(root / "groundtruth.csv", delimiter=",", skiprows=1, ndmin=2)
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # empty features.csv is legitimate
-        raw = np.loadtxt(root / "features.csv", delimiter=",", skiprows=1, ndmin=2)
-    if raw.size == 0:
-        raw = np.empty((0, 7))
+    gt = _read_rows(root / "groundtruth.csv", len(GROUNDTRUTH_HEADER))
+    raw = _read_rows(root / "features.csv", len(FEATURES_HEADER))
     # rows the stable sort below would misfile: a fractional id, or a frame
     # with no groundtruth row; and a row whose time is not its frame's
     # groundtruth time (both are written with repr, so they compare exactly)

@@ -72,7 +72,7 @@ class TestSelectWindow:
     def test_stride(self, clean_vertical_dataset):
         cfg = PipelineConfig(keyframe_stride=3, window_size=4)
         window = select_window(clean_vertical_dataset, cfg)
-        idx = [kf.index for kf in window.keyframes]
+        idx = [kf.frame for kf in window.keyframes]
         assert np.all(np.diff(idx) == 3)
 
     def test_anchor_is_the_prefix_propagated_from_rest(self):
@@ -84,8 +84,7 @@ class TestSelectWindow:
         window = select_window(ds, cfg)
         t0, kf0 = float(ds.imu.t[0]), window.keyframes[0]
         rest = imu_mod.nav_state_at_rest(t0, cfg.gyro_bias, cfg.accel_bias)
-        whole = imu_mod.propagate(rest, imu_mod.slice_between(ds.imu, t0, kf0.t),
-                                  cfg.gravity)
+        whole = imu_mod.propagate(rest, imu_mod.slice_between(ds.imu, t0, kf0.t))
         assert window.anchor.t == whole.t == pytest.approx(kf0.t)
         assert window.anchor.pose.rotation.angle_to(whole.pose.rotation) < 1e-12
         np.testing.assert_allclose(window.anchor.pose.translation, whole.pose.translation,
@@ -104,12 +103,11 @@ class TestSelectWindow:
         nav = imu_mod.nav_state_at_rest(float(ds.imu.t[0]), cfg.gyro_bias, cfg.accel_bias)
         for fr in ds.frames:
             if fr.t > nav.t + 1e-9:
-                nav = imu_mod.propagate(
-                    nav, imu_mod.slice_between(ds.imu, nav.t, fr.t), cfg.gravity)
+                nav = imu_mod.propagate(nav, imu_mod.slice_between(ds.imu, nav.t, fr.t))
             if -nav.pose.translation[2] >= height:
                 break
         window = select_window(ds, cfg)
-        assert window.keyframes[0].index == fr.frame
+        assert window.keyframes[0].frame == fr.frame
         assert window.anchor.t == nav.t
 
     def test_builds_only_the_window_frames(self, monkeypatch):
@@ -126,7 +124,7 @@ class TestSelectWindow:
         ds = make_dataset(scene_preset("asphalt"), TrajectoryProfile(kind="oblique"),
                           seed=1)
         window = select_window(ds, cfg)
-        assert built == [kf.index for kf in window.keyframes]
+        assert built == [kf.frame for kf in window.keyframes]
         assert len(built) == cfg.window_size < len(ds.frames)
 
     def test_gate_never_fires(self):
@@ -302,7 +300,11 @@ class TestConfigIo:
             load_config(path)
 
     @pytest.mark.parametrize("key, value", [("attitude_source", "gyro"),
-                                            ("pnp_ransac_max_iters", 500)])
+                                            ("pnp_ransac_max_iters", 500),
+                                            ("gravity", [0.0, 0.0, 9.81]),
+                                            ("stationary_window_s", 0.5),
+                                            ("stationary_accel_tol", 0.05),
+                                            ("stationary_gyro_tol", 0.01)])
     def test_removed_key_rejected(self, key, value, tmp_path):
         # a saved config from before the field was deleted
         path = tmp_path / "cfg.json"
@@ -538,6 +540,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "frame 7.5 is not an integer" in err
+
+    @pytest.mark.parametrize("name, columns", [("groundtruth.csv", 11), ("features.csv", 7),
+                                               ("imu.csv", 7)])
+    @pytest.mark.parametrize("got", [-1, 1], ids=["column-fewer", "column-more"])
+    def test_csv_column_count_is_an_io_error(self, name, columns, got, dataset_dir,
+                                             tmp_path, capsys):
+        # a column too few used to fail outside the I/O error path: groundtruth.csv
+        # in evaluate, features.csv as a frame was built, imu.csv as a
+        # pipeline failure (exit 3)
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        path = ds / name
+        lines = path.read_text().splitlines()
+        edit = ((lambda row: row.rsplit(",", 1)[0]) if got < 0
+                else (lambda row: row + ",0.0"))
+        path.write_text("".join(edit(row) + "\r\n" for row in lines))
+        out = tmp_path / "run"
+        code = main(["init", "--dataset", str(ds), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{name}: expected {columns} columns, got {columns + got}" in err
+        assert not out.exists()
 
     def test_io_error_exit_code(self, dataset_dir, tmp_path):
         assert main(["init", "--dataset", str(tmp_path / "missing"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -8,11 +9,12 @@ import pytest
 from planar_init.config import PipelineConfig
 from planar_init.errors import (
     DegenerateTranslationError,
+    InsufficientDataError,
     InvalidDisparityError,
     NoSolutionError,
     PipelineError,
 )
-from planar_init.geometry import Pose, Rotation
+from planar_init.geometry import FrameObservations, Pose, Rotation, normalize
 from planar_init.harness import evaluate_against_dataset, run_on_dataset, select_window
 from planar_init.homography import HomographySolution, estimate
 from planar_init.imu import ImuStream, PriorNormal, nav_state_at_rest
@@ -20,7 +22,9 @@ from planar_init.initializer import (
     STATUS_IMU_ONLY,
     STATUS_INITIALIZED,
     STATUS_PURE_ROTATION,
+    InitializationResult,
     KeyframeWindow,
+    PairTrace,
     metric_alignment,
     recover_scale,
     refine_body_velocity,
@@ -128,10 +132,10 @@ class TestTriangulateStereo:
 
     def test_unreliable_flag(self, simple_rig):
         # a positive disparity below min_disparity_px is not triangulated
-        from planar_init.initializer import Keyframe, _reliable
+        from planar_init.initializer import _reliable
         uv_l = np.array([[700.0, 400.0], [640.5, 400.0]])
         uv_r = np.array([[680.0, 400.0], [640.0, 400.0]])
-        kf = Keyframe(0, 0.0, [3, 7], uv_l, uv_r, uv_l)
+        kf = FrameObservations(0, 0.0, [3, 7], uv_l, uv_r)
         np.testing.assert_array_equal(_reliable(kf, np.arange(2), 1.0), [True, False])
 
 
@@ -191,8 +195,7 @@ class TestMetricAlignment:
 
 class TestWindowTypes:
     def test_strictly_increasing_times(self):
-        from planar_init.initializer import Keyframe
-        kfs = [Keyframe(0, 0.0, [], [], [], []), Keyframe(1, 0.0, [], [], [], [])]
+        kfs = [FrameObservations(0, 0.0, [], [], []), FrameObservations(1, 0.0, [], [], [])]
         imu = ImuStream([0.0], np.zeros((1, 3)), np.zeros((1, 3)))
         with pytest.raises(ValueError):
             KeyframeWindow(kfs, imu, nav_state_at_rest(0.0))
@@ -206,17 +209,18 @@ class TestWindowTypes:
             np.testing.assert_array_equal(window.keyframes[pos].ids[rows], shared)
 
     def test_keyframe_arrays_read_only(self, clean_vertical_dataset):
+        # a keyframe is the dataset's own frame record, not a copy of it
         window = select_window(clean_vertical_dataset, PipelineConfig())
         kf = window.keyframes[0]
-        for name in ("ids", "uv_l", "uv_r", "norm_l"):
+        assert kf is clean_vertical_dataset.frames[kf.frame]
+        for name in ("ids", "uv_l", "uv_r"):
             with pytest.raises(ValueError):
                 getattr(kf, name)[0] = 0
 
     def test_keyframe_rejects_unsorted_ids(self):
-        from planar_init.initializer import Keyframe
         uv = np.zeros((2, 2))
-        with pytest.raises(ValueError):
-            Keyframe(0, 0.0, [5, 5], uv, uv, uv)
+        with pytest.raises(ValueError, match="frame 0: feature ids must ascend strictly"):
+            FrameObservations(0, 0.0, [5, 5], uv, uv)
 
 
 class TestRefineBodyVelocity:
@@ -346,10 +350,13 @@ class TestRunInitialization:
         payload = json.loads(json.dumps(result.to_json_dict()))  # serializable
         assert "selected" not in payload
         d = result.diagnostics
-        # the gate stops the first pair, before any homography or indicator
-        assert d["pure_rotation_pair"] == 0
-        assert 0.0 <= d["pure_rotation_parallax"] < cfg.ransac_threshold
-        assert "indicator_percentiles" not in d and "indicator_values" not in d
+        # the gate stops the first pair, before any homography or indicator:
+        # its trace holds the parallax alone
+        [trace] = d["pairs"]
+        assert trace["pair"] == 0
+        assert 0.0 <= trace["parallax"] < cfg.ransac_threshold
+        assert {k for k, v in trace.items() if v is not None} == {"pair", "parallax"}
+        assert "indicator_percentiles" not in d
 
     @pytest.mark.parametrize("pixel_px", [0.1, 0.5, 1.0])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -421,8 +428,10 @@ class TestRunInitialization:
         ds = noisy_vertical_dataset
         a = run_on_dataset(ds, PipelineConfig(), seed=5).to_json_dict()
         b = run_on_dataset(ds, PipelineConfig(), seed=5).to_json_dict()
-        a["diagnostics"].pop("timings")
-        b["diagnostics"].pop("timings")
+        for d in (a["diagnostics"], b["diagnostics"]):
+            d.pop("timings")
+            for pair in d["pairs"]:
+                del pair["homography_s"], pair["pnp_s"]
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_diagnostics_populated(self, noisy_vertical_dataset):
@@ -500,6 +509,50 @@ class TestRunInitialization:
         assert len(payload["keyframes"]) == len(result.keyframe_times)
         assert payload["scale"] == result.scale
 
+    @pytest.mark.parametrize("status", [STATUS_INITIALIZED, STATUS_IMU_ONLY,
+                                        STATUS_PURE_ROTATION])
+    def test_result_json_to_from_to_is_equal(self, status, clean_vertical_dataset):
+        result = _outcome(status, clean_vertical_dataset)
+        assert result.status == status
+        payload = json.loads(json.dumps(result.to_json_dict()))
+        back = InitializationResult.from_json_dict(payload)
+        assert json.dumps(back.to_json_dict()) == json.dumps(payload)
+        assert (back.selected is None) == (status != STATUS_INITIALIZED)
+
+    def test_every_outcome_returns_the_same_diagnostics(self, clean_vertical_dataset,
+                                                        monkeypatch):
+        # initialized, feature-gate fallback, pure rotation and a PipelineError
+        # each return one dict of the same keys, per-pair times in the traces
+        outcomes = {status: _outcome(status, clean_vertical_dataset).diagnostics
+                    for status in (STATUS_INITIALIZED, STATUS_IMU_ONLY,
+                                   STATUS_PURE_ROTATION)}
+        import planar_init.initializer as initializer
+        real, calls = initializer.solve_pnp, []
+
+        def third_call_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise InsufficientDataError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(initializer, "solve_pnp", third_call_fails)
+        with pytest.raises(PipelineError) as info:
+            run_on_dataset(clean_vertical_dataset, PipelineConfig(), seed=0)
+        outcomes["failed"] = info.value.diagnostics
+
+        fields = {f.name for f in dataclasses.fields(PairTrace)}
+        pairs_run = {STATUS_INITIALIZED: 9, STATUS_IMU_ONLY: 0, STATUS_PURE_ROTATION: 1,
+                     "failed": 2}
+        for name, d in outcomes.items():
+            fitted = [p for p in d["pairs"] if p["homography_s"] is not None]
+            extra = {"indicator_percentiles"} if fitted else set()
+            assert set(d) == {"feature_counts", "deviation_mode", "pairs", "timings"} | extra
+            assert set(d["timings"]) == {"anchor_s", "total_s"}, name
+            assert d["timings"]["total_s"] > d["timings"]["anchor_s"] > 0.0, name
+            assert len(d["pairs"]) == pairs_run[name], name
+            assert all(set(p) == fields for p in d["pairs"]), name
+            assert all(p["homography_s"] > 0.0 and p["pnp_s"] > 0.0 for p in fitted), name
+
     def test_anchor_is_first_keyframe_pose(self, clean_vertical_dataset):
         # the first keyframe's pose is the IMU-only propagated anchor
         ds = clean_vertical_dataset
@@ -507,6 +560,20 @@ class TestRunInitialization:
         k0 = ds.truth.nearest_index(result.keyframe_times[0])
         np.testing.assert_allclose(result.poses[0].translation,
                                    ds.truth.position[k0], atol=1e-4)
+
+
+def _outcome(status: str, clean_vertical_dataset) -> InitializationResult:
+    """A run that ends with ``status``."""
+    if status == STATUS_INITIALIZED:
+        return run_on_dataset(clean_vertical_dataset, PipelineConfig(), seed=0)
+    if status == STATUS_IMU_ONLY:  # 5 features: below min_features
+        ds = make_dataset(replace(scene_preset("helipad"), feature_count=5),
+                          TrajectoryProfile(kind="vertical"),
+                          noise=NoiseModel.noiseless(), seed=13)
+        return run_on_dataset(ds, PipelineConfig(), seed=0)
+    ds = make_dataset(scene_preset("helipad"), TrajectoryProfile(kind="hover"),
+                      noise=NoiseModel.noiseless(), seed=14)
+    return run_on_dataset(ds, PipelineConfig(preset_height_m=0.0), seed=0)
 
 
 # HEAD's per-feature chain, kept here as the oracle for the stacked one: one
@@ -600,7 +667,8 @@ class TestStackedChainMatchesPerFeatureChain:
             world = np.array([r_prev @ p for p in points.values()])
             (points_w, obs, *_), (t_pnp, pnp_mask) = calls["solve_pnp"][m]
             np.testing.assert_array_equal(points_w, world)
-            np.testing.assert_array_equal(obs, kf_j.norm_l[[rows_j[f] for f in fids]])
+            np.testing.assert_array_equal(
+                obs, normalize(rig, kf_j.uv_l[[rows_j[f] for f in fids]]))
 
             inv = t_pnp.invert()
             weights = []
