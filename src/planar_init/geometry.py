@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -289,6 +290,12 @@ class CameraRig:
         if self.T_c_b.of_frame != "c" or self.T_c_b.in_frame != "b":
             raise ValueError("T_c_b must carry frames (of='c', in='b')")
 
+    @cached_property
+    def T_b_c(self) -> Pose:
+        """The inverse extrinsics, body into left-camera coordinates; built
+        once per rig.  Its translation is minus the lever arm R_cb^T t_cb."""
+        return self.T_c_b.invert()
+
     @classmethod
     def default(cls) -> "CameraRig":
         """1280x800 rig with a small forward/down camera offset."""
@@ -310,14 +317,42 @@ class CameraRig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CameraRig":
-        t = d["T_cb"]
+        """The rig that :meth:`to_json_dict` wrote as ``d``.  A missing or
+        non-numeric key raises ``ValueError`` naming it."""
+        t = _json_value(d, "T_cb")
         return cls(
-            f=float(d["f"]), cx=float(d["cx"]), cy=float(d["cy"]),
-            baseline=float(d["baseline"]),
-            width=int(d["width"]), height=int(d["height"]),
-            T_c_b=Pose(Rotation(t["q_wxyz"]), np.asarray(t["t_xyz"], dtype=np.float64),
-                       "c", "b"),
+            f=_json_number(d, "f"), cx=_json_number(d, "cx"), cy=_json_number(d, "cy"),
+            baseline=_json_number(d, "baseline"),
+            width=int(_json_number(d, "width")), height=int(_json_number(d, "height")),
+            T_c_b=Pose(Rotation(_json_numbers(t, "q_wxyz", 4, "T_cb.")),
+                       _json_numbers(t, "t_xyz", 3, "T_cb."), "c", "b"),
         )
+
+
+def _json_value(d, key: str, prefix: str = ""):
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object holding key {prefix + key!r}")
+    if key not in d:
+        raise ValueError(f"missing key {prefix + key!r}")
+    return d[key]
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _json_number(d, key: str, prefix: str = "") -> float:
+    value = _json_value(d, key, prefix)
+    if not _is_number(value):
+        raise ValueError(f"key {prefix + key!r} is not a number: {value!r}")
+    return float(value)
+
+
+def _json_numbers(d, key: str, n: int, prefix: str = "") -> np.ndarray:
+    value = _json_value(d, key, prefix)
+    if not (isinstance(value, list) and len(value) == n and all(map(_is_number, value))):
+        raise ValueError(f"key {prefix + key!r} is not a list of {n} numbers: {value!r}")
+    return np.array(value, dtype=np.float64)
 
 
 def save_rig(path, rig: CameraRig) -> None:
@@ -325,7 +360,13 @@ def save_rig(path, rig: CameraRig) -> None:
 
 
 def load_rig(path) -> CameraRig:
-    return CameraRig.from_json_dict(json.loads(Path(path).read_text()))
+    """The rig in the JSON file ``path``; a malformed file raises
+    ``ValueError`` naming it."""
+    path = Path(path)
+    try:
+        return CameraRig.from_json_dict(json.loads(path.read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from exc
 
 
 def project(rig: CameraRig, p_c) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .homography import (
 )
 from .imu import ImuStream, NavState, PriorNormal
 from .motion_field import refine_velocity
-from .pnp import refine_pose, solve_pnp
+from .pnp import PnpSystem, refine_pose, solve_pnp
 from .weighting import stereo_deviation, weight
 
 STATUS_INITIALIZED = "initialized"
@@ -154,8 +154,8 @@ def metric_alignment(T_pnp: Pose, T_imu_body: Pose, rig: CameraRig) -> np.ndarra
     if T_imu_body.of_frame != "b" or T_imu_body.in_frame != "w":
         raise PlanarInitError("T_imu_body must carry frames (of='b', in='w')")
     r_cw = (T_imu_body.rotation @ rig.T_c_b.rotation).inverse()
-    lever = rig.T_c_b.rotation.inverse().apply(rig.T_c_b.translation)
-    return r_cw.apply(T_pnp.translation - T_imu_body.translation) - lever
+    # T_b_c's translation is minus the lever arm (R_c^b)^T t_c^b
+    return r_cw.apply(T_pnp.translation - T_imu_body.translation) + rig.T_b_c.translation
 
 
 def refine_body_velocity(window: KeyframeWindow, pair: int, body_prev: Pose,
@@ -168,7 +168,7 @@ def refine_body_velocity(window: KeyframeWindow, pair: int, body_prev: Pose,
     ``cam_curr`` with the inverse extrinsics.
     """
     dt = window.keyframes[pair + 1].t - window.keyframes[pair].t
-    return refine_velocity(body_prev, cam_curr @ rig.T_c_b.invert(), dt)
+    return refine_velocity(body_prev, cam_curr @ rig.T_b_c, dt)
 
 
 @dataclass
@@ -339,7 +339,7 @@ def run_initialization(
         for m in range(len(window.keyframes) - 1):
             trace, nav, prior, selected, pair_residuals = _initialize_pair(
                 window, m, nav, prior, rig, cfg, rng)
-            diag["pairs"].append(asdict(trace))
+            diag["pairs"].append(dict(vars(trace)))
             if nav is None:
                 # the gate found no parallax above noise: no translation to recover
                 return _imu_only_result(window, STATUS_PURE_ROTATION, diag)
@@ -442,17 +442,17 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     ri, rj = rows_i[used], rows_j[used]
     p_c = triangulate_stereo(kf_i.uv_l[ri], kf_i.uv_r[ri], rig)
     cam_prev = nav_prev.pose @ rig.T_c_b
-    body_prev = Pose(cam_prev.rotation, np.zeros(3), "c", "w") @ rig.T_c_b.invert()
+    body_prev = Pose(cam_prev.rotation, np.zeros(3), "c", "w") @ rig.T_b_c
     points = cam_prev.rotation.apply(p_c)
     obs_j = p_src[used]
     if len(points) < 4:
         raise PipelineError("pnp", f"only {len(points)} usable stereo points in pair {m}")
     # the current camera's rotation comes from the gyro chain; PnP solves
-    # only for its centre
+    # only for its centre, and every fit below re-weights one system
     t_stage = time.perf_counter()
+    system = PnpSystem(points, obs_j, cam_prev.rotation @ rel_rot)
     try:
-        t_pnp, pnp_mask = solve_pnp(points, obs_j, cam_prev.rotation @ rel_rot,
-                                    threshold=cfg.pnp_ransac_threshold)
+        t_pnp, pnp_mask = solve_pnp(system, threshold=cfg.pnp_ransac_threshold)
     except PlanarInitError as exc:
         raise PipelineError("pnp", str(exc)) from exc
     pnp_s = time.perf_counter() - t_stage
@@ -470,8 +470,11 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
 
     if cfg.deviation_mode == "dynamic":
         inl = rj[pnp_mask]
-        t_pnp = _weighted_pnp_refit(t_pnp, points[pnp_mask], obs_j[pnp_mask],
-                                    kf_j.uv_l[inl], kf_j.uv_r[inl], rig, cfg)
+        try:
+            t_pnp = _weighted_pnp_refit(t_pnp, system, pnp_mask,
+                                        kf_j.uv_l[inl], kf_j.uv_r[inl], rig, cfg)
+        except PlanarInitError as exc:
+            raise PipelineError("pnp", f"{exc} in pair {m}") from exc
         t_hat = metric_alignment(t_pnp, body_prev, rig)
         s = recover_scale(t_bar, t_hat)
         if s <= 0.0:
@@ -479,7 +482,7 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
 
     # chain the metric pose: T_cj^w = T_ci^w o (R, s t_bar)
     rel = Pose(rel_rot, s * t_bar, "c", "c")
-    body_curr = (cam_prev @ rel) @ rig.T_c_b.invert()
+    body_curr = (cam_prev @ rel) @ rig.T_b_c
 
     trace = PairTrace(
         pair=m,
@@ -509,23 +512,25 @@ def _derotated_parallax(p_src: np.ndarray, p_dst: np.ndarray,
     return float(np.median(np.linalg.norm(p_dst - rays[:, :2] / rays[:, 2:], axis=1)))
 
 
-def _weighted_pnp_refit(t_pnp: Pose, points_w: np.ndarray, obs: np.ndarray,
+def _weighted_pnp_refit(t_pnp: Pose, system: PnpSystem, inliers: np.ndarray,
                         uv_l: np.ndarray, uv_r: np.ndarray, rig: CameraRig,
                         cfg: PipelineConfig) -> Pose:
-    """Refit the PnP camera centre on its inliers with dynamic
-    inverse-deviation weights, under the same camera rotation.
+    """Refit the PnP camera centre of ``system`` on its ``inliers`` (mask)
+    with dynamic inverse-deviation weights, under the same camera rotation;
+    the other points get weight zero.
 
     Each inlier's stereo deviation at the current keyframe (pixels
-    ``uv_l``, ``uv_r``) is computed against the depth its world point takes
-    under the current pose estimate, so the weight reflects the feature's
-    own measurement quality rather than its momentary disparity.  A point
-    behind the camera keeps the fixed deviation.
+    ``uv_l``, ``uv_r``, one row per inlier) is computed against the depth
+    its world point takes under the current pose estimate, so the weight
+    reflects the feature's own measurement quality rather than its
+    momentary disparity.  A point behind the camera keeps the fixed
+    deviation.
     """
     # camera-frame depths under the current PnP pose
-    z_pred = t_pnp.invert().apply(points_w)[:, 2]
+    z_pred = t_pnp.invert().apply(system.points_w[inliers])[:, 2]
     ahead = z_pred > 0.0
     sigma = np.full(len(z_pred), cfg.fixed_deviation_px)
     sigma[ahead] = stereo_deviation(uv_l[ahead], uv_r[ahead], rig, z_pred[ahead])
-    centre = refine_pose(points_w, obs, t_pnp.rotation,
-                         weight(sigma, cfg.deviation_floor_px))
-    return Pose(t_pnp.rotation, centre, "c", "w")
+    weights = np.zeros(len(system))
+    weights[inliers] = weight(sigma, cfg.deviation_floor_px)
+    return Pose(t_pnp.rotation, refine_pose(system, weights), "c", "w")

@@ -388,8 +388,12 @@ def render_tracks(scene: np.ndarray, truth: GroundTruth, rig: CameraRig,
     ``noise_px`` is then added.  Track ids are the feature indices, so
     they are stable across keyframes.  A frame's pixels do not depend on
     which frames were rendered before it, nor in what order.  Iteration
-    renders ``_RENDER_CHUNK`` frames in one stacked pass.
+    renders ``_RENDER_CHUNK`` frames in one stacked pass.  ``min_depth``
+    must be positive: the pinhole projects no point at or behind the
+    camera centre.
     """
+    if not min_depth > 0.0:
+        raise ValueError(f"min_depth must be positive, got {min_depth!r}")
     render = _Render(scene, truth, rig, noise_px, seed, min_depth)
     return Frames(render.times, render)
 

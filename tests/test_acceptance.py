@@ -31,7 +31,7 @@ from planar_init.initializer import (
     triangulate_stereo,
 )
 from planar_init.motion_field import refine_velocity
-from planar_init.pnp import refine_pose
+from planar_init.pnp import PnpSystem, refine_pose
 from planar_init.simulator import (
     NoiseModel,
     TrajectoryProfile,
@@ -275,8 +275,9 @@ def _weighting_trial(seed: int, rig: CameraRig):
            + rng.normal(size=(n_pts, 2)) * (sigma_px / rig.f)[:, None])
     w_dyn = weight(sigma_hat)
     w_fix = np.full(n_pts, weight(1.5))
-    err_d = np.linalg.norm(refine_pose(pts, obs, r_cw, w_dyn) - cam_pos)
-    err_f = np.linalg.norm(refine_pose(pts, obs, r_cw, w_fix) - cam_pos)
+    system = PnpSystem(pts, obs, r_cw)
+    err_d = np.linalg.norm(refine_pose(system, w_dyn) - cam_pos)
+    err_f = np.linalg.norm(refine_pose(system, w_fix) - cam_pos)
     return err_d, err_f
 
 

@@ -541,6 +541,33 @@ class TestCli:
         assert code == 2
         assert "frame 7.5 is not an integer" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("baseline"), "rig.json: missing key 'baseline'"),
+        (lambda d: d.update(f="640"), "rig.json: key 'f' is not a number: '640'"),
+        (lambda d: d["T_cb"].pop("t_xyz"), "rig.json: missing key 'T_cb.t_xyz'"),
+        (lambda d: d["T_cb"].update(q_wxyz=[1.0, 0.0]),
+         "rig.json: key 'T_cb.q_wxyz' is not a list of 4 numbers"),
+    ], ids=["missing", "string", "missing-nested", "short-list"])
+    @pytest.mark.parametrize("command", ["init", "evaluate"])
+    def test_malformed_rig_is_an_io_error(self, command, edit, message, dataset_dir,
+                                          tmp_path, capsys):
+        # a missing key used to escape as a KeyError traceback with exit 1
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        rig = json.loads((ds / "rig.json").read_text())
+        edit(rig)
+        (ds / "rig.json").write_text(json.dumps(rig))
+        result = tmp_path / "result.json"
+        result.write_text("{}")
+        args = (["init", "--dataset", str(ds), "--out", str(tmp_path / "run")]
+                if command == "init" else
+                ["evaluate", "--result", str(result), "--dataset", str(ds),
+                 "--out", str(tmp_path / "eval")])
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("name, columns", [("groundtruth.csv", 11), ("features.csv", 7),
                                                ("imu.csv", 7)])
     @pytest.mark.parametrize("got", [-1, 1], ids=["column-fewer", "column-more"])

@@ -665,10 +665,10 @@ class TestStackedChainMatchesPerFeatureChain:
             cam_prev = result.poses[m] @ rig.T_c_b
             r_prev = cam_prev.rotation.matrix()
             world = np.array([r_prev @ p for p in points.values()])
-            (points_w, obs, *_), (t_pnp, pnp_mask) = calls["solve_pnp"][m]
-            np.testing.assert_array_equal(points_w, world)
+            (system,), (t_pnp, pnp_mask) = calls["solve_pnp"][m]
+            np.testing.assert_array_equal(system.points_w, world)
             np.testing.assert_array_equal(
-                obs, normalize(rig, kf_j.uv_l[[rows_j[f] for f in fids]]))
+                system.obs, normalize(rig, kf_j.uv_l[[rows_j[f] for f in fids]]))
 
             inv = t_pnp.invert()
             weights = []
@@ -678,8 +678,11 @@ class TestStackedChainMatchesPerFeatureChain:
                 sigma = (_per_feature_stereo_sigma(kf_j.uv_l[r], kf_j.uv_r[r], rig, z)
                          if z > 0.0 else cfg.fixed_deviation_px)
                 weights.append(_per_feature_weight(sigma, cfg.deviation_floor_px))
-            (*_, refit_weights), _ = calls["refine_pose"][m]
-            np.testing.assert_array_equal(refit_weights, weights)
+            # the refit re-weights PnP's own system; the outliers weigh zero
+            (refit_system, refit_weights), _ = calls["refine_pose"][m]
+            assert refit_system is system
+            np.testing.assert_array_equal(refit_weights[pnp_mask], weights)
+            assert not refit_weights[~pnp_mask].any()
 
             (body_prev, body_curr, dt), velocity = calls["refine_velocity"][m]
             origin = Pose(cam_prev.rotation, np.zeros(3), "c", "w") @ rig.T_c_b.invert()

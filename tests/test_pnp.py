@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from planar_init import pnp
 from planar_init.errors import InsufficientDataError
 from planar_init.geometry import Rotation
-from planar_init.pnp import refine_pose, solve_pnp
+from planar_init.pnp import PnpSystem, refine_pose, solve_pnp
 
 THRESHOLD = 0.02
 
@@ -59,7 +60,7 @@ class TestSolvePnp:
         rng = np.random.default_rng(1)
         pts = np.c_[rng.uniform(-1, 1, size=(30, 2)), rng.uniform(1.0, 3.0, 30)]
         obs = pts[:, :2] / pts[:, 2:3]
-        pose, mask = solve_pnp(pts, obs, Rotation.identity(), threshold=THRESHOLD)
+        pose, mask = solve_pnp(PnpSystem(pts, obs, Rotation.identity()), threshold=THRESHOLD)
         assert pose.rotation.angle() == 0.0
         assert np.linalg.norm(pose.translation) < 1e-12
         assert mask.all()
@@ -73,7 +74,7 @@ class TestSolvePnp:
             if v is None:
                 continue
             pts, obs, (r_cw, cam_pos) = v
-            pose, mask = solve_pnp(pts, obs, r_cw, threshold=THRESHOLD)
+            pose, mask = solve_pnp(PnpSystem(pts, obs, r_cw), threshold=THRESHOLD)
             assert pose.rotation is r_cw
             assert (pose.of_frame, pose.in_frame) == ("c", "w")
             assert np.linalg.norm(pose.translation - cam_pos) < 1e-12
@@ -92,16 +93,16 @@ class TestSolvePnp:
                 continue
             pts, obs, (r_cw, cam_pos) = v
             noisy = obs + rng.normal(0.0, 1.0 / 400.0, size=obs.shape)
-            pose, _ = solve_pnp(pts, noisy, r_cw, threshold=THRESHOLD)
+            pose, _ = solve_pnp(PnpSystem(pts, noisy, r_cw), threshold=THRESHOLD)
             errs.append(np.linalg.norm(pose.translation - cam_pos))
         assert np.median(errs) < 0.05
 
     def test_outlier_rejection(self):
         _, (pts, obs, (r_cw, cam_pos)) = view(3, n_points=60)
-        clean, clean_mask = solve_pnp(pts, obs, r_cw, threshold=THRESHOLD)
+        clean, clean_mask = solve_pnp(PnpSystem(pts, obs, r_cw), threshold=THRESHOLD)
         obs = obs.copy()
         obs[17] += [0.15, -0.1]  # far above the threshold
-        pose, mask = solve_pnp(pts, obs, r_cw, threshold=THRESHOLD)
+        pose, mask = solve_pnp(PnpSystem(pts, obs, r_cw), threshold=THRESHOLD)
         assert not mask[17]
         assert mask.sum() == 59
         assert np.linalg.norm(pose.translation - cam_pos) < 1e-12
@@ -110,15 +111,15 @@ class TestSolvePnp:
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            solve_pnp(np.zeros((3, 3)), np.zeros((3, 2)), Rotation.identity(),
+            solve_pnp(PnpSystem(np.zeros((3, 3)), np.zeros((3, 2)), Rotation.identity()),
                       threshold=THRESHOLD)
 
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError):
-            solve_pnp(np.zeros((5, 3)), np.zeros((4, 2)), Rotation.identity(),
-                      threshold=THRESHOLD)
+            PnpSystem(np.zeros((5, 3)), np.zeros((4, 2)), Rotation.identity())
+        _, (pts, obs, (r_cw, _)) = view(4, n_points=5)
         with pytest.raises(ValueError):
-            refine_pose(np.zeros((5, 3)), np.zeros((4, 2)), Rotation.identity())
+            refine_pose(PnpSystem(pts, obs, r_cw), np.ones(4))
 
     def test_no_consensus(self):
         # only 3 of 10 observations agree on any centre: fewer than 4 inliers
@@ -126,17 +127,17 @@ class TestSolvePnp:
         obs = obs.copy()
         obs[3:] += rng.choice([-1, 1], size=(7, 2)) * rng.uniform(0.2, 0.4, (7, 2))
         with pytest.raises(InsufficientDataError):
-            solve_pnp(pts, obs, r_cw, threshold=THRESHOLD)
+            solve_pnp(PnpSystem(pts, obs, r_cw), threshold=THRESHOLD)
 
     def test_determinism(self):
         rng, (pts, obs, (r_cw, _)) = view(6, n_points=40)
         noisy = obs + rng.normal(0, 2e-3, size=obs.shape)
-        p1, m1 = solve_pnp(pts, noisy, r_cw, threshold=THRESHOLD)
-        p2, m2 = solve_pnp(pts, noisy, r_cw, threshold=THRESHOLD)
+        p1, m1 = solve_pnp(PnpSystem(pts, noisy, r_cw), threshold=THRESHOLD)
+        p2, m2 = solve_pnp(PnpSystem(pts, noisy, r_cw), threshold=THRESHOLD)
         assert p1.translation.tobytes() == p2.translation.tobytes()
         assert np.array_equal(m1, m2)
-        c1 = refine_pose(pts, noisy, r_cw, np.linspace(0.5, 2.0, 40))
-        c2 = refine_pose(pts, noisy, r_cw, np.linspace(0.5, 2.0, 40))
+        c1 = refine_pose(PnpSystem(pts, noisy, r_cw), np.linspace(0.5, 2.0, 40))
+        c2 = refine_pose(PnpSystem(pts, noisy, r_cw), np.linspace(0.5, 2.0, 40))
         assert c1.tobytes() == c2.tobytes()
 
 
@@ -152,8 +153,9 @@ class TestRefinePose:
             pts, obs, (r_cw, cam_pos) = v
             sigma = np.where(np.arange(80) < 40, 5e-4, 8e-3)
             noisy = obs + rng.normal(size=obs.shape) * sigma[:, None]
-            err_u = np.linalg.norm(refine_pose(pts, noisy, r_cw) - cam_pos)
-            err_w = np.linalg.norm(refine_pose(pts, noisy, r_cw, 1.0 / sigma**2) - cam_pos)
+            err_u = np.linalg.norm(refine_pose(PnpSystem(pts, noisy, r_cw)) - cam_pos)
+            system = PnpSystem(pts, noisy, r_cw)
+            err_w = np.linalg.norm(refine_pose(system, 1.0 / sigma**2) - cam_pos)
             if err_w < err_u:
                 gains_ok += 1
         assert gains_ok >= 8
@@ -170,6 +172,59 @@ class TestRefinePose:
             # the rotation is known only up to gyro drift
             r_cw = v[2][0] @ Rotation.from_rotvec(rng.normal(0.0, 1e-3, 3))
             w = rng.uniform(0.1, 4.0, len(pts)) if weighted else None
-            np.testing.assert_allclose(refine_pose(pts, noisy, r_cw, w),
+            np.testing.assert_allclose(refine_pose(PnpSystem(pts, noisy, r_cw), w),
                                        refine_pose_reference(pts, noisy, r_cw, w),
                                        rtol=0, atol=1e-12)
+
+
+class TestPnpSystem:
+    """Every fit of a pair re-weights one system of per-point normal blocks."""
+
+    @pytest.mark.parametrize("passes", [1, 2])
+    @pytest.mark.parametrize("coplanar", [True, False])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_each_pass_matches_the_reference(self, passes, coplanar, weighted, monkeypatch):
+        # the first pass is the algebraic solve, the second the first
+        # depth-normalised one: each is one closed-form solve
+        monkeypatch.setattr(pnp, "_PASSES", passes)
+        rng = np.random.default_rng(31)
+        for k in range(12):
+            v = None
+            while v is None:
+                v = make_view(rng, n_points=20 + 10 * k, coplanar=coplanar)
+            pts, obs, (r_cw, _) = v
+            noisy = obs + rng.normal(0.0, 2e-3, obs.shape)
+            w = rng.uniform(0.1, 4.0, len(pts)) if weighted else None
+            np.testing.assert_allclose(refine_pose(PnpSystem(pts, noisy, r_cw), w),
+                                       refine_pose_reference(pts, noisy, r_cw, w, passes),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("coplanar", [True, False])
+    def test_zero_weight_drops_the_point(self, coplanar):
+        rng = np.random.default_rng(32)
+        for k in range(10):
+            v = None
+            while v is None:
+                v = make_view(rng, n_points=30, coplanar=coplanar)
+            pts, obs, (r_cw, cam_pos) = v
+            noisy = obs + rng.normal(0.0, 2e-3, obs.shape)
+            # the dropped points: a gross outlier, and one behind the camera
+            noisy[3] += [0.3, -0.2]
+            pts = pts.copy()
+            pts[7] = cam_pos - 2.0 * r_cw.matrix()[:, 2]
+            w = rng.uniform(0.1, 4.0, len(pts))
+            w[[3, 7]] = 0.0
+            keep = w > 0.0
+            np.testing.assert_allclose(
+                refine_pose(PnpSystem(pts, noisy, r_cw), w),
+                refine_pose(PnpSystem(pts[keep], noisy[keep], r_cw), w[keep]),
+                rtol=0, atol=1e-12)
+
+    def test_unfixed_centre_raises(self):
+        # one bearing, or no weight at all, fixes no centre
+        _, (pts, obs, (r_cw, _)) = view(33, n_points=6)
+        system = PnpSystem(pts, obs, r_cw)
+        with pytest.raises(InsufficientDataError):
+            refine_pose(system, np.zeros(6))
+        with pytest.raises(InsufficientDataError):
+            refine_pose(system, np.eye(6)[2])

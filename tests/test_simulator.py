@@ -294,6 +294,15 @@ class TestFrames:
                                     min_depth=min_depth)
             assert skipped[60].uv_l.tobytes() == forward[:61][60].uv_l.tobytes()
 
+    @pytest.mark.parametrize("min_depth", [0.0, -0.061, float("nan")])
+    def test_nonpositive_min_depth_rejected_at_the_call(self, rig, min_depth):
+        # rendering asphalt oblique seed 2 at min_depth -0.061 used to fail
+        # only when a frame was read, with BehindCameraError
+        scene = generate_scene(scene_preset("asphalt", seed=2))
+        truth = generate_trajectory(TrajectoryProfile(kind="oblique"))
+        with pytest.raises(ValueError, match="min_depth must be positive"):
+            render_tracks(scene, truth, rig, noise_px=0.5, seed=9, min_depth=min_depth)
+
     def test_times_are_the_frame_times(self, rig, tmp_path):
         ds = make_dataset(scene_preset("asphalt"), TrajectoryProfile(kind="oblique"),
                           rig=rig, seed=3)
