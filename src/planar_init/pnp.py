@@ -50,21 +50,25 @@ class PnpSystem:
             raise ValueError(f"{len(pw)} world points but {len(ob)} observations")
         self.points_w, self.obs, self.rotation = pw, ob, rotation
         m = self._m = rotation.matrix()
-        c1, c2, c3 = m.T
-        x, y = ob.T
+        x, y = ob[:, 0], ob[:, 1]
         # with c_k the columns of R, a point's rows are c1 - x c3 and
-        # c2 - y c3, so A^T A = B0 + x B1 + y B2 + (x^2 + y^2) B3
-        basis = np.array([np.outer(c1, c1) + np.outer(c2, c2),
-                          -np.outer(c1, c3) - np.outer(c3, c1),
-                          -np.outer(c2, c3) - np.outer(c3, c2),
-                          np.outer(c3, c3)]).reshape(4, 9)
+        # c2 - y c3, so A^T A = B0 + x B1 + y B2 + (x^2 + y^2) B3, where
+        # B0 = c1 c1^T + c2 c2^T = I - B3 and B3 = c3 c3^T
+        c3 = m[:, 2]
+        s1, s2, b3 = m[:, 0, None] * c3, m[:, 1, None] * c3, m[:, 2, None] * c3
+        basis = np.array([np.eye(3) - b3, -(s1 + s1.T), -(s2 + s2.T), b3]).reshape(4, 9)
         # right-hand sides b = (q1 - x q3, q2 - y q3) with q = R^T P, and
         # A^T b = bx c1 + by c2 - (x bx + y by) c3
         q = pw @ m
         bx, by = q[:, 0] - x * q[:, 2], q[:, 1] - y * q[:, 2]
-        self._blocks = np.empty((len(pw), 12))  # A^T A (9) then A^T b (3)
-        self._blocks[:, :9] = np.c_[np.ones(len(pw)), x, y, x * x + y * y] @ basis
-        self._blocks[:, 9:] = np.c_[bx, by, -(x * bx + y * by)] @ m.T
+        n = len(pw)
+        f = np.empty((n, 4))
+        f[:, 0], f[:, 1], f[:, 2], f[:, 3] = 1.0, x, y, x * x + y * y
+        g = np.empty((n, 3))
+        g[:, 0], g[:, 1], g[:, 2] = bx, by, -(x * bx + y * by)
+        self._blocks = np.empty((n, 12))  # A^T A (9) then A^T b (3)
+        self._blocks[:, :9] = f @ basis
+        self._blocks[:, 9:] = g @ m.T
         # a point's camera depth is its height along the optical axis c3
         # less the centre's
         self._heights = q[:, 2]
