@@ -17,7 +17,6 @@ from .geometry import (
     to_euler_ned,
 )
 from .homography import (
-    Homography,
     HomographySolution,
     decompose,
     estimate,

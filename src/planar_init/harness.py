@@ -70,8 +70,8 @@ def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
     nav = imu_mod.nav_state_at_rest(float(imu.t[0]), config.gyro_bias, config.accel_bias)
     z0 = nav.pose.translation[2]
     frame_t = frames.times
-    # the last sample of each frame's propagation (slice_between's tolerance)
-    frame_end = np.searchsorted(imu.t, frame_t + 1e-9, side="right") - 1
+    # the last sample of each frame's propagation
+    frame_end = np.searchsorted(imu.t, frame_t + imu_mod.SLICE_TOL_S, side="right") - 1
     excess = np.linalg.norm(imu.accel - nav.accel_bias, axis=1) - GRAVITY_NED[2]
     gate_idx = None
     k = 0
@@ -296,7 +296,7 @@ def selection_trial(profile_kind: str, seed: int,
     cam_j = truth.camera_pose(k_j, rig)
     rel = cam_i.invert() @ cam_j  # T_cj^ci
     n_j, d_j = truth.plane_in_camera(k_j, rig)
-    h_true = synthesize(rel.rotation, rel.translation, n_j, d_j)
+    h_true = synthesize(rel.rotation, rel.translation, n_j, d_j).reassemble()
 
     # prior normal from the noisy gyro chain, stationary start -> time j
     span = imu_mod.slice_between(imu, imu.t[0], truth.t[k_j])
@@ -322,7 +322,7 @@ def selection_trial(profile_kind: str, seed: int,
 
 
 def _plane_points(h, n, rng, count=20) -> np.ndarray:
-    """Source points (up to ``count``, 2) of the plane visible in both views of ``h``."""
+    """Source points (up to ``count``, 2) of the plane visible in both views of ``h`` (3x3)."""
     pts = []
     guard = 0
     while len(pts) < count and guard < 20 * count:
@@ -331,7 +331,7 @@ def _plane_points(h, n, rng, count=20) -> np.ndarray:
         ph = np.array([p[0], p[1], 1.0])
         if ph @ n <= 0.05:
             continue
-        w = h.matrix @ ph
+        w = h @ ph
         if w[2] <= 0.05:
             continue
         pts.append(p)

@@ -3,9 +3,10 @@
 A calibrated homography between two views of a plane factors as
 ``H = R + t_bar n^T`` where ``t_bar = t/d`` is the translation divided by
 the source-camera-to-plane distance and ``n`` is the unit plane normal in
-the source camera frame.  Such an H always has its second-largest
-singular value equal to 1, which is the normalization every
-:class:`Homography` instance carries.
+the source camera frame.  A homography is held in that factored form,
+one :class:`HomographySolution`; ``reassemble`` gives the 3x3 matrix.
+Such a matrix has its second-largest singular value equal to 1, and
+``decompose`` scales any multiple of it back to that before splitting it.
 
 Estimation holds R and n fixed, as the pipeline knows them from the gyro
 rotation and the IMU-propagated prior normal, so H is linear in t_bar
@@ -20,9 +21,9 @@ at about four times the cost per call.
 
 Decomposition is the analytic SVD construction returning up to four
 ``(R, t_bar, n)`` triples, of which positive-depth filtering keeps at most
-two.  The pipeline runs both on the fitted H as its positive-depth check;
-``harness.selection_trial`` runs them on exact homographies, reproducing
-the paper's prior-normal disambiguation.
+two.  The pipeline runs both on the reassembled fit as its positive-depth
+check; ``harness.selection_trial`` runs them on exact homographies,
+reproducing the paper's prior-normal disambiguation.
 """
 
 from __future__ import annotations
@@ -42,39 +43,15 @@ from .errors import (
 from .geometry import Rotation, cross, homogeneous
 
 
-class Homography:
-    """3x3 homography stored with its second singular value normalized to 1."""
-
-    __slots__ = ("_m",)
-
-    def __init__(self, matrix):
-        m = np.array(matrix, dtype=np.float64).reshape(3, 3)
-        if not np.all(np.isfinite(m)):
-            raise DegenerateHomographyError("non-finite homography")
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[1] < 1e-12 * max(1.0, s[0]):
-            raise DegenerateHomographyError("homography is numerically rank deficient")
-        m = m / s[1]
-        m.setflags(write=False)
-        self._m = m
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._m
-
-    def apply(self, p_i) -> np.ndarray:
-        """Map normalized source points (2,) or (N, 2) through H, dehomogenized."""
-        p = np.asarray(p_i, dtype=np.float64)
-        out = _map(self._m, np.atleast_2d(p))
-        return out[0] if p.ndim == 1 else out
-
-    def __repr__(self) -> str:
-        return f"Homography({np.array2string(self._m, precision=6)})"
-
-
 @dataclass(frozen=True)
 class HomographySolution:
-    """One decomposition candidate: rotation, t/d translation, unit plane normal."""
+    """A plane homography H = R + t_bar n^T in factored form: the rotation
+    R, the translation over the plane distance t_bar = t/d, and the unit
+    plane normal n in the source frame.
+
+    ``synthesize`` and ``estimate`` return one; ``decompose`` returns up to
+    four candidates of a matrix.
+    """
 
     rotation: Rotation
     t_bar: np.ndarray
@@ -87,11 +64,12 @@ class HomographySolution:
             object.__setattr__(self, name, v)
 
     def reassemble(self) -> np.ndarray:
-        """R + t_bar n^T, which must reproduce the decomposed H."""
+        """The matrix R + t_bar n^T; a decomposition candidate reproduces
+        the decomposed H scaled to sigma_2 = 1."""
         return self.rotation.matrix() + np.outer(self.t_bar, self.n)
 
 
-def synthesize(rotation: Rotation, t, n, d: float) -> Homography:
+def synthesize(rotation: Rotation, t, n, d: float) -> HomographySolution:
     """Ground-truth homography from relative pose and plane, H = R + t n^T / d.
 
     ``t`` is the source-camera origin expressed in the target camera frame,
@@ -104,7 +82,7 @@ def synthesize(rotation: Rotation, t, n, d: float) -> Homography:
     if abs(np.linalg.norm(n) - 1.0) > 1e-9:
         raise ValueError("plane normal must be unit length")
     t = np.asarray(t, dtype=np.float64).reshape(3)
-    return Homography(rotation.matrix() + np.outer(t / d, n))
+    return HomographySolution(rotation, t / d, n)
 
 
 def _points(p) -> np.ndarray:
@@ -113,18 +91,6 @@ def _points(p) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("points must be finite")
     return a
-
-
-def _map(m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Points (N, 2) through a 3x3 matrix, dehomogenized.
-
-    A point sent to the line at infinity maps to ``inf``.
-    """
-    w = p @ m[:, :2].T + m[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = w[:, :2] / w[:, 2:3]
-    out[~np.isfinite(out)] = np.inf
-    return out
 
 
 def _normal_equations(y: np.ndarray, rx: np.ndarray,
@@ -157,7 +123,7 @@ def _solve(q: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _distances(w: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Distances (K, N) from the dehomogenized points w (K, N, 3) to p (N, 2);
+    """Distances (..., N) from the dehomogenized points w (..., N, 3) to p (N, 2);
     nan or inf where a point maps to infinity.  Call under ``np.errstate``
     ignoring divide, invalid and over."""
     dx = w[..., 0] / w[..., 2] - p[:, 0]
@@ -184,7 +150,7 @@ def estimate(
     confidence: float = 0.999,
     max_iters: int = 2000,
     seed: int | np.random.Generator = 0,
-) -> tuple[Homography, np.ndarray, np.ndarray]:
+) -> tuple[HomographySolution, np.ndarray]:
     """Robust homography H = R + t_bar n^T mapping normalized points
     ``p_src`` onto ``p_dst``, with the rotation R and the unit plane normal
     ``n`` (source frame) known: only t_bar (3,) is estimated.
@@ -204,7 +170,7 @@ def estimate(
     the 2-point adaptive iteration count shrinks with it, and a full
     consensus stops the search.
 
-    Returns the scale-normalized homography, t_bar and a boolean inlier mask.
+    Returns the fit (``rotation``, t_bar, ``n``) and a boolean inlier mask.
     """
     p_src, p_dst = _points(p_src), _points(p_dst)
     count = len(p_src)
@@ -264,7 +230,7 @@ def estimate(
         mask = inliers(t_bar)[0]
     if int(mask.sum()) < 4:
         mask = best_mask
-    return Homography(r + np.outer(t_bar[0], n)), t_bar[0], mask
+    return HomographySolution(rotation, t_bar[0], n), mask
 
 
 def _dedupe(solutions: list[HomographySolution]) -> list[HomographySolution]:
@@ -283,15 +249,23 @@ def _dedupe(solutions: list[HomographySolution]) -> list[HomographySolution]:
                               and np.linalg.norm(s.n - k.n) < 1e-8 for k in plus)]
 
 
-def decompose(h: Homography) -> list[HomographySolution]:
-    """Analytic SVD decomposition into (R, t_bar, n) candidates.
+def decompose(matrix) -> list[HomographySolution]:
+    """Analytic SVD decomposition of a 3x3 homography into up to four
+    physically distinct (R, t_bar, n) candidates.
 
-    Returns up to four physically distinct solutions.  A homography whose
-    singular values are all (numerically) equal is a rotation, with no
-    translation or normal to recover, and raises; the pipeline's parallax
-    gate stops a pure-rotation pair before its H is estimated.
+    The matrix is first scaled to a second singular value of 1, the scale
+    at which it is R + t_bar n^T.  A non-finite or rank-deficient matrix
+    raises, and so does a rotation (all singular values numerically
+    equal), with no translation or normal to recover; the pipeline's
+    parallax gate stops a pure-rotation pair before its H is estimated.
     """
-    m = h.matrix
+    m = np.array(matrix, dtype=np.float64).reshape(3, 3)
+    if not np.all(np.isfinite(m)):
+        raise DegenerateHomographyError("non-finite homography")
+    s = np.linalg.svd(m, compute_uv=False)
+    if s[1] < 1e-12 * max(1.0, s[0]):
+        raise DegenerateHomographyError("homography is numerically rank deficient")
+    m = m / s[1]
     _, s, vt = np.linalg.svd(m)
     if not np.all(np.isfinite(s)) or s[2] < 1e-12:
         raise DegenerateHomographyError("cannot decompose rank-deficient H")
@@ -355,14 +329,12 @@ def filter_positive_depth(
     return kept
 
 
-def indicator(h: Homography, p_src, p_dst) -> np.ndarray:
-    """Planarity indicator: transfer residual of each correspondence.
-
-    Computed on the dehomogenized 2D differences through one
-    :meth:`Homography.apply`; an entry is ``inf`` where the mapped point
-    lies on the line at infinity.
-    """
-    mapped = h.apply(_points(p_src))
-    out = np.linalg.norm(mapped - _points(p_dst), axis=1)
-    out[~np.all(np.isfinite(mapped), axis=1)] = np.inf
+def indicator(fit: HomographySolution, p_src, p_dst) -> np.ndarray:
+    """Planarity indicator: forward transfer residual (N,) of each
+    correspondence, the distance from ``p_dst`` to ``p_src`` mapped through
+    the reassembled H; ``inf`` where the mapped point lies at infinity."""
+    m = fit.reassemble()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _distances(_points(p_src) @ m[:, :2].T + m[:, 2], _points(p_dst))
+    out[~np.isfinite(out)] = np.inf
     return out

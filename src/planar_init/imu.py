@@ -218,30 +218,46 @@ def propagate_normal(n_prev: PriorNormal, rotation: Rotation,
     return PriorNormal(n, n_prev.t if t is None else t)
 
 
-def is_stationary(samples: ImuStream, gravity_mag: float = float(GRAVITY_NED[2]),
-                  window: float = 0.5, accel_tol: float = 0.05,
-                  gyro_tol: float = 0.01) -> bool:
+STATIONARY_WINDOW_S = 0.5
+"""Seconds that :func:`is_stationary` averages: half the simulator's 1 s
+rest, 101 samples at 200 Hz, whose mean has a tenth of a sample's noise."""
+
+STATIONARY_ACCEL_TOL = 0.05
+"""Largest gap of the mean specific-force magnitude from |g|, as a share of
+|g| (0.49 m/s^2): over 100 times the mean's noise at the default IMU noise."""
+
+STATIONARY_GYRO_TOL = 0.01
+"""Largest mean angular rate, rad/s: over 30 times the mean's noise at the
+default IMU noise; turning this fast tilts n_0 by 0.3 deg in the window."""
+
+SLICE_TOL_S = 1e-9
+"""Seconds by which :func:`slice_between` widens [t0, t1] at both ends, to
+keep a sample off a keyframe time by rounding alone; far below 5 ms."""
+
+
+def is_stationary(samples: ImuStream) -> bool:
     """Stationarity gate for the n_0 = [0, 0, 1] assumption.
 
-    Averages the first ``window`` seconds: mean accel magnitude within
-    ``accel_tol * g`` of g and mean gyro magnitude below ``gyro_tol``
-    rad/s (means reject sensor white noise, motion does not average out).
+    Averages the first ``STATIONARY_WINDOW_S`` seconds: mean accel
+    magnitude within ``STATIONARY_ACCEL_TOL * g`` of g (``GRAVITY_NED``)
+    and mean gyro magnitude below ``STATIONARY_GYRO_TOL`` rad/s (means
+    reject sensor white noise, motion does not average out).
     """
     _require(samples, 1, "test stationarity")
-    count = int(np.searchsorted(samples.t, samples.t[0] + window, side="right"))
+    count = int(np.searchsorted(samples.t, samples.t[0] + STATIONARY_WINDOW_S, side="right"))
     if count < 2:
         return False
+    g = float(GRAVITY_NED[2])
     accel_mag = float(np.linalg.norm(np.mean(samples.accel[:count], axis=0)))
     gyro_mag = float(np.linalg.norm(np.mean(samples.gyro[:count], axis=0)))
-    return (abs(accel_mag - gravity_mag) <= accel_tol * gravity_mag
-            and gyro_mag <= gyro_tol)
+    return (abs(accel_mag - g) <= STATIONARY_ACCEL_TOL * g
+            and gyro_mag <= STATIONARY_GYRO_TOL)
 
 
-def slice_between(samples: ImuStream, t0: float, t1: float,
-                  tol: float = 1e-9) -> ImuStream:
-    """Samples with t in [t0, t1] (inclusive, with tolerance), as a view."""
-    start = int(np.searchsorted(samples.t, t0 - tol, side="left"))
-    stop = int(np.searchsorted(samples.t, t1 + tol, side="right"))
+def slice_between(samples: ImuStream, t0: float, t1: float) -> ImuStream:
+    """Samples with t in [t0, t1], widened by ``SLICE_TOL_S``, as a view."""
+    start = int(np.searchsorted(samples.t, t0 - SLICE_TOL_S, side="left"))
+    stop = int(np.searchsorted(samples.t, t1 + SLICE_TOL_S, side="right"))
     return samples._view(start, max(start, stop))
 
 

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import imu as imu_mod
 from .config import PipelineConfig
 from .errors import (
+    DegenerateHomographyError,
     DegenerateTranslationError,
     InconsistentDataError,
     InvalidDisparityError,
@@ -240,8 +241,9 @@ class InitializationResult:
 class PairTrace:
     """What one keyframe pair computed: one entry of ``diagnostics["pairs"]``.
 
-    ``homography_s`` and ``pnp_s`` are the wall times of those two stages.
-    A pair stopped by the pure-rotation gate computed only its parallax.
+    ``homography_s`` and ``pnp_s`` are the wall times of those two stages,
+    ``pair_s`` that of the whole pair step.  A pair stopped by the
+    pure-rotation gate computed only its parallax and ``pair_s``.
     """
 
     pair: int
@@ -256,6 +258,7 @@ class PairTrace:
     transfer_rms_px: float | None = None
     homography_s: float | None = None
     pnp_s: float | None = None
+    pair_s: float | None = None
 
 
 def _imu_only_result(window: KeyframeWindow, status: str,
@@ -337,8 +340,10 @@ def run_initialization(
         poses: list[Pose] = [anchor.pose]
         velocities: list[np.ndarray] = []
         for m in range(len(window.keyframes) - 1):
+            t_pair = time.perf_counter()
             trace, nav, prior, selected, pair_residuals = _initialize_pair(
                 window, m, nav, prior, rig, cfg, rng)
+            trace = replace(trace, pair_s=time.perf_counter() - t_pair)
             diag["pairs"].append(dict(vars(trace)))
             if nav is None:
                 # the gate found no parallax above noise: no translation to recover
@@ -415,20 +420,22 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
 
     t_stage = time.perf_counter()
     try:
-        h_est, t_bar, inlier_mask = estimate(
+        fit, inlier_mask = estimate(
             p_src, p_dst, rel_rot, prior.n, threshold=cfg.ransac_threshold,
             confidence=cfg.ransac_confidence,
             max_iters=cfg.ransac_max_iters, seed=rng)
     except PlanarInitError as exc:
         raise PipelineError("homography", str(exc)) from exc
     homography_s = time.perf_counter() - t_stage
-    residuals = indicator(h_est, p_src, p_dst)
+    residuals = indicator(fit, p_src, p_dst)
 
     # the paper's four-way decomposition of the fitted H, kept as the
     # positive-depth check and the selection diagnostics; the chain uses
     # the fit's own (R, t_bar, n)
     try:
-        survivors = filter_positive_depth(decompose(h_est), p_src[inlier_mask])
+        survivors = filter_positive_depth(decompose(fit.reassemble()), p_src[inlier_mask])
+    except DegenerateHomographyError as exc:
+        raise PipelineError("homography", str(exc)) from exc
     except InconsistentDataError as exc:
         raise PipelineError("cheirality", str(exc)) from exc
     selection = select_solution(prior, survivors)
@@ -459,7 +466,7 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
 
     t_hat = metric_alignment(t_pnp, body_prev, rig)
     try:
-        s = recover_scale(t_bar, t_hat)
+        s = recover_scale(fit.t_bar, t_hat)
     except DegenerateTranslationError as exc:
         raise PipelineError("scale", f"{exc} in pair {m}") from exc
     if s <= 0.0:
@@ -476,12 +483,12 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
         except PlanarInitError as exc:
             raise PipelineError("pnp", f"{exc} in pair {m}") from exc
         t_hat = metric_alignment(t_pnp, body_prev, rig)
-        s = recover_scale(t_bar, t_hat)
+        s = recover_scale(fit.t_bar, t_hat)
         if s <= 0.0:
             raise PipelineError("scale", f"backwards scale {s:.6g} in pair {m}")
 
     # chain the metric pose: T_cj^w = T_ci^w o (R, s t_bar)
-    rel = Pose(rel_rot, s * t_bar, "c", "c")
+    rel = Pose(rel_rot, s * fit.t_bar, "c", "c")
     body_curr = (cam_prev @ rel) @ rig.T_b_c
 
     trace = PairTrace(
@@ -500,7 +507,7 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     )
     nav_curr = NavState(kf_j.t, body_curr, velocity,
                         nav_prev.gyro_bias, nav_prev.accel_bias)
-    return trace, nav_curr, prior, HomographySolution(rel_rot, t_bar, prior.n), residuals
+    return trace, nav_curr, prior, fit, residuals
 
 
 def _derotated_parallax(p_src: np.ndarray, p_dst: np.ndarray,

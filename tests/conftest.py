@@ -41,3 +41,12 @@ def random_rotation(rng, max_angle=np.pi):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     return Rotation.from_axis_angle(axis, rng.uniform(0.0, max_angle))
+
+
+def transfer(m, p):
+    """Normalized points (2,) or (N, 2) through the 3x3 homography matrix
+    ``m``, dehomogenized."""
+    p = np.asarray(p, dtype=np.float64)
+    w = np.atleast_2d(p) @ m[:, :2].T + m[:, 2]
+    out = w[:, :2] / w[:, 2:]
+    return out[0] if p.ndim == 1 else out

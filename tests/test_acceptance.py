@@ -63,7 +63,7 @@ def _random_setup(rng):
 def _plane_corrs(h, n, rng, count):
     """Vectorized exact plane correspondences visible in both views, as
     source and target arrays (count, 2)."""
-    m = h.matrix
+    m = h.reassemble()
     for _ in range(60):
         p = rng.uniform(-0.5, 0.5, size=(6 * count, 2))
         ph = np.c_[p, np.ones(len(p))]
@@ -89,7 +89,7 @@ def test_c01_homography_round_trip():
         if corrs is None:
             continue
         trials += 1
-        sols = decompose(h)
+        sols = decompose(h.reassemble())
         kept = filter_positive_depth(sols, corrs[0])
         max_kept = max(max_kept, len(kept))
         t_bar = t / d
@@ -116,14 +116,14 @@ def test_c02_estimation_exactness():
         h_true = synthesize(r, t, n, d)
         corrs = _plane_corrs(h_true, n, rng, 50)
     # the gyro rotation and the prior normal are known: only t/d is fitted
-    h, t_bar, mask = estimate(*corrs, r, n, seed=0)
-    frob = float(np.linalg.norm(h.matrix - h_true.matrix))
+    h, mask = estimate(*corrs, r, n, seed=0)
+    frob = float(np.linalg.norm(h.reassemble() - h_true.reassemble()))
 
     src, dst = list(corrs[0][:35]), list(corrs[1][:35])
     while len(src) < 50:
         src.append(rng.uniform(-0.5, 0.5, size=2))
         dst.append(rng.uniform(-0.5, 0.5, size=2) + rng.choice([-0.4, 0.4], size=2))
-    _, _, mask_o = estimate(np.array(src), np.array(dst), r, n, threshold=1e-3, seed=1)
+    _, mask_o = estimate(np.array(src), np.array(dst), r, n, threshold=1e-3, seed=1)
     exact_inliers = bool(mask_o[:35].all() and not mask_o[35:].any())
     elapsed = time.perf_counter() - t0
     ok = frob < 1e-9 and mask.all() and exact_inliers and elapsed < 1.0

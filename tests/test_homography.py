@@ -12,7 +12,6 @@ from planar_init.errors import (
 )
 from planar_init.geometry import Rotation
 from planar_init.homography import (
-    Homography,
     HomographySolution,
     decompose,
     estimate,
@@ -21,7 +20,7 @@ from planar_init.homography import (
     synthesize,
 )
 
-from conftest import random_rotation
+from conftest import random_rotation, transfer
 
 
 def random_plane_setup(rng, max_angle=0.6, t_over_d=(0.05, 2.0)):
@@ -51,7 +50,7 @@ def plane_correspondences(h, n, rng, count=20):
         ph = np.array([p[0], p[1], 1.0])
         if ph @ n <= 0.05:
             continue
-        w = h.matrix @ ph
+        w = h.reassemble() @ ph
         if w[2] <= 0.05:
             continue
         src.append(p)
@@ -68,24 +67,15 @@ def sample_setup_with_correspondences(rng, count=20, **kwargs):
             return r, t, n, d, h, src, dst
 
 
-class TestHomographyType:
-    def test_second_singular_value_normalized(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            h = Homography(rng.normal(size=(3, 3)) + 3 * np.eye(3))
-            s = np.linalg.svd(h.matrix, compute_uv=False)
-            assert abs(s[1] - 1.0) < 1e-12
-
-
 class TestSynthesize:
     def test_identity(self):
         h = synthesize(Rotation.identity(), np.zeros(3), [0.0, 0.0, 1.0], 1.0)
-        np.testing.assert_allclose(h.matrix, np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(h.reassemble(), np.eye(3), atol=1e-15)
 
     def test_direct_evaluation(self):
         # R=I, t=[0,0,-1], n=[0,0,1], d=2 -> diag(1, 1, 0.5); sigma_2 is already 1
         h = synthesize(Rotation.identity(), [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], 2.0)
-        np.testing.assert_allclose(h.matrix, np.diag([1.0, 1.0, 0.5]), atol=1e-15)
+        np.testing.assert_allclose(h.reassemble(), np.diag([1.0, 1.0, 0.5]), atol=1e-15)
 
     def test_invalid_plane(self):
         with pytest.raises(InvalidPlaneError):
@@ -108,7 +98,7 @@ class TestSynthesize:
                 p_dst = r.apply(p_src) + t
                 if p_dst[2] <= 0.1:
                     continue
-                mapped = h.apply(p)
+                mapped = transfer(h.reassemble(), p)
                 np.testing.assert_allclose(mapped, p_dst[:2] / p_dst[2], atol=1e-12)
 
 
@@ -126,9 +116,9 @@ class TestEstimate:
     def test_identity_motion(self):
         rng = np.random.default_rng(2)
         pts = rng.uniform(-0.5, 0.5, size=(12, 2))
-        h, t_bar, mask = estimate(pts, pts, Rotation.identity(), [0.0, 0.0, 1.0], seed=0)
-        np.testing.assert_allclose(h.matrix, np.eye(3), atol=1e-12)
-        assert np.abs(t_bar).max() < 1e-12
+        h, mask = estimate(pts, pts, Rotation.identity(), [0.0, 0.0, 1.0], seed=0)
+        np.testing.assert_allclose(h.reassemble(), np.eye(3), atol=1e-12)
+        assert np.abs(h.t_bar).max() < 1e-12
         assert mask.all()
 
     def test_exact_recovery(self):
@@ -136,9 +126,9 @@ class TestEstimate:
         rng = np.random.default_rng(3)
         for seed in range(20):
             r, t, n, d, h_true, src, dst = sample_setup_with_correspondences(rng, count=50)
-            h, t_bar, mask = estimate(src, dst, r, n, seed=seed)
-            assert np.abs(t_bar - t / d).max() < 1e-12
-            assert np.linalg.norm(h.matrix - h_true.matrix) < 1e-9
+            h, mask = estimate(src, dst, r, n, seed=seed)
+            assert np.abs(h.t_bar - t / d).max() < 1e-12
+            assert np.linalg.norm(h.reassemble() - h_true.reassemble()) < 1e-9
             assert mask.all()
 
     def test_vertical_pair(self):
@@ -152,8 +142,8 @@ class TestEstimate:
             t = -rng.uniform(0.05, 0.5) * n
             h_true = synthesize(r, t, n, d)
             src, dst = plane_correspondences(h_true, n, rng, 40)
-            _, t_bar, mask = estimate(src, dst, r, n, seed=0)
-            assert np.abs(t_bar - t / d).max() < 1e-12
+            h, mask = estimate(src, dst, r, n, seed=0)
+            assert np.abs(h.t_bar - t / d).max() < 1e-12
             assert mask.all()
 
     def test_outlier_identification(self):
@@ -163,10 +153,10 @@ class TestEstimate:
         for _ in range(15):  # 30% gross outliers
             src.append(rng.uniform(-0.5, 0.5, size=2))
             dst.append(rng.uniform(-0.5, 0.5, size=2) + rng.choice([-0.4, 0.4], size=2))
-        h, t_bar, mask = estimate(np.array(src), np.array(dst), r, n, threshold=1e-3, seed=2)
+        h, mask = estimate(np.array(src), np.array(dst), r, n, threshold=1e-3, seed=2)
         assert mask[:35].all()
         assert not mask[35:].any()
-        assert np.abs(t_bar - t / d).max() < 1e-12
+        assert np.abs(h.t_bar - t / d).max() < 1e-12
 
     def test_refit_is_depth_weighted_least_squares(self):
         # the returned t_bar minimises the forward transfer rows on the
@@ -176,7 +166,8 @@ class TestEstimate:
         rng = np.random.default_rng(8)
         r, t, n, d, h_true, src, dst = sample_setup_with_correspondences(rng, count=60)
         dst = noisy(dst, rng, 1e-3)
-        h, t_bar, mask = estimate(src, dst, r, n, threshold=0.05, seed=0)
+        h, mask = estimate(src, dst, r, n, threshold=0.05, seed=0)
+        t_bar = h.t_bar
         assert mask.all()
         x = np.c_[src, np.ones(len(src))]
         y = dst
@@ -203,10 +194,10 @@ class TestEstimate:
     def test_symmetric_transfer_error_on_exact_data(self):
         rng = np.random.default_rng(6)
         r, t, n, d, h_true, src, dst = sample_setup_with_correspondences(rng, count=30)
-        h, _, mask = estimate(src, dst, r, n, seed=3)
-        back = Homography(np.linalg.inv(h.matrix))
-        err = (np.linalg.norm(h.apply(src) - dst, axis=1)
-               + np.linalg.norm(back.apply(dst) - src, axis=1))
+        h, mask = estimate(src, dst, r, n, seed=3)
+        m = h.reassemble()
+        err = (np.linalg.norm(transfer(m, src) - dst, axis=1)
+               + np.linalg.norm(transfer(np.linalg.inv(m), dst) - src, axis=1))
         assert err.max() < 1e-10
         assert mask.all()
 
@@ -219,10 +210,9 @@ class TestEstimate:
             gen = np.random.default_rng(9)
             runs.append((estimate(src, dst, r, n, threshold=3e-3, seed=gen),
                          gen.bit_generator.state))
-        (h1, t1, m1), state1 = runs[0]
-        (h2, t2, m2), state2 = runs[1]
-        assert h1.matrix.tobytes() == h2.matrix.tobytes()
-        assert t1.tobytes() == t2.tobytes()
+        (h1, m1), state1 = runs[0]
+        (h2, m2), state2 = runs[1]
+        assert h1.t_bar.tobytes() == h2.t_bar.tobytes()
         assert np.array_equal(m1, m2)
         assert state1 == state2
 
@@ -244,7 +234,7 @@ class TestEstimate:
         r, t, n, d, h_true, src, dst = sample_setup_with_correspondences(rng, count=35)
         src = np.r_[src, rng.uniform(-0.5, 0.5, size=(15, 2))]
         dst = np.r_[dst, rng.uniform(-0.5, 0.5, size=(15, 2)) + 0.4]
-        _, _, mask = estimate(src, dst, r, n, seed=seed)
+        _, mask = estimate(src, dst, r, n, seed=seed)
         assert mask.sum() == 35
         rule = math.ceil(math.log(1.0 - 0.999) / math.log(1.0 - 0.7 ** 2))
         assert sum(scored[:-1]) <= rule  # the last call is the refit
@@ -330,7 +320,7 @@ def reference_estimate(p_i, p_j, rotation, n, rng, threshold=1e-3, confidence=0.
         mask = inliers(t_bar)
     if int(mask.sum()) < 4:
         mask = best_mask
-    return Homography(r + np.outer(t_bar, n)), t_bar, mask
+    return HomographySolution(rotation, t_bar, n), mask
 
 
 def noisy_plane_with_outliers(seed, count, outlier_share, noise=2e-4):
@@ -353,15 +343,15 @@ class TestBlockLoopMatchesSequentialLoop:
     def assert_same(src, dst, r, n, seed, **kwargs):
         rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
         try:
-            h_ref, t_ref, m_ref = reference_estimate(src, dst, r, n, rng_ref, **kwargs)
+            h_ref, m_ref = reference_estimate(src, dst, r, n, rng_ref, **kwargs)
         except DegenerateEstimationError:
             with pytest.raises(DegenerateEstimationError):
                 estimate(src, dst, r, n, seed=rng_new, **kwargs)
         else:
-            h_new, t_new, m_new = estimate(src, dst, r, n, seed=rng_new, **kwargs)
+            h_new, m_new = estimate(src, dst, r, n, seed=rng_new, **kwargs)
             assert np.array_equal(m_new, m_ref)
-            assert t_new.tobytes() == t_ref.tobytes()
-            assert h_new.matrix.tobytes() == h_ref.matrix.tobytes()
+            assert h_new.t_bar.tobytes() == h_ref.t_bar.tobytes()
+            assert h_new.reassemble().tobytes() == h_ref.reassemble().tobytes()
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
     @pytest.mark.parametrize("count", [4, 5, 40, 300])
@@ -401,7 +391,31 @@ class TestDecompose:
         # no translation or normal to recover; the pipeline's parallax gate
         # reports such a pair as pure rotation before H is estimated
         with pytest.raises(DegenerateHomographyError, match="rotation"):
-            decompose(Homography(rotation.matrix()))
+            decompose(rotation.matrix())
+
+    def test_matrix_scale_is_ignored(self):
+        # a homography is defined up to scale: decompose scales its input to
+        # sigma_2 = 1, so a multiple of R + t_bar n^T gives the same candidates
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            r, t, n, d = random_plane_setup(rng)
+            m = synthesize(r, t, n, d).reassemble()
+            base = decompose(m)
+            for c in (0.5, 3.0):
+                scaled = decompose(c * m)
+                assert len(scaled) == len(base)
+                for a, b in zip(scaled, base):
+                    assert np.abs(a.rotation.matrix() - b.rotation.matrix()).max() < 1e-12
+                    assert np.abs(a.t_bar - b.t_bar).max() < 1e-12
+                    assert np.abs(a.n - b.n).max() < 1e-12
+
+    @pytest.mark.parametrize("matrix", [
+        np.diag([1.0, 1.0, np.nan]), np.diag([1.0, np.inf, 1.0]),
+        np.diag([2.0, 1e-13, 0.0]), np.zeros((3, 3)),
+    ], ids=["nan", "inf", "rank-1", "zero"])
+    def test_degenerate_matrix_raises(self, matrix):
+        with pytest.raises(DegenerateHomographyError):
+            decompose(matrix)
 
     def test_round_trip_contains_truth(self):
         # acceptance criterion 1 at reduced count; the full 1000 draws run in
@@ -410,7 +424,7 @@ class TestDecompose:
         for _ in range(300):
             r, t, n, d = random_plane_setup(rng)
             h = synthesize(r, t, n, d)
-            sols = decompose(h)
+            sols = decompose(h.reassemble())
             assert len(sols) <= 4
             best = min(
                 s.rotation.angle_to(r)
@@ -425,8 +439,9 @@ class TestDecompose:
         for _ in range(100):
             r, t, n, d = random_plane_setup(rng)
             h = synthesize(r, t, n, d)
-            for s in decompose(h):
-                assert np.linalg.norm(s.reassemble() - h.matrix) < 1e-9
+            m = h.reassemble()
+            for s in decompose(m):
+                assert np.linalg.norm(s.reassemble() - m) < 1e-9
 
 
 class TestFilterPositiveDepth:
@@ -436,7 +451,7 @@ class TestFilterPositiveDepth:
         for _ in range(100):
             r, t, n, d, h, src, _ = sample_setup_with_correspondences(
                 rng, count=20, max_angle=0.4, t_over_d=(0.05, 1.0))
-            kept = filter_positive_depth(decompose(h), src)
+            kept = filter_positive_depth(decompose(h.reassemble()), src)
             kept_counts.append(len(kept))
             assert len(kept) <= 2
             best = min(
@@ -462,10 +477,10 @@ class TestFilterPositiveDepth:
         src = []
         while len(src) < 25:
             p = rng.uniform([0.1, -0.15], [0.4, 0.15])
-            w = h.matrix @ np.array([p[0], p[1], 1.0])
+            w = h.reassemble() @ np.array([p[0], p[1], 1.0])
             if w[2] > 0.05:
                 src.append(p)
-        sols = decompose(h)
+        sols = decompose(h.reassemble())
         assert len(sols) == 4
         kept = filter_positive_depth(sols, np.array(src))
         assert len(kept) == 2
@@ -485,7 +500,7 @@ class TestFilterPositiveDepth:
         rng = np.random.default_rng(11)
         r, t, n, d, h, src, _ = sample_setup_with_correspondences(
             rng, count=15, t_over_d=(0.1, 1.0))
-        sols = decompose(h)
+        sols = decompose(h.reassemble())
         flipped = [s for s in sols if float(s.n @ n) < 0.0]
         assert flipped
         with pytest.raises(InconsistentDataError):
@@ -505,7 +520,8 @@ class TestIndicator:
         assert np.all(vals < 1e-12)
 
     def test_direct_evaluation(self):
-        vals = indicator(Homography(np.eye(3)), [[0.0, 0.0]], [[0.01, 0.0]])
+        identity = HomographySolution(Rotation.identity(), np.zeros(3), [0.0, 0.0, 1.0])
+        vals = indicator(identity, [[0.0, 0.0]], [[0.01, 0.0]])
         assert vals[0] == pytest.approx(0.01)
 
     def test_zero_iff_constraint_holds(self):
@@ -517,9 +533,10 @@ class TestIndicator:
         assert perturbed > 0.0
 
     def test_infinite_flag(self):
-        # map the point onto the plane at infinity: third row kills p = (1, 0)
-        m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+        # map the point onto the plane at infinity: H = I + e_z (-1, 0, 0)^T,
+        # whose third row [-1, 0, 1] kills p = (1, 0)
+        h = HomographySolution(Rotation.identity(), [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0])
         # row 0 maps to infinity, row 1 stays finite
-        vals = indicator(Homography(m), [[1.0, 0.0], [0.0, 0.0]], np.zeros((2, 2)))
+        vals = indicator(h, [[1.0, 0.0], [0.0, 0.0]], np.zeros((2, 2)))
         assert vals[0] == np.inf
         assert vals[1] == 0.0

@@ -309,13 +309,13 @@ class TestRunInitialization:
         window = select_window(ds, cfg)
         result = run_initialization(window, ds.imu, ds.rig, cfg, seed=0)
         sel = result.selected
-        r_gyro, n_prior, (h, t_bar, _) = fits[0]
+        r_gyro, n_prior, (fit, _) = fits[0]
+        assert sel is fit
         assert sel.rotation.quat.tobytes() == r_gyro.quat.tobytes()
-        assert sel.t_bar.tobytes() == t_bar.tobytes()
         assert sel.n.tobytes() == n_prior.tobytes()
-        re = sel.reassemble()
-        np.testing.assert_array_equal(re, r_gyro.matrix() + np.outer(t_bar, n_prior))
-        assert np.linalg.norm(re / np.linalg.svd(re, compute_uv=False)[1] - h.matrix) < 1e-12
+        t_bar = sel.t_bar
+        np.testing.assert_array_equal(sel.reassemble(),
+                                      r_gyro.matrix() + np.outer(t_bar, n_prior))
         # the first pair's chained translation is s * t_bar
         cam = [result.poses[k] @ ds.rig.T_c_b for k in (0, 1)]
         step = cam[0].rotation.inverse().apply(cam[1].translation - cam[0].translation)
@@ -324,7 +324,7 @@ class TestRunInitialization:
     def test_transfer_rms_on_default_noise(self, noisy_vertical_dataset):
         # R_gyro and n_prior consistent with the fit: the inliers' transfer
         # residual is the tracking noise, 0.5 px per axis in each view, or
-        # about 1 px as a 2-D distance, not the ~2 px of the inlier gate
+        # about 1 px as a 2-D distance, not the 3.2 px of the inlier gate
         result = run_on_dataset(noisy_vertical_dataset, PipelineConfig(), seed=0)
         rms = [p["transfer_rms_px"] for p in result.diagnostics["pairs"]]
         assert len(rms) == len(result.keyframe_times) - 1
@@ -351,11 +351,11 @@ class TestRunInitialization:
         assert "selected" not in payload
         d = result.diagnostics
         # the gate stops the first pair, before any homography or indicator:
-        # its trace holds the parallax alone
+        # its trace holds the parallax and the pair's wall time alone
         [trace] = d["pairs"]
         assert trace["pair"] == 0
         assert 0.0 <= trace["parallax"] < cfg.ransac_threshold
-        assert {k for k, v in trace.items() if v is not None} == {"pair", "parallax"}
+        assert {k for k, v in trace.items() if v is not None} == {"pair", "parallax", "pair_s"}
         assert "indicator_percentiles" not in d
 
     @pytest.mark.parametrize("pixel_px", [0.1, 0.5, 1.0])
@@ -411,6 +411,21 @@ class TestRunInitialization:
         assert max(max_err) < 0.1
         assert np.median(scale_err) < 0.05
 
+    def test_undecomposable_fit_is_a_homography_failure(self, clean_vertical_dataset,
+                                                        monkeypatch):
+        # a fit that decompose cannot split (here a non-finite t_bar) ends
+        # the run at stage homography, not with a stray exception
+        import planar_init.initializer as initializer
+
+        def non_finite(*args, **kwargs):
+            fit, mask = estimate(*args, **kwargs)
+            return HomographySolution(fit.rotation, np.full(3, np.nan), fit.n), mask
+
+        monkeypatch.setattr(initializer, "estimate", non_finite)
+        with pytest.raises(PipelineError) as info:
+            run_on_dataset(clean_vertical_dataset, PipelineConfig(), seed=0)
+        assert info.value.stage == "homography"
+
     def test_degenerate_translation_is_a_scale_failure(self, clean_vertical_dataset,
                                                        monkeypatch):
         import planar_init.initializer as initializer
@@ -431,7 +446,7 @@ class TestRunInitialization:
         for d in (a["diagnostics"], b["diagnostics"]):
             d.pop("timings")
             for pair in d["pairs"]:
-                del pair["homography_s"], pair["pnp_s"]
+                del pair["homography_s"], pair["pnp_s"], pair["pair_s"]
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_diagnostics_populated(self, noisy_vertical_dataset):
@@ -552,6 +567,13 @@ class TestRunInitialization:
             assert len(d["pairs"]) == pairs_run[name], name
             assert all(set(p) == fields for p in d["pairs"]), name
             assert all(p["homography_s"] > 0.0 and p["pnp_s"] > 0.0 for p in fitted), name
+            # each pair step is timed whole, and the steps and the anchor
+            # check do not overlap
+            assert all(p["pair_s"] > 0.0 for p in d["pairs"]), name
+            assert all(p["pair_s"] >= p["homography_s"] + p["pnp_s"] for p in fitted), name
+            timings = d["timings"]
+            assert (timings["anchor_s"] + sum(p["pair_s"] for p in d["pairs"])
+                    <= timings["total_s"]), name
 
     def test_anchor_is_first_keyframe_pose(self, clean_vertical_dataset):
         # the first keyframe's pose is the IMU-only propagated anchor
@@ -650,7 +672,7 @@ class TestStackedChainMatchesPerFeatureChain:
             rows_i = dict(zip(kf_i.ids.tolist(), range(len(kf_i.ids))))
             rows_j = dict(zip(kf_j.ids.tolist(), range(len(kf_j.ids))))
             shared = sorted(set(rows_i) & set(rows_j))
-            _, (_, _, inliers) = calls["estimate"][m]
+            _, (_, inliers) = calls["estimate"][m]
             points = {}
             for fid in np.array(shared)[inliers].tolist():
                 r = rows_i[fid]

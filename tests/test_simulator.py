@@ -20,6 +20,8 @@ from planar_init.simulator import (
     write_dataset,
 )
 
+from conftest import transfer
+
 
 def per_frame_render(scene, truth, rig, noise_px=0.0, seed=0, min_depth=0.05):
     """Reference renderer, one camera frame at a time: (frame, t, ids, uv_l,
@@ -133,7 +135,7 @@ class TestRenderTracks:
         assert len(shared) >= 20
         p_a = normalize(rig, f_a.uv_l[rows_a])
         p_b = normalize(rig, f_b.uv_l[rows_b])
-        np.testing.assert_allclose(h.apply(p_a), p_b, atol=1e-12)
+        np.testing.assert_allclose(transfer(h.reassemble(), p_a), p_b, atol=1e-12)
 
     def test_stereo_disparity_consistency(self, rig):
         ds = make_dataset(scene_preset("helipad"), TrajectoryProfile(kind="vertical"),
