@@ -13,7 +13,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
-from .errors import AlignmentError, PipelineError, PlanarInitError, StreamError
+from .errors import (
+    AlignmentError,
+    DatasetError,
+    PipelineError,
+    PlanarInitError,
+    StreamError,
+)
 from .harness import (
     PLOT_HEADER,
     evaluate_against_dataset,
@@ -149,6 +155,9 @@ def _cmd_init(args) -> int:
              "message": str(exc), "diagnostics": exc.diagnostics}, indent=2))
         print(f"pipeline failure: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
+    except DatasetError as exc:  # a pixel field of a frame the run read
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
     (out / "result.json").write_text(json.dumps(result.to_json_dict(), indent=2))
     try:
         report = evaluate_against_dataset(result, ds)

@@ -9,6 +9,12 @@ class PlanarInitError(Exception):
     """Base class for all library errors."""
 
 
+class DatasetError(ValueError):
+    """A dataset file on disk is malformed; the message names the file and,
+    for a csv row, its data row.  A ``ValueError``, as the loader's checks
+    raise, so it is an I/O failure and not a pipeline one."""
+
+
 class FrameMismatchError(PlanarInitError):
     """Pose composition attempted between non-chaining frame labels."""
 

@@ -88,7 +88,7 @@ def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
         raise PipelineError("height-gate",
                             f"altitude never reached {config.preset_height_m} m")
     picked = range(gate_idx, len(frames), config.keyframe_stride)[:config.window_size]
-    keyframes = [frames[k] for k in picked]
+    keyframes = frames[picked.start:picked.stop:picked.step]
     span = imu_mod.slice_between(imu, keyframes[0].t, keyframes[-1].t)
     return KeyframeWindow(keyframes, span, nav)
 
@@ -417,9 +417,12 @@ def run_sweep(mode: str, scenes: list[str], profiles: list[str], trials: int,
                 idx += 1
     job = _selection_job if mode == "selection" else _full_job
     results: dict[int, object] = {}
-    if jobs > 1:
+    # a forked pool starts all its workers at the first submit, so it gets
+    # no more than there are tasks, and one task runs in this process
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         import numpy.random  # loaded lazily by numpy; once here, not in every worker
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             for i, out in pool.map(job, tasks):
                 results[i] = out
     else:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import operator
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DatasetError
 from .geometry import (
     CameraRig,
     FrameObservations,
@@ -242,10 +244,11 @@ class Frames(Sequence):
     access and then kept.
 
     ``times`` (read-only) holds every frame's timestamp, so finding a frame
-    by time builds none.  ``build(lo, hi)`` returns the frames ``lo`` to
-    ``hi - 1``: indexing builds one frame, iteration builds
-    ``_RENDER_CHUNK`` at a time, and a slice is a list of the frames it
-    picks.  Building holds a lock, so threads may share a sequence.
+    by time builds none.  ``build(ks)`` returns the frames numbered in
+    ``ks``, an ascending list of frames not built yet.  Indexing builds one
+    frame, a slice is a list of the frames it picks and hands every missing
+    one to ``build`` in one call, and iteration builds ``_RENDER_CHUNK`` at
+    a time.  Building holds a lock, so threads may share a sequence.
     """
 
     def __init__(self, times, build):
@@ -260,39 +263,40 @@ class Frames(Sequence):
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return [self[k] for k in range(*key.indices(len(self)))]
+            return self._fill(range(*key.indices(len(self))))
         k = operator.index(key)
         if not -len(self) <= k < len(self):
             raise IndexError(f"frame {k} of {len(self)}")
         k %= len(self)
         fr = self._built[k]
-        return fr if fr is not None else self._fill(k, k + 1)[0]
+        return fr if fr is not None else self._fill((k,))[0]
 
     def __iter__(self):
         for lo in range(0, len(self), _RENDER_CHUNK):
-            yield from self._fill(lo, min(lo + _RENDER_CHUNK, len(self)))
+            yield from self._fill(range(lo, min(lo + _RENDER_CHUNK, len(self))))
 
-    def _fill(self, lo: int, hi: int) -> list:
-        """Frames ``lo`` to ``hi - 1``, building each run of consecutive
-        frames not built yet in one call."""
+    def _fill(self, ks) -> list:
+        """The frames numbered in ``ks``, building those not built yet in
+        one call."""
         with self._lock:
-            k = lo
-            while k < hi:
-                if self._built[k] is not None:
-                    k += 1
-                    continue
-                end = k + 1
-                while end < hi and self._built[end] is None:
-                    end += 1
-                self._built[k:end] = self._build(k, end)
-                k = end
-            return self._built[lo:hi]
+            missing = sorted({k for k in ks if self._built[k] is None})
+            if missing:
+                for k, fr in zip(missing, self._build(missing)):
+                    self._built[k] = fr
+            return [self._built[k] for k in ks]
+
+
+def _runs(ks: list[int]) -> list[tuple[int, int]]:
+    """``(lo, hi)`` of each run of consecutive numbers in ascending ``ks``."""
+    cuts = [i for i in range(1, len(ks)) if ks[i] != ks[i - 1] + 1]
+    return [(ks[a], ks[b - 1] + 1) for a, b in zip([0, *cuts], [*cuts, len(ks)])]
 
 
 class _Render:
-    """Renders camera frames ``lo`` to ``hi - 1`` of one flight.
+    """Renders camera frames of one flight.
 
-    Frames are projected in one stacked pass.  The noise draw order is that
+    Each run of consecutive frames asked for is projected in one stacked
+    pass.  The noise draw order is that
     of one frame at a time from frame 0: each visible feature, in bounds or
     not, draws its left pixel noise, then its right, as an (n, 2) block per
     view and frame.  Frames are rendered in any order: reaching a frame
@@ -341,7 +345,11 @@ class _Render:
             self._rng, self._next = rng, hi
         return rng
 
-    def __call__(self, lo: int, hi: int) -> list[FrameObservations]:
+    def __call__(self, ks: list[int]) -> list[FrameObservations]:
+        return [fr for lo, hi in _runs(ks) for fr in self._render(lo, hi)]
+
+    def _render(self, lo: int, hi: int) -> list[FrameObservations]:
+        """Frames lo..hi-1, in one stacked pass."""
         rig = self._rig
         p_c = self._camera_points(lo, hi)
         rows = np.flatnonzero(p_c[:, 2] > self._min_depth)
@@ -565,9 +573,8 @@ def _is_integer(v: np.ndarray) -> np.ndarray:
 def _read_rows(path: Path, columns: int) -> np.ndarray:
     """The data rows (n, ``columns``) of a csv file below its header line.
 
-    A file with no data rows gives none (``features.csv`` of a flight that
-    sees no feature); another column count raises ``ValueError`` naming
-    the file.
+    A file with no data rows gives none; another column count raises
+    ``ValueError`` naming the file.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
@@ -579,55 +586,210 @@ def _read_rows(path: Path, columns: int) -> np.ndarray:
     return rows
 
 
+# plain-digit fields up to this long hold integers float64 keeps exactly, so
+# reading them as integers gives what np.loadtxt gives
+_DIGITS_MAX = 15
+
+
+def _number(text: bytes) -> float | None:
+    """The value np.loadtxt reads from one csv field, None if it reads none:
+    ``float`` also takes underscores and non-ASCII digits, loadtxt not."""
+    if not text.isascii() or b"_" in text:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _plain_integers(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Values of the fields ``buf[lo:hi]`` that are 1 to ``_DIGITS_MAX``
+    ASCII digits, and which fields those are."""
+    width = hi - lo
+    plain = (width >= 1) & (width <= _DIGITS_MAX)
+    value = np.zeros(len(lo), dtype=np.int64)
+    for j in range(min(int(width.max(initial=0)), _DIGITS_MAX)):
+        inside = j < width
+        digit = buf[np.minimum(lo + j, len(buf) - 1)] - np.uint8(ord("0"))  # wraps below "0"
+        plain &= ~inside | (digit <= 9)
+        value = np.where(inside, 10 * value + digit, value)
+    return value, plain
+
+
+def _same_text(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               texts: list[bytes], which: np.ndarray) -> np.ndarray:
+    """Whether field ``buf[lo[i]:hi[i]]`` is the text ``texts[which[i]]``."""
+    width = max(map(len, texts), default=0)
+    table = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
+                          dtype=np.uint8).reshape(len(texts), width)[which]
+    lens = np.array([len(t) for t in texts], dtype=np.int64)[which]
+    same = hi - lo == lens
+    for j in range(width):
+        same &= (j >= lens) | (buf[np.minimum(lo + j, len(buf) - 1)] == table[:, j])
+    return same
+
+
+class _FeatureRows:
+    """The rows of ``features.csv``, checked from the file's bytes, their
+    pixel fields parsed when their frame is first built.
+
+    One vectorized pass finds every line and its commas.  Each data line
+    must have 7 fields; ``frame`` must be an integer naming a groundtruth
+    frame, ``feature_id`` an integer, ``t`` that frame's groundtruth time,
+    and no ``(frame, feature_id)`` may repeat.  A ``frame`` or
+    ``feature_id`` of plain digits is read as an integer from the bytes, and
+    a ``t`` whose text is ``repr`` of its frame's time is taken as that time;
+    only other text is parsed, by value, with ``float``.  Lines end in LF
+    or CRLF; empty lines are skipped and do not count as data rows.
+    """
+
+    def __init__(self, path: Path, gt_t: np.ndarray):
+        self.path = path
+        data = path.read_bytes()
+        buf = np.frombuffer(data, dtype=np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+        if len(buf) and buf[-1] != ord("\n"):
+            ends = np.append(ends, len(buf))  # a last line without a line break
+        starts = np.concatenate(([0], ends + 1))[:len(ends)]
+        ends = ends - ((ends > starts) & (buf[np.maximum(ends - 1, 0)] == ord("\r")))
+        keep = ends > starts
+        keep[:1] = False  # the header line
+        starts, ends = starts[keep], ends[keep]
+        commas = np.flatnonzero(buf == ord(","))
+        first = np.searchsorted(commas, starts)
+        fields = np.searchsorted(commas, ends) - first + 1
+        bad = np.flatnonzero(fields != len(FEATURES_HEADER))
+        if len(bad):
+            raise DatasetError(f"{path.name}: expected {len(FEATURES_HEADER)} columns, "
+                               f"got {fields[bad[0]]}")
+        cut = commas[first[:, None] + np.arange(len(FEATURES_HEADER) - 1)]
+        lo = np.column_stack([starts, cut + 1])  # field k of row i is data[lo[i, k]:hi[i, k]]
+        hi = np.column_stack([cut, ends])
+        frame, frame_plain = _plain_integers(buf, lo[:, 0], hi[:, 0])
+        fid, fid_plain = _plain_integers(buf, lo[:, 2], hi[:, 2])
+        n_gt = len(gt_t)
+        timed = frame_plain & (frame < n_gt)
+        timed[timed] = _same_text(buf, lo[timed, 1], hi[timed, 1],
+                                  [repr(float(v)).encode() for v in gt_t], frame[timed])
+        frame, fid = frame.astype(np.float64), fid.astype(np.float64)
+        t = np.full(len(starts), np.nan)
+        t[timed] = gt_t[frame[timed].astype(np.int64)]
+        # the other fields are parsed by value, row by row as np.loadtxt did
+        parsed = {0: frame, 1: t, 2: fid}
+        rest = sorted((i, col) for col, known in ((0, frame_plain), (1, timed), (2, fid_plain))
+                      for i in np.flatnonzero(~known).tolist())
+        for i, col in rest:
+            text = data[lo[i, col]:hi[i, col]]
+            v = _number(text)
+            if v is None:
+                raise self._error(i, col, text, "is not a number")
+            parsed[col][i] = v
+        whole = _is_integer(frame)
+        mistimed = whole & (frame >= 0) & (frame < n_gt)
+        mistimed[mistimed] = t[mistimed] != gt_t[frame[mistimed].astype(np.int64)]
+        for col, values, bad, what in (
+                (0, frame, ~whole, "is not an integer"),
+                (2, fid, ~_is_integer(fid), "is not an integer"),
+                (0, frame, (frame < 0) | (frame >= n_gt),
+                 f"lies outside the {n_gt} groundtruth frames"),
+                (1, t, mistimed, "is not its frame's groundtruth time")):
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise self._error(i, col, float(values[i]), what)
+        frame_no, fids = frame.astype(np.int64), fid.astype(np.int64)
+        row = np.arange(len(fids))  # data row - 1 of each row, in (frame, id) order
+        if not np.all((frame_no[1:] > frame_no[:-1])
+                      | ((frame_no[1:] == frame_no[:-1]) & (fids[1:] > fids[:-1]))):
+            row = np.lexsort((fids, frame_no))
+            frame_no, fids = frame_no[row], fids[row]
+            dup = (frame_no[1:] == frame_no[:-1]) & (fids[1:] == fids[:-1])
+            if dup.any():
+                k = int(np.flatnonzero(dup)[0])
+                raise DatasetError(f"{path.name} repeats feature {fids[k]} "
+                                   f"in frame {frame_no[k]}")
+        fids.setflags(write=False)  # each frame keeps views, not copies
+        self.fids = fids
+        self.row = row
+        # the groundtruth rows define the camera-frame timeline; frames
+        # without any visible feature are real (empty) frames, not gaps
+        self.bounds = np.searchsorted(frame_no, np.arange(n_gt + 1))
+        self._buf = buf
+        self._data = data
+        self._pixels = (lo[row, 3], hi[row, 6])  # the text of uL,vL,uR,vR
+
+    def _error(self, i: int, col: int, value, what: str) -> DatasetError:
+        shown = value.decode("ascii", "replace") if isinstance(value, bytes) else value
+        return DatasetError(f"{self.path.name} data row {i + 1}: "
+                            f"{FEATURES_HEADER[col]} {shown!r} {what}")
+
+    def pixels(self, ks: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """``uv_l`` and ``uv_r`` of the rows of frames ``ks``, in order,
+        parsed by one np.loadtxt call."""
+        rows = np.concatenate([np.arange(self.bounds[k], self.bounds[k + 1]) for k in ks])
+        lo, hi = (a[rows] for a in self._pixels)
+        size = hi - lo + 1  # each row's pixel text and a line break
+        at = np.cumsum(size) - size
+        # the byte after a row's text, its line break or past the end of the
+        # file, becomes a line break
+        index = np.repeat(lo - at, size) + np.arange(int(size.sum()))
+        text = self._buf[np.minimum(index, len(self._buf) - 1)]
+        text[at + size - 1] = ord("\n")
+        try:
+            uv = self._loadtxt(text.tobytes()) if len(rows) else np.empty((0, 4))
+        except ValueError:
+            raise self._pixel_error(rows) from None
+        return np.ascontiguousarray(uv[:, :2]), np.ascontiguousarray(uv[:, 2:])
+
+    @staticmethod
+    def _loadtxt(text: bytes) -> np.ndarray:
+        return np.loadtxt(io.StringIO(text.decode("latin-1")), delimiter=",",
+                          comments=None, ndmin=2)
+
+    def _pixel_error(self, rows: np.ndarray) -> DatasetError:
+        """The error for the first row of ``rows``, in file order, with a
+        pixel field that does not parse."""
+        lo, hi = self._pixels
+        for k in rows[np.argsort(self.row[rows])].tolist():
+            i = int(self.row[k])
+            for col, text in enumerate(self._data[lo[k]:hi[k]].split(b","), 3):
+                try:
+                    self._loadtxt(text + b"\n")
+                except ValueError:
+                    return self._error(i, col, text, "is not a number")
+        return DatasetError(f"{self.path.name}: pixel rows do not parse")
+
+
 def load_dataset(dataset_dir) -> LoadedDataset:
     """Read a dataset written by :func:`write_dataset`.
 
-    ``features.csv`` rows may come in any order; a repeated
-    ``(frame, feature_id)`` row raises ``ValueError``, as does a csv file
-    with a column too many or too few.
+    Every row of ``features.csv`` is checked here (see :class:`_FeatureRows`)
+    and rows may come in any order; a malformed one raises
+    :class:`~planar_init.errors.DatasetError`, a ``ValueError``, naming the
+    data row, as does a csv file with a column too many or too few.  A
+    frame's pixels are parsed when it is first read, so a pixel field that
+    does not parse raises ``DatasetError`` then, and only if its frame is
+    read.
     """
     root = Path(dataset_dir)
     rig = load_rig(root / "rig.json")
     imu = load_imu_csv(root / "imu.csv")
     gt = _read_rows(root / "groundtruth.csv", len(GROUNDTRUTH_HEADER))
-    raw = _read_rows(root / "features.csv", len(FEATURES_HEADER))
-    # rows the stable sort below would misfile: a fractional id, or a frame
-    # with no groundtruth row; and a row whose time is not its frame's
-    # groundtruth time (both are written with repr, so they compare exactly)
-    frame, t, fid = raw[:, 0], raw[:, 1], raw[:, 2]
-    whole = _is_integer(frame)
-    mistimed = whole & (frame >= 0) & (frame < len(gt))
-    mistimed[mistimed] = t[mistimed] != gt[frame[mistimed].astype(np.int64), 0]
-    for name, col, bad, what in (
-            ("frame", frame, ~whole, "is not an integer"),
-            ("feature_id", fid, ~_is_integer(fid), "is not an integer"),
-            ("frame", frame, (frame < 0) | (frame >= len(gt)),
-             f"lies outside the {len(gt)} groundtruth frames"),
-            ("t", t, mistimed, "is not its frame's groundtruth time")):
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise ValueError(f"features.csv data row {k + 1}: {name} {float(col[k])!r} {what}")
-    # one stable sort by (frame, feature id) splits the rows into frames
-    frame_no = raw[:, 0].astype(np.int64)
-    fids = raw[:, 2].astype(np.int64)
-    order = np.lexsort((fids, frame_no))
-    frame_no, fids = frame_no[order], fids[order]
-    dup = (frame_no[1:] == frame_no[:-1]) & (fids[1:] == fids[:-1])
-    if dup.any():
-        k = int(np.flatnonzero(dup)[0])
-        raise ValueError(f"features.csv repeats feature {fids[k]} in frame {frame_no[k]}")
-    uv_l, uv_r = raw[order, 3:5], raw[order, 5:7]
-    for a in (fids, uv_l, uv_r):
-        a.setflags(write=False)  # each frame keeps views, not copies
-    # the groundtruth rows define the camera-frame timeline; frames without
-    # any visible feature are real (empty) frames, not gaps
-    bounds = np.searchsorted(frame_no, np.arange(len(gt) + 1)).tolist()
+    rows = _FeatureRows(root / "features.csv", gt[:, 0])
+    fids, bounds = rows.fids, rows.bounds.tolist()
 
-    def build(lo: int, hi: int) -> list[FrameObservations]:
-        # frames.times is a frozen copy: a later write to gt_t reaches no frame
-        return [FrameObservations(k, float(frames.times[k]), fids[bounds[k]:bounds[k + 1]],
-                                  uv_l[bounds[k]:bounds[k + 1]], uv_r[bounds[k]:bounds[k + 1]])
-                for k in range(lo, hi)]
+    def build(ks: list[int]) -> list[FrameObservations]:
+        uv_l, uv_r = rows.pixels(ks)
+        for a in (uv_l, uv_r):
+            a.setflags(write=False)
+        out, at = [], 0
+        for k in ks:
+            a, b = bounds[k], bounds[k + 1]
+            end = at + b - a
+            # frames.times is a frozen copy: a later write to gt_t reaches no frame
+            out.append(FrameObservations(k, float(frames.times[k]), fids[a:b],
+                                         uv_l[at:end], uv_r[at:end]))
+            at = end
+        return out
 
     frames = Frames(gt[:, 0], build)
     scene_meta = json.loads((root / "scene.json").read_text())

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -226,8 +227,27 @@ class TestSweep:
         if not os.path.isdir("/proc/self/task"):
             pytest.skip("no /proc/self/task to count threads")
         monkeypatch.setattr(harness, "_full_job", _full_job_on_one_thread)
-        rows = run_sweep("full", ["helipad"], ["oblique"], trials=1, master_seed=1, jobs=2)
-        assert rows[0]["initialized"] == 1
+        rows = run_sweep("full", ["helipad"], ["oblique"], trials=2, master_seed=1, jobs=2)
+        assert rows[0]["initialized"] == 2
+
+    @pytest.mark.parametrize("mode, trials, workers", [("full", 1, []),
+                                                       ("selection", 2, [2])])
+    def test_pool_starts_no_more_workers_than_trials(self, monkeypatch, mode, trials,
+                                                     workers):
+        # a forked pool starts all its workers at the first submit: 4 jobs
+        # for one trial used to fork 4 processes
+        started = []
+        pool_class = concurrent.futures.ProcessPoolExecutor
+
+        def recording(max_workers):
+            started.append(max_workers)
+            return pool_class(max_workers=max_workers)
+
+        args = (mode, ["helipad"], ["vertical"], trials, 3)
+        expected = run_sweep(*args, jobs=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+        assert run_sweep(*args, jobs=4) == expected
+        assert started == workers
 
     def test_unknown_scene(self):
         with pytest.raises(ValueError):
@@ -540,6 +560,60 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "frame 7.5 is not an integer" in err
+
+    @staticmethod
+    def _window_frames(dataset_dir) -> list[int]:
+        window = select_window(simulator.load_dataset(dataset_dir), PipelineConfig())
+        return [kf.frame for kf in window.keyframes]
+
+    @staticmethod
+    def _break_pixel(ds, frame: int) -> int:
+        """Write ``abc`` for the first uL of ``frame`` in ``ds``'s
+        features.csv; returns that row's data row number."""
+        lines = (ds / "features.csv").read_bytes().split(b"\r\n")
+        k = next(k for k, line in enumerate(lines[1:], 1)
+                 if line.startswith(f"{frame},".encode()))
+        fields = lines[k].split(b",")
+        lines[k] = b",".join(fields[:3] + [b"abc"] + fields[4:])
+        (ds / "features.csv").write_bytes(b"\r\n".join(lines))
+        return k
+
+    @pytest.mark.parametrize("read", [True, False], ids=["window-frame", "unread-frame"])
+    def test_bad_pixel_fails_init_only_in_a_frame_it_reads(self, read, dataset_dir,
+                                                           tmp_path, capsys):
+        # a pixel field is parsed when its frame is first read, so a bad one
+        # in a frame outside the window no longer fails the run
+        clean = tmp_path / "clean"
+        assert main(["init", "--dataset", str(dataset_dir), "--out", str(clean)]) == 0
+        window = self._window_frames(dataset_dir)
+        frame = window[3] if read else window[0] + 1
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        row = self._break_pixel(ds, frame)
+        capsys.readouterr()
+        code = main(["init", "--dataset", str(ds), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        if read:
+            assert code == 2
+            assert err.splitlines() == [
+                f"I/O error: features.csv data row {row}: uL 'abc' is not a number"]
+            assert not (tmp_path / "run" / "result.json").exists()
+        else:
+            assert code == 0
+            keyframes = [json.loads((out / "result.json").read_text())["keyframes"]
+                         for out in (clean, tmp_path / "run")]
+            assert keyframes[0] == keyframes[1]
+
+    def test_comment_line_is_an_io_error(self, dataset_dir, tmp_path, capsys):
+        # np.loadtxt used to strip "#" comments; write_dataset writes none
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        lines = (ds / "features.csv").read_bytes().split(b"\r\n")
+        (ds / "features.csv").write_bytes(b"\r\n".join(lines[:5] + [b"# note"] + lines[5:]))
+        code = main(["init", "--dataset", str(ds), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["I/O error: features.csv: expected 7 columns, got 1"]
 
     @pytest.mark.parametrize("edit, message", [
         (lambda d: d.pop("baseline"), "rig.json: missing key 'baseline'"),

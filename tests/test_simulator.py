@@ -1,8 +1,11 @@
+import shutil
+import warnings
+
 import numpy as np
 import pytest
 
 from planar_init import simulator
-from planar_init.geometry import normalize, quat_matrices
+from planar_init.geometry import FrameObservations, normalize, quat_matrices
 from planar_init.homography import synthesize
 from planar_init.imu import propagate, nav_state_at_rest
 from planar_init.simulator import (
@@ -472,3 +475,132 @@ class TestDatasetIo:
         b = make_dataset(scene_preset("helipad"), TrajectoryProfile(), rig=rig, seed=4)
         np.testing.assert_array_equal(a.truth.features, b.truth.features)
         np.testing.assert_array_equal(a.imu.accel[500], b.imu.accel[500])
+
+
+def loadtxt_frames(path):
+    """Reference loader: every frame of the dataset at ``path`` from one
+    np.loadtxt parse of the whole features.csv, as (frame, t, ids, uv_l,
+    uv_r) per frame."""
+    gt_t = np.loadtxt(path / "groundtruth.csv", delimiter=",", skiprows=1, ndmin=2)[:, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a header-only file has no rows
+        raw = np.loadtxt(path / "features.csv", delimiter=",", skiprows=1, ndmin=2)
+    raw = raw.reshape(-1, 7)[np.lexsort((raw[:, 2], raw[:, 0]))] if raw.size else np.empty((0, 7))
+    frames = []
+    for k, t in enumerate(gt_t.tolist()):
+        rows = raw[raw[:, 0] == k]
+        frames.append((k, t, rows[:, 2].astype(np.int64), np.ascontiguousarray(rows[:, 3:5]),
+                       np.ascontiguousarray(rows[:, 5:7])))
+    return frames
+
+
+def _lf(lines):
+    return [line.rstrip("\r\n") + "\n" for line in lines]
+
+
+def _shuffled_lf(lines):
+    order = np.random.default_rng(5).permutation(len(lines))
+    return _lf([lines[k] for k in order])
+
+
+def _no_final_newline(lines):
+    return lines[:-1] + [lines[-1].rstrip("\r\n")]
+
+
+def _blank_lines(lines):
+    return ["\r\n"] + lines[:40] + ["\r\n", "\r\n"] + lines[40:] + ["\n"]
+
+
+def _non_canonical(lines):
+    """frame as ``7.0``, feature_id as `` 7``, t with a trailing zero."""
+    out = []
+    for k, line in enumerate(lines):
+        frame, t, fid, rest = line.split(",", 3)
+        if k % 3 == 0:
+            frame = f"{frame}.0"
+        if k % 3 == 1:
+            fid = f" {fid}"
+        if "." in t and "e" not in t and k % 2 == 0:
+            t = f"{t}0"
+        out.append(",".join((frame, t, fid, rest)))
+    return out
+
+
+class TestLoaderOracle:
+    """load_dataset checks features.csv from its bytes and parses a frame's
+    pixels on first read; every frame must equal the full np.loadtxt parse."""
+
+    EDITS = {"as written": lambda lines: lines, "LF": _lf, "shuffled LF": _shuffled_lf,
+             "no final newline": _no_final_newline, "blank lines": _blank_lines,
+             "non-canonical": _non_canonical, "header only": lambda lines: []}
+
+    @pytest.fixture(scope="class", params=[(s, p) for s in ("helipad", "asphalt", "lawn")
+                                           for p in ("vertical", "oblique")],
+                    ids=lambda sp: "-".join(sp))
+    def written(self, request, tmp_path_factory):
+        scene, profile = request.param
+        path = tmp_path_factory.mktemp(f"{scene}-{profile}")
+        write_dataset(path, make_dataset(scene_preset(scene), TrajectoryProfile(kind=profile),
+                                         noise=NoiseModel(), seed=11))
+        return path
+
+    @pytest.fixture(params=list(EDITS))
+    def edited(self, request, written, tmp_path):
+        shutil.copytree(written, tmp_path / "ds")
+        path = tmp_path / "ds" / "features.csv"
+        lines = path.read_bytes().decode().splitlines(keepends=True)  # CRLF as written
+        path.write_bytes("".join(lines[:1] + self.EDITS[request.param](lines[1:])).encode())
+        return tmp_path / "ds"
+
+    @pytest.mark.parametrize("access", ["late first", "slices", "iteration"])
+    def test_frames_equal_the_full_parse(self, edited, access):
+        expected = loadtxt_frames(edited)
+        frames = load_dataset(edited).frames
+        n = len(frames)
+        if access == "late first":
+            got = {k: frames[k] for k in access_orders(n)["late first"]}
+        elif access == "slices":
+            got = dict(zip(range(40, n, 5), frames[40::5]))
+            got.update(zip(range(n - 1, -1, -3), frames[::-3]))
+            got.update(enumerate(frames[:]))
+        else:
+            got = dict(enumerate(frames))
+        assert len(frames) == len(expected) == len(got)
+        for k, fr in got.items():
+            assert_frame_matches(fr, expected[k])
+
+    def test_only_the_loaded_frames_are_parsed(self, written, monkeypatch):
+        # load_dataset reads features.csv without np.loadtxt; one slice read
+        # parses the pixels of all its frames in one call
+        calls = []
+        loadtxt = np.loadtxt
+
+        def recording(fname, *args, **kwargs):
+            calls.append(getattr(fname, "name", fname))
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recording)
+        frames = load_dataset(written).frames
+        assert not [c for c in calls if str(c).endswith("features.csv")]
+        calls.clear()
+        frames[40:90:5]
+        assert len(calls) == 1
+        frames[40:100:5]
+        assert len(calls) == 2
+
+
+class TestFramesBuilder:
+    def test_slice_hands_its_missing_frames_over_in_one_call(self):
+        asked = []
+
+        def build(ks):
+            asked.append(list(ks))
+            return [FrameObservations(k, float(k), [], [], []) for k in ks]
+
+        frames = simulator.Frames(np.arange(20.0), build)
+        frames[6]
+        assert [fr.frame for fr in frames[12:2:-3]] == [12, 9, 6, 3]
+        assert [fr.frame for fr in frames[:4]] == [0, 1, 2, 3]
+        assert asked == [[6], [3, 9, 12], [0, 1, 2]]
+        list(frames)
+        assert asked[3:] == [[4, 5, 7], [8, 10, 11, 13, 14, 15], [16, 17, 18, 19]]
