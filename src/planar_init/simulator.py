@@ -296,13 +296,12 @@ class _Render:
     """Renders camera frames of one flight.
 
     Each run of consecutive frames asked for is projected in one stacked
-    pass.  The noise draw order is that
-    of one frame at a time from frame 0: each visible feature, in bounds or
-    not, draws its left pixel noise, then its right, as an (n, 2) block per
-    view and frame.  Frames are rendered in any order: reaching a frame
-    first draws, and drops, the noise of the earlier frames not drawn yet,
-    keeping the generator state at each one's start for when it is
-    rendered later.
+    pass.  The noise draw order is that of one frame at a time from frame
+    0: each visible feature, in bounds or not, draws its left pixel noise,
+    then its right, as an (n, 2) block per view and frame.  Frames are
+    rendered in any order: reaching a frame first draws, and drops, the
+    noise of the earlier frames not drawn yet, keeping the generator state
+    at each one's start for when it is rendered later.
     """
 
     def __init__(self, scene, truth, rig, noise_px, seed, min_depth):
@@ -714,7 +713,6 @@ class _FeatureRows:
         # without any visible feature are real (empty) frames, not gaps
         self.bounds = np.searchsorted(frame_no, np.arange(n_gt + 1))
         self._buf = buf
-        self._data = data
         self._pixels = (lo[row, 3], hi[row, 6])  # the text of uL,vL,uR,vR
 
     def _error(self, i: int, col: int, value, what: str) -> DatasetError:
@@ -751,7 +749,7 @@ class _FeatureRows:
         lo, hi = self._pixels
         for k in rows[np.argsort(self.row[rows])].tolist():
             i = int(self.row[k])
-            for col, text in enumerate(self._data[lo[k]:hi[k]].split(b","), 3):
+            for col, text in enumerate(self._buf[lo[k]:hi[k]].tobytes().split(b","), 3):
                 try:
                     self._loadtxt(text + b"\n")
                 except ValueError:

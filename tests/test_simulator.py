@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from planar_init import simulator
+from planar_init import errors, simulator
 from planar_init.geometry import FrameObservations, normalize, quat_matrices
 from planar_init.homography import synthesize
 from planar_init.imu import propagate, nav_state_at_rest
@@ -440,6 +440,45 @@ class TestDatasetIo:
         self.rewrite_features(tmp_path / "a", lambda rows: rows + [row + "\r\n"])
         with pytest.raises(ValueError, match=f"data row {n_rows + 1}: {message}"):
             load_dataset(tmp_path / "a")
+
+    @pytest.mark.parametrize("row, message", [
+        ("abc,0.35,3,1.0,2.0,3.0,4.0", "frame 'abc' is not a number"),
+        ("7,,3,1.0,2.0,3.0,4.0", "t '' is not a number"),
+        ("7,0.35,1_0,1.0,2.0,3.0,4.0", "feature_id '1_0' is not a number"),
+    ])
+    def test_field_that_is_no_number_raises_at_load(self, tmp_path, rig, row, message):
+        # np.loadtxt parses none of these; float() would take "1_0" as 10
+        ds = make_dataset(scene_preset("helipad"),
+                          TrajectoryProfile(kind="vertical", duration=3.0),
+                          rig=rig, noise=NoiseModel(), seed=8)
+        write_dataset(tmp_path / "a", ds)
+        n_rows = sum(len(fr.ids) for fr in ds.frames)
+        self.rewrite_features(tmp_path / "a", lambda rows: rows + [row + "\r\n"])
+        with pytest.raises(ValueError, match=f"data row {n_rows + 1}: {message}"):
+            load_dataset(tmp_path / "a")
+
+    def test_bad_pixel_raises_when_its_frame_is_read(self, tmp_path, rig):
+        ds = make_dataset(scene_preset("helipad"),
+                          TrajectoryProfile(kind="vertical", duration=3.0),
+                          rig=rig, noise=NoiseModel(), seed=8)
+        write_dataset(tmp_path / "a", ds)
+        spoiled = []
+
+        def spoil(rows):
+            k = [n for n, row in enumerate(rows) if row.startswith("56,")][2]
+            spoiled.append(k)
+            head, _ = rows[k].rsplit(",", 1)
+            return rows[:k] + [f"{head},4.0x\n"] + rows[k + 1:]
+
+        self.rewrite_features(tmp_path / "a", spoil)
+        k = spoiled[0]
+        frames = load_dataset(tmp_path / "a").frames
+        assert len(frames[55].ids) and len(frames[57].ids)
+        with pytest.raises(errors.DatasetError,
+                           match=f"features.csv data row {k + 1}: vR '4.0x' is not a number"):
+            frames[50:60:2]
+        with pytest.raises(ValueError, match=f"data row {k + 1}"):
+            frames[56]
 
     def test_row_time_off_its_frame_raises(self, tmp_path, rig):
         # a frame's time comes from groundtruth.csv; a row that says
