@@ -638,19 +638,24 @@ class _FeatureRows:
     and no ``(frame, feature_id)`` may repeat.  A ``frame`` or
     ``feature_id`` of plain digits is read as an integer from the bytes, and
     a ``t`` whose text is ``repr`` of its frame's time is taken as that time;
-    only other text is parsed, by value, with ``float``.  Lines end in LF
-    or CRLF; empty lines are skipped and do not count as data rows.
+    only other text is parsed, by value, with ``float``.  Lines end in LF,
+    CRLF or CR; empty lines are skipped and do not count as data rows.
     """
 
     def __init__(self, path: Path, gt_t: np.ndarray):
         self.path = path
         data = path.read_bytes()
         buf = np.frombuffer(data, dtype=np.uint8)
-        ends = np.flatnonzero(buf == ord("\n"))
-        if len(buf) and buf[-1] != ord("\n"):
+        # LF, CRLF and a lone CR end a line, as in the text mode np.loadtxt read
+        lf, cr = buf == ord("\n"), buf == ord("\r")
+        cr[:-1] &= ~lf[1:]
+        ends = np.flatnonzero(lf | cr)
+        if len(buf) and not (lf[-1] or cr[-1]):
             ends = np.append(ends, len(buf))  # a last line without a line break
         starts = np.concatenate(([0], ends + 1))[:len(ends)]
-        ends = ends - ((ends > starts) & (buf[np.maximum(ends - 1, 0)] == ord("\r")))
+        crlf = ((ends > starts) & lf[np.minimum(ends, len(buf) - 1)]
+                & (buf[np.maximum(ends - 1, 0)] == ord("\r")))
+        ends = ends - crlf  # a line's text stops at the CR of its CRLF
         keep = ends > starts
         keep[:1] = False  # the header line
         starts, ends = starts[keep], ends[keep]

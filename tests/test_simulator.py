@@ -524,17 +524,22 @@ def loadtxt_frames(path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a header-only file has no rows
         raw = np.loadtxt(path / "features.csv", delimiter=",", skiprows=1, ndmin=2)
-    raw = raw.reshape(-1, 7)[np.lexsort((raw[:, 2], raw[:, 0]))] if raw.size else np.empty((0, 7))
+    if raw.size == 0:
+        raw = np.empty((0, 7))
+    raw = raw[np.lexsort((raw[:, 2], raw[:, 0]))]
     frames = []
     for k, t in enumerate(gt_t.tolist()):
         rows = raw[raw[:, 0] == k]
-        frames.append((k, t, rows[:, 2].astype(np.int64), np.ascontiguousarray(rows[:, 3:5]),
-                       np.ascontiguousarray(rows[:, 5:7])))
+        frames.append((k, t, rows[:, 2].astype(np.int64), rows[:, 3:5], rows[:, 5:7]))
     return frames
 
 
 def _lf(lines):
     return [line.rstrip("\r\n") + "\n" for line in lines]
+
+
+def _cr(lines):
+    return [line.rstrip("\r\n") + "\r" for line in lines]
 
 
 def _shuffled_lf(lines):
@@ -569,7 +574,7 @@ class TestLoaderOracle:
     """load_dataset checks features.csv from its bytes and parses a frame's
     pixels on first read; every frame must equal the full np.loadtxt parse."""
 
-    EDITS = {"as written": lambda lines: lines, "LF": _lf, "shuffled LF": _shuffled_lf,
+    EDITS = {"as written": lambda lines: lines, "LF": _lf, "CR": _cr, "shuffled LF": _shuffled_lf,
              "no final newline": _no_final_newline, "blank lines": _blank_lines,
              "non-canonical": _non_canonical, "header only": lambda lines: []}
 
