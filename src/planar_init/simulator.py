@@ -585,67 +585,22 @@ def _read_rows(path: Path, columns: int) -> np.ndarray:
     return rows
 
 
-# plain-digit fields up to this long hold integers float64 keeps exactly, so
-# reading them as integers gives what np.loadtxt gives
-_DIGITS_MAX = 15
-
-
-def _number(text: bytes) -> float | None:
-    """The value np.loadtxt reads from one csv field, None if it reads none:
-    ``float`` also takes underscores and non-ASCII digits, loadtxt not."""
-    if not text.isascii() or b"_" in text:
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
-def _plain_integers(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Values of the fields ``buf[lo:hi]`` that are 1 to ``_DIGITS_MAX``
-    ASCII digits, and which fields those are."""
-    width = hi - lo
-    plain = (width >= 1) & (width <= _DIGITS_MAX)
-    value = np.zeros(len(lo), dtype=np.int64)
-    for j in range(min(int(width.max(initial=0)), _DIGITS_MAX)):
-        inside = j < width
-        digit = buf[np.minimum(lo + j, len(buf) - 1)] - np.uint8(ord("0"))  # wraps below "0"
-        plain &= ~inside | (digit <= 9)
-        value = np.where(inside, 10 * value + digit, value)
-    return value, plain
-
-
-def _same_text(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-               texts: list[bytes], which: np.ndarray) -> np.ndarray:
-    """Whether field ``buf[lo[i]:hi[i]]`` is the text ``texts[which[i]]``."""
-    width = max(map(len, texts), default=0)
-    table = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
-                          dtype=np.uint8).reshape(len(texts), width)[which]
-    lens = np.array([len(t) for t in texts], dtype=np.int64)[which]
-    same = hi - lo == lens
-    for j in range(width):
-        same &= (j >= lens) | (buf[np.minimum(lo + j, len(buf) - 1)] == table[:, j])
-    return same
-
-
 class _FeatureRows:
-    """The rows of ``features.csv``, checked from the file's bytes, their
-    pixel fields parsed when their frame is first built.
+    """The rows of ``features.csv``, checked at load, their pixel fields
+    parsed when their frame is first built.
 
-    One vectorized pass finds every line and its commas.  Each data line
-    must have 7 fields; ``frame`` must be an integer naming a groundtruth
-    frame, ``feature_id`` an integer, ``t`` that frame's groundtruth time,
-    and no ``(frame, feature_id)`` may repeat.  A ``frame`` or
-    ``feature_id`` of plain digits is read as an integer from the bytes, and
-    a ``t`` whose text is ``repr`` of its frame's time is taken as that time;
-    only other text is parsed, by value, with ``float``.  Lines end in LF,
-    CRLF or CR; empty lines are skipped and do not count as data rows.
+    One vectorized pass over the file's bytes finds every line and its
+    commas; each data line must have 7 fields.  The ``frame``, ``t`` and
+    ``feature_id`` fields of every row are then parsed by one np.loadtxt
+    call: ``frame`` must be an integer naming a groundtruth frame,
+    ``feature_id`` an integer, ``t`` that frame's groundtruth time, and no
+    ``(frame, feature_id)`` may repeat.  Lines end in LF, CRLF or CR; empty
+    lines are skipped and do not count as data rows.
     """
 
     def __init__(self, path: Path, gt_t: np.ndarray):
         self.path = path
-        data = path.read_bytes()
-        buf = np.frombuffer(data, dtype=np.uint8)
+        buf = np.frombuffer(path.read_bytes(), dtype=np.uint8)
         # LF, CRLF and a lone CR end a line, as in the text mode np.loadtxt read
         lf, cr = buf == ord("\n"), buf == ord("\r")
         cr[:-1] &= ~lf[1:]
@@ -667,27 +622,15 @@ class _FeatureRows:
             raise DatasetError(f"{path.name}: expected {len(FEATURES_HEADER)} columns, "
                                f"got {fields[bad[0]]}")
         cut = commas[first[:, None] + np.arange(len(FEATURES_HEADER) - 1)]
-        lo = np.column_stack([starts, cut + 1])  # field k of row i is data[lo[i, k]:hi[i, k]]
-        hi = np.column_stack([cut, ends])
-        frame, frame_plain = _plain_integers(buf, lo[:, 0], hi[:, 0])
-        fid, fid_plain = _plain_integers(buf, lo[:, 2], hi[:, 2])
+        self._buf = buf
+        # field k of data row i + 1 is buf[lo[i, k]:hi[i, k]]
+        self._lo = np.column_stack([starts, cut + 1])
+        self._hi = np.column_stack([cut, ends])
+        frame, t, fid = self._parse(np.arange(len(starts)), 0, 2).T
         n_gt = len(gt_t)
-        timed = frame_plain & (frame < n_gt)
-        timed[timed] = _same_text(buf, lo[timed, 1], hi[timed, 1],
-                                  [repr(float(v)).encode() for v in gt_t], frame[timed])
-        frame, fid = frame.astype(np.float64), fid.astype(np.float64)
-        t = np.full(len(starts), np.nan)
-        t[timed] = gt_t[frame[timed].astype(np.int64)]
-        # the other fields are parsed by value, row by row as np.loadtxt did
-        parsed = {0: frame, 1: t, 2: fid}
-        rest = sorted((i, col) for col, known in ((0, frame_plain), (1, timed), (2, fid_plain))
-                      for i in np.flatnonzero(~known).tolist())
-        for i, col in rest:
-            text = data[lo[i, col]:hi[i, col]]
-            v = _number(text)
-            if v is None:
-                raise self._error(i, col, text, "is not a number")
-            parsed[col][i] = v
+        # rows the sort below would misfile: a fractional id, or a frame with
+        # no groundtruth row; and a row whose time is not its frame's
+        # groundtruth time (both are written with repr, so they compare exactly)
         whole = _is_integer(frame)
         mistimed = whole & (frame >= 0) & (frame < n_gt)
         mistimed[mistimed] = t[mistimed] != gt_t[frame[mistimed].astype(np.int64)]
@@ -700,25 +643,19 @@ class _FeatureRows:
             if bad.any():
                 i = int(np.flatnonzero(bad)[0])
                 raise self._error(i, col, float(values[i]), what)
+        # one stable sort by (frame, feature id) splits the rows into frames
         frame_no, fids = frame.astype(np.int64), fid.astype(np.int64)
-        row = np.arange(len(fids))  # data row - 1 of each row, in (frame, id) order
-        if not np.all((frame_no[1:] > frame_no[:-1])
-                      | ((frame_no[1:] == frame_no[:-1]) & (fids[1:] > fids[:-1]))):
-            row = np.lexsort((fids, frame_no))
-            frame_no, fids = frame_no[row], fids[row]
-            dup = (frame_no[1:] == frame_no[:-1]) & (fids[1:] == fids[:-1])
-            if dup.any():
-                k = int(np.flatnonzero(dup)[0])
-                raise DatasetError(f"{path.name} repeats feature {fids[k]} "
-                                   f"in frame {frame_no[k]}")
+        self.row = np.lexsort((fids, frame_no))  # data row - 1, in (frame, id) order
+        frame_no, fids = frame_no[self.row], fids[self.row]
+        dup = (frame_no[1:] == frame_no[:-1]) & (fids[1:] == fids[:-1])
+        if dup.any():
+            k = int(np.flatnonzero(dup)[0])
+            raise DatasetError(f"{path.name} repeats feature {fids[k]} in frame {frame_no[k]}")
         fids.setflags(write=False)  # each frame keeps views, not copies
         self.fids = fids
-        self.row = row
         # the groundtruth rows define the camera-frame timeline; frames
         # without any visible feature are real (empty) frames, not gaps
         self.bounds = np.searchsorted(frame_no, np.arange(n_gt + 1))
-        self._buf = buf
-        self._pixels = (lo[row, 3], hi[row, 6])  # the text of uL,vL,uR,vR
 
     def _error(self, i: int, col: int, value, what: str) -> DatasetError:
         shown = value.decode("ascii", "replace") if isinstance(value, bytes) else value
@@ -729,37 +666,51 @@ class _FeatureRows:
         """``uv_l`` and ``uv_r`` of the rows of frames ``ks``, in order,
         parsed by one np.loadtxt call."""
         rows = np.concatenate([np.arange(self.bounds[k], self.bounds[k + 1]) for k in ks])
-        lo, hi = (a[rows] for a in self._pixels)
-        size = hi - lo + 1  # each row's pixel text and a line break
+        uv = self._parse(self.row[rows], 3, 6)
+        return np.ascontiguousarray(uv[:, :2]), np.ascontiguousarray(uv[:, 2:])
+
+    def _parse(self, rows: np.ndarray, first: int, last: int) -> np.ndarray:
+        """Fields ``first``..``last`` of data rows ``rows + 1``, one row each
+        (len(rows), last - first + 1), parsed by one np.loadtxt call."""
+        if not len(rows):
+            return np.empty((0, last - first + 1))
+        lo, hi = self._lo[rows, first], self._hi[rows, last]
+        size = hi - lo + 1  # each row's text and a line break
         at = np.cumsum(size) - size
-        # the byte after a row's text, its line break or past the end of the
-        # file, becomes a line break
+        # the byte after a row's text, its line break, a comma or past the
+        # end of the file, becomes a line break
         index = np.repeat(lo - at, size) + np.arange(int(size.sum()))
         text = self._buf[np.minimum(index, len(self._buf) - 1)]
         text[at + size - 1] = ord("\n")
         try:
-            uv = self._loadtxt(text.tobytes()) if len(rows) else np.empty((0, 4))
+            return self._loadtxt(text.tobytes())
         except ValueError:
-            raise self._pixel_error(rows) from None
-        return np.ascontiguousarray(uv[:, :2]), np.ascontiguousarray(uv[:, 2:])
+            raise self._field_error(rows, first, last) from None
 
     @staticmethod
     def _loadtxt(text: bytes) -> np.ndarray:
         return np.loadtxt(io.StringIO(text.decode("latin-1")), delimiter=",",
                           comments=None, ndmin=2)
 
-    def _pixel_error(self, rows: np.ndarray) -> DatasetError:
-        """The error for the first row of ``rows``, in file order, with a
-        pixel field that does not parse."""
-        lo, hi = self._pixels
-        for k in rows[np.argsort(self.row[rows])].tolist():
-            i = int(self.row[k])
-            for col, text in enumerate(self._buf[lo[k]:hi[k]].tobytes().split(b","), 3):
-                try:
-                    self._loadtxt(text + b"\n")
-                except ValueError:
-                    return self._error(i, col, text, "is not a number")
-        return DatasetError(f"{self.path.name}: pixel rows do not parse")
+    def _field_error(self, rows: np.ndarray, first: int, last: int) -> DatasetError:
+        """The error for the first field, in file order, of fields
+        ``first``..``last`` of data rows ``rows + 1`` that np.loadtxt reads
+        no number from.  A joint parse of the rows fails only on such a
+        field, so there is one."""
+
+        def is_number(text: bytes) -> bool:
+            if not text.strip():  # loadtxt skips a blank line, parsing nothing
+                return False
+            try:
+                self._loadtxt(text + b"\n")
+            except ValueError:
+                return False
+            return True
+
+        fields = ((i, col, self._buf[self._lo[i, col]:self._hi[i, col]].tobytes())
+                  for i in np.sort(rows).tolist() for col in range(first, last + 1))
+        i, col, text = next(f for f in fields if not is_number(f[2]))
+        return self._error(i, col, text, "is not a number")
 
 
 def load_dataset(dataset_dir) -> LoadedDataset:

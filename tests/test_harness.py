@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import shutil
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -567,14 +568,14 @@ class TestCli:
         return [kf.frame for kf in window.keyframes]
 
     @staticmethod
-    def _break_pixel(ds, frame: int) -> int:
-        """Write ``abc`` for the first uL of ``frame`` in ``ds``'s
+    def _break_pixel(ds, frame: int, text: bytes = b"abc") -> int:
+        """Write ``text`` for the first uL of ``frame`` in ``ds``'s
         features.csv; returns that row's data row number."""
         lines = (ds / "features.csv").read_bytes().split(b"\r\n")
         k = next(k for k, line in enumerate(lines[1:], 1)
                  if line.startswith(f"{frame},".encode()))
         fields = lines[k].split(b",")
-        lines[k] = b",".join(fields[:3] + [b"abc"] + fields[4:])
+        lines[k] = b",".join(fields[:3] + [text] + fields[4:])
         (ds / "features.csv").write_bytes(b"\r\n".join(lines))
         return k
 
@@ -603,6 +604,23 @@ class TestCli:
             keyframes = [json.loads((out / "result.json").read_text())["keyframes"]
                          for out in (clean, tmp_path / "run")]
             assert keyframes[0] == keyframes[1]
+
+    @pytest.mark.parametrize("text", [b"", b"  "], ids=["empty", "blank"])
+    def test_empty_pixel_in_a_read_frame_names_its_row(self, text, dataset_dir,
+                                                       tmp_path, capsys):
+        # np.loadtxt reads an empty field on a line of its own as a blank
+        # line, with a warning and no error, so the row is found otherwise
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        row = self._break_pixel(ds, self._window_frames(dataset_dir)[3], text)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["init", "--dataset", str(ds), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"I/O error: features.csv data row {row}: uL {text.decode()!r} is not a number"]
+        assert not caught
 
     def test_comment_line_is_an_io_error(self, dataset_dir, tmp_path, capsys):
         # np.loadtxt used to strip "#" comments; write_dataset writes none

@@ -571,8 +571,9 @@ def _non_canonical(lines):
 
 
 class TestLoaderOracle:
-    """load_dataset checks features.csv from its bytes and parses a frame's
-    pixels on first read; every frame must equal the full np.loadtxt parse."""
+    """load_dataset splits features.csv into fields from its bytes, parses
+    every row's keys at load and a frame's pixels on first read; every frame
+    must equal the full np.loadtxt parse."""
 
     EDITS = {"as written": lambda lines: lines, "LF": _lf, "CR": _cr, "shuffled LF": _shuffled_lf,
              "no final newline": _no_final_newline, "blank lines": _blank_lines,
@@ -614,21 +615,25 @@ class TestLoaderOracle:
             assert_frame_matches(fr, expected[k])
 
     def test_only_the_loaded_frames_are_parsed(self, written, monkeypatch):
-        # load_dataset reads features.csv without np.loadtxt; one slice read
-        # parses the pixels of all its frames in one call
+        # load_dataset parses the frame, t and feature_id fields of every
+        # row of features.csv in one np.loadtxt call and no pixel field; one
+        # slice read parses the pixels of all its frames in one call
         calls = []
         loadtxt = np.loadtxt
 
         def recording(fname, *args, **kwargs):
-            calls.append(getattr(fname, "name", fname))
-            return loadtxt(fname, *args, **kwargs)
+            out = loadtxt(fname, *args, **kwargs)
+            calls.append((getattr(fname, "name", "text"), out.shape))
+            return out
 
+        n_rows = len((written / "features.csv").read_bytes().splitlines()) - 1
         monkeypatch.setattr(np, "loadtxt", recording)
         frames = load_dataset(written).frames
-        assert not [c for c in calls if str(c).endswith("features.csv")]
+        assert [c for c in calls if not str(c[0]).endswith(("imu.csv", "groundtruth.csv"))] \
+            == [("text", (n_rows, 3))]
         calls.clear()
         frames[40:90:5]
-        assert len(calls) == 1
+        assert calls == [("text", (sum(len(fr.ids) for fr in frames[40:90:5]), 4))]
         frames[40:100:5]
         assert len(calls) == 2
 
