@@ -27,6 +27,7 @@ from .homography import (
 from .imu import (
     ImuStream,
     NavState,
+    NavTrack,
     PriorNormal,
     integrate_camera_rotation,
     propagate,

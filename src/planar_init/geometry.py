@@ -101,18 +101,6 @@ class Rotation:
                  (m[1, 2] + m[2, 1]) / s, 0.25 * s)
         return cls(q)
 
-    @classmethod
-    def about_x(cls, angle: float) -> "Rotation":
-        return cls.from_axis_angle((1.0, 0.0, 0.0), angle)
-
-    @classmethod
-    def about_y(cls, angle: float) -> "Rotation":
-        return cls.from_axis_angle((0.0, 1.0, 0.0), angle)
-
-    @classmethod
-    def about_z(cls, angle: float) -> "Rotation":
-        return cls.from_axis_angle((0.0, 0.0, 1.0), angle)
-
     # -- accessors ----------------------------------------------------
 
     @property

@@ -19,7 +19,7 @@ from .config import PipelineConfig
 from .errors import AlignmentError, PipelineError
 from .geometry import CameraRig, Rotation, to_euler_ned
 from .homography import decompose, filter_positive_depth, synthesize
-from .imu import GRAVITY_NED, PriorNormal
+from .imu import PriorNormal
 from .initializer import (
     InitializationResult,
     KeyframeWindow,
@@ -57,62 +57,29 @@ def trial_seed(master_seed: int, index: int) -> int:
 def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
     """Gather the keyframe window after the IMU-only height gate fires.
 
-    Propagates the IMU stream from rest up to the first camera frame at
-    which the altitude gain reaches the preset height, and takes every
+    Propagates the IMU stream once, from rest up to the last camera frame,
+    fires the gate at the first frame whose state (the last sample at or
+    before the frame time) has gained the preset height, and takes every
     ``keyframe_stride``-th frame from there, up to ``window_size``.  The
-    state at the gate frame anchors the window, so no sample before it is
-    integrated again.
+    window carries that pass from its first keyframe to its last.
     """
     frames = dataset.frames
     imu = dataset.imu
     if not frames:
         raise PipelineError("height-gate", "dataset has no camera frames")
-    nav = imu_mod.nav_state_at_rest(float(imu.t[0]), config.gyro_bias, config.accel_bias)
-    z0 = nav.pose.translation[2]
-    frame_t = frames.times
-    # the last sample of each frame's propagation
-    frame_end = np.searchsorted(imu.t, frame_t + imu_mod.SLICE_TOL_S, side="right") - 1
-    excess = np.linalg.norm(imu.accel - nav.accel_bias, axis=1) - GRAVITY_NED[2]
-    gate_idx = None
-    k = 0
-    while k < len(frames):
-        if frame_t[k] > nav.t + 1e-9:
-            nav = imu_mod.propagate(nav, imu_mod.slice_between(imu, nav.t, frame_t[k]))
-        gain = z0 - nav.pose.translation[2]
-        if gain >= config.preset_height_m:
-            gate_idx = k
-            break
-        k += _gate_step(imu, excess, nav, gain, config.preset_height_m,
-                        frame_end[k + 1:])
-    if gate_idx is None:
+    rest = imu_mod.nav_state_at_rest(float(imu.t[0]), config.gyro_bias, config.accel_bias)
+    # the slice keeps the first sample even when every frame precedes it
+    track = imu_mod.propagate(
+        rest, imu_mod.slice_between(imu, rest.t, max(frames.times[-1], rest.t)))
+    at_frame = track.index_at(frames.times)
+    gain = rest.pose.translation[2] - track.position[at_frame, 2]
+    fired = np.flatnonzero(gain >= config.preset_height_m)
+    if not fired.size:
         raise PipelineError("height-gate",
                             f"altitude never reached {config.preset_height_m} m")
-    picked = range(gate_idx, len(frames), config.keyframe_stride)[:config.window_size]
+    picked = range(int(fired[0]), len(frames), config.keyframe_stride)[:config.window_size]
     keyframes = frames[picked.start:picked.stop:picked.step]
-    span = imu_mod.slice_between(imu, keyframes[0].t, keyframes[-1].t)
-    return KeyframeWindow(keyframes, span, nav)
-
-
-def _gate_step(imu, excess: np.ndarray, nav, gain: float, height: float,
-               later: np.ndarray) -> int:
-    """How many frames the height-gate search may advance by, at least one.
-
-    In any attitude the upward acceleration is at most the specific-force
-    excess ``|f - b_a| - g_z`` (NED), so from climb rate v the altitude
-    gained in the next T seconds is at most ``v T + A T^2 / 2``, A the
-    largest excess in that span; the midpoint recurrence keeps the same
-    bound.  The search
-    jumps to the last of the ``later`` frames (given by their last sample)
-    that this bound keeps below ``height``, each of which would fail the
-    gate, so they are propagated through in one call instead of one each.
-    """
-    i = int(np.searchsorted(imu.t, nav.t - 1e-9))
-    span = imu.t[i:] - imu.t[i]
-    reach = (gain - nav.velocity[2] * span
-             + 0.5 * np.maximum.accumulate(excess[i:]) * span * span)
-    # a micrometre of slack covers rounding in the propagated altitude
-    hits = np.flatnonzero(reach[later - i] >= height - 1e-6)
-    return max(int(hits[0]) if hits.size else len(later), 1)
+    return KeyframeWindow(keyframes, track[at_frame[picked[0]]:at_frame[picked[-1]] + 1])
 
 
 def run_on_dataset(dataset, config: PipelineConfig | None = None,
@@ -299,8 +266,9 @@ def selection_trial(profile_kind: str, seed: int,
     h_true = synthesize(rel.rotation, rel.translation, n_j, d_j).reassemble()
 
     # prior normal from the noisy gyro chain, stationary start -> time j
-    span = imu_mod.slice_between(imu, imu.t[0], truth.t[k_j])
-    r_cam = imu_mod.integrate_camera_rotation(span, cfg.gyro_bias, rig.T_c_b)
+    rest = imu_mod.nav_state_at_rest(float(imu.t[0]), cfg.gyro_bias, cfg.accel_bias)
+    track = imu_mod.propagate(rest, imu_mod.slice_between(imu, rest.t, truth.t[k_j]))
+    r_cam = imu_mod.integrate_camera_rotation(track, rig.T_c_b)
     prior = imu_mod.propagate_normal(
         PriorNormal(np.array([0.0, 0.0, 1.0]), float(imu.t[0])), r_cam, truth.t[k_j])
 

@@ -4,18 +4,20 @@ Midpoint (trapezoidal) integration between consecutive samples; biases
 are held constant.  Gravity is the world-frame constant ``GRAVITY_NED``,
 down-positive along +z: the prior normal n_0 = [0, 0, 1] assumes it.
 
-A stream is held as arrays (:class:`ImuStream`).  Propagation computes
-every interval's rotation increment in one vectorized step; only the
-quaternion chain runs sample by sample, on plain floats.  The
-world-rotated specific force then comes from one batched product, and
-velocity and position from cumulative sums of the midpoint recurrence.
+A stream is held as arrays (:class:`ImuStream`), and so is the state at
+every sample of a pass (:class:`NavTrack`), which a run computes once and
+reads all its IMU motion off.  Propagation computes every interval's
+rotation increment in one vectorized step; only the quaternion chain runs
+sample by sample, on plain floats.  The world-rotated specific force then
+comes from one batched product, and velocity and position from
+cumulative sums of the midpoint recurrence.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +99,42 @@ def nav_state_at_rest(t: float, gyro_bias=(0.0, 0.0, 0.0),
                     np.asarray(accel_bias, dtype=np.float64))
 
 
+@dataclass(frozen=True, eq=False)
+class NavTrack:
+    """The state at every sample of one :func:`propagate` pass.
+
+    ``t`` (N,) seconds, attitudes ``quat`` (N, 4) wxyz, ``position`` and
+    ``velocity`` (N, 3), all read-only, and the pass's constant biases.
+    ``track[k]`` is the :class:`NavState` at sample k; ``track[a:b]`` is a
+    track of samples a to b - 1 that views the same arrays.
+    """
+
+    t: np.ndarray
+    quat: np.ndarray
+    position: np.ndarray
+    velocity: np.ndarray
+    gyro_bias: np.ndarray
+    accel_bias: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return replace(self, t=self.t[k], quat=self.quat[k],
+                           position=self.position[k], velocity=self.velocity[k])
+        return NavState(float(self.t[k]),
+                        Pose(Rotation(self.quat[k]), self.position[k], "b", "w"),
+                        self.velocity[k], self.gyro_bias, self.accel_bias)
+
+    def index_at(self, times) -> np.ndarray:
+        """Index of the state at each of ``times``: the last sample at or
+        before it (within ``SLICE_TOL_S``), and 0 before the first sample,
+        where the pass starts from its given state."""
+        at = np.searchsorted(self.t, np.asarray(times) + SLICE_TOL_S, side="right") - 1
+        return np.maximum(at, 0)
+
+
 @dataclass(frozen=True)
 class PriorNormal:
     """Unit plane normal in the current left-camera frame."""
@@ -113,7 +151,7 @@ class PriorNormal:
         object.__setattr__(self, "n", v)
 
 
-def _require(samples: ImuStream, count: int, what: str) -> None:
+def _require(samples, count: int, what: str) -> None:
     if len(samples) == 0:
         raise StreamError("empty IMU sample stream")
     if len(samples) < count:
@@ -156,13 +194,13 @@ def _chain(q0: np.ndarray, increments: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def propagate(state: NavState, samples: ImuStream) -> NavState:
-    """Midpoint strapdown propagation through a sample stream.
+def propagate(state: NavState, samples: ImuStream) -> NavTrack:
+    """Midpoint strapdown propagation: the state at every sample of a stream.
 
-    The stream must start at ``state.t``.  Rotation integrates the
-    bias-corrected mean gyro of each interval; velocity and position use
-    the average of the world-rotated specific force at both endpoints
-    plus gravity.
+    The stream must start at ``state.t``; item 0 of the track is ``state``
+    at the first sample.  Rotation integrates the bias-corrected mean gyro
+    of each interval; velocity and position use the average of the
+    world-rotated specific force at both endpoints plus gravity.
     """
     _require(samples, 1, "propagate")
     if abs(samples.t[0] - state.t) > 1e-9:
@@ -180,9 +218,10 @@ def propagate(state: NavState, samples: ImuStream) -> NavState:
     steps[0] = state.pose.translation
     steps[1::2] = v[:-1] * dt
     steps[2::2] = 0.5 * a_w * dt * dt
-    p = np.cumsum(steps, axis=0)[-1]
-    return NavState(float(samples.t[-1]), Pose(Rotation(quats[-1]), p, "b", "w"),
-                    v[-1], b_g, b_a)
+    p = np.cumsum(steps, axis=0)[::2]
+    for a in (quats, p, v):
+        a.setflags(write=False)
+    return NavTrack(samples.t, quats, p, v, b_g, b_a)
 
 
 def camera_rotation(body_delta: Rotation, T_c_b: Pose) -> Rotation:
@@ -196,17 +235,16 @@ def camera_rotation(body_delta: Rotation, T_c_b: Pose) -> Rotation:
     return r_cb.inverse() @ body_delta.inverse() @ r_cb
 
 
-def integrate_camera_rotation(samples: ImuStream, gyro_bias,
-                              T_c_b: Pose) -> Rotation:
-    """Gyro delta-rotation over the span, conjugated into the camera frame.
+def integrate_camera_rotation(track: NavTrack, T_c_b: Pose) -> Rotation:
+    """The body attitude change over a span of a pass, in the camera frame.
 
-    Returns R mapping camera coordinates at the first sample time to
-    camera coordinates at the last sample time.
+    Returns R mapping camera coordinates at the track's first state to
+    camera coordinates at its last.  Spans cut from one pass share their
+    end states, so the rotations of consecutive spans compose to that of
+    their union.
     """
-    _require(samples, 2, "integrate rotation")
-    b_g = np.asarray(gyro_bias, dtype=np.float64)
-    identity = Rotation.identity().quat
-    gamma = Rotation(_chain(identity, _increments(samples, b_g))[-1])
+    _require(track, 2, "integrate rotation")
+    gamma = Rotation(track.quat[0]).inverse() @ Rotation(track.quat[-1])
     return camera_rotation(gamma, T_c_b)
 
 
@@ -231,8 +269,9 @@ STATIONARY_GYRO_TOL = 0.01
 default IMU noise; turning this fast tilts n_0 by 0.3 deg in the window."""
 
 SLICE_TOL_S = 1e-9
-"""Seconds by which :func:`slice_between` widens [t0, t1] at both ends, to
-keep a sample off a keyframe time by rounding alone; far below 5 ms."""
+"""Seconds by which :func:`slice_between` widens [t0, t1] at both ends, and
+:meth:`NavTrack.index_at` a frame time, to keep a sample off a keyframe
+time by rounding alone; far below 5 ms."""
 
 
 def is_stationary(samples: ImuStream) -> bool:

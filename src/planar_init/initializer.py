@@ -48,7 +48,7 @@ from .homography import (
     filter_positive_depth,
     indicator,
 )
-from .imu import ImuStream, NavState, PriorNormal
+from .imu import NavState, NavTrack, PriorNormal
 from .motion_field import refine_velocity
 from .pnp import PnpSystem, refine_pose, solve_pnp
 from .weighting import stereo_deviation, weight
@@ -61,17 +61,26 @@ STATUS_PURE_ROTATION = "pure-rotation"
 @dataclass
 class KeyframeWindow:
     """Keyframes after the height gate (the dataset's own
-    :class:`FrameObservations`), the IMU samples spanning them, and the
-    IMU-only state at the first keyframe that anchors the window."""
+    :class:`FrameObservations`) and the run's one IMU propagation pass over
+    them: ``track`` starts at the first keyframe's state, the IMU-only
+    anchor of the window, and runs to the last keyframe's."""
 
     keyframes: list[FrameObservations]
-    imu: ImuStream
-    anchor: NavState
+    track: NavTrack
 
     def __post_init__(self):
         times = [kf.t for kf in self.keyframes]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("keyframe timestamps must be strictly increasing")
+        self._at = self.track.index_at(times)
+
+    def state(self, k: int) -> NavState:
+        """The pass's state at keyframe ``k``."""
+        return self.track[int(self._at[k])]
+
+    def pair_track(self, m: int) -> NavTrack:
+        """The pass from keyframe ``m``'s state to keyframe ``m + 1``'s."""
+        return self.track[self._at[m]:self._at[m + 1] + 1]
 
     def shared_features(self, a: int, b: int):
         """Features seen in keyframes ``a`` and ``b``: their ascending ids,
@@ -263,16 +272,11 @@ class PairTrace:
 
 def _imu_only_result(window: KeyframeWindow, status: str,
                      diagnostics: dict) -> InitializationResult:
-    """IMU-only result: the propagated body pose and velocity at every keyframe."""
-    times, poses, vels = [], [], []
-    nav = window.anchor
-    for kf in window.keyframes:
-        if kf.t > nav.t + 1e-9:
-            nav = imu_mod.propagate(nav, imu_mod.slice_between(window.imu, nav.t, kf.t))
-        times.append(kf.t)
-        poses.append(nav.pose)
-        vels.append(nav.velocity.copy())
-    return InitializationResult(status, times, poses, vels, None, None, diagnostics)
+    """IMU-only result: the pass's body pose and velocity at every keyframe."""
+    states = [window.state(k) for k in range(len(window.keyframes))]
+    return InitializationResult(status, [kf.t for kf in window.keyframes],
+                                [s.pose for s in states], [s.velocity.copy() for s in states],
+                                None, None, diagnostics)
 
 
 def run_initialization(
@@ -286,8 +290,8 @@ def run_initialization(
 
     ``imu_samples`` is the stream from the stationary prefix (where the
     world frame is anchored and the prior normal is [0, 0, 1]); the window
-    carries the IMU-only anchor at its first keyframe, propagated from that
-    prefix by :func:`planar_init.harness.select_window`.  Any stage failure
+    carries the run's one propagation pass from that prefix over its
+    keyframes (:func:`planar_init.harness.select_window`).  Any stage failure
     raises :class:`PipelineError` naming the stage (and the pairs completed
     before it); an inadequate feature count falls back to an IMU-only result.
 
@@ -318,7 +322,7 @@ def run_initialization(
         # half a sample interval (the stationarity gate saw >= 2 samples)
         t0 = float(imu_samples.t[0])
         kf0 = window.keyframes[0]
-        anchor = window.anchor
+        anchor = window.state(0)
         interval = (float(imu_samples.t[-1]) - t0) / (len(imu_samples) - 1)
         if abs(anchor.t - kf0.t) > 0.5 * interval:
             raise PipelineError("imu", "IMU stream does not reach the first keyframe")
@@ -394,12 +398,12 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     state, solution or residuals.
     """
     kf_i, kf_j = window.keyframes[m], window.keyframes[m + 1]
-    pair_imu = imu_mod.slice_between(window.imu, kf_i.t, kf_j.t)
-    if len(pair_imu) < 2:
+    pair_track = window.pair_track(m)
+    if len(pair_track) < 2:
         raise PipelineError("imu", f"no IMU coverage for pair {m}")
 
     # prior normal into the current camera frame
-    r_cam = imu_mod.integrate_camera_rotation(pair_imu, cfg.gyro_bias, rig.T_c_b)
+    r_cam = imu_mod.integrate_camera_rotation(pair_track, rig.T_c_b)
     prior = imu_mod.propagate_normal(prior, r_cam, kf_j.t)
     rel_rot = r_cam.inverse()
 

@@ -154,9 +154,6 @@ class GroundTruth:
         d = -float(cam.translation[2])  # altitude of the camera origin
         return n_c, d
 
-    def nearest_index(self, t: float) -> int:
-        return int(np.argmin(np.abs(self.t - t)))
-
 
 def generate_trajectory(profile: TrajectoryProfile) -> GroundTruth:
     """Analytic poses, velocities, and body rates on the IMU time grid."""

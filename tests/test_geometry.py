@@ -22,7 +22,9 @@ from conftest import random_rotation
 
 def zyx_rotation(roll: float, pitch: float, yaw: float) -> Rotation:
     """ZYX composition: R = Rz(yaw) Ry(pitch) Rx(roll)."""
-    return Rotation.about_z(yaw) @ Rotation.about_y(pitch) @ Rotation.about_x(roll)
+    return (Rotation.from_axis_angle([0, 0, 1], yaw)
+            @ Rotation.from_axis_angle([0, 1, 0], pitch)
+            @ Rotation.from_axis_angle([1, 0, 0], roll))
 
 
 class TestRotation:
@@ -30,7 +32,7 @@ class TestRotation:
         np.testing.assert_allclose(Rotation.identity().matrix(), np.eye(3), atol=1e-15)
 
     def test_axis_angle_matches_matrix(self):
-        r = Rotation.about_z(math.pi / 2)
+        r = Rotation.from_axis_angle([0, 0, 1], math.pi / 2)
         expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         np.testing.assert_allclose(r.matrix(), expected, atol=1e-15)
 
@@ -90,11 +92,12 @@ class TestPose:
 
     def test_compose_matches_matrix_product(self):
         # oracle: 4x4 homogeneous matrix product
-        a = Pose(Rotation.about_z(math.pi / 2), np.array([1.0, 0.0, 0.0]), "a", "w")
-        b = Pose(Rotation.about_z(math.pi / 2), np.array([1.0, 0.0, 0.0]), "b", "a")
+        quarter = Rotation.from_axis_angle([0, 0, 1], math.pi / 2)
+        a = Pose(quarter, np.array([1.0, 0.0, 0.0]), "a", "w")
+        b = Pose(quarter, np.array([1.0, 0.0, 0.0]), "b", "a")
         out = a.compose(b)
         np.testing.assert_allclose(out.matrix(), a.matrix() @ b.matrix(), atol=1e-15)
-        assert out.rotation.angle_to(Rotation.about_z(math.pi)) < 1e-12
+        assert out.rotation.angle_to(Rotation.from_axis_angle([0, 0, 1], math.pi)) < 1e-12
         np.testing.assert_allclose(out.translation, [1.0, 1.0, 0.0], atol=1e-15)
         assert out.of_frame == "b" and out.in_frame == "w"
 
@@ -105,7 +108,8 @@ class TestPose:
             a.compose(b)
 
     def test_apply(self):
-        t = Pose(Rotation.about_z(math.pi / 2), np.array([0.0, 0.0, 1.0]), "c", "w")
+        t = Pose(Rotation.from_axis_angle([0, 0, 1], math.pi / 2), np.array([0.0, 0.0, 1.0]),
+                 "c", "w")
         np.testing.assert_allclose(t.apply([1.0, 0.0, 0.0]), [0.0, 1.0, 1.0], atol=1e-15)
 
 
@@ -168,7 +172,7 @@ class TestEulerNed:
         assert e == (0.0, 0.0, 0.0, False)
 
     def test_pure_yaw(self):
-        e = to_euler_ned(Rotation.about_z(0.3))
+        e = to_euler_ned(Rotation.from_axis_angle([0, 0, 1], 0.3))
         np.testing.assert_allclose([e.roll, e.pitch, e.yaw], [0.0, 0.0, 0.3], atol=1e-15)
         assert not e.gimbal_lock
 

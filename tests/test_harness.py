@@ -25,7 +25,7 @@ from planar_init.harness import (
     splitmix64,
     trial_seed,
 )
-from planar_init.initializer import InitializationResult, STATUS_INITIALIZED
+from planar_init.initializer import InitializationResult, STATUS_INITIALIZED, run_initialization
 from planar_init.simulator import (
     FrameObservations,
     NoiseModel,
@@ -65,7 +65,7 @@ class TestSelectWindow:
         cfg = PipelineConfig()
         window = select_window(clean_vertical_dataset, cfg)
         ds = clean_vertical_dataset
-        k0 = ds.truth.nearest_index(window.keyframes[0].t)
+        k0 = int(np.argmin(np.abs(ds.truth.t - window.keyframes[0].t)))
         alt = -ds.truth.position[k0, 2]
         assert alt >= cfg.preset_height_m
         assert alt < cfg.preset_height_m + 0.2
@@ -78,22 +78,22 @@ class TestSelectWindow:
         assert np.all(np.diff(idx) == 3)
 
     def test_anchor_is_the_prefix_propagated_from_rest(self):
-        # the window's anchor, propagated frame by frame up to the gate, is
-        # the whole prefix propagated in one pass
+        # the window's anchor, read off the one pass up to the last frame, is
+        # the prefix up to the gate propagated on its own
         cfg = PipelineConfig()
         ds = make_dataset(scene_preset("asphalt"), TrajectoryProfile(kind="oblique"),
                           noise=NoiseModel(), seed=5)
         window = select_window(ds, cfg)
         t0, kf0 = float(ds.imu.t[0]), window.keyframes[0]
         rest = imu_mod.nav_state_at_rest(t0, cfg.gyro_bias, cfg.accel_bias)
-        whole = imu_mod.propagate(rest, imu_mod.slice_between(ds.imu, t0, kf0.t))
-        assert window.anchor.t == whole.t == pytest.approx(kf0.t)
-        assert window.anchor.pose.rotation.angle_to(whole.pose.rotation) < 1e-12
-        np.testing.assert_allclose(window.anchor.pose.translation, whole.pose.translation,
+        whole = imu_mod.propagate(rest, imu_mod.slice_between(ds.imu, t0, kf0.t))[-1]
+        assert window.state(0).t == whole.t == pytest.approx(kf0.t)
+        assert window.state(0).pose.rotation.angle_to(whole.pose.rotation) < 1e-12
+        np.testing.assert_allclose(window.state(0).pose.translation, whole.pose.translation,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(window.anchor.velocity, whole.velocity, rtol=0, atol=1e-12)
-        assert window.imu.t[0] == pytest.approx(kf0.t)
-        assert window.imu.t[-1] == pytest.approx(window.keyframes[-1].t)
+        np.testing.assert_allclose(window.state(0).velocity, whole.velocity, rtol=0, atol=1e-12)
+        assert window.track.t[0] == pytest.approx(kf0.t)
+        assert window.track.t[-1] == pytest.approx(window.keyframes[-1].t)
 
     @pytest.mark.parametrize("profile,height", [("vertical", 1.5), ("oblique", 1.5),
                                                 ("oblique", 0.3), ("hover", 0.0)])
@@ -105,12 +105,37 @@ class TestSelectWindow:
         nav = imu_mod.nav_state_at_rest(float(ds.imu.t[0]), cfg.gyro_bias, cfg.accel_bias)
         for fr in ds.frames:
             if fr.t > nav.t + 1e-9:
-                nav = imu_mod.propagate(nav, imu_mod.slice_between(ds.imu, nav.t, fr.t))
+                nav = imu_mod.propagate(nav, imu_mod.slice_between(ds.imu, nav.t, fr.t))[-1]
             if -nav.pose.translation[2] >= height:
                 break
         window = select_window(ds, cfg)
         assert window.keyframes[0].frame == fr.frame
-        assert window.anchor.t == nav.t
+        assert window.state(0).t == nav.t
+
+    @pytest.mark.parametrize("profile, settings, status", [
+        ("vertical", {}, "initialized"),
+        ("vertical", {"min_features": 100000}, "imu-only-fallback"),
+        ("hover", {"preset_height_m": 0.0}, "pure-rotation"),
+    ])
+    def test_one_propagation_pass_per_run(self, monkeypatch, profile, settings, status):
+        # select_window propagates once; the run reads every state it needs,
+        # IMU-only keyframes included, off that pass
+        calls = []
+        real = imu_mod.propagate
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(imu_mod, "propagate", counted)
+        cfg = PipelineConfig(**settings)
+        ds = make_dataset(scene_preset("helipad"), TrajectoryProfile(kind=profile),
+                          noise=NoiseModel(), seed=0)
+        window = select_window(ds, cfg)
+        assert calls == [len(imu_mod.slice_between(ds.imu, ds.imu.t[0], ds.frames.times[-1]))]
+        result = run_initialization(window, ds.imu, ds.rig, cfg, seed=0)
+        assert result.status == status
+        assert len(calls) == 1
 
     def test_builds_only_the_window_frames(self, monkeypatch):
         # the height gate reads frame times only; the window's frames are
@@ -354,6 +379,58 @@ def dataset_dir(tmp_path_factory):
     return root / "clean"
 
 
+@pytest.fixture(scope="module")
+def shifted_dataset_dir(tmp_path_factory):
+    """A noisy take-off with every IMU time 2.5 ms later: no sample falls on
+    a frame time, so each keyframe reads the sample half an interval before
+    it.  The gyro noise turns the body about 1e-3 rad over the window."""
+    copy = tmp_path_factory.mktemp("shifted") / "ds"
+    assert main(["generate", "--scene", "helipad", "--profile", "vertical",
+                 "--seed", "7", "--out", str(copy)]) == 0
+    imu = imu_mod.load_imu_csv(copy / "imu.csv")
+    imu_mod.save_imu_csv(copy / "imu.csv",
+                         imu_mod.ImuStream(imu.t + 0.0025, imu.gyro, imu.accel))
+    return copy
+
+
+class TestImuBetweenFrameTimes:
+    def test_imu_only_fallback_writes_its_result(self, shifted_dataset_dir, tmp_path):
+        # the fallback reads each keyframe's state off the one pass, so it
+        # no longer propagates from a state that is not on its stream
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"min_features": 100000}))
+        out = tmp_path / "run"
+        assert main(["init", "--dataset", str(shifted_dataset_dir), "--config", str(cfg),
+                     "--out", str(out)]) == 3
+        result = json.loads((out / "result.json").read_text())
+        assert result["status"] == "imu-only-fallback"
+        assert len(result["keyframes"]) == PipelineConfig().window_size
+
+    def test_pair_rotations_tile_the_pass(self, shifted_dataset_dir, monkeypatch):
+        # each pair's rotation spans its two keyframes' states, so the
+        # window's pairs chain to the pass's rotation over the whole window
+        pairs = []
+        real = imu_mod.integrate_camera_rotation
+
+        def recorded(*args):
+            pairs.append(real(*args))
+            return pairs[-1]
+
+        ds = simulator.load_dataset(shifted_dataset_dir)
+        cfg = PipelineConfig()
+        window = select_window(ds, cfg)
+        monkeypatch.setattr(imu_mod, "integrate_camera_rotation", recorded)
+        assert run_initialization(window, ds.imu, ds.rig, cfg, seed=0).initialized
+        assert len(pairs) == len(window.keyframes) - 1
+        chained = Rotation.identity()
+        for r in pairs:
+            chained = r @ chained
+        first, last = window.state(0), window.state(len(window.keyframes) - 1)
+        whole = imu_mod.camera_rotation(
+            first.pose.rotation.inverse() @ last.pose.rotation, ds.rig.T_c_b)
+        assert chained.angle_to(whole) < 1e-12
+
+
 class TestCli:
     def test_generate_deterministic_digest(self, tmp_path, capsys):
         args = ["generate", "--scene", "helipad", "--profile", "vertical",
@@ -432,6 +509,39 @@ class TestCli:
         assert "injected" in result["message"]
         assert [p["pair"] for p in result["diagnostics"]["pairs"]] == [0, 1]
         assert len(result["diagnostics"]["feature_counts"]) >= 3
+
+    @pytest.mark.parametrize("lines, stage, pairs", [
+        (401, "height-gate", None), (601, "height-gate", None),
+        (700, "imu", 2), (1000, "imu", 8),
+    ])
+    def test_init_on_a_truncated_imu_stream(self, lines, stage, pairs, dataset_dir, tmp_path):
+        # imu.csv cut to its header and lines - 1 samples: the stream ends
+        # before the climb reaches the gate, or inside the window, where the
+        # pairs it covers run and the first it does not is named
+        copy = tmp_path / "cut"
+        shutil.copytree(dataset_dir, copy)
+        rows = (copy / "imu.csv").read_bytes().splitlines(keepends=True)
+        (copy / "imu.csv").write_bytes(b"".join(rows[:lines]))
+        out = tmp_path / "run"
+        assert main(["init", "--dataset", str(copy), "--out", str(out)]) == 3
+        result = json.loads((out / "result.json").read_text())
+        assert result["status"] == f"failed:{stage}"
+        if pairs is None:
+            assert result["message"] == "[height-gate] altitude never reached 1.5 m"
+        else:
+            assert result["message"] == f"[imu] no IMU coverage for pair {pairs}"
+            assert [p["pair"] for p in result["diagnostics"]["pairs"]] == list(range(pairs))
+
+    def test_init_on_an_imu_stream_after_every_frame(self, dataset_dir, tmp_path):
+        # every frame reads the rest state, so the gate never fires
+        copy = tmp_path / "late"
+        shutil.copytree(dataset_dir, copy)
+        imu = imu_mod.load_imu_csv(copy / "imu.csv")
+        imu_mod.save_imu_csv(copy / "imu.csv",
+                             imu_mod.ImuStream(imu.t + 100.0, imu.gyro, imu.accel))
+        out = tmp_path / "run"
+        assert main(["init", "--dataset", str(copy), "--out", str(out)]) == 3
+        assert json.loads((out / "result.json").read_text())["status"] == "failed:height-gate"
 
     @pytest.mark.parametrize("bad", BAD_CONFIGS, ids=_config_id)
     def test_init_bad_config_is_a_usage_error(self, bad, dataset_dir, tmp_path, capsys):

@@ -385,7 +385,8 @@ class TestBlockLoopMatchesSequentialLoop:
 
 class TestDecompose:
     @pytest.mark.parametrize("rotation", [
-        Rotation.identity(), Rotation.about_x(0.2) @ Rotation.about_z(-0.4),
+        Rotation.identity(),
+        Rotation.from_axis_angle([1, 0, 0], 0.2) @ Rotation.from_axis_angle([0, 0, 1], -0.4),
     ], ids=["identity", "rotation"])
     def test_rotation_raises(self, rotation):
         # no translation or normal to recover; the pipeline's parallax gate
@@ -468,7 +469,7 @@ class TestFilterPositiveDepth:
         # off-axis patch: the four candidates collapse to exactly two after
         # the positive-depth test, with the true triple among them
         rng = np.random.default_rng(55)
-        r = Rotation.about_z(0.25) @ Rotation.about_x(0.1)
+        r = Rotation.from_axis_angle([0, 0, 1], 0.25) @ Rotation.from_axis_angle([1, 0, 0], 0.1)
         n = np.array([0.15, -0.1, 1.0])
         n /= np.linalg.norm(n)
         t = np.array([0.8, 0.5, -0.2])

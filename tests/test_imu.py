@@ -55,7 +55,7 @@ class TestPropagate:
         # accel = -gravity (specific force at rest), zero gyro: state unchanged
         state = nav_state_at_rest(0.0)
         samples = constant_stream([0, 0, 0], [0.0, 0.0, -9.81])
-        out = propagate(state, samples)
+        out = propagate(state, samples)[-1]
         assert np.linalg.norm(out.pose.translation) < 1e-12
         assert np.linalg.norm(out.velocity) < 1e-12
         assert out.pose.rotation.angle() < 1e-12
@@ -65,7 +65,7 @@ class TestPropagate:
         a = np.array([0.3, -0.2, 0.5])
         state = nav_state_at_rest(0.0)
         samples = constant_stream([0, 0, 0], a + [0.0, 0.0, -9.81], duration=2.0)
-        out = propagate(state, samples)
+        out = propagate(state, samples)[-1]
         np.testing.assert_allclose(out.velocity, a * 2.0, atol=1e-9)
         np.testing.assert_allclose(out.pose.translation, a * 2.0, atol=1e-9)
 
@@ -74,29 +74,57 @@ class TestPropagate:
         omega = 0.7
         state = nav_state_at_rest(0.0)
         samples = constant_stream([0, 0, omega], [0.0, 0.0, -9.81], duration=3.0)
-        out = propagate(state, samples)
-        expected = Rotation.about_z(omega * 3.0)
+        out = propagate(state, samples)[-1]
+        expected = Rotation.from_axis_angle([0, 0, 1], omega * 3.0)
         assert out.pose.rotation.angle_to(expected) < 1e-9
 
     def test_bias_correction(self):
         bg = np.array([0.01, -0.02, 0.005])
         state = nav_state_at_rest(0.0, gyro_bias=bg)
         samples = constant_stream(bg, [0.0, 0.0, -9.81], duration=2.0)
-        out = propagate(state, samples)
+        out = propagate(state, samples)[-1]
         assert out.pose.rotation.angle() < 1e-12
 
     def test_split_stream_equals_whole(self):
         samples = noisy_stream()
         state = nav_state_at_rest(0.0)
-        whole = propagate(state, samples)
+        whole = propagate(state, samples)[-1]
         for cut in (1, 137, 200, 399):
-            mid = propagate(state, part(samples, 0, cut + 1))
-            out = propagate(mid, part(samples, cut))
+            mid = propagate(state, part(samples, 0, cut + 1))[-1]
+            out = propagate(mid, part(samples, cut))[-1]
             assert abs(out.t - whole.t) < 1e-12
             np.testing.assert_allclose(out.pose.translation,
                                        whole.pose.translation, atol=1e-10)
             np.testing.assert_allclose(out.velocity, whole.velocity, atol=1e-10)
             assert out.pose.rotation.angle_to(whole.pose.rotation) < 1e-10
+
+    def test_track_holds_the_state_at_every_sample(self):
+        # item k of the track is the stream up to sample k propagated on its
+        # own, and a slice views the same arrays
+        samples = noisy_stream(seed=3)
+        state = nav_state_at_rest(0.0, gyro_bias=[0.01, -0.02, 0.005])
+        track = propagate(state, samples)
+        assert len(track) == len(samples)
+        for k in (0, 1, 137, 400):
+            alone = propagate(state, part(samples, 0, k + 1))[-1]
+            assert track[k].t == alone.t == samples.t[k]
+            np.testing.assert_array_equal(track[k].pose.rotation.quat,
+                                          alone.pose.rotation.quat)
+            np.testing.assert_array_equal(track[k].pose.translation, alone.pose.translation)
+            np.testing.assert_array_equal(track[k].velocity, alone.velocity)
+        span = track[100:201]
+        assert len(span) == 101 and span[0].t == samples.t[100]
+        assert np.shares_memory(span.position, track.position)
+        with pytest.raises(ValueError):
+            span.velocity[0, 0] = 1.0
+
+    def test_index_at_takes_the_last_sample_at_or_before(self):
+        # samples every 5 ms from 0; a time before the first sample reads
+        # the state the pass started from
+        track = propagate(nav_state_at_rest(0.0),
+                          constant_stream([0, 0, 0], [0, 0, -9.81], duration=0.1))
+        times = [-0.01, 0.0, 0.0049, 0.005 - 1e-10, 0.0075, 1.0]
+        np.testing.assert_array_equal(track.index_at(times), [0, 0, 0, 1, 1, 20])
 
     def test_matches_stepwise_recurrence(self):
         # oracle: the midpoint recurrence one interval at a time, with one
@@ -116,7 +144,7 @@ class TestPropagate:
             p = p + v * dt + 0.5 * a_w * dt * dt
             v = v + a_w * dt
             r = r_next
-        out = propagate(state, samples)
+        out = propagate(state, samples)[-1]
         assert out.t == samples.t[-1]
         np.testing.assert_allclose(out.pose.rotation.quat, r.quat, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.pose.translation, p, rtol=0, atol=1e-12)
@@ -124,7 +152,7 @@ class TestPropagate:
 
     def test_single_sample_keeps_state(self):
         state = nav_state_at_rest(0.0)
-        out = propagate(state, constant_stream([0, 0, 0], [0, 0, -9.81], duration=0.0))
+        out = propagate(state, constant_stream([0, 0, 0], [0, 0, -9.81], duration=0.0))[-1]
         assert out.t == 0.0
         np.testing.assert_array_equal(out.pose.translation, np.zeros(3))
         np.testing.assert_array_equal(out.velocity, np.zeros(3))
@@ -146,7 +174,7 @@ class TestPropagate:
         profile = TrajectoryProfile(kind="vertical", imu_rate_hz=2000.0)
         truth = generate_trajectory(profile)
         samples = synthesize_imu(truth)
-        out = propagate(nav_state_at_rest(0.0), samples)
+        out = propagate(nav_state_at_rest(0.0), samples)[-1]
         assert -truth.position[-1, 2] > 3.0  # the ascent passes 3 m
         np.testing.assert_allclose(out.pose.translation, truth.position[-1],
                                    atol=1e-6)
@@ -156,40 +184,53 @@ class TestPropagate:
         # at the hardware rate the midpoint scheme keeps sub-mm accuracy
         truth = generate_trajectory(TrajectoryProfile(kind="vertical"))
         samples = synthesize_imu(truth)
-        out = propagate(nav_state_at_rest(0.0), samples)
+        out = propagate(nav_state_at_rest(0.0), samples)[-1]
         np.testing.assert_allclose(out.pose.translation, truth.position[-1],
                                    atol=2e-4)
 
 
+def camera_rotation_over(samples, t_cb):
+    return integrate_camera_rotation(propagate(nav_state_at_rest(samples.t[0]), samples), t_cb)
+
+
 class TestCameraRotation:
     def test_zero_gyro_identity(self):
-        t_cb = Pose(Rotation.about_x(0.3), np.zeros(3), "c", "b")
+        t_cb = Pose(Rotation.from_axis_angle([1, 0, 0], 0.3), np.zeros(3), "c", "b")
         s = constant_stream([0, 0, 0], [0, 0, -9.81], duration=0.5)
-        r = integrate_camera_rotation(s, np.zeros(3), t_cb)
-        assert r.angle() < 1e-12
+        assert camera_rotation_over(s, t_cb).angle() < 1e-12
 
     def test_identity_extrinsics_matches_body(self):
         t_cb = Pose(Rotation.identity(), np.zeros(3), "c", "b")
         s = constant_stream([0, 0, 0.5], [0, 0, -9.81], duration=1.0)
-        r = integrate_camera_rotation(s, np.zeros(3), t_cb)
+        r = camera_rotation_over(s, t_cb)
         # coordinate map from frame k-1 to frame k is the inverse increment
-        assert r.angle_to(Rotation.about_z(-0.5)) < 1e-9
+        assert r.angle_to(Rotation.from_axis_angle([0, 0, 1], -0.5)) < 1e-9
 
     def test_conjugation(self):
         # oracle: explicit matrix conjugation R_c = R_cb^T Gamma^-1 R_cb
-        r_cb = Rotation.about_x(math.pi / 2)
+        r_cb = Rotation.from_axis_angle([1, 0, 0], math.pi / 2)
         t_cb = Pose(r_cb, np.zeros(3), "c", "b")
         s = constant_stream([0, 0, 0.8], [0, 0, -9.81], duration=1.0)
-        r = integrate_camera_rotation(s, np.zeros(3), t_cb)
-        gamma_inv = Rotation.about_z(-0.8).matrix()
+        r = camera_rotation_over(s, t_cb)
+        gamma_inv = Rotation.from_axis_angle([0, 0, 1], -0.8).matrix()
         expected = r_cb.matrix().T @ gamma_inv @ r_cb.matrix()
         np.testing.assert_allclose(r.matrix(), expected, atol=1e-9)
+
+    def test_consecutive_spans_compose(self):
+        # spans cut from one pass share their end states, so their rotations
+        # chain to the rotation over the whole pass
+        t_cb = Pose(Rotation.from_axis_angle([1, 1, 0], 0.4), np.zeros(3), "c", "b")
+        track = propagate(nav_state_at_rest(0.0, gyro_bias=[0.01, 0.0, -0.02]),
+                          noisy_stream(seed=4))
+        chained = Rotation.identity()
+        for a, b in ((0, 137), (137, 250), (250, 400)):
+            chained = integrate_camera_rotation(track[a:b + 1], t_cb) @ chained
+        assert chained.angle_to(integrate_camera_rotation(track, t_cb)) < 1e-12
 
     def test_empty_span_raises(self):
         t_cb = Pose(Rotation.identity(), np.zeros(3), "c", "b")
         with pytest.raises(StreamError):
-            integrate_camera_rotation(ImuStream([0.0], np.zeros((1, 3)), np.zeros((1, 3))),
-                                      np.zeros(3), t_cb)
+            camera_rotation_over(ImuStream([0.0], np.zeros((1, 3)), np.zeros((1, 3))), t_cb)
 
 
 class TestPropagateNormal:
@@ -200,7 +241,7 @@ class TestPropagateNormal:
 
     def test_axis_rotation(self):
         n = PriorNormal(np.array([0.0, 0.0, 1.0]), 0.0)
-        out = propagate_normal(n, Rotation.about_x(math.pi / 2))
+        out = propagate_normal(n, Rotation.from_axis_angle([1, 0, 0], math.pi / 2))
         np.testing.assert_allclose(out.n, [0.0, -1.0, 0.0], atol=1e-12)
 
     def test_unit_norm_over_long_chain(self):
@@ -222,7 +263,7 @@ class TestPropagateNormal:
         truth = generate_trajectory(profile)
         samples = synthesize_imu(truth)
         n = PriorNormal(np.array([0.0, 0.0, 1.0]), 0.0)
-        r = integrate_camera_rotation(samples, np.zeros(3), rig.T_c_b)
+        r = camera_rotation_over(samples, rig.T_c_b)
         n = propagate_normal(n, r, samples.t[-1])
         n_true, _ = truth.plane_in_camera(len(truth.t) - 1, rig)
         angle = math.degrees(math.acos(np.clip(float(n.n @ n_true), -1, 1)))

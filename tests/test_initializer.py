@@ -17,7 +17,7 @@ from planar_init.errors import (
 from planar_init.geometry import FrameObservations, Pose, Rotation, normalize
 from planar_init.harness import evaluate_against_dataset, run_on_dataset, select_window
 from planar_init.homography import HomographySolution, estimate
-from planar_init.imu import ImuStream, PriorNormal, nav_state_at_rest
+from planar_init.imu import ImuStream, PriorNormal, nav_state_at_rest, propagate
 from planar_init.initializer import (
     STATUS_IMU_ONLY,
     STATUS_INITIALIZED,
@@ -198,7 +198,7 @@ class TestWindowTypes:
         kfs = [FrameObservations(0, 0.0, [], [], []), FrameObservations(1, 0.0, [], [], [])]
         imu = ImuStream([0.0], np.zeros((1, 3)), np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            KeyframeWindow(kfs, imu, nav_state_at_rest(0.0))
+            KeyframeWindow(kfs, propagate(nav_state_at_rest(0.0), imu))
 
     def test_shared_features(self, clean_vertical_dataset):
         window = select_window(clean_vertical_dataset, PipelineConfig())
@@ -229,7 +229,8 @@ class TestRefineBodyVelocity:
         # at the later one give the true (constant) climb velocity
         ds = clean_vertical_dataset
         window = select_window(ds, PipelineConfig())
-        k_i, k_j = (ds.truth.nearest_index(kf.t) for kf in window.keyframes[:2])
+        k_i, k_j = (int(np.argmin(np.abs(ds.truth.t - kf.t)))
+                    for kf in window.keyframes[:2])
         out = refine_body_velocity(window, 0, ds.truth.body_pose(k_i),
                                    ds.truth.camera_pose(k_j, ds.rig), ds.rig)
         np.testing.assert_allclose(out, ds.truth.velocity[k_i], rtol=0.0, atol=1e-12)
@@ -239,7 +240,8 @@ class TestRefineBodyVelocity:
         ds = clean_vertical_dataset
         window = select_window(ds, PipelineConfig())
         still = Pose(Rotation.identity(), np.zeros(3), "b", "w")
-        turned = Pose(Rotation.about_z(0.5) @ Rotation.about_x(0.2), np.zeros(3), "b", "w")
+        turned = Pose(Rotation.from_axis_angle([0, 0, 1], 0.5)
+                      @ Rotation.from_axis_angle([1, 0, 0], 0.2), np.zeros(3), "b", "w")
         out = refine_body_velocity(window, 0, still, turned @ ds.rig.T_c_b, ds.rig)
         np.testing.assert_allclose(out, np.zeros(3), rtol=0.0, atol=1e-15)
 
@@ -267,7 +269,7 @@ class TestRunInitialization:
         result = run_on_dataset(ds, PipelineConfig(), seed=0)
         assert result.status == STATUS_INITIALIZED
         for t, pose, v in zip(result.keyframe_times, result.poses, result.velocities):
-            k = ds.truth.nearest_index(t)
+            k = int(np.argmin(np.abs(ds.truth.t - t)))
             true_b = ds.truth.body_pose(k).rotation.inverse().apply(ds.truth.velocity[k])
             np.testing.assert_allclose(pose.rotation.inverse().apply(v), true_b,
                                        rtol=0.0, atol=1e-9)
@@ -289,7 +291,7 @@ class TestRunInitialization:
     def test_scale_matches_plane_distance(self, clean_vertical_dataset):
         ds = clean_vertical_dataset
         result = run_on_dataset(ds, PipelineConfig(), seed=0)
-        k = ds.truth.nearest_index(result.keyframe_times[1])
+        k = int(np.argmin(np.abs(ds.truth.t - result.keyframe_times[1])))
         _, d_true = ds.truth.plane_in_camera(k, ds.rig)
         assert abs(result.scale - d_true) / d_true < 1e-6
 
@@ -397,7 +399,7 @@ class TestRunInitialization:
                 result = run_on_dataset(ds, PipelineConfig(), seed=seed)
                 assert result.status == STATUS_INITIALIZED, (scene, seed)
                 tr = ds.truth
-                idx = [tr.nearest_index(t) for t in result.keyframe_times]
+                idx = [int(np.argmin(np.abs(tr.t - t))) for t in result.keyframe_times]
                 for a, b in zip(idx, idx[1:]):
                     rel = tr.camera_pose(a, ds.rig).invert() @ tr.camera_pose(b, ds.rig)
                     t = rel.translation
@@ -494,8 +496,9 @@ class TestRunInitialization:
         # the 200 Hz stream allows the anchor 2.5 ms from the first keyframe
         ds = clean_vertical_dataset
         window = select_window(ds, PipelineConfig())
-        anchor = replace(window.anchor, t=window.anchor.t - shift_s)
-        moved = KeyframeWindow(window.keyframes, window.imu, anchor)
+        t = window.track.t.copy()
+        t[0] -= shift_s
+        moved = KeyframeWindow(window.keyframes, replace(window.track, t=t))
         if reaches:
             assert run_initialization(moved, ds.imu, ds.rig, PipelineConfig(), seed=0).initialized
             return
@@ -579,7 +582,7 @@ class TestRunInitialization:
         # the first keyframe's pose is the IMU-only propagated anchor
         ds = clean_vertical_dataset
         result = run_on_dataset(ds, PipelineConfig(), seed=0)
-        k0 = ds.truth.nearest_index(result.keyframe_times[0])
+        k0 = int(np.argmin(np.abs(ds.truth.t - result.keyframe_times[0])))
         np.testing.assert_allclose(result.poses[0].translation,
                                    ds.truth.position[k0], atol=1e-4)
 

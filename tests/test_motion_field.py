@@ -18,7 +18,8 @@ class TestRefineVelocity:
         # constant acceleration: the displacement over dt is the velocity at
         # the midpoint, whatever the attitudes at either end
         a, v0, dt = np.array([0.4, -0.2, -1.0]), np.array([0.3, 0.1, -0.5]), 0.25
-        prev = body([1.0, 2.0, -1.5], Rotation.about_z(0.3))
-        curr = body(prev.translation + v0 * dt + 0.5 * a * dt * dt, Rotation.about_x(0.2))
+        prev = body([1.0, 2.0, -1.5], Rotation.from_axis_angle([0, 0, 1], 0.3))
+        curr = body(prev.translation + v0 * dt + 0.5 * a * dt * dt,
+                    Rotation.from_axis_angle([1, 0, 0], 0.2))
         np.testing.assert_allclose(refine_velocity(prev, curr, dt), v0 + 0.5 * a * dt,
                                    rtol=0.0, atol=1e-12)

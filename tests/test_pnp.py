@@ -32,9 +32,9 @@ def refine_pose_reference(points_w, obs, rotation, weights=None, passes=4):
 
 def make_view(rng, n_points=100, coplanar=True, altitude=2.0, max_tilt=0.2):
     """Camera above the ground plane looking down; returns (pts, obs, pose)."""
-    r_cw = (Rotation.about_x(rng.uniform(-max_tilt, max_tilt))
-            @ Rotation.about_y(rng.uniform(-max_tilt, max_tilt))
-            @ Rotation.about_z(rng.uniform(-np.pi, np.pi)))
+    r_cw = (Rotation.from_axis_angle([1, 0, 0], rng.uniform(-max_tilt, max_tilt))
+            @ Rotation.from_axis_angle([0, 1, 0], rng.uniform(-max_tilt, max_tilt))
+            @ Rotation.from_axis_angle([0, 0, 1], rng.uniform(-np.pi, np.pi)))
     cam_pos = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), -altitude])
     r_wc = r_cw.matrix().T
     t_wc = -r_wc @ cam_pos

@@ -345,7 +345,7 @@ class TestSynthesizeImu:
         profile = TrajectoryProfile(kind="oblique", imu_rate_hz=2000.0)
         truth = generate_trajectory(profile)
         samples = synthesize_imu(truth)
-        out = propagate(nav_state_at_rest(0.0), samples)
+        out = propagate(nav_state_at_rest(0.0), samples)[-1]
         np.testing.assert_allclose(out.pose.translation, truth.position[-1], atol=1e-5)
 
     def test_seed_determinism(self):
@@ -395,8 +395,11 @@ class TestDatasetIo:
 
     @staticmethod
     def rewrite_features(path, edit):
-        lines = (path / "features.csv").read_text().splitlines(keepends=True)
-        (path / "features.csv").write_text("".join(lines[:1] + edit(lines[1:])))
+        """Rewrite the data rows of ``features.csv`` through ``edit``, as the
+        bytes ``write_dataset`` wrote them, CRLF line ends included."""
+        lines = (path / "features.csv").read_bytes().splitlines(keepends=True)
+        assert lines[0].endswith(b"\r\n")
+        (path / "features.csv").write_bytes(b"".join(lines[:1] + edit(lines[1:])))
 
     def test_shuffled_rows_load_the_same_frames(self, tmp_path, rig):
         ds = make_dataset(scene_preset("asphalt"),
@@ -437,7 +440,7 @@ class TestDatasetIo:
                           rig=rig, noise=NoiseModel(), seed=8)
         write_dataset(tmp_path / "a", ds)
         n_rows = sum(len(fr.ids) for fr in ds.frames)
-        self.rewrite_features(tmp_path / "a", lambda rows: rows + [row + "\r\n"])
+        self.rewrite_features(tmp_path / "a", lambda rows: rows + [row.encode() + b"\r\n"])
         with pytest.raises(ValueError, match=f"data row {n_rows + 1}: {message}"):
             load_dataset(tmp_path / "a")
 
@@ -453,7 +456,7 @@ class TestDatasetIo:
                           rig=rig, noise=NoiseModel(), seed=8)
         write_dataset(tmp_path / "a", ds)
         n_rows = sum(len(fr.ids) for fr in ds.frames)
-        self.rewrite_features(tmp_path / "a", lambda rows: rows + [row + "\r\n"])
+        self.rewrite_features(tmp_path / "a", lambda rows: rows + [row.encode() + b"\r\n"])
         with pytest.raises(ValueError, match=f"data row {n_rows + 1}: {message}"):
             load_dataset(tmp_path / "a")
 
@@ -465,10 +468,10 @@ class TestDatasetIo:
         spoiled = []
 
         def spoil(rows):
-            k = [n for n, row in enumerate(rows) if row.startswith("56,")][2]
+            k = [n for n, row in enumerate(rows) if row.startswith(b"56,")][2]
             spoiled.append(k)
-            head, _ = rows[k].rsplit(",", 1)
-            return rows[:k] + [f"{head},4.0x\n"] + rows[k + 1:]
+            head, _ = rows[k].rsplit(b",", 1)
+            return rows[:k] + [head + b",4.0x\r\n"] + rows[k + 1:]
 
         self.rewrite_features(tmp_path / "a", spoil)
         k = spoiled[0]
@@ -490,8 +493,8 @@ class TestDatasetIo:
         k = sum(len(fr.ids) for fr in ds.frames) // 2
 
         def retime(rows):
-            frame, _, rest = rows[k].split(",", 2)
-            return rows[:k] + [f"{frame},999.5,{rest}"] + rows[k + 1:]
+            frame, _, rest = rows[k].split(b",", 2)
+            return rows[:k] + [frame + b",999.5," + rest] + rows[k + 1:]
 
         self.rewrite_features(tmp_path / "a", retime)
         with pytest.raises(ValueError,
