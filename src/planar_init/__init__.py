@@ -28,10 +28,8 @@ from .imu import (
     ImuStream,
     NavState,
     NavTrack,
-    PriorNormal,
     integrate_camera_rotation,
     propagate,
-    propagate_normal,
 )
 from .initializer import (
     InitializationResult,

@@ -67,16 +67,6 @@ class Rotation:
         return cls(np.concatenate(([math.cos(half)], math.sin(half) * a / n)))
 
     @classmethod
-    def from_rotvec(cls, rotvec) -> "Rotation":
-        """Exponential map; safe for small angles."""
-        r = _as_vec3(rotvec)
-        angle = float(np.linalg.norm(r))
-        if angle < 1e-12:
-            # second-order expansion of cos/sinc around zero
-            return cls(np.concatenate(([1.0 - angle * angle / 8.0], 0.5 * r)))
-        return cls.from_axis_angle(r, angle)
-
-    @classmethod
     def from_matrix(cls, m) -> "Rotation":
         """Shepperd's method: branch on the largest diagonal term."""
         m = np.asarray(m, dtype=np.float64)
@@ -173,10 +163,6 @@ class Pose:
         t.setflags(write=False)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls, frame: str = "w") -> "Pose":
-        return cls(Rotation.identity(), np.zeros(3), frame, frame)
-
     def compose(self, other: "Pose") -> "Pose":
         if other.in_frame != self.of_frame:
             raise FrameMismatchError(
@@ -199,12 +185,6 @@ class Pose:
 
     def apply(self, p) -> np.ndarray:
         return self.rotation.apply(p) + self.translation
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation.matrix()
-        m[:3, 3] = self.translation
-        return m
 
 
 def quat_matrices(quats: np.ndarray) -> np.ndarray:

@@ -19,10 +19,10 @@ from .config import PipelineConfig
 from .errors import AlignmentError, PipelineError
 from .geometry import CameraRig, Rotation, to_euler_ned
 from .homography import decompose, filter_positive_depth, synthesize
-from .imu import PriorNormal
 from .initializer import (
     InitializationResult,
     KeyframeWindow,
+    prior_normal,
     run_initialization,
     select_solution,
 )
@@ -57,20 +57,22 @@ def trial_seed(master_seed: int, index: int) -> int:
 def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
     """Gather the keyframe window after the IMU-only height gate fires.
 
-    Propagates the IMU stream once, from rest up to the last camera frame,
-    fires the gate at the first frame whose state (the last sample at or
-    before the frame time) has gained the preset height, and takes every
-    ``keyframe_stride``-th frame from there, up to ``window_size``.  The
-    window carries that pass from its first keyframe to its last.
+    Propagates the IMU stream once, from rest to one sample past the last
+    camera frame, fires the gate at the first frame whose state (the
+    nearest sample to the frame time) has gained the preset height, and
+    takes every ``keyframe_stride``-th frame from there, up to
+    ``window_size``.  The window carries that pass from its first keyframe
+    to its last.
     """
     frames = dataset.frames
     imu = dataset.imu
     if not frames:
         raise PipelineError("height-gate", "dataset has no camera frames")
     rest = imu_mod.nav_state_at_rest(float(imu.t[0]), config.gyro_bias, config.accel_bias)
-    # the slice keeps the first sample even when every frame precedes it
-    track = imu_mod.propagate(
-        rest, imu_mod.slice_between(imu, rest.t, max(frames.times[-1], rest.t)))
+    # the pass ends one sample past the last frame, so that sample can be
+    # the nearest, and keeps the first sample even when every frame precedes it
+    end = min(int(np.searchsorted(imu.t, frames.times[-1], side="right")), len(imu) - 1)
+    track = imu_mod.propagate(rest, imu_mod.slice_between(imu, rest.t, float(imu.t[end])))
     at_frame = track.index_at(frames.times)
     gain = rest.pose.translation[2] - track.position[at_frame, 2]
     fired = np.flatnonzero(gain >= config.preset_height_m)
@@ -265,23 +267,22 @@ def selection_trial(profile_kind: str, seed: int,
     n_j, d_j = truth.plane_in_camera(k_j, rig)
     h_true = synthesize(rel.rotation, rel.translation, n_j, d_j).reassemble()
 
-    # prior normal from the noisy gyro chain, stationary start -> time j
+    # prior normal from the noisy gyro pass, stationary start -> time j: the
+    # world vertical seen from camera j at the pass's last attitude
     rest = imu_mod.nav_state_at_rest(float(imu.t[0]), cfg.gyro_bias, cfg.accel_bias)
     track = imu_mod.propagate(rest, imu_mod.slice_between(imu, rest.t, truth.t[k_j]))
-    r_cam = imu_mod.integrate_camera_rotation(track, rig.T_c_b)
-    prior = imu_mod.propagate_normal(
-        PriorNormal(np.array([0.0, 0.0, 1.0]), float(imu.t[0])), r_cam, truth.t[k_j])
+    n_prior = prior_normal(Rotation(track.quat[-1]) @ rig.T_c_b.rotation)
 
     # candidates from the exact homography, pruned by positive depth
     candidates = decompose(h_true)
     survivors = filter_positive_depth(candidates, _plane_points(h_true, n_j, rng, count=20))
-    selection = select_solution(prior, survivors)
+    selection = select_solution(n_prior, survivors)
 
     truth_angle = min(
         math.acos(np.clip(float(c.n @ n_j), -1.0, 1.0)) for c in survivors)
     sel_angle = math.acos(np.clip(float(selection.solution.n @ n_j), -1.0, 1.0))
     success = bool(sel_angle <= truth_angle + 1e-9)
-    prior_err = math.acos(np.clip(float(prior.n @ n_j), -1.0, 1.0))
+    prior_err = math.acos(np.clip(float(n_prior @ n_j), -1.0, 1.0))
     if len(survivors) == 2:
         gap = math.acos(np.clip(float(survivors[0].n @ survivors[1].n), -1.0, 1.0))
     else:

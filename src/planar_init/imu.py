@@ -2,15 +2,18 @@
 
 Midpoint (trapezoidal) integration between consecutive samples; biases
 are held constant.  Gravity is the world-frame constant ``GRAVITY_NED``,
-down-positive along +z: the prior normal n_0 = [0, 0, 1] assumes it.
+down-positive along +z, and the world frame is the body frame at rest:
+the ground plane's normal is world +z, and a camera sees it through the
+attitude the pass holds at its frame.
 
 A stream is held as arrays (:class:`ImuStream`), and so is the state at
 every sample of a pass (:class:`NavTrack`), which a run computes once and
-reads all its IMU motion off.  Propagation computes every interval's
-rotation increment in one vectorized step; only the quaternion chain runs
-sample by sample, on plain floats.  The world-rotated specific force then
-comes from one batched product, and velocity and position from
-cumulative sums of the midpoint recurrence.
+reads all its IMU motion off: each keyframe's attitude, position and
+velocity, and the rotation between two keyframes.  Propagation computes
+every interval's rotation increment in one vectorized step; only the
+quaternion chain runs sample by sample, on plain floats.  The
+world-rotated specific force then comes from one batched product, and
+velocity and position from cumulative sums of the midpoint recurrence.
 """
 
 from __future__ import annotations
@@ -128,27 +131,16 @@ class NavTrack:
                         self.velocity[k], self.gyro_bias, self.accel_bias)
 
     def index_at(self, times) -> np.ndarray:
-        """Index of the state at each of ``times``: the last sample at or
-        before it (within ``SLICE_TOL_S``), and 0 before the first sample,
-        where the pass starts from its given state."""
-        at = np.searchsorted(self.t, np.asarray(times) + SLICE_TOL_S, side="right") - 1
-        return np.maximum(at, 0)
-
-
-@dataclass(frozen=True)
-class PriorNormal:
-    """Unit plane normal in the current left-camera frame."""
-
-    n: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        v = np.asarray(self.n, dtype=np.float64).reshape(3).copy()
-        nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > 1e-9:
-            v = v / nrm
-        v.setflags(write=False)
-        object.__setattr__(self, "n", v)
+        """Index of the state at each of ``times``: the nearest sample, the
+        earlier of two within ``SLICE_TOL_S`` of a tie; a time before the
+        first sample reads the state the pass started from."""
+        times = np.asarray(times, dtype=np.float64)
+        if len(self.t) == 1:
+            return np.zeros(times.shape, dtype=np.intp)
+        after = np.clip(np.searchsorted(self.t, times), 1, len(self.t) - 1)
+        before = after - 1
+        nearer = self.t[after] - times < times - self.t[before] - SLICE_TOL_S
+        return np.where(nearer, after, before)
 
 
 def _require(samples, count: int, what: str) -> None:
@@ -162,7 +154,7 @@ def _increments(samples: ImuStream, gyro_bias) -> np.ndarray:
     """Unit quaternions (N-1, 4) of each interval's bias-corrected mean gyro.
 
     The exponential map of ``omega * dt``; below 1e-12 rad the vector part
-    is ``rotvec / 2``, as in :meth:`Rotation.from_rotvec`.
+    is ``rotvec / 2``, the limit of ``rotvec * sin(angle / 2) / angle``.
     """
     dt = np.diff(samples.t)[:, None]
     rotvec = (0.5 * (samples.gyro[:-1] + samples.gyro[1:]) - gyro_bias) * dt
@@ -224,17 +216,6 @@ def propagate(state: NavState, samples: ImuStream) -> NavTrack:
     return NavTrack(samples.t, quats, p, v, b_g, b_a)
 
 
-def camera_rotation(body_delta: Rotation, T_c_b: Pose) -> Rotation:
-    """Camera coordinate map from time i to time j for a body attitude change.
-
-    ``body_delta`` is the body attitude at j in the body frame at i
-    (R_bj^bi); the result maps camera coordinates at i to camera
-    coordinates at j (the convention used to chain the prior plane normal).
-    """
-    r_cb = T_c_b.rotation
-    return r_cb.inverse() @ body_delta.inverse() @ r_cb
-
-
 def integrate_camera_rotation(track: NavTrack, T_c_b: Pose) -> Rotation:
     """The body attitude change over a span of a pass, in the camera frame.
 
@@ -244,16 +225,10 @@ def integrate_camera_rotation(track: NavTrack, T_c_b: Pose) -> Rotation:
     their union.
     """
     _require(track, 2, "integrate rotation")
+    # the body attitude at the last state in the body frame at the first
     gamma = Rotation(track.quat[0]).inverse() @ Rotation(track.quat[-1])
-    return camera_rotation(gamma, T_c_b)
-
-
-def propagate_normal(n_prev: PriorNormal, rotation: Rotation,
-                     t: float | None = None) -> PriorNormal:
-    """Chain the prior plane normal into the next camera frame, renormalized."""
-    n = rotation.apply(n_prev.n)
-    n = n / np.linalg.norm(n)
-    return PriorNormal(n, n_prev.t if t is None else t)
+    r_cb = T_c_b.rotation
+    return r_cb.inverse() @ gamma.inverse() @ r_cb
 
 
 STATIONARY_WINDOW_S = 0.5
@@ -266,16 +241,17 @@ STATIONARY_ACCEL_TOL = 0.05
 
 STATIONARY_GYRO_TOL = 0.01
 """Largest mean angular rate, rad/s: over 30 times the mean's noise at the
-default IMU noise; turning this fast tilts n_0 by 0.3 deg in the window."""
+default IMU noise; turning this fast tilts the body by 0.3 deg in the window."""
 
 SLICE_TOL_S = 1e-9
 """Seconds by which :func:`slice_between` widens [t0, t1] at both ends, and
-:meth:`NavTrack.index_at` a frame time, to keep a sample off a keyframe
-time by rounding alone; far below 5 ms."""
+by which :meth:`NavTrack.index_at` counts two samples as equally near, so
+that rounding alone neither drops a sample on a keyframe time nor picks
+between two; far below 5 ms."""
 
 
 def is_stationary(samples: ImuStream) -> bool:
-    """Stationarity gate for the n_0 = [0, 0, 1] assumption.
+    """Stationarity gate for anchoring the world frame at the body at rest.
 
     Averages the first ``STATIONARY_WINDOW_S`` seconds: mean accel
     magnitude within ``STATIONARY_ACCEL_TOL * g`` of g (``GRAVITY_NED``)

@@ -4,14 +4,15 @@ velocity from the metric displacement, and the window-level orchestration.
 Per consecutive keyframe pair (previous ``i``, current ``j``) the pipeline
 fits the homography H = R + t_bar n^T mapping the *current* view onto the
 *previous* one with the gyro rotation R and the prior normal n held fixed:
-n lives in the current camera frame, where the gyro-propagated prior is
-maintained, and the one unknown t_bar is the current camera's position in
-the previous camera frame over the plane distance.  PnP against stereo
-points triangulated at the previous keyframe supplies the metric
-counterpart of that translation, and their least-squares ratio is the
-scale.  The PnP camera centre's displacement over the pair interval is
-the body velocity: the paper's motion-field constraint integrated over
-the interval.
+n is the world vertical seen from the current camera, whose attitude the
+run's one IMU pass holds, and the one unknown t_bar is the current
+camera's position in the previous camera frame over the plane distance.
+PnP against stereo points triangulated at the previous keyframe supplies
+the metric counterpart of that translation, and their least-squares ratio
+is the scale.  The PnP camera centre's displacement over the pair interval
+is the body velocity: the paper's motion-field constraint integrated over
+the interval.  Every keyframe's attitude is the pass's; the visual chain
+carries only the camera position, c_j = c_i + R_ci (s t_bar).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .homography import (
     filter_positive_depth,
     indicator,
 )
-from .imu import NavState, NavTrack, PriorNormal
+from .imu import NavState, NavTrack
 from .motion_field import refine_velocity
 from .pnp import PnpSystem, refine_pose, solve_pnp
 from .weighting import stereo_deviation, weight
@@ -89,6 +90,17 @@ class KeyframeWindow:
                               assume_unique=True, return_indices=True)
 
 
+_DOWN = np.array([0.0, 0.0, 1.0])
+_DOWN.setflags(write=False)
+
+
+def prior_normal(camera_attitude: Rotation) -> np.ndarray:
+    """The prior plane normal (3,): the world vertical +z, the ground
+    plane's normal, in the frame of a camera of attitude ``camera_attitude``
+    (camera into world coordinates)."""
+    return camera_attitude.inverse().apply(_DOWN)
+
+
 @dataclass(frozen=True)
 class Selection:
     """Outcome of the prior-normal disambiguation."""
@@ -98,8 +110,9 @@ class Selection:
     distances: tuple
 
 
-def select_solution(n_prior: PriorNormal, candidates: list[HomographySolution]) -> Selection:
-    """Pick the candidate whose plane normal is closest to the prior.
+def select_solution(n_prior: np.ndarray, candidates: list[HomographySolution]) -> Selection:
+    """Pick the candidate whose plane normal is closest to the unit prior
+    normal ``n_prior`` (3,).
 
     Ties go to the first candidate.  The margin, reported for
     diagnostics, is the gap between the two smallest distances; it is
@@ -107,7 +120,7 @@ def select_solution(n_prior: PriorNormal, candidates: list[HomographySolution]) 
     """
     if not candidates:
         raise NoSolutionError("no homography solutions to select from")
-    dists = tuple(float(np.linalg.norm(n_prior.n - c.n)) for c in candidates)
+    dists = tuple(float(np.linalg.norm(n_prior - c.n)) for c in candidates)
     if len(candidates) == 1:
         return Selection(candidates[0], math.inf, dists)
     order = int(np.argmin(dists))
@@ -288,10 +301,11 @@ def run_initialization(
 ) -> InitializationResult:
     """Execute the full pipeline on a gathered keyframe window.
 
-    ``imu_samples`` is the stream from the stationary prefix (where the
-    world frame is anchored and the prior normal is [0, 0, 1]); the window
-    carries the run's one propagation pass from that prefix over its
-    keyframes (:func:`planar_init.harness.select_window`).  Any stage failure
+    ``imu_samples`` is the stream from the stationary prefix, where the
+    world frame is anchored at the body at rest; the window carries the
+    run's one propagation pass from that prefix over its keyframes
+    (:func:`planar_init.harness.select_window`), and every keyframe's
+    attitude and prior normal are read off it.  Any stage failure
     raises :class:`PipelineError` naming the stage (and the pairs completed
     before it); an inadequate feature count falls back to an IMU-only result.
 
@@ -318,13 +332,13 @@ def run_initialization(
         if not imu_mod.is_stationary(imu_samples):
             raise PipelineError("stationarity", "stream does not start at rest")
 
-        # IMU-only anchor at the first keyframe (the height-gate instant), within
-        # half a sample interval (the stationarity gate saw >= 2 samples)
+        # IMU-only anchor at the first keyframe (the height-gate instant): its
+        # nearest sample, within half a sample interval up to rounding (the
+        # stationarity gate saw >= 2 samples)
         t0 = float(imu_samples.t[0])
-        kf0 = window.keyframes[0]
         anchor = window.state(0)
         interval = (float(imu_samples.t[-1]) - t0) / (len(imu_samples) - 1)
-        if abs(anchor.t - kf0.t) > 0.5 * interval:
+        if abs(anchor.t - window.keyframes[0].t) > 0.5 * interval + imu_mod.SLICE_TOL_S:
             raise PipelineError("imu", "IMU stream does not reach the first keyframe")
         timings["anchor_s"] = time.perf_counter() - t_start
 
@@ -332,29 +346,21 @@ def run_initialization(
         if min(counts) < cfg.min_features:
             return _imu_only_result(window, STATUS_IMU_ONLY, diag)
 
-        # prior normal chained from the stationary instant to the first keyframe
-        # (the world frame is the body frame at rest, so the anchor's attitude
-        # is the body rotation since t0)
-        prior = PriorNormal(np.array([0.0, 0.0, 1.0]), t0)
-        if anchor.t > t0:
-            r_pre = imu_mod.camera_rotation(anchor.pose.rotation, rig.T_c_b)
-            prior = imu_mod.propagate_normal(prior, r_pre, kf0.t)
-
-        nav = anchor
+        cam = anchor.pose @ rig.T_c_b
         poses: list[Pose] = [anchor.pose]
         velocities: list[np.ndarray] = []
         for m in range(len(window.keyframes) - 1):
             t_pair = time.perf_counter()
-            trace, nav, prior, selected, pair_residuals = _initialize_pair(
-                window, m, nav, prior, rig, cfg, rng)
+            trace, cam, velocity, selected, pair_residuals = _initialize_pair(
+                window, m, cam.translation, rig, cfg, rng)
             trace = replace(trace, pair_s=time.perf_counter() - t_pair)
             diag["pairs"].append(dict(vars(trace)))
-            if nav is None:
+            if cam is None:
                 # the gate found no parallax above noise: no translation to recover
                 return _imu_only_result(window, STATUS_PURE_ROTATION, diag)
             residuals.append(pair_residuals)
-            poses.append(nav.pose)
-            velocities.append(nav.velocity)
+            poses.append(cam @ rig.T_b_c)
+            velocities.append(velocity)
             if m == 0:
                 first_selection = selected
 
@@ -385,27 +391,30 @@ def _percentiles(values: np.ndarray) -> dict:
     }
 
 
-def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
-                     prior: PriorNormal, rig: CameraRig, cfg: PipelineConfig,
-                     rng: np.random.Generator):
+def _initialize_pair(window: KeyframeWindow, m: int, c_prev: np.ndarray,
+                     rig: CameraRig, cfg: PipelineConfig, rng: np.random.Generator):
     """One keyframe pair (previous ``m``, current ``m + 1``) of the chain.
 
-    Returns the pair's :class:`PairTrace`, the navigation state and prior
-    normal at the current keyframe, the fitted (R, t_bar, n), and the
-    planarity indicator's residuals over the pair's correspondences.  A
-    pure-rotation pair, whose derotated parallax is below the RANSAC
-    threshold, returns a trace of that parallax alone, and no navigation
-    state, solution or residuals.
+    ``c_prev`` is the previous camera's chained position in the world.
+    Returns the pair's :class:`PairTrace`, the current camera's pose
+    (c -> w), the mean body velocity over the pair, the fitted
+    (R, t_bar, n), and the planarity indicator's residuals over the pair's
+    correspondences.  A pure-rotation pair, whose derotated parallax is
+    below the RANSAC threshold, returns a trace of that parallax alone, and
+    no pose, velocity, solution or residuals.
     """
     kf_i, kf_j = window.keyframes[m], window.keyframes[m + 1]
     pair_track = window.pair_track(m)
     if len(pair_track) < 2:
         raise PipelineError("imu", f"no IMU coverage for pair {m}")
 
-    # prior normal into the current camera frame
-    r_cam = imu_mod.integrate_camera_rotation(pair_track, rig.T_c_b)
-    prior = imu_mod.propagate_normal(prior, r_cam, kf_j.t)
-    rel_rot = r_cam.inverse()
+    # both cameras' attitudes and the prior normal, the world vertical seen
+    # from the current camera, are the pass's; the gyro rotation between them
+    # maps the current camera frame into the previous one
+    r_ci = window.state(m).pose.rotation @ rig.T_c_b.rotation
+    r_cj = window.state(m + 1).pose.rotation @ rig.T_c_b.rotation
+    n_prior = prior_normal(r_cj)
+    rel_rot = imu_mod.integrate_camera_rotation(pair_track, rig.T_c_b).inverse()
 
     # homography from the current view onto the previous one: row k of
     # p_src / p_dst is feature fids[k] in the current / previous keyframe
@@ -420,12 +429,12 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     # pipeline counts as noise) has no observable translation
     parallax = _derotated_parallax(p_src, p_dst, rel_rot)
     if parallax < cfg.ransac_threshold:
-        return PairTrace(pair=m, parallax=parallax), None, prior, None, None
+        return PairTrace(pair=m, parallax=parallax), None, None, None, None
 
     t_stage = time.perf_counter()
     try:
         fit, inlier_mask = estimate(
-            p_src, p_dst, rel_rot, prior.n, threshold=cfg.ransac_threshold,
+            p_src, p_dst, rel_rot, n_prior, threshold=cfg.ransac_threshold,
             confidence=cfg.ransac_confidence,
             max_iters=cfg.ransac_max_iters, seed=rng)
     except PlanarInitError as exc:
@@ -442,7 +451,7 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
         raise PipelineError("homography", str(exc)) from exc
     except InconsistentDataError as exc:
         raise PipelineError("cheirality", str(exc)) from exc
-    selection = select_solution(prior, survivors)
+    selection = select_solution(n_prior, survivors)
 
     # the reliable inliers are triangulated at the previous keyframe in one
     # call; the metric step is solved in world axes centred on the previous
@@ -452,16 +461,15 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
     used = used[_reliable(kf_i, rows_i[used], cfg.min_disparity_px)]
     ri, rj = rows_i[used], rows_j[used]
     p_c = triangulate_stereo(kf_i.uv_l[ri], kf_i.uv_r[ri], rig)
-    cam_prev = nav_prev.pose @ rig.T_c_b
-    body_prev = Pose(cam_prev.rotation, np.zeros(3), "c", "w") @ rig.T_b_c
-    points = cam_prev.rotation.apply(p_c)
+    body_prev = Pose(r_ci, np.zeros(3), "c", "w") @ rig.T_b_c
+    points = r_ci.apply(p_c)
     obs_j = p_src[used]
     if len(points) < 4:
         raise PipelineError("pnp", f"only {len(points)} usable stereo points in pair {m}")
-    # the current camera's rotation comes from the gyro chain; PnP solves
-    # only for its centre, and every fit below re-weights one system
+    # the current camera's rotation is the pass's; PnP solves only for its
+    # centre, and every fit below re-weights one system
     t_stage = time.perf_counter()
-    system = PnpSystem(points, obs_j, cam_prev.rotation @ rel_rot)
+    system = PnpSystem(points, obs_j, r_cj)
     try:
         t_pnp, pnp_mask = solve_pnp(system, threshold=cfg.pnp_ransac_threshold)
     except PlanarInitError as exc:
@@ -491,9 +499,8 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
         if s <= 0.0:
             raise PipelineError("scale", f"backwards scale {s:.6g} in pair {m}")
 
-    # chain the metric pose: T_cj^w = T_ci^w o (R, s t_bar)
-    rel = Pose(rel_rot, s * fit.t_bar, "c", "c")
-    body_curr = (cam_prev @ rel) @ rig.T_b_c
+    # chain the metric position: c_j = c_i + R_ci (s t_bar)
+    cam_curr = Pose(r_cj, c_prev + r_ci.apply(s * fit.t_bar), "c", "w")
 
     trace = PairTrace(
         pair=m,
@@ -509,9 +516,7 @@ def _initialize_pair(window: KeyframeWindow, m: int, nav_prev: NavState,
         homography_s=homography_s,
         pnp_s=pnp_s,
     )
-    nav_curr = NavState(kf_j.t, body_curr, velocity,
-                        nav_prev.gyro_bias, nav_prev.accel_bias)
-    return trace, nav_curr, prior, fit, residuals
+    return trace, cam_curr, velocity, fit, residuals
 
 
 def _derotated_parallax(p_src: np.ndarray, p_dst: np.ndarray,

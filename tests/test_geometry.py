@@ -69,8 +69,8 @@ class TestRotation:
         batch = rng.normal(size=(5, 3))
         np.testing.assert_allclose(r.apply(batch), batch @ r.matrix().T, atol=1e-14)
 
-    def test_rotvec_small_angle(self):
-        r = Rotation.from_rotvec(np.array([1e-14, 0.0, 0.0]))
+    def test_axis_angle_small_angle(self):
+        r = Rotation.from_axis_angle([1.0, 0.0, 0.0], 1e-14)
         assert r.angle() < 1e-13
 
 
@@ -78,7 +78,7 @@ class TestPose:
     def test_compose_identity(self):
         rng = np.random.default_rng(4)
         t = Pose(random_rotation(rng), rng.normal(size=3), "c", "w")
-        out = t.compose(Pose.identity("c"))
+        out = t.compose(Pose(Rotation.identity(), np.zeros(3), "c", "c"))
         assert out.rotation.angle_to(t.rotation) < 1e-15
         np.testing.assert_allclose(out.translation, t.translation)
 
@@ -92,17 +92,24 @@ class TestPose:
 
     def test_compose_matches_matrix_product(self):
         # oracle: 4x4 homogeneous matrix product
+        def homogeneous(pose):
+            m = np.eye(4)
+            m[:3, :3] = pose.rotation.matrix()
+            m[:3, 3] = pose.translation
+            return m
+
         quarter = Rotation.from_axis_angle([0, 0, 1], math.pi / 2)
         a = Pose(quarter, np.array([1.0, 0.0, 0.0]), "a", "w")
         b = Pose(quarter, np.array([1.0, 0.0, 0.0]), "b", "a")
         out = a.compose(b)
-        np.testing.assert_allclose(out.matrix(), a.matrix() @ b.matrix(), atol=1e-15)
+        np.testing.assert_allclose(homogeneous(out), homogeneous(a) @ homogeneous(b),
+                                   atol=1e-15)
         assert out.rotation.angle_to(Rotation.from_axis_angle([0, 0, 1], math.pi)) < 1e-12
         np.testing.assert_allclose(out.translation, [1.0, 1.0, 0.0], atol=1e-15)
         assert out.of_frame == "b" and out.in_frame == "w"
 
     def test_frame_mismatch_raises(self):
-        a = Pose.identity("w")
+        a = Pose(Rotation.identity(), np.zeros(3), "w", "w")
         b = Pose(Rotation.identity(), np.zeros(3), "c", "b")
         with pytest.raises(FrameMismatchError):
             a.compose(b)

@@ -380,17 +380,30 @@ def dataset_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def shifted_dataset_dir(tmp_path_factory):
+def noisy_dataset_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("noisy") / "ds"
+    assert main(["generate", "--scene", "helipad", "--profile", "vertical",
+                 "--seed", "7", "--out", str(root)]) == 0
+    return root
+
+
+def shift_imu_clock(dataset_dir, out, seconds):
+    """A copy of ``dataset_dir`` at ``out`` with every IMU time ``seconds`` later."""
+    shutil.copytree(dataset_dir, out)
+    imu = imu_mod.load_imu_csv(out / "imu.csv")
+    imu_mod.save_imu_csv(out / "imu.csv",
+                         imu_mod.ImuStream(imu.t + seconds, imu.gyro, imu.accel))
+    return out
+
+
+@pytest.fixture(scope="module")
+def shifted_dataset_dir(noisy_dataset_dir, tmp_path_factory):
     """A noisy take-off with every IMU time 2.5 ms later: no sample falls on
     a frame time, so each keyframe reads the sample half an interval before
-    it.  The gyro noise turns the body about 1e-3 rad over the window."""
-    copy = tmp_path_factory.mktemp("shifted") / "ds"
-    assert main(["generate", "--scene", "helipad", "--profile", "vertical",
-                 "--seed", "7", "--out", str(copy)]) == 0
-    imu = imu_mod.load_imu_csv(copy / "imu.csv")
-    imu_mod.save_imu_csv(copy / "imu.csv",
-                         imu_mod.ImuStream(imu.t + 0.0025, imu.gyro, imu.accel))
-    return copy
+    it, the earlier of two equally near.  The gyro noise turns the body
+    about 1e-3 rad over the window."""
+    return shift_imu_clock(noisy_dataset_dir,
+                           tmp_path_factory.mktemp("shifted") / "ds", 0.0025)
 
 
 class TestImuBetweenFrameTimes:
@@ -425,10 +438,23 @@ class TestImuBetweenFrameTimes:
         chained = Rotation.identity()
         for r in pairs:
             chained = r @ chained
-        first, last = window.state(0), window.state(len(window.keyframes) - 1)
-        whole = imu_mod.camera_rotation(
-            first.pose.rotation.inverse() @ last.pose.rotation, ds.rig.T_c_b)
+        whole = imu_mod.integrate_camera_rotation(window.track, ds.rig.T_c_b)
         assert chained.angle_to(whole) < 1e-12
+
+    def test_keyframes_read_the_earlier_of_two_equal_samples(self, shifted_dataset_dir):
+        ds = simulator.load_dataset(shifted_dataset_dir)
+        window = select_window(ds, PipelineConfig())
+        for k, kf in enumerate(window.keyframes):
+            assert window.state(k).t == pytest.approx(kf.t - 0.0025, abs=1e-9)
+
+    @pytest.mark.parametrize("shift_ms", [-2.0, -1.0, 1.0, 2.0, 2.5, 3.0])
+    def test_init_on_an_offset_imu_clock(self, shift_ms, noisy_dataset_dir, tmp_path):
+        # each frame reads its nearest sample, so an IMU clock off by up to
+        # half a sample interval either way still anchors the window
+        copy = shift_imu_clock(noisy_dataset_dir, tmp_path / "ds", shift_ms / 1000.0)
+        out = tmp_path / "run"
+        assert main(["init", "--dataset", str(copy), "--out", str(out)]) == 0
+        assert json.loads((out / "result.json").read_text())["status"] == "initialized"
 
 
 class TestCli:

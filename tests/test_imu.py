@@ -11,13 +11,11 @@ from planar_init.errors import StreamError
 from planar_init.geometry import Pose, Rotation
 from planar_init.imu import (
     ImuStream,
-    PriorNormal,
     integrate_camera_rotation,
     is_stationary,
     load_imu_csv,
     nav_state_at_rest,
     propagate,
-    propagate_normal,
     save_imu_csv,
     slice_between,
 )
@@ -118,13 +116,16 @@ class TestPropagate:
         with pytest.raises(ValueError):
             span.velocity[0, 0] = 1.0
 
-    def test_index_at_takes_the_last_sample_at_or_before(self):
+    def test_index_at_takes_the_nearest_sample(self):
         # samples every 5 ms from 0; a time before the first sample reads
-        # the state the pass started from
+        # the state the pass started from, one after the last the last state,
+        # and a tie within SLICE_TOL_S the earlier sample
         track = propagate(nav_state_at_rest(0.0),
                           constant_stream([0, 0, 0], [0, 0, -9.81], duration=0.1))
-        times = [-0.01, 0.0, 0.0049, 0.005 - 1e-10, 0.0075, 1.0]
-        np.testing.assert_array_equal(track.index_at(times), [0, 0, 0, 1, 1, 20])
+        times = [-0.01, 0.0, 0.0024, 0.0025, 0.0025 + 4e-10, 0.0025 + 1e-9,
+                 0.005 - 1e-10, 0.0075, 1.0]
+        np.testing.assert_array_equal(track.index_at(times), [0, 0, 0, 0, 0, 1, 1, 1, 20])
+        np.testing.assert_array_equal(track[:1].index_at([-1.0, 0.0, 1.0]), [0, 0, 0])
 
     def test_matches_stepwise_recurrence(self):
         # oracle: the midpoint recurrence one interval at a time, with one
@@ -138,7 +139,7 @@ class TestPropagate:
         for k in range(len(samples) - 1):
             dt = samples.t[k + 1] - samples.t[k]
             omega = 0.5 * (samples.gyro[k] + samples.gyro[k + 1]) - bg
-            r_next = r @ Rotation.from_rotvec(omega * dt)
+            r_next = r @ Rotation.from_axis_angle(omega, np.linalg.norm(omega) * dt)
             a_w = 0.5 * (r.apply(samples.accel[k] - ba)
                          + r_next.apply(samples.accel[k + 1] - ba)) + g
             p = p + v * dt + 0.5 * a_w * dt * dt
@@ -231,43 +232,6 @@ class TestCameraRotation:
         t_cb = Pose(Rotation.identity(), np.zeros(3), "c", "b")
         with pytest.raises(StreamError):
             camera_rotation_over(ImuStream([0.0], np.zeros((1, 3)), np.zeros((1, 3))), t_cb)
-
-
-class TestPropagateNormal:
-    def test_identity(self):
-        n = PriorNormal(np.array([0.0, 0.0, 1.0]), 0.0)
-        out = propagate_normal(n, Rotation.identity())
-        np.testing.assert_allclose(out.n, n.n)
-
-    def test_axis_rotation(self):
-        n = PriorNormal(np.array([0.0, 0.0, 1.0]), 0.0)
-        out = propagate_normal(n, Rotation.from_axis_angle([1, 0, 0], math.pi / 2))
-        np.testing.assert_allclose(out.n, [0.0, -1.0, 0.0], atol=1e-12)
-
-    def test_unit_norm_over_long_chain(self):
-        rng = np.random.default_rng(1)
-        n = PriorNormal(np.array([0.0, 0.0, 1.0]), 0.0)
-        for _ in range(10_000):
-            axis = rng.normal(size=3)
-            r = Rotation.from_axis_angle(axis, rng.uniform(0, 0.05))
-            n = propagate_normal(n, r)
-        assert abs(np.linalg.norm(n.n) - 1.0) < 1e-9
-
-    def test_chained_oblique_take_off(self):
-        # simulator oracle: propagate [0,0,1] through the noise-free gyro
-        # stream of an oblique take-off and compare with the true plane
-        # normal in the camera frame
-        from planar_init.geometry import CameraRig
-        rig = CameraRig.default()
-        profile = TrajectoryProfile(kind="oblique")
-        truth = generate_trajectory(profile)
-        samples = synthesize_imu(truth)
-        n = PriorNormal(np.array([0.0, 0.0, 1.0]), 0.0)
-        r = camera_rotation_over(samples, rig.T_c_b)
-        n = propagate_normal(n, r, samples.t[-1])
-        n_true, _ = truth.plane_in_camera(len(truth.t) - 1, rig)
-        angle = math.degrees(math.acos(np.clip(float(n.n @ n_true), -1, 1)))
-        assert angle < 0.5
 
 
 class TestStationarity:

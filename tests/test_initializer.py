@@ -14,10 +14,10 @@ from planar_init.errors import (
     NoSolutionError,
     PipelineError,
 )
-from planar_init.geometry import FrameObservations, Pose, Rotation, normalize
+from planar_init.geometry import CameraRig, FrameObservations, Pose, Rotation, normalize
 from planar_init.harness import evaluate_against_dataset, run_on_dataset, select_window
 from planar_init.homography import HomographySolution, estimate
-from planar_init.imu import ImuStream, PriorNormal, nav_state_at_rest, propagate
+from planar_init.imu import ImuStream, nav_state_at_rest, propagate
 from planar_init.initializer import (
     STATUS_IMU_ONLY,
     STATUS_INITIALIZED,
@@ -26,6 +26,7 @@ from planar_init.initializer import (
     KeyframeWindow,
     PairTrace,
     metric_alignment,
+    prior_normal,
     recover_scale,
     refine_body_velocity,
     run_initialization,
@@ -47,36 +48,42 @@ def solution(n, t_bar=(0.1, 0.0, 0.0)):
     return HomographySolution(Rotation.identity(), np.asarray(t_bar), n / np.linalg.norm(n))
 
 
+UP_NORMAL = np.array([0.0, 0.0, 1.0])
+
+
+def rolled_rig(degrees: float) -> CameraRig:
+    """The default rig with its camera rolled about body x."""
+    rig = CameraRig.default()
+    return replace(rig, T_c_b=Pose(Rotation.from_axis_angle([1, 0, 0], math.radians(degrees)),
+                                   rig.T_c_b.translation, "c", "b"))
+
+
 class TestSelectSolution:
     def test_prefers_matching_normal(self):
-        prior = PriorNormal(np.array([0.0, 0.0, 1.0]), 0.0)
         a = solution([0.0, 0.0, 1.0])
         b = solution([1.0, 0.0, 0.0])
-        sel = select_solution(prior, [a, b])
+        sel = select_solution(UP_NORMAL, [a, b])
         assert sel.solution is a
         assert sel.margin > 0.0
 
     def test_tie_takes_first(self):
-        prior = PriorNormal(np.array([0.0, 0.0, 1.0]), 0.0)
         a = solution([1.0, 0.0, 1.0])
         b = solution([-1.0, 0.0, 1.0])  # same distance by symmetry
-        sel = select_solution(prior, [a, b])
+        sel = select_solution(UP_NORMAL, [a, b])
         assert sel.solution is a
         assert sel.margin == pytest.approx(0.0, abs=1e-15)
 
     def test_single_candidate(self):
-        prior = PriorNormal(np.array([0.0, 0.0, 1.0]), 0.0)
         a = solution([0.3, 0.1, 1.0])
-        sel = select_solution(prior, [a])
+        sel = select_solution(UP_NORMAL, [a])
         assert sel.solution is a
         assert sel.margin == math.inf
 
     def test_margin_between_two_nearest_of_three(self):
-        prior = PriorNormal(np.array([0.0, 0.0, 1.0]), 0.0)
         far = solution([1.0, 0.0, 0.2])
         near = solution([0.1, 0.0, 1.0])
         mid = solution([0.5, 0.0, 1.0])
-        sel = select_solution(prior, [far, near, mid])
+        sel = select_solution(UP_NORMAL, [far, near, mid])
         assert sel.solution is near
         d_far, d_near, d_mid = sel.distances
         assert sel.margin == d_mid - d_near
@@ -84,19 +91,53 @@ class TestSelectSolution:
 
     def test_empty_raises(self):
         with pytest.raises(NoSolutionError):
-            select_solution(PriorNormal(np.array([0.0, 0.0, 1.0]), 0.0), [])
+            select_solution(UP_NORMAL, [])
 
     def test_argmin_scale_invariance(self):
         # the argmin selection is invariant to a positive rescale of the
         # distance computations
         rng = np.random.default_rng(0)
         for _ in range(100):
-            prior = PriorNormal(rng.normal(size=3), 0.0)
+            prior = rng.normal(size=3)
+            prior /= np.linalg.norm(prior)
             cands = [solution(rng.normal(size=3)) for _ in range(2)]
             sel = select_solution(prior, cands)
             d = np.array(sel.distances)
             for c in (0.1, 3.0, 1e6):
                 assert np.argmin(c * d) == np.argmin(d)
+
+
+class TestPriorNormal:
+    def test_world_vertical_in_the_camera_frame(self):
+        np.testing.assert_array_equal(prior_normal(Rotation.identity()), UP_NORMAL)
+        # a camera rolled a quarter turn about x sees the vertical along its +y
+        quarter = Rotation.from_axis_angle([1, 0, 0], math.pi / 2)
+        np.testing.assert_allclose(prior_normal(quarter), [0.0, 1.0, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("roll_deg", [0.0, 5.0])
+    @pytest.mark.parametrize("kind", ["vertical", "oblique"])
+    def test_normal_given_to_estimate_is_the_true_plane_normal(self, kind, roll_deg,
+                                                               monkeypatch):
+        # the prior at every keyframe is the world vertical seen from the
+        # camera at the pass's attitude: on noiseless data, the true ground
+        # normal in that camera whatever the camera's mounting
+        import planar_init.initializer as initializer
+        normals = []
+
+        def recorded(p_src, p_dst, rotation, n, **kwargs):
+            normals.append(np.array(n))
+            return estimate(p_src, p_dst, rotation, n, **kwargs)
+
+        monkeypatch.setattr(initializer, "estimate", recorded)
+        ds = make_dataset(scene_preset("helipad"), TrajectoryProfile(kind=kind),
+                          rig=rolled_rig(roll_deg), noise=NoiseModel.noiseless(), seed=1)
+        result = run_on_dataset(ds, PipelineConfig(), seed=0)
+        assert result.status == STATUS_INITIALIZED
+        assert len(normals) == len(result.keyframe_times) - 1
+        for t, n in zip(result.keyframe_times[1:], normals):
+            k = int(np.argmin(np.abs(ds.truth.t - t)))
+            n_true, _ = ds.truth.plane_in_camera(k, ds.rig)
+            assert math.acos(min(1.0, float(n @ n_true))) < 1e-5
 
 
 class TestTriangulateStereo:
@@ -273,6 +314,17 @@ class TestRunInitialization:
             true_b = ds.truth.body_pose(k).rotation.inverse().apply(ds.truth.velocity[k])
             np.testing.assert_allclose(pose.rotation.inverse().apply(v), true_b,
                                        rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("roll_deg", [2.0, 5.0, 10.0])
+    @pytest.mark.parametrize("kind", ["vertical", "oblique"])
+    def test_noise_free_rolled_camera(self, kind, roll_deg):
+        # a camera mounted rolled about body x recovers ground truth as the
+        # level one does: the prior normal is the world vertical in that camera
+        ds = make_dataset(scene_preset("helipad"), TrajectoryProfile(kind=kind),
+                          rig=rolled_rig(roll_deg), noise=NoiseModel.noiseless(), seed=1)
+        result = run_on_dataset(ds, PipelineConfig(), seed=0)
+        assert result.status == STATUS_INITIALIZED
+        assert evaluate_against_dataset(result, ds).translation_rmse.max() < 1e-4
 
     def test_velocity_does_not_depend_on_deviation_mode(self, noisy_vertical_dataset):
         # the velocity comes from the PnP fit before the weighted refit, in

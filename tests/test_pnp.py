@@ -170,7 +170,8 @@ class TestRefinePose:
             pts, obs, _ = v
             noisy = obs + rng.normal(0.0, 2e-3, obs.shape)
             # the rotation is known only up to gyro drift
-            r_cw = v[2][0] @ Rotation.from_rotvec(rng.normal(0.0, 1e-3, 3))
+            drift = rng.normal(0.0, 1e-3, 3)
+            r_cw = v[2][0] @ Rotation.from_axis_angle(drift, np.linalg.norm(drift))
             w = rng.uniform(0.1, 4.0, len(pts)) if weighted else None
             np.testing.assert_allclose(refine_pose(PnpSystem(pts, noisy, r_cw), w),
                                        refine_pose_reference(pts, noisy, r_cw, w),
