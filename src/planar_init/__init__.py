@@ -34,7 +34,6 @@ from .imu import (
 from .initializer import (
     InitializationResult,
     KeyframeWindow,
-    metric_alignment,
     recover_scale,
     refine_body_velocity,
     run_initialization,

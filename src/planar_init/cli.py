@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ini.add_argument("--out", required=True, help="output directory for reports")
     ini.add_argument("--seed", type=int, default=0)
     ini.add_argument("--deviation", choices=["fixed", "dynamic"], default=None)
-    ini.add_argument("--fixed-deviation-px", type=float, default=None)
 
     ev = sub.add_parser("evaluate", help="score result JSONs against ground truth")
     ev.add_argument("--result", required=True, action="append",
@@ -97,8 +96,6 @@ def _load_pipeline_config(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if getattr(args, "deviation", None):
         cfg = replace(cfg, deviation_mode=args.deviation)
-    if getattr(args, "fixed_deviation_px", None) is not None:
-        cfg = replace(cfg, fixed_deviation_px=args.fixed_deviation_px)
     return cfg
 
 
@@ -174,7 +171,13 @@ def _cmd_init(args) -> int:
 def _cmd_evaluate(args) -> int:
     try:
         ds = load_dataset(args.dataset)
-        payloads = [(Path(p), json.loads(Path(p).read_text())) for p in args.result]
+        results = []
+        for path in map(Path, args.result):
+            try:
+                results.append((path, InitializationResult.from_json_dict(
+                    json.loads(path.read_text()))))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
     except (OSError, ValueError, StreamError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -182,14 +185,13 @@ def _cmd_evaluate(args) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         runs = {}
-        for path, payload in payloads:
-            name = payload.get("diagnostics", {}).get("deviation_mode") or path.stem
+        for path, result in results:
+            name = result.diagnostics.get("deviation_mode") or path.stem
             if name in runs:
                 name = f"{name}:{len(runs)}"
-            result = InitializationResult.from_json_dict(payload)
             report = evaluate_against_dataset(result, ds)
             runs[name] = report
-            suffix = "" if len(payloads) == 1 else f"_{name}"
+            suffix = "" if len(results) == 1 else f"_{name}"
             with open(out / f"errors{suffix}.csv", "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(PLOT_HEADER)

@@ -10,8 +10,7 @@ from pathlib import Path
 
 
 # fields that must be positive and finite, and integers with their least value
-_POSITIVE = ("min_disparity_px", "ransac_threshold", "pnp_ransac_threshold",
-             "fixed_deviation_px", "deviation_floor_px")
+_POSITIVE = ("min_disparity_px", "ransac_threshold", "pnp_ransac_threshold")
 _AT_LEAST = {"ransac_max_iters": 1, "window_size": 2, "keyframe_stride": 1}
 
 
@@ -44,10 +43,7 @@ class PipelineConfig:
     gyro_bias: tuple = (0.0, 0.0, 0.0)
     accel_bias: tuple = (0.0, 0.0, 0.0)
 
-    # visual-residual weighting
-    deviation_mode: str = "dynamic"     # "dynamic" | "fixed"
-    fixed_deviation_px: float = 1.5
-    deviation_floor_px: float = 0.25
+    deviation_mode: str = "dynamic"     # PnP: "dynamic" weighted refit | "fixed" inlier fit
 
     def __post_init__(self):
         """Reject a config the pipeline cannot run before any stage starts."""
@@ -65,6 +61,13 @@ class PipelineConfig:
                              f"got {self.ransac_confidence!r}")
         if not (0.0 <= _real(self, "preset_height_m") < 3.0):
             raise ValueError("preset height must lie in [0, 3) m")
+        for name in ("gyro_bias", "accel_bias"):
+            value = getattr(self, name)
+            if not (isinstance(value, (tuple, list)) and len(value) == 3 and all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in value)):
+                raise ValueError(f"{name} must be 3 finite numbers, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         if self.deviation_mode not in ("dynamic", "fixed"):
             raise ValueError(f"unknown deviation mode {self.deviation_mode!r}")
 
@@ -76,15 +79,13 @@ class PipelineConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PipelineConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {d!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        for key in ("gyro_bias", "accel_bias"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**d)
 
 
 def load_config(path) -> PipelineConfig:

@@ -39,6 +39,9 @@ from .geometry import (
     FrameObservations,
     Pose,
     Rotation,
+    _json_number,
+    _json_numbers,
+    _json_value,
     homogeneous,
     normalize,
 )
@@ -162,25 +165,6 @@ def recover_scale(t_bar, t_hat) -> float:
     return float(tb @ th) / nrm2
 
 
-def metric_alignment(T_pnp: Pose, T_imu_body: Pose, rig: CameraRig) -> np.ndarray:
-    """Metric counterpart of the up-to-scale translation.
-
-    ``T_pnp`` is the PnP camera pose (frames c -> w) at the current
-    keyframe; ``T_imu_body`` the body pose (b -> w) at the reference
-    keyframe.  Returns the current camera's position expressed in the
-    reference camera frame:
-
-        t_hat = (R_b^w R_c^b)^T (t_pnp - t_b^w) - (R_c^b)^T t_c^b
-    """
-    if T_pnp.of_frame != "c" or T_pnp.in_frame != "w":
-        raise PlanarInitError("T_pnp must carry frames (of='c', in='w')")
-    if T_imu_body.of_frame != "b" or T_imu_body.in_frame != "w":
-        raise PlanarInitError("T_imu_body must carry frames (of='b', in='w')")
-    r_cw = (T_imu_body.rotation @ rig.T_c_b.rotation).inverse()
-    # T_b_c's translation is minus the lever arm (R_c^b)^T t_c^b
-    return r_cw.apply(T_pnp.translation - T_imu_body.translation) + rig.T_b_c.translation
-
-
 def refine_body_velocity(window: KeyframeWindow, pair: int, body_prev: Pose,
                          cam_curr: Pose, rig: CameraRig) -> np.ndarray:
     """Mean body velocity (3,) over keyframe pair ``pair``, in the world frame.
@@ -247,16 +231,30 @@ class InitializationResult:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "InitializationResult":
-        """The result that :meth:`to_json_dict` wrote as ``d``."""
+        """The result that :meth:`to_json_dict` wrote as ``d``.  A missing
+        or malformed key raises ``ValueError`` naming it."""
+        status = _json_value(d, "status")
+        scale = None if d.get("scale") is None else _json_number(d, "scale")
         kfs = d.get("keyframes", [])
-        poses = [Pose(Rotation(kf["q_wxyz"]), kf["t_xyz"], "b", "w") for kf in kfs]
+        if not isinstance(kfs, list):
+            raise ValueError(f"key 'keyframes' is not a list: {kfs!r}")
+        times, poses, velocities = [], [], []
+        for k, kf in enumerate(kfs):
+            prefix = f"keyframes[{k}]."
+            times.append(_json_number(kf, "t", prefix))
+            poses.append(Pose(Rotation(_json_numbers(kf, "q_wxyz", 4, prefix)),
+                              _json_numbers(kf, "t_xyz", 3, prefix), "b", "w"))
+            velocities.append(_json_numbers(kf, "v_xyz", 3, prefix))
         selected = d.get("selected")
         if selected is not None:
-            selected = HomographySolution(Rotation(selected["q_wxyz"]),
-                                          selected["t_bar"], selected["n"])
-        return cls(d["status"], [float(kf["t"]) for kf in kfs], poses,
-                   [np.asarray(kf["v_xyz"], dtype=np.float64) for kf in kfs],
-                   d.get("scale"), selected, d.get("diagnostics", {}))
+            selected = HomographySolution(
+                Rotation(_json_numbers(selected, "q_wxyz", 4, "selected.")),
+                _json_numbers(selected, "t_bar", 3, "selected."),
+                _json_numbers(selected, "n", 3, "selected."))
+        diagnostics = d.get("diagnostics", {})
+        if not isinstance(diagnostics, dict):
+            raise ValueError(f"key 'diagnostics' is not an object: {diagnostics!r}")
+        return cls(status, times, poses, velocities, scale, selected, diagnostics)
 
 
 @dataclass(frozen=True)
@@ -476,14 +474,6 @@ def _initialize_pair(window: KeyframeWindow, m: int, c_prev: np.ndarray,
         raise PipelineError("pnp", str(exc)) from exc
     pnp_s = time.perf_counter() - t_stage
 
-    t_hat = metric_alignment(t_pnp, body_prev, rig)
-    try:
-        s = recover_scale(fit.t_bar, t_hat)
-    except DegenerateTranslationError as exc:
-        raise PipelineError("scale", f"{exc} in pair {m}") from exc
-    if s <= 0.0:
-        raise PipelineError("scale", f"backwards scale {s:.6g} in pair {m}")
-
     # velocity from the PnP fit, before the weighted refit below
     velocity = refine_body_velocity(window, m, body_prev, t_pnp, rig)
 
@@ -491,13 +481,19 @@ def _initialize_pair(window: KeyframeWindow, m: int, c_prev: np.ndarray,
         inl = rj[pnp_mask]
         try:
             t_pnp = _weighted_pnp_refit(t_pnp, system, pnp_mask,
-                                        kf_j.uv_l[inl], kf_j.uv_r[inl], rig, cfg)
+                                        kf_j.uv_l[inl], kf_j.uv_r[inl], rig)
         except PlanarInitError as exc:
             raise PipelineError("pnp", f"{exc} in pair {m}") from exc
-        t_hat = metric_alignment(t_pnp, body_prev, rig)
+
+    # the metric counterpart of t_bar is the final PnP centre in the
+    # previous camera's frame, and the scale is fitted once, from it
+    t_hat = r_ci.inverse().apply(t_pnp.translation)
+    try:
         s = recover_scale(fit.t_bar, t_hat)
-        if s <= 0.0:
-            raise PipelineError("scale", f"backwards scale {s:.6g} in pair {m}")
+    except DegenerateTranslationError as exc:
+        raise PipelineError("scale", f"{exc} in pair {m}") from exc
+    if s <= 0.0:
+        raise PipelineError("scale", f"backwards scale {s:.6g} in pair {m}")
 
     # chain the metric position: c_j = c_i + R_ci (s t_bar)
     cam_curr = Pose(r_cj, c_prev + r_ci.apply(s * fit.t_bar), "c", "w")
@@ -529,8 +525,7 @@ def _derotated_parallax(p_src: np.ndarray, p_dst: np.ndarray,
 
 
 def _weighted_pnp_refit(t_pnp: Pose, system: PnpSystem, inliers: np.ndarray,
-                        uv_l: np.ndarray, uv_r: np.ndarray, rig: CameraRig,
-                        cfg: PipelineConfig) -> Pose:
+                        uv_l: np.ndarray, uv_r: np.ndarray, rig: CameraRig) -> Pose:
     """Refit the PnP camera centre of ``system`` on its ``inliers`` (mask)
     with dynamic inverse-deviation weights, under the same camera rotation;
     the other points get weight zero.
@@ -539,14 +534,13 @@ def _weighted_pnp_refit(t_pnp: Pose, system: PnpSystem, inliers: np.ndarray,
     ``uv_l``, ``uv_r``, one row per inlier) is computed against the depth
     its world point takes under the current pose estimate, so the weight
     reflects the feature's own measurement quality rather than its
-    momentary disparity.  A point behind the camera keeps the fixed
-    deviation.
+    momentary disparity.  An inlier behind the camera has no such depth
+    and weighs zero, as an outlier does.
     """
     # camera-frame depths under the current PnP pose
     z_pred = t_pnp.invert().apply(system.points_w[inliers])[:, 2]
     ahead = z_pred > 0.0
-    sigma = np.full(len(z_pred), cfg.fixed_deviation_px)
-    sigma[ahead] = stereo_deviation(uv_l[ahead], uv_r[ahead], rig, z_pred[ahead])
     weights = np.zeros(len(system))
-    weights[inliers] = weight(sigma, cfg.deviation_floor_px)
+    weights[np.flatnonzero(inliers)[ahead]] = weight(
+        stereo_deviation(uv_l[ahead], uv_r[ahead], rig, z_pred[ahead]))
     return Pose(t_pnp.rotation, refine_pose(system, weights), "c", "w")

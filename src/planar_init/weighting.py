@@ -11,6 +11,10 @@ import numpy as np
 from .errors import InvalidDisparityError
 from .geometry import CameraRig, homogeneous, normalize
 
+# the least deviation a weight credits, in pixels: a stereo match exact to
+# rounding (noiseless data) would take an unbounded weight
+DEVIATION_FLOOR_PX = 0.25
+
 
 def stereo_deviation(obs_l, obs_r, rig: CameraRig, depth) -> np.ndarray:
     """Left-to-right reprojection deviations (...,) in pixels of pixel rows (..., 2).
@@ -28,10 +32,8 @@ def stereo_deviation(obs_l, obs_r, rig: CameraRig, depth) -> np.ndarray:
     return rig.f * np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
 
 
-def weight(sigma, floor: float = 0.25):
-    """Inverse-variance weights 1 / max(sigma, floor)^2 of deviations in pixels."""
-    if floor <= 0.0:
-        raise ValueError("floor must be positive")
-    s = np.maximum(sigma, floor)
+def weight(sigma):
+    """Inverse-variance weights 1 / max(sigma, DEVIATION_FLOOR_PX)^2, sigma in pixels."""
+    s = np.maximum(sigma, DEVIATION_FLOOR_PX)
     return 1.0 / (s * s)
 

@@ -313,7 +313,7 @@ class TestSweep:
 
 # configs the pipeline cannot run, or would run to a silently wrong result
 BAD_CONFIGS = [
-    {"deviation_floor_px": 0},
+    {"pnp_ransac_threshold": 0},
     {"ransac_confidence": 1.0},
     {"ransac_confidence": 0},
     {"window_size": 1},
@@ -321,10 +321,16 @@ BAD_CONFIGS = [
     {"ransac_threshold": -1e-3},
     {"pnp_ransac_threshold": float("nan")},
     {"min_disparity_px": 0.0},
-    {"fixed_deviation_px": float("inf")},
+    {"ransac_threshold": float("inf")},
     {"ransac_max_iters": 0},
     {"ransac_max_iters": 2.5},
-    {"deviation_floor_px": "0.25"},
+    {"min_disparity_px": "1.0"},
+    {"gyro_bias": [0, 0]},
+    {"accel_bias": "abc"},
+    {"gyro_bias": [float("nan"), 0, 0]},
+    {"accel_bias": [0, 0, float("inf")]},
+    {"gyro_bias": [0, True, 0]},
+    {"accel_bias": 0.0},
 ]
 
 
@@ -350,12 +356,21 @@ class TestConfigIo:
                                             ("gravity", [0.0, 0.0, 9.81]),
                                             ("stationary_window_s", 0.5),
                                             ("stationary_accel_tol", 0.05),
-                                            ("stationary_gyro_tol", 0.01)])
+                                            ("stationary_gyro_tol", 0.01),
+                                            ("fixed_deviation_px", 1.5),
+                                            ("deviation_floor_px", 0.25)])
     def test_removed_key_rejected(self, key, value, tmp_path):
         # a saved config from before the field was deleted
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**PipelineConfig().to_json_dict(), key: value}))
         with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+            load_config(path)
+
+    @pytest.mark.parametrize("doc", [[], ["preset_height_m"], 1.5])
+    def test_non_object_rejected(self, doc, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="expected a JSON object"):
             load_config(path)
 
     def test_preset_height_bound(self):
@@ -588,7 +603,7 @@ class TestCli:
         import sys
         import planar_init
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"deviation_floor_px": 0}))
+        path.write_text(json.dumps({"pnp_ransac_threshold": 0}))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [os.path.dirname(os.path.dirname(planar_init.__file__)),
              os.environ.get("PYTHONPATH", "")]))
@@ -598,7 +613,7 @@ class TestCli:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert "deviation_floor_px" in proc.stderr
+        assert "pnp_ransac_threshold" in proc.stderr
 
     def test_init_duplicate_feature_row_is_an_io_error(self, dataset_dir, tmp_path):
         import shutil
@@ -611,8 +626,11 @@ class TestCli:
     def test_init_deviation_flags(self, dataset_dir, tmp_path):
         out = tmp_path / "fixed"
         code = main(["init", "--dataset", str(dataset_dir), "--out", str(out),
-                     "--deviation", "fixed", "--fixed-deviation-px", "2.0"])
+                     "--deviation", "fixed"])
         assert code == 0
+        # --deviation is the one weighting flag: init takes no deviation value
+        assert main(["init", "--dataset", str(dataset_dir), "--out", str(out),
+                     "--deviation", "fixed", "--fixed-deviation-px", "2.0"]) == 1
 
     def test_hover_metrics_measured_from_rest(self, tmp_path):
         # the hover starts 2 m up; the pipeline's world frame starts at rest
@@ -787,6 +805,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: {"keyframes": []}, "missing key 'status'"),
+        (lambda d: d["keyframes"][0].pop("q_wxyz") and d,
+         "missing key 'keyframes[0].q_wxyz'"),
+        (lambda d: [], "expected a JSON object holding key 'status'"),
+        (lambda d: d["keyframes"][0].update(q_wxyz=[1.0, 0.0, 0.0]) or d,
+         "key 'keyframes[0].q_wxyz' is not a list of 4 numbers"),
+    ], ids=["no-status", "no-quaternion", "not-an-object", "short-quaternion"])
+    def test_malformed_result_is_an_io_error(self, edit, message, dataset_dir, tmp_path,
+                                             capsys):
+        # each used to escape as a KeyError, AttributeError or ValueError
+        # traceback with exit 1
+        run = tmp_path / "run"
+        assert main(["init", "--dataset", str(dataset_dir), "--out", str(run)]) == 0
+        path = run / "result.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        capsys.readouterr()
+        code = main(["evaluate", "--result", str(path), "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"I/O error: {path}: {message}")
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("name, columns", [("groundtruth.csv", 11), ("features.csv", 7),
                                                ("imu.csv", 7)])

@@ -3,7 +3,7 @@ import pytest
 
 from planar_init.errors import InvalidDisparityError
 from planar_init.geometry import normalize, project
-from planar_init.weighting import stereo_deviation, weight
+from planar_init.weighting import DEVIATION_FLOOR_PX, stereo_deviation, weight
 
 
 class TestStereoDeviation:
@@ -70,12 +70,12 @@ class TestStereoDeviation:
 
 
 class TestWeight:
-    def test_fixed_baseline_value(self):
-        w = weight(1.5, floor=0.25)
-        assert w == pytest.approx(1.0 / 2.25)
+    def test_value_above_the_floor(self):
+        assert weight(1.5) == pytest.approx(1.0 / 2.25)
 
     def test_floor_clamps(self):
-        assert weight(0.0, floor=0.25) == pytest.approx(16.0)
+        assert DEVIATION_FLOOR_PX == 0.25
+        assert weight(0.0) == weight(DEVIATION_FLOOR_PX) == pytest.approx(16.0)
 
     def test_monotone(self):
         rng = np.random.default_rng(1)
@@ -83,10 +83,6 @@ class TestWeight:
         ws = weight(sig)
         assert all(a > b for a, b in zip(ws, ws[1:]))
         np.testing.assert_array_equal(ws, [weight(s) for s in sig])
-
-    def test_bad_floor(self):
-        with pytest.raises(ValueError):
-            weight(1.0, floor=0.0)
 
 
 class TestPixelUnitConsistency:
