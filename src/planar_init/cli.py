@@ -87,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--profiles", default="vertical,oblique")
     sw.add_argument("--trials", type=int, default=100)
     sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--jobs", type=int, default=1)
+    sw.add_argument("--jobs", type=int, default=1,
+                    help="processes that run trials, this one included")
     sw.add_argument("--out", required=True, help="aggregate CSV path")
     return p
 
@@ -217,13 +218,18 @@ def _cmd_sweep(args) -> int:
     scenes = [s for s in args.scenes.split(",") if s]
     profiles = [s for s in args.profiles.split(",") if s]
     try:
+        # before any trial runs, so that an unwritable --out costs none
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    try:
         rows = run_sweep(args.mode, scenes, profiles, args.trials, args.seed,
                          jobs=args.jobs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(list(rows[0].keys()))

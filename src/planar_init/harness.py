@@ -8,7 +8,6 @@ per-axis RMSE / box-plot statistics the reports carry.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field
 
@@ -354,6 +353,16 @@ def _full_job(args) -> tuple[int, FullTrial]:
     return idx, full_trial(scene, profile_kind, seed)
 
 
+def _run_share(job, tasks, sender) -> None:
+    """A forked sweep worker: send back ``(True, outputs)`` or ``(False, exc)``."""
+    try:
+        message = (True, [job(task) for task in tasks])
+    except Exception as exc:
+        message = (False, exc)
+    sender.send(message)
+    sender.close()
+
+
 def run_sweep(mode: str, scenes: list[str], profiles: list[str], trials: int,
               master_seed: int, jobs: int = 1) -> list[dict]:
     """Seeded trial matrix; aggregation is independent of completion order.
@@ -385,19 +394,41 @@ def run_sweep(mode: str, scenes: list[str], profiles: list[str], trials: int,
                     tasks.append((idx, scene, profile_kind, seed))
                 idx += 1
     job = _selection_job if mode == "selection" else _full_job
-    results: dict[int, object] = {}
-    # a forked pool starts all its workers at the first submit, so it gets
-    # no more than there are tasks, and one task runs in this process
+    # this process runs tasks[0::workers] while each of workers - 1 forked
+    # children runs its own stride; a child inherits its tasks through the
+    # fork and sends back one message
+    import multiprocessing  # here, so that importing the CLI stays cheap
+    import numpy.random  # loaded lazily by numpy; once here, not in every child
+    fork = multiprocessing.get_context("fork")
     workers = min(jobs, len(tasks))
-    if workers > 1:
-        import numpy.random  # loaded lazily by numpy; once here, not in every worker
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, out in pool.map(job, tasks):
-                results[i] = out
-    else:
-        for task in tasks:
-            i, out = job(task)
-            results[i] = out
+    children = []
+    try:
+        for k in range(1, workers):
+            receiver, sender = fork.Pipe(duplex=False)
+            child = fork.Process(target=_run_share, args=(job, tasks[k::workers], sender))
+            children.append((child, receiver))
+            # closed once forked, so that no later child inherits it: the
+            # receiver sees EOF only when every copy of this end is closed
+            with sender:
+                child.start()
+        outputs = [job(task) for task in tasks[0::workers]]
+        for child, receiver in children:
+            try:
+                ok, payload = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a sweep worker exited with code {child.exitcode} "
+                                   "before it sent its trials") from None
+            if not ok:
+                raise payload
+            outputs += payload
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            if child.pid is not None:  # None if its fork failed
+                child.terminate()
+                child.join()
+    results = dict(outputs)
 
     rows = []
     idx = 0

@@ -1,15 +1,16 @@
-import concurrent.futures
 import csv
 import json
+import multiprocessing
 import os
 import shutil
+import time
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from planar_init import harness
+from planar_init import cli, harness
 from planar_init import imu as imu_mod
 from planar_init import simulator
 from planar_init.cli import main
@@ -38,15 +39,28 @@ from planar_init.simulator import (
 _FULL_JOB = harness._full_job
 
 
-def _full_job_on_one_thread(args):
-    """A full sweep job, after a selection trial, that fails unless its
-    process still runs on one OS thread."""
-    selection_trial("oblique", seed=1)
-    out = _FULL_JOB(args)
-    threads = len(os.listdir("/proc/self/task"))
-    if threads != 1:
-        raise AssertionError(f"the sweep worker runs {threads} OS threads")
-    return out
+def _full_job_fails_in_worker(args):
+    """A full sweep job that raises for task 1, which a 2-process sweep
+    leaves to its forked worker."""
+    if args[0] == 1:
+        raise LookupError("trial 1 failed in the worker")
+    return _FULL_JOB(args)
+
+
+def _full_job_exits_in_worker(args):
+    """A full sweep job whose process dies on task 1 without a word."""
+    if args[0] == 1:
+        os._exit(3)
+    return _FULL_JOB(args)
+
+
+def _full_job_fails_in_caller(args):
+    """A full sweep job that raises for task 0, the caller's own first
+    task, while task 1 keeps its forked worker busy for a minute."""
+    if args[0] == 0:
+        raise LookupError("trial 0 failed in the caller")
+    time.sleep(60)
+    return _FULL_JOB(args)
 
 
 class TestSeeds:
@@ -231,49 +245,86 @@ class TestSweep:
         assert rows[0]["successes"] == int(single.success)
         assert rows[0]["trials"] == 1
 
-    def test_parallel_determinism(self):
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_parallel_determinism(self, jobs):
         a = run_sweep("selection", ["helipad"], ["vertical", "oblique"],
                       trials=6, master_seed=9, jobs=1)
         b = run_sweep("selection", ["helipad"], ["vertical", "oblique"],
-                      trials=6, master_seed=9, jobs=2)
+                      trials=6, master_seed=9, jobs=jobs)
         assert a == b
 
-    def test_parallel_determinism_full_mode(self):
-        # full trials run every estimator in the pool workers; their rows
-        # must not depend on --jobs
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_parallel_determinism_full_mode(self, jobs):
+        # full trials run every estimator in the forked workers; their rows
+        # must not depend on --jobs, also where 3 processes split 4 tasks
         args = ("full", ["helipad"], ["vertical", "oblique"])
         a = run_sweep(*args, trials=2, master_seed=4, jobs=1)
-        b = run_sweep(*args, trials=2, master_seed=4, jobs=2)
+        b = run_sweep(*args, trials=2, master_seed=4, jobs=jobs)
         assert a == b
         assert all(row["initialized"] == 2 for row in a)
 
-    def test_pool_worker_runs_trials_on_one_thread(self, monkeypatch):
+    def test_worker_runs_trials_on_one_thread(self, monkeypatch, tmp_path):
         # a forked worker inherits no BLAS helper threads, and no trial
-        # makes a BLAS call large enough to start them
+        # makes a BLAS call large enough to start them; the caller's own
+        # trials are exempt, as the caller may hold BLAS helper threads
         if not os.path.isdir("/proc/self/task"):
             pytest.skip("no /proc/self/task to count threads")
-        monkeypatch.setattr(harness, "_full_job", _full_job_on_one_thread)
+        caller = os.getpid()
+
+        def job(args):
+            selection_trial("oblique", seed=1)
+            out = _FULL_JOB(args)
+            threads = len(os.listdir("/proc/self/task"))
+            if os.getpid() != caller and threads != 1:
+                raise AssertionError(f"the sweep worker runs {threads} OS threads")
+            (tmp_path / f"{args[0]}.pid").write_text(str(os.getpid()))
+            return out
+
+        monkeypatch.setattr(harness, "_full_job", job)
         rows = run_sweep("full", ["helipad"], ["oblique"], trials=2, master_seed=1, jobs=2)
         assert rows[0]["initialized"] == 2
+        pids = {int(f.read_text()) for f in tmp_path.glob("*.pid")}
+        assert len(pids) == 2 and caller in pids
 
-    @pytest.mark.parametrize("mode, trials, workers", [("full", 1, []),
-                                                       ("selection", 2, [2])])
-    def test_pool_starts_no_more_workers_than_trials(self, monkeypatch, mode, trials,
-                                                     workers):
-        # a forked pool starts all its workers at the first submit: 4 jobs
-        # for one trial used to fork 4 processes
-        started = []
-        pool_class = concurrent.futures.ProcessPoolExecutor
+    @pytest.mark.parametrize("mode, trials, forks", [("full", 1, 0), ("selection", 2, 1)])
+    def test_forks_no_more_workers_than_trials(self, monkeypatch, mode, trials, forks):
+        # the caller runs a share itself: min(jobs, trials) - 1 forks, and
+        # none at all for a single trial
+        forked = []
+        fork = os.fork
 
-        def recording(max_workers):
-            started.append(max_workers)
-            return pool_class(max_workers=max_workers)
+        def recording():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
 
         args = (mode, ["helipad"], ["vertical"], trials, 3)
         expected = run_sweep(*args, jobs=1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(os, "fork", recording)
         assert run_sweep(*args, jobs=4) == expected
-        assert started == workers
+        assert len(forked) == forks
+
+    def test_worker_exception_reraised_in_caller(self, monkeypatch):
+        monkeypatch.setattr(harness, "_full_job", _full_job_fails_in_worker)
+        with pytest.raises(LookupError, match="trial 1 failed in the worker") as info:
+            run_sweep("full", ["helipad"], ["vertical"], trials=2, master_seed=1, jobs=2)
+        assert info.type is LookupError
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_without_result_names_its_code(self, monkeypatch):
+        monkeypatch.setattr(harness, "_full_job", _full_job_exits_in_worker)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_sweep("full", ["helipad"], ["vertical"], trials=2, master_seed=1, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_exception_stops_the_workers(self, monkeypatch):
+        monkeypatch.setattr(harness, "_full_job", _full_job_fails_in_caller)
+        start = time.monotonic()
+        with pytest.raises(LookupError, match="trial 0 failed in the caller"):
+            run_sweep("full", ["helipad"], ["vertical"], trials=2, master_seed=1, jobs=2)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 30
 
     def test_unknown_scene(self):
         with pytest.raises(ValueError):
@@ -668,6 +719,19 @@ class TestCli:
         assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
         assert main(args + ["--jobs", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_unwritable_out_runs_no_trial(self, monkeypatch, tmp_path, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["sweep", "--mode", "full", "--trials", "3",
+                     "--out", str(blocker / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("I/O error:") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("flag", ["--scenes", "--profiles"])
     def test_sweep_empty_list_is_a_usage_error(self, flag, tmp_path, capsys):
