@@ -22,6 +22,7 @@ from .errors import (
 )
 from .harness import (
     PLOT_HEADER,
+    check_sweep,
     evaluate_against_dataset,
     run_on_dataset,
     run_sweep,
@@ -218,17 +219,17 @@ def _cmd_sweep(args) -> int:
     scenes = [s for s in args.scenes.split(",") if s]
     profiles = [s for s in args.profiles.split(",") if s]
     try:
+        check_sweep(args.mode, scenes, profiles, args.trials, args.jobs)
+    except ValueError as exc:  # checked before --out is created
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         # before any trial runs, so that an unwritable --out costs none
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        rows = run_sweep(args.mode, scenes, profiles, args.trials, args.seed,
-                         jobs=args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rows = run_sweep(args.mode, scenes, profiles, args.trials, args.seed, jobs=args.jobs)
     try:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)

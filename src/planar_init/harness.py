@@ -29,6 +29,7 @@ from .simulator import (
     Dataset,
     LoadedDataset,
     NoiseModel,
+    PROFILE_KINDS,
     SCENE_PRESETS,
     TrajectoryProfile,
     generate_trajectory,
@@ -363,14 +364,9 @@ def _run_share(job, tasks, sender) -> None:
     sender.close()
 
 
-def run_sweep(mode: str, scenes: list[str], profiles: list[str], trials: int,
-              master_seed: int, jobs: int = 1) -> list[dict]:
-    """Seeded trial matrix; aggregation is independent of completion order.
-
-    Per-trial seeds are derived from the master seed by splitmix64 of
-    (master + global trial index), so the aggregate is a pure function of
-    the inputs regardless of ``jobs``.
-    """
+def check_sweep(mode: str, scenes: list[str], profiles: list[str], trials: int,
+                jobs: int) -> None:
+    """Raise ``ValueError`` for arguments ``run_sweep`` cannot run."""
     if mode not in ("selection", "full"):
         raise ValueError(f"unknown sweep mode {mode!r}; choose selection or full")
     if trials < 1:
@@ -382,6 +378,20 @@ def run_sweep(mode: str, scenes: list[str], profiles: list[str], trials: int,
     for s in scenes:
         if s not in SCENE_PRESETS:
             raise ValueError(f"unknown scene preset {s!r}")
+    for p in profiles:
+        if p not in PROFILE_KINDS:
+            raise ValueError(f"unknown profile kind {p!r}")
+
+
+def run_sweep(mode: str, scenes: list[str], profiles: list[str], trials: int,
+              master_seed: int, jobs: int = 1) -> list[dict]:
+    """Seeded trial matrix; aggregation is independent of completion order.
+
+    Per-trial seeds are derived from the master seed by splitmix64 of
+    (master + global trial index), so the aggregate is a pure function of
+    the inputs regardless of ``jobs``.
+    """
+    check_sweep(mode, scenes, profiles, trials, jobs)
     tasks = []
     idx = 0
     for scene in scenes:

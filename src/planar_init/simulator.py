@@ -283,22 +283,16 @@ class Frames(Sequence):
             return [self._built[k] for k in ks]
 
 
-def _runs(ks: list[int]) -> list[tuple[int, int]]:
-    """``(lo, hi)`` of each run of consecutive numbers in ascending ``ks``."""
-    cuts = [i for i in range(1, len(ks)) if ks[i] != ks[i - 1] + 1]
-    return [(ks[a], ks[b - 1] + 1) for a, b in zip([0, *cuts], [*cuts, len(ks)])]
-
-
 class _Render:
     """Renders camera frames of one flight.
 
-    Each run of consecutive frames asked for is projected in one stacked
-    pass.  The noise draw order is that of one frame at a time from frame
-    0: each visible feature, in bounds or not, draws its left pixel noise,
-    then its right, as an (n, 2) block per view and frame.  Frames are
-    rendered in any order: reaching a frame first draws, and drops, the
-    noise of the earlier frames not drawn yet, keeping the generator state
-    at each one's start for when it is rendered later.
+    Frame k draws its pixel noise from its own generator, seeded by
+    ``SeedSequence(seed, spawn_key=(k,))`` (the k-th child that
+    ``SeedSequence(seed).spawn`` gives), as one (kept rows, 4) block in
+    the column order uL, vL, uR, vR.  A frame's pixels therefore depend on
+    no other frame, and rendering it draws no other frame's noise.  The
+    frames asked for, consecutive or not, are projected in stacked passes
+    of at most ``_RENDER_CHUNK`` frames.
     """
 
     def __init__(self, scene, truth, rig, noise_px, seed, min_depth):
@@ -311,43 +305,19 @@ class _Render:
         self._scene_t = np.ascontiguousarray(scene.T)
         self._rig = rig
         self._noise_px = noise_px
+        self._seed = seed
         self._min_depth = min_depth
-        self._rng = np.random.default_rng(seed)
-        self._next = 0  # the frame whose noise self._rng draws next
-        self._starts: dict[int, dict] = {}  # frame -> state, for frames skipped
-
-    def _camera_points(self, lo: int, hi: int) -> np.ndarray:
-        """Left-camera points of frames lo..hi-1, coordinate-major (F, 3, N);
-        the right camera sits at +baseline along camera x, so it sees the
-        same depths."""
-        return self._r_wc[lo:hi] @ (self._scene_t - self._cam_pos[lo:hi, :, None])
-
-    def _generator(self, lo: int, hi: int) -> np.random.Generator:
-        """The generator positioned at frame lo's noise, for frames lo..hi-1."""
-        if lo >= self._next:
-            for a in range(self._next, lo, _RENDER_CHUNK):
-                b = min(a + _RENDER_CHUNK, lo)
-                visible = np.count_nonzero(
-                    self._camera_points(a, b)[:, 2] > self._min_depth, axis=1)
-                for k, n in enumerate(visible.tolist(), a):
-                    self._starts[k] = self._rng.bit_generator.state
-                    self._rng.standard_normal(4 * n)
-            rng = self._rng
-        else:
-            bits = np.random.PCG64()
-            bits.state = self._starts[lo]
-            rng = np.random.Generator(bits)
-        if hi > self._next:
-            self._rng, self._next = rng, hi
-        return rng
 
     def __call__(self, ks: list[int]) -> list[FrameObservations]:
-        return [fr for lo, hi in _runs(ks) for fr in self._render(lo, hi)]
+        return [fr for a in range(0, len(ks), _RENDER_CHUNK)
+                for fr in self._render(ks[a:a + _RENDER_CHUNK])]
 
-    def _render(self, lo: int, hi: int) -> list[FrameObservations]:
-        """Frames lo..hi-1, in one stacked pass."""
+    def _render(self, ks: list[int]) -> list[FrameObservations]:
+        """The frames numbered in ``ks``, in one stacked pass."""
         rig = self._rig
-        p_c = self._camera_points(lo, hi)
+        # left-camera points, coordinate-major (F, 3, N); the right camera
+        # sits at +baseline along camera x, so it sees the same depths
+        p_c = self._r_wc[ks] @ (self._scene_t - self._cam_pos[ks, :, None])
         rows = np.flatnonzero(p_c[:, 2] > self._min_depth)
         frame_of, ids = np.divmod(rows, p_c.shape[2])  # frame by frame, ids ascending
         # visible points, coordinate-major (3, M), so project reads contiguous columns
@@ -360,25 +330,22 @@ class _Render:
                & (uvl[:, 1] >= 0) & (uvl[:, 1] < rig.height)
                & (uvr[:, 0] >= 0) & (uvr[:, 0] < rig.width)
                & (uvr[:, 1] >= 0) & (uvr[:, 1] < rig.height))
-        uvl, uvr = uvl[inb], uvr[inb]
+        uvl, uvr, ids, frame_of = uvl[inb], uvr[inb], ids[inb], frame_of[inb]
+        bounds = np.searchsorted(frame_of, np.arange(len(ks) + 1)).tolist()
         if self._noise_px > 0.0:
-            rng = self._generator(lo, hi)
-            if len(ids):
-                # draws in pairs: the frames before row j's frame drew 2 pairs
-                # per visible row, its own frame 1 pair per row before j for
-                # the left view, then its whole left block before the right view
-                noise = rng.normal(0.0, self._noise_px, size=(2 * len(ids), 2))
-                counts = np.bincount(frame_of, minlength=hi - lo)
-                left = (np.cumsum(counts) - counts)[frame_of] + np.arange(len(ids))
-                right = left + counts[frame_of]
-                uvl = uvl + np.take(noise, left[inb], axis=0)
-                uvr = uvr + np.take(noise, right[inb], axis=0)
-        ids, frame_of = ids[inb], frame_of[inb]
+            noise = np.concatenate([self._noise(k, b - a) for k, a, b
+                                    in zip(ks, bounds[:-1], bounds[1:])])
+            uvl = uvl + noise[:, :2]
+            uvr = uvr + noise[:, 2:]
         for a in (ids, uvl, uvr):
             a.setflags(write=False)  # FrameObservations keeps views, not copies
-        bounds = np.searchsorted(frame_of, np.arange(hi - lo + 1)).tolist()
         return [FrameObservations(k, float(self.times[k]), ids[a:b], uvl[a:b], uvr[a:b])
-                for k, a, b in zip(range(lo, hi), bounds[:-1], bounds[1:])]
+                for k, a, b in zip(ks, bounds[:-1], bounds[1:])]
+
+    def _noise(self, k: int, n: int) -> np.ndarray:
+        """Frame k's pixel noise for its n kept rows, (n, 4)."""
+        rng = np.random.default_rng(np.random.SeedSequence(self._seed, spawn_key=(k,)))
+        return rng.normal(0.0, self._noise_px, size=(n, 4))
 
 
 def render_tracks(scene: np.ndarray, truth: GroundTruth, rig: CameraRig,
@@ -389,13 +356,17 @@ def render_tracks(scene: np.ndarray, truth: GroundTruth, rig: CameraRig,
 
     Visibility requires positive depth and in-bounds pixels in both
     views (evaluated noise-free); i.i.d. Gaussian pixel noise of std
-    ``noise_px`` is then added.  Track ids are the feature indices, so
-    they are stable across keyframes.  A frame's pixels do not depend on
-    which frames were rendered before it, nor in what order.  Iteration
-    renders ``_RENDER_CHUNK`` frames in one stacked pass.  ``min_depth``
-    must be positive: the pinhole projects no point at or behind the
-    camera centre.
+    ``noise_px`` is then added to the kept rows, from a generator of the
+    frame's own (see ``_Render``).  Track ids are the feature indices, so
+    they are stable across keyframes.  A frame's pixels depend only on
+    ``seed`` and the frame itself: not on which frames were rendered
+    before it, in what order, or what the other frames see.  Iteration
+    renders ``_RENDER_CHUNK`` frames in one stacked pass.  ``noise_px``
+    must be finite and >= 0, as in ``NoiseModel``.  ``min_depth`` must be
+    positive: the pinhole projects no point at or behind the camera centre.
     """
+    if not (math.isfinite(noise_px) and noise_px >= 0.0):
+        raise ValueError(f"noise_px must be finite and >= 0, got {noise_px!r}")
     if not min_depth > 0.0:
         raise ValueError(f"min_depth must be positive, got {min_depth!r}")
     render = _Render(scene, truth, rig, noise_px, seed, min_depth)

@@ -533,14 +533,15 @@ class TestCli:
         d2 = capsys.readouterr().out.splitlines()[-1]
         assert d1 == d2 and d1.startswith("digest:")
 
-    # Pinned so that a change to the render's noise stream or the written
-    # bytes shows; ROADMAP item 7 (per-feature noise, draws only for kept
-    # rows) changes every noisy dataset and re-pins these on purpose.
+    # Pinned so that a change to the render's noise draws or the written
+    # bytes shows.  Each frame draws its noise from its own spawned stream,
+    # for its kept rows only; a per-feature noise model (ROADMAP item 8)
+    # would change every noisy dataset and re-pin these on purpose.
     @pytest.mark.parametrize("scene, profile, seed, digest", [
         ("asphalt", "oblique", 1,
-         "37da20ace18520b790ce2bf9a4f19aa7458b26fb39ce68008c833c63d5ba1bfa"),
+         "e770b4c6863da5192ec06fce91d266c490b68efe6dc17a97b044a99dd890ec0e"),
         ("helipad", "hover", 0,
-         "321a37f85684078b0f12f99f328cc1aea6d98a4e905e6b6f9668c6fe0e9c697b"),
+         "7c7bb911ae7565f7daa994f48b4ef142eb8feb5eeec86380a67fde0d8fb23d94"),
     ])
     def test_generate_digest_is_pinned(self, tmp_path, capsys, scene, profile, seed, digest):
         assert main(["generate", "--scene", scene, "--profile", profile,
@@ -732,6 +733,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("I/O error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--scenes", "nowhere"),
+                                             ("--profiles", "nowhere")])
+    def test_sweep_usage_error_leaves_no_directory(self, flag, value, tmp_path, capsys):
+        # --out's directory used to be made before the arguments were checked
+        out = tmp_path / "new" / "x.csv"
+        code = main(["sweep", "--mode", "full", "--trials", "1", flag, value,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("flag", ["--scenes", "--profiles"])
     def test_sweep_empty_list_is_a_usage_error(self, flag, tmp_path, capsys):

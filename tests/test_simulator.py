@@ -28,11 +28,13 @@ from conftest import transfer
 
 def per_frame_render(scene, truth, rig, noise_px=0.0, seed=0, min_depth=0.05):
     """Reference renderer, one camera frame at a time: (frame, t, ids, uv_l,
-    uv_r) per frame, and the number of visible features per frame."""
-    rng = np.random.default_rng(seed)
+    uv_r) per frame, and the number of visible features per frame.  Frame k
+    draws its noise from its own generator, the k-th spawned child of the
+    seed, as one (kept rows, 4) block: uL, vL, uR, vR."""
     r_cb = rig.T_c_b.rotation.matrix()
     t_cb = rig.T_c_b.translation
     body_mats = quat_matrices(truth.quat_wxyz)
+    streams = np.random.SeedSequence(seed).spawn(len(truth.cam_indices))
     frames, visible = [], []
     for frame_no, k in enumerate(truth.cam_indices):
         r_bw = body_mats[k]
@@ -48,10 +50,13 @@ def per_frame_render(scene, truth, rig, noise_px=0.0, seed=0, min_depth=0.05):
                & (uvl[:, 1] >= 0) & (uvl[:, 1] < rig.height)
                & (uvr[:, 0] >= 0) & (uvr[:, 0] < rig.width)
                & (uvr[:, 1] >= 0) & (uvr[:, 1] < rig.height))
-        if noise_px > 0.0 and len(idx):
-            uvl = uvl + rng.normal(0.0, noise_px, size=uvl.shape)
-            uvr = uvr + rng.normal(0.0, noise_px, size=uvr.shape)
-        frames.append((frame_no, float(truth.t[k]), idx[inb], uvl[inb], uvr[inb]))
+        uvl, uvr = uvl[inb], uvr[inb]
+        if noise_px > 0.0:
+            rng = np.random.default_rng(streams[frame_no])
+            noise = rng.normal(0.0, noise_px, size=(len(uvl), 4))
+            uvl = uvl + noise[:, :2]
+            uvr = uvr + noise[:, 2:]
+        frames.append((frame_no, float(truth.t[k]), idx[inb], uvl, uvr))
         visible.append(len(idx))
     return frames, np.array(visible)
 
@@ -206,6 +211,27 @@ class TestRenderTracks:
             assert fr.uv_l.tobytes() == uv_l.tobytes()
             assert fr.uv_r.tobytes() == uv_r.tobytes()
 
+    def test_noise_statistics(self, rig):
+        # the noisy render minus the noiseless one is the drawn noise: each
+        # pixel column has std noise_px and mean 0, and no two columns
+        # (left against right included) correlate.  Over ~11k kept rows the
+        # standard errors are ~0.7% of the std and ~0.01 of a correlation
+        noise_px = 0.5
+        scene = generate_scene(scene_preset("asphalt", seed=2))
+        truth = generate_trajectory(TrajectoryProfile(kind="oblique"))
+        noisy = render_tracks(scene, truth, rig, noise_px=noise_px, seed=9)
+        clean = render_tracks(scene, truth, rig, noise_px=0.0, seed=9)
+        residuals = []
+        for fn, fc in zip(noisy, clean, strict=True):
+            np.testing.assert_array_equal(fn.ids, fc.ids)  # visibility is noise-free
+            residuals.append(np.c_[fn.uv_l - fc.uv_l, fn.uv_r - fc.uv_r])
+        r = np.concatenate(residuals)  # columns uL, vL, uR, vR
+        assert len(r) > 10_000
+        np.testing.assert_allclose(r.std(axis=0), noise_px, rtol=0.05)
+        np.testing.assert_allclose(r.mean(axis=0), 0.0, atol=0.03)
+        corr = np.corrcoef(r.T)
+        np.testing.assert_allclose(corr[~np.eye(4, dtype=bool)], 0.0, atol=0.05)
+
     def test_noise_determinism(self, rig):
         scene = generate_scene(SceneConfig(feature_count=100, seed=1))
         truth = generate_trajectory(TrajectoryProfile(kind="vertical"))
@@ -283,21 +309,24 @@ class TestFrames:
         for k in access_orders(len(frames))[order]:
             assert_frame_matches(frames[k], expected[k])
 
-    def test_skip_counts_the_rendered_visibility(self, rig):
-        # skipping frames counts their visible features in stacked chunks;
-        # features exactly at min_depth must count as rendering frame by
-        # frame counts them, or the later frames draw other noise
+    def test_frame_noise_ignores_what_other_frames_see(self, rig):
+        # raising min_depth drops features from frame 40 (0.5 m up) but from
+        # none of frame 60's kept rows (1.5 m up): frame 60 keeps its bytes,
+        # rendered alone or in one pass with frame 40
         scene = generate_scene(scene_preset("asphalt", seed=2))
         truth = generate_trajectory(TrajectoryProfile(kind="oblique"))
-        n = len(truth.cam_indices)
-        exact = simulator._Render(scene, truth, rig, 0.5, 9, 0.05)._camera_points(0, n)[:, 2]
-        # the first 40 features of frame 40 in front of the camera
-        for min_depth in exact[40][exact[40] > 0.05][:40].tolist():
-            skipped = render_tracks(scene, truth, rig, noise_px=0.5, seed=9,
-                                    min_depth=min_depth)
-            forward = render_tracks(scene, truth, rig, noise_px=0.5, seed=9,
-                                    min_depth=min_depth)
-            assert skipped[60].uv_l.tobytes() == forward[:61][60].uv_l.tobytes()
+        base = render_tracks(scene, truth, rig, noise_px=0.5, seed=9)
+        f40, f60 = base[40], base[60]
+        for min_depth in (0.6, 0.8, 1.0):
+            alone = render_tracks(scene, truth, rig, noise_px=0.5, seed=9,
+                                  min_depth=min_depth)[60]
+            g40, g60 = render_tracks(scene, truth, rig, noise_px=0.5, seed=9,
+                                     min_depth=min_depth)[40:61:20]
+            assert len(g40.ids) < len(f40.ids)
+            for fr in (alone, g60):
+                np.testing.assert_array_equal(fr.ids, f60.ids)
+                assert fr.uv_l.tobytes() == f60.uv_l.tobytes()
+                assert fr.uv_r.tobytes() == f60.uv_r.tobytes()
 
     @pytest.mark.parametrize("min_depth", [0.0, -0.061, float("nan")])
     def test_nonpositive_min_depth_rejected_at_the_call(self, rig, min_depth):
@@ -307,6 +336,14 @@ class TestFrames:
         truth = generate_trajectory(TrajectoryProfile(kind="oblique"))
         with pytest.raises(ValueError, match="min_depth must be positive"):
             render_tracks(scene, truth, rig, noise_px=0.5, seed=9, min_depth=min_depth)
+
+    @pytest.mark.parametrize("noise_px", [-0.5, float("nan"), float("inf")])
+    def test_bad_noise_px_rejected_at_the_call(self, rig, noise_px):
+        # a negative or NaN noise_px used to render noiseless frames silently
+        scene = generate_scene(scene_preset("asphalt", seed=2))
+        truth = generate_trajectory(TrajectoryProfile(kind="oblique"))
+        with pytest.raises(ValueError, match="noise_px must be finite and >= 0"):
+            render_tracks(scene, truth, rig, noise_px=noise_px, seed=9)
 
     def test_times_are_the_frame_times(self, rig, tmp_path):
         ds = make_dataset(scene_preset("asphalt"), TrajectoryProfile(kind="oblique"),
