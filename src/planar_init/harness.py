@@ -15,7 +15,7 @@ import numpy as np
 
 from . import imu as imu_mod
 from .config import PipelineConfig
-from .errors import AlignmentError, PipelineError
+from .errors import AlignmentError, PipelineError, PlanarInitError
 from .geometry import CameraRig, Rotation, to_euler_ned
 from .homography import decompose, filter_positive_depth, synthesize
 from .initializer import (
@@ -57,17 +57,19 @@ def trial_seed(master_seed: int, index: int) -> int:
 def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
     """Gather the keyframe window after the IMU-only height gate fires.
 
-    Propagates the IMU stream once, from rest to one sample past the last
-    camera frame, fires the gate at the first frame whose state (the
-    nearest sample to the frame time) has gained the preset height, and
-    takes every ``keyframe_stride``-th frame from there, up to
-    ``window_size``.  The window carries that pass from its first keyframe
-    to its last.
+    Gates the stream's rest, propagates it once, from rest to one sample
+    past the last camera frame, fires the gate at the first frame whose
+    state (the nearest sample to the frame time) has gained the preset
+    height, and takes every ``keyframe_stride``-th frame from there, up to
+    ``window_size``.  The window carries that pass from its first keyframe,
+    whose state must lie within half a sample interval of it, to its last.
     """
     frames = dataset.frames
     imu = dataset.imu
     if not frames:
         raise PipelineError("height-gate", "dataset has no camera frames")
+    if not imu_mod.is_stationary(imu):
+        raise PipelineError("stationarity", "stream does not start at rest")
     rest = imu_mod.nav_state_at_rest(float(imu.t[0]), config.gyro_bias, config.accel_bias)
     # the pass ends one sample past the last frame, so that sample can be
     # the nearest, and keeps the first sample even when every frame precedes it
@@ -80,6 +82,10 @@ def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
         raise PipelineError("height-gate",
                             f"altitude never reached {config.preset_height_m} m")
     picked = range(int(fired[0]), len(frames), config.keyframe_stride)[:config.window_size]
+    # the anchor lies within half a sample interval (the rest gate saw >= 2 samples)
+    reach = 0.5 * ((imu.t[-1] - imu.t[0]) / (len(imu) - 1)) + imu_mod.SLICE_TOL_S
+    if abs(track.t[at_frame[picked[0]]] - frames.times[picked[0]]) > reach:
+        raise PipelineError("imu", "IMU stream does not reach the first keyframe")
     keyframes = frames[picked.start:picked.stop:picked.step]
     return KeyframeWindow(keyframes, track[at_frame[picked[0]]:at_frame[picked[-1]] + 1])
 
@@ -88,7 +94,7 @@ def run_on_dataset(dataset, config: PipelineConfig | None = None,
                    seed: int = 0) -> InitializationResult:
     cfg = config or PipelineConfig()
     window = select_window(dataset, cfg)
-    return run_initialization(window, dataset.imu, dataset.rig, cfg, seed)
+    return run_initialization(window, dataset.rig, cfg, seed)
 
 
 # ------------------------------------------------------------------ metrics
@@ -272,17 +278,20 @@ def selection_trial(profile_kind: str, seed: int,
     rest = imu_mod.nav_state_at_rest(float(imu.t[0]), cfg.gyro_bias, cfg.accel_bias)
     track = imu_mod.propagate(rest, imu_mod.slice_between(imu, rest.t, truth.t[k_j]))
     n_prior = prior_normal(Rotation(track.quat[-1]) @ rig.T_c_b.rotation)
+    prior_err = math.acos(np.clip(float(n_prior @ n_j), -1.0, 1.0))
 
-    # candidates from the exact homography, pruned by positive depth
-    candidates = decompose(h_true)
-    survivors = filter_positive_depth(candidates, _plane_points(h_true, n_j, rng, count=20))
+    # candidates from the exact homography, pruned by positive depth (a hover's has none)
+    try:
+        candidates = decompose(h_true)
+        survivors = filter_positive_depth(candidates, _plane_points(h_true, n_j, rng, count=20))
+    except PlanarInitError:
+        return SelectionTrial(False, math.nan, prior_err, math.nan, 0)
     selection = select_solution(n_prior, survivors)
 
     truth_angle = min(
         math.acos(np.clip(float(c.n @ n_j), -1.0, 1.0)) for c in survivors)
     sel_angle = math.acos(np.clip(float(selection.solution.n @ n_j), -1.0, 1.0))
     success = bool(sel_angle <= truth_angle + 1e-9)
-    prior_err = math.acos(np.clip(float(n_prior @ n_j), -1.0, 1.0))
     if len(survivors) == 2:
         gap = math.acos(np.clip(float(survivors[0].n @ survivors[1].n), -1.0, 1.0))
     else:
@@ -448,10 +457,11 @@ def run_sweep(mode: str, scenes: list[str], profiles: list[str], trials: int,
             idx += trials
             if mode == "selection":
                 ok = sum(1 for c in chunk if c.success)
+                margins = [c.margin for c in chunk if c.n_candidates]
                 rows.append({
                     "scene": scene, "profile": profile_kind, "trials": trials,
                     "successes": ok, "success_rate": ok / trials,
-                    "median_margin": float(np.median([c.margin for c in chunk])),
+                    "median_margin": float(np.median(margins)) if margins else math.nan,
                     "max_prior_error_rad": float(np.max([c.prior_error_angle for c in chunk])),
                 })
             else:

@@ -292,27 +292,24 @@ def _imu_only_result(window: KeyframeWindow, status: str,
 
 def run_initialization(
     window: KeyframeWindow,
-    imu_samples,
     rig: CameraRig,
     config: PipelineConfig | None = None,
     seed: int = 0,
 ) -> InitializationResult:
     """Execute the full pipeline on a gathered keyframe window.
 
-    ``imu_samples`` is the stream from the stationary prefix, where the
-    world frame is anchored at the body at rest; the window carries the
-    run's one propagation pass from that prefix over its keyframes
-    (:func:`planar_init.harness.select_window`), and every keyframe's
-    attitude and prior normal are read off it.  Any stage failure
-    raises :class:`PipelineError` naming the stage (and the pairs completed
-    before it); an inadequate feature count falls back to an IMU-only result.
+    The window carries the run's one propagation pass from the body at
+    rest over its keyframes (:func:`planar_init.harness.select_window`),
+    the only IMU input the pipeline reads.  Any stage failure raises
+    :class:`PipelineError` naming the stage (and the pairs completed before
+    it); an inadequate feature count falls back to an IMU-only result.
 
     Every outcome carries the same diagnostics dict, a failure as its
     ``PipelineError.diagnostics``: ``feature_counts``, ``deviation_mode``,
     ``pairs`` (one :class:`PairTrace` per pair run, a pure-rotation pair
-    included), ``timings`` (``anchor_s`` once the anchor is checked, and
-    ``total_s``), and ``indicator_percentiles`` once a pair in ``pairs``
-    has fitted its homography.
+    included), ``timings`` (``anchor_s`` once the window holds two
+    keyframes, and ``total_s``), and ``indicator_percentiles`` once a pair
+    in ``pairs`` has fitted its homography.
     """
     cfg = config or PipelineConfig()
     rng = np.random.default_rng(seed)
@@ -325,19 +322,7 @@ def run_initialization(
     try:
         if len(window.keyframes) < 2:
             raise PipelineError("window", "need at least two keyframes")
-        if len(imu_samples) == 0:
-            raise PipelineError("imu", "empty IMU stream")
-        if not imu_mod.is_stationary(imu_samples):
-            raise PipelineError("stationarity", "stream does not start at rest")
-
-        # IMU-only anchor at the first keyframe (the height-gate instant): its
-        # nearest sample, within half a sample interval up to rounding (the
-        # stationarity gate saw >= 2 samples)
-        t0 = float(imu_samples.t[0])
-        anchor = window.state(0)
-        interval = (float(imu_samples.t[-1]) - t0) / (len(imu_samples) - 1)
-        if abs(anchor.t - window.keyframes[0].t) > 0.5 * interval + imu_mod.SLICE_TOL_S:
-            raise PipelineError("imu", "IMU stream does not reach the first keyframe")
+        anchor = window.state(0)  # the IMU-only anchor at the height-gate instant
         timings["anchor_s"] = time.perf_counter() - t_start
 
         # feature gate

@@ -687,15 +687,20 @@ def load_dataset(dataset_dir) -> LoadedDataset:
     Every row of ``features.csv`` is checked here (see :class:`_FeatureRows`)
     and rows may come in any order; a malformed one raises
     :class:`~planar_init.errors.DatasetError`, a ``ValueError``, naming the
-    data row, as does a csv file with a column too many or too few.  A
-    frame's pixels are parsed when it is first read, so a pixel field that
-    does not parse raises ``DatasetError`` then, and only if its frame is
-    read.
+    data row, as do ``groundtruth.csv`` times out of order and a csv file
+    with a column too many or too few.  A frame's pixels are parsed when it
+    is first read, so a pixel field that does not parse raises
+    ``DatasetError`` then, and only if its frame is read.
     """
     root = Path(dataset_dir)
     rig = load_rig(root / "rig.json")
     imu = load_imu_csv(root / "imu.csv")
     gt = _read_rows(root / "groundtruth.csv", len(GROUNDTRUTH_HEADER))
+    ordered = np.diff(gt[:, 0], prepend=-np.inf) > 0.0  # False for NaN as well
+    if not ordered.all():
+        k = int(np.argmin(ordered))
+        raise DatasetError(f"groundtruth.csv data row {k + 1}: t {float(gt[k, 0])!r} "
+                           "does not come after the row before")
     rows = _FeatureRows(root / "features.csv", gt[:, 0])
     fids, bounds = rows.fids, rows.bounds.tolist()
 

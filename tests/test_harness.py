@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -147,7 +148,7 @@ class TestSelectWindow:
                           noise=NoiseModel(), seed=0)
         window = select_window(ds, cfg)
         assert calls == [len(imu_mod.slice_between(ds.imu, ds.imu.t[0], ds.frames.times[-1]))]
-        result = run_initialization(window, ds.imu, ds.rig, cfg, seed=0)
+        result = run_initialization(window, ds.rig, cfg, seed=0)
         assert result.status == status
         assert len(calls) == 1
 
@@ -236,6 +237,12 @@ class TestSweep:
     def test_selection_trial_runs(self):
         out = selection_trial("vertical", seed=1)
         assert out.n_candidates in (1, 2)
+        assert 0.0 <= out.prior_error_angle < 0.5
+
+    def test_hover_selection_trial_has_no_candidates(self):
+        out = selection_trial("hover", seed=1)
+        assert (out.success, out.n_candidates) == (False, 0)
+        assert math.isnan(out.margin) and math.isnan(out.candidate_gap_angle)
         assert 0.0 <= out.prior_error_angle < 0.5
 
     def test_aggregate_matches_single_trial(self):
@@ -499,7 +506,7 @@ class TestImuBetweenFrameTimes:
         cfg = PipelineConfig()
         window = select_window(ds, cfg)
         monkeypatch.setattr(imu_mod, "integrate_camera_rotation", recorded)
-        assert run_initialization(window, ds.imu, ds.rig, cfg, seed=0).initialized
+        assert run_initialization(window, ds.rig, cfg, seed=0).initialized
         assert len(pairs) == len(window.keyframes) - 1
         chained = Rotation.identity()
         for r in pairs:
@@ -604,13 +611,15 @@ class TestCli:
         assert len(result["diagnostics"]["feature_counts"]) >= 3
 
     @pytest.mark.parametrize("lines, stage, pairs", [
-        (401, "height-gate", None), (601, "height-gate", None),
+        (401, "height-gate", None), (601, "height-gate", None), (606, "imu", None),
         (700, "imu", 2), (1000, "imu", 8),
     ])
     def test_init_on_a_truncated_imu_stream(self, lines, stage, pairs, dataset_dir, tmp_path):
         # imu.csv cut to its header and lines - 1 samples: the stream ends
-        # before the climb reaches the gate, or inside the window, where the
-        # pairs it covers run and the first it does not is named
+        # before the climb reaches the gate; or at 3.025 s, after the climb
+        # passes 1.5 m but before the 3.05 s frame the gate fires at, which
+        # its anchor does not reach; or inside the window, where the pairs it
+        # covers run and the first it does not is named
         copy = tmp_path / "cut"
         shutil.copytree(dataset_dir, copy)
         rows = (copy / "imu.csv").read_bytes().splitlines(keepends=True)
@@ -619,8 +628,11 @@ class TestCli:
         assert main(["init", "--dataset", str(copy), "--out", str(out)]) == 3
         result = json.loads((out / "result.json").read_text())
         assert result["status"] == f"failed:{stage}"
-        if pairs is None:
-            assert result["message"] == "[height-gate] altitude never reached 1.5 m"
+        if pairs is None:  # failed while the window was gathered
+            assert result["message"] == {
+                "height-gate": "[height-gate] altitude never reached 1.5 m",
+                "imu": "[imu] IMU stream does not reach the first keyframe"}[stage]
+            assert result["diagnostics"] == {}
         else:
             assert result["message"] == f"[imu] no IMU coverage for pair {pairs}"
             assert [p["pair"] for p in result["diagnostics"]["pairs"]] == list(range(pairs))
@@ -720,6 +732,17 @@ class TestCli:
         assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
         assert main(args + ["--jobs", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_selection_sweep_over_hover_writes_its_row(self, tmp_path):
+        # a hover's exact homography has no translation to decompose: the
+        # trial has no candidate and fails, and the sweep used to abort on it
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--mode", "selection", "--profiles", "hover",
+                     "--trials", "1", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["profile"], r["successes"], r["median_margin"]) for r in rows] == [
+            ("hover", "0", "nan")]
 
     def test_sweep_unwritable_out_runs_no_trial(self, monkeypatch, tmp_path, capsys):
         def no_sweep(*args, **kwargs):
@@ -844,6 +867,31 @@ class TestCli:
             keyframes = [json.loads((out / "result.json").read_text())["keyframes"]
                          for out in (clean, tmp_path / "run")]
             assert keyframes[0] == keyframes[1]
+
+    def test_unordered_groundtruth_is_an_io_error(self, dataset_dir, tmp_path, capsys):
+        # frames 71 and 76, both keyframes, swap their times in
+        # groundtruth.csv and in their features.csv rows alike, so every row
+        # still matches its frame; the window used to fail on its keyframe
+        # order with a traceback
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        gt = (ds / "groundtruth.csv").read_bytes().splitlines(keepends=True)
+        t = {k: gt[k + 1].split(b",", 1)[0] for k in (71, 76)}
+        swapped = {t[71]: t[76], t[76]: t[71]}
+        for k in (71, 76):
+            gt[k + 1] = swapped[t[k]] + b"," + gt[k + 1].split(b",", 1)[1]
+        (ds / "groundtruth.csv").write_bytes(b"".join(gt))
+        rows = (ds / "features.csv").read_bytes().splitlines(keepends=True)
+        for n, row in enumerate(rows[1:], 1):
+            frame, stamp, rest = row.split(b",", 2)
+            if stamp in swapped:
+                rows[n] = b",".join([frame, swapped[stamp], rest])
+        (ds / "features.csv").write_bytes(b"".join(rows))
+        capsys.readouterr()
+        code = main(["init", "--dataset", str(ds), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "I/O error: groundtruth.csv data row 73: t 3.6 does not come after the row before"]
 
     def test_comment_line_is_an_io_error(self, dataset_dir, tmp_path, capsys):
         # np.loadtxt used to strip "#" comments; write_dataset writes none

@@ -395,7 +395,7 @@ class TestRunInitialization:
         ds = clean_vertical_dataset
         cfg = PipelineConfig()
         window = select_window(ds, cfg)
-        result = run_initialization(window, ds.imu, ds.rig, cfg, seed=0)
+        result = run_initialization(window, ds.rig, cfg, seed=0)
         sel = result.selected
         r_gyro, n_prior, (fit, _) = fits[0]
         assert sel is fit
@@ -569,28 +569,27 @@ class TestRunInitialization:
             assert len(rows) == pair["homography_inliers"]
             assert len(np.unique(rows, axis=0)) == len(rows)
 
-    def test_stationarity_gate(self, clean_vertical_dataset):
-        ds = clean_vertical_dataset
-        window = select_window(ds, PipelineConfig())
-        spinning = ImuStream(ds.imu.t, ds.imu.gyro + 0.1, ds.imu.accel)
-        with pytest.raises(PipelineError) as info:
-            run_initialization(window, spinning, ds.rig, PipelineConfig(), seed=0)
+    @pytest.mark.parametrize("kind", ["vertical", "oblique", "hover"])
+    def test_stationarity_gate(self, kind):
+        # a gyro reading 0.1 rad/s at rest fails the gate before the pass is
+        # propagated, so a climb the pass then misreads never ends height-gate
+        ds = make_dataset(scene_preset("helipad"), TrajectoryProfile(kind=kind),
+                          noise=NoiseModel.noiseless(), seed=1)
+        spinning = replace(ds, imu=ImuStream(ds.imu.t, ds.imu.gyro + 0.1, ds.imu.accel))
+        cfg = PipelineConfig(preset_height_m=0.0 if kind == "hover" else 1.5)
+        with pytest.raises(PipelineError, match="does not start at rest") as info:
+            run_on_dataset(spinning, cfg, seed=0)
         assert info.value.stage == "stationarity"
+        assert info.value.diagnostics == {}
 
-    @pytest.mark.parametrize("shift_s, reaches", [(0.002, True), (0.003, False)])
-    def test_anchor_within_half_a_sample(self, clean_vertical_dataset, shift_s, reaches):
-        # the 200 Hz stream allows the anchor 2.5 ms from the first keyframe
+    def test_anchor_within_half_a_sample(self, clean_vertical_dataset):
+        # an IMU clock 2 ms late: the 200 Hz stream allows the anchor 2.5 ms
+        # from the first keyframe
         ds = clean_vertical_dataset
-        window = select_window(ds, PipelineConfig())
-        t = window.track.t.copy()
-        t[0] -= shift_s
-        moved = KeyframeWindow(window.keyframes, replace(window.track, t=t))
-        if reaches:
-            assert run_initialization(moved, ds.imu, ds.rig, PipelineConfig(), seed=0).initialized
-            return
-        with pytest.raises(PipelineError, match="does not reach the first keyframe") as info:
-            run_initialization(moved, ds.imu, ds.rig, PipelineConfig(), seed=0)
-        assert info.value.stage == "imu"
+        late = replace(ds, imu=ImuStream(ds.imu.t + 0.002, ds.imu.gyro, ds.imu.accel))
+        window = select_window(late, PipelineConfig())
+        assert window.state(0).t - window.keyframes[0].t == pytest.approx(0.002)
+        assert run_on_dataset(late, PipelineConfig(), seed=0).initialized
 
     def test_pipeline_error_pickles(self):
         # crossing a process boundary keeps the stage, the message and what
@@ -750,7 +749,7 @@ class TestStackedChainMatchesPerFeatureChain:
         rig = ds.rig
         window = select_window(ds, cfg)
         calls = self.spy(monkeypatch)
-        result = run_initialization(window, ds.imu, rig, cfg, seed=0)
+        result = run_initialization(window, rig, cfg, seed=0)
         assert result.status == STATUS_INITIALIZED
         pairs = len(window.keyframes) - 1
         for name in ("estimate", "triangulate_stereo", "solve_pnp", "refine_pose",
@@ -833,7 +832,7 @@ class TestPipelineMatchesReferenceRansac:
                 return out
 
             monkeypatch.setattr(initializer, "estimate", recorded)
-            return run_initialization(window, ds.imu, ds.rig, cfg, seed=0), states
+            return run_initialization(window, ds.rig, cfg, seed=0), states
 
         fast, fast_states = run(lambda p_src, p_dst, rotation, n, rng, **kw:
                                 estimate(p_src, p_dst, rotation, n, seed=rng, **kw))

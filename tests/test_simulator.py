@@ -538,6 +538,18 @@ class TestDatasetIo:
                            match=f"data row {k + 1}: t 999.5 is not its frame's groundtruth time"):
             load_dataset(tmp_path / "a")
 
+    def test_nan_groundtruth_time_raises(self, tmp_path, rig):
+        ds = make_dataset(scene_preset("helipad"),
+                          TrajectoryProfile(kind="vertical", duration=3.0),
+                          rig=rig, noise=NoiseModel(), seed=8)
+        write_dataset(tmp_path / "a", ds)
+        gt = (tmp_path / "a" / "groundtruth.csv").read_bytes().splitlines(keepends=True)
+        gt[30] = b"nan," + gt[30].split(b",", 1)[1]
+        (tmp_path / "a" / "groundtruth.csv").write_bytes(b"".join(gt))
+        with pytest.raises(errors.DatasetError, match="groundtruth.csv data row 30: t nan "
+                                                      "does not come after the row before"):
+            load_dataset(tmp_path / "a")
+
     def test_frame_arrays_read_only(self, tmp_path, rig):
         ds = make_dataset(scene_preset("helipad"),
                           TrajectoryProfile(kind="vertical", duration=3.0),
