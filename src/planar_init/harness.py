@@ -27,7 +27,6 @@ from .initializer import (
 )
 from .simulator import (
     Dataset,
-    LoadedDataset,
     NoiseModel,
     PROFILE_KINDS,
     SCENE_PRESETS,
@@ -204,23 +203,17 @@ def evaluate(result: InitializationResult, gt_t: np.ndarray,
     )
 
 
-def evaluate_against_dataset(result: InitializationResult, dataset) -> MetricsReport:
-    """Score a result against a dataset's ground truth, positions taken from rest.
+def evaluate_against_dataset(result: InitializationResult, dataset: Dataset) -> MetricsReport:
+    """Score a result against a dataset's ground truth at its camera frames,
+    positions taken from rest.
 
     The pipeline's world frame starts at the body at rest, the first
-    ground-truth row; a hover starts aloft, a take-off at the origin.
+    ground-truth sample; a hover starts aloft, a take-off at the origin.
     """
-    if isinstance(dataset, Dataset):
-        tr = dataset.truth
-        return evaluate(result, tr.t[tr.cam_indices],
-                        tr.position[tr.cam_indices] - tr.position[0],
-                        tr.quat_wxyz[tr.cam_indices], tr.velocity[tr.cam_indices],
-                        dataset.cam_period)
-    if isinstance(dataset, LoadedDataset):
-        return evaluate(result, dataset.gt_t,
-                        dataset.gt_position - dataset.gt_position[0], dataset.gt_quat,
-                        dataset.gt_velocity, dataset.cam_period)
-    raise TypeError(f"unsupported dataset type {type(dataset)!r}")
+    tr = dataset.truth
+    cam = tr.cam_indices
+    return evaluate(result, tr.t[cam], tr.position[cam] - tr.position[0],
+                    tr.quat_wxyz[cam], tr.velocity[cam], dataset.cam_period)
 
 
 # ------------------------------------------------------------------- sweeps
@@ -328,13 +321,19 @@ class FullTrial:
 
 
 def full_trial(scene_name: str, profile_kind: str, seed: int) -> FullTrial:
-    """One end-to-end window on an in-memory dataset with default noise and config."""
+    """One end-to-end window on an in-memory dataset with default noise and config.
+
+    A hover never gains height, so it runs with the height gate at 0 m.  A
+    trial the pipeline fails has status ``failed:<stage>``.
+    """
     ds = make_dataset(scene_preset(scene_name, seed=0), TrajectoryProfile(kind=profile_kind),
                       seed=seed)
+    cfg = PipelineConfig(preset_height_m=0.0) if profile_kind == "hover" else None
     try:
-        result = run_on_dataset(ds, seed=seed)
-    except PipelineError:
-        return FullTrial("failed", (np.nan,) * 3, (np.nan,) * 3, (np.nan,) * 3, np.nan)
+        result = run_on_dataset(ds, cfg, seed=seed)
+    except PipelineError as exc:
+        return FullTrial(f"failed:{exc.stage}", (np.nan,) * 3, (np.nan,) * 3, (np.nan,) * 3,
+                         np.nan)
     report = evaluate_against_dataset(result, ds)
     scale_err = np.nan
     if result.initialized and result.scale is not None:

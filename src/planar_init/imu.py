@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -287,8 +288,24 @@ def save_imu_csv(path, samples: ImuStream) -> None:
         w.writerows([repr(x) for x in row] for row in rows)
 
 
+def read_csv_rows(path: Path, columns: int, error: type[Exception] = ValueError) -> np.ndarray:
+    """The data rows (n, ``columns``) of a csv file below its header line.
+
+    A file with no data rows gives none; another column count raises
+    ``error`` naming the file.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if rows.size == 0:
+        return np.empty((0, columns))
+    if rows.shape[1] != columns:
+        raise error(f"{path.name}: expected {columns} columns, got {rows.shape[1]}")
+    return rows
+
+
 def load_imu_csv(path) -> ImuStream:
-    data = np.loadtxt(Path(path), delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 7:
-        raise StreamError(f"{Path(path).name}: expected 7 columns, got {data.shape[1]}")
+    """Read a stream written by :func:`save_imu_csv`; a file without samples
+    or with a column count other than 7 raises ``StreamError``."""
+    data = read_csv_rows(Path(path), 7, StreamError)
     return ImuStream(data[:, 0], data[:, 1:4], data[:, 4:7])

@@ -307,9 +307,8 @@ def run_initialization(
     Every outcome carries the same diagnostics dict, a failure as its
     ``PipelineError.diagnostics``: ``feature_counts``, ``deviation_mode``,
     ``pairs`` (one :class:`PairTrace` per pair run, a pure-rotation pair
-    included), ``timings`` (``anchor_s`` once the window holds two
-    keyframes, and ``total_s``), and ``indicator_percentiles`` once a pair
-    in ``pairs`` has fitted its homography.
+    included), ``timings`` (``total_s``), and ``indicator_percentiles`` once
+    a pair in ``pairs`` has fitted its homography.
     """
     cfg = config or PipelineConfig()
     rng = np.random.default_rng(seed)
@@ -323,7 +322,6 @@ def run_initialization(
         if len(window.keyframes) < 2:
             raise PipelineError("window", "need at least two keyframes")
         anchor = window.state(0)  # the IMU-only anchor at the height-gate instant
-        timings["anchor_s"] = time.perf_counter() - t_start
 
         # feature gate
         if min(counts) < cfg.min_features:

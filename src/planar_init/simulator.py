@@ -22,7 +22,6 @@ import json
 import math
 import operator
 import threading
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -40,7 +39,7 @@ from .geometry import (
     quat_matrices,
     save_rig,
 )
-from .imu import GRAVITY_NED, ImuStream, load_imu_csv, save_imu_csv
+from .imu import GRAVITY_NED, ImuStream, load_imu_csv, read_csv_rows, save_imu_csv
 
 SCENE_PRESETS = {"helipad": 0.0, "asphalt": 0.01, "lawn": 0.05}
 PROFILE_KINDS = ("vertical", "oblique", "hover")
@@ -129,15 +128,17 @@ def _smoothstep_int(tau: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GroundTruth:
-    """Dense body trajectory sampled on the IMU grid, plus camera-frame markers."""
+    """Body trajectory with its camera frames' rows at ``cam_indices``: dense
+    on the IMU grid with the rates, accelerations and features it was built
+    from, or, loaded, the ``groundtruth.csv`` rows with those three empty."""
 
     t: np.ndarray
     position: np.ndarray
     quat_wxyz: np.ndarray
     velocity: np.ndarray
-    omega_body: np.ndarray
-    accel_world: np.ndarray
     cam_indices: np.ndarray
+    omega_body: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
+    accel_world: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
     features: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
 
     def body_pose(self, index: int) -> Pose:
@@ -192,7 +193,7 @@ def generate_trajectory(profile: TrajectoryProfile) -> GroundTruth:
         omega[:, 1] = theta_dot
 
     cam_indices = np.arange(0, n, profile.cam_stride)
-    return GroundTruth(t, position, quat, velocity, omega, accel, cam_indices)
+    return GroundTruth(t, position, quat, velocity, cam_indices, omega, accel)
 
 
 def _points_in_polygon(xy: np.ndarray, polygon) -> np.ndarray:
@@ -424,19 +425,22 @@ class NoiseModel:
 
 @dataclass
 class Dataset:
-    """Everything one synthetic flight produces."""
+    """One flight: what the pipeline reads and the ground truth it is scored on.
+
+    :func:`make_dataset` builds it in memory and :func:`load_dataset` reads
+    it from disk.  ``scene_meta`` holds the scene and profile keys of
+    ``scene.json``.
+    """
 
     rig: CameraRig
     imu: ImuStream
     frames: Frames
     truth: GroundTruth
-    scene_config: SceneConfig
-    profile: TrajectoryProfile
-    noise: NoiseModel
+    scene_meta: dict
 
     @property
     def cam_period(self) -> float:
-        return 1.0 / self.profile.cam_rate_hz
+        return 1.0 / float(self.scene_meta["cam_rate_hz"])
 
 
 def make_dataset(scene_cfg: SceneConfig, profile: TrajectoryProfile,
@@ -454,7 +458,16 @@ def make_dataset(scene_cfg: SceneConfig, profile: TrajectoryProfile,
     imu = synthesize_imu(truth, noise.gyro_bias, noise.accel_bias,
                          noise.gyro_noise_density, noise.accel_noise_density,
                          seed=imu_seed)
-    return Dataset(rig, imu, frames, truth, scene_cfg, profile, noise)
+    scene_meta = {
+        "preset": scene_cfg.preset,
+        "roughness": scene_cfg.roughness,
+        "extent": list(scene_cfg.extent),
+        "feature_count": scene_cfg.feature_count,
+        "profile": profile.kind,
+        "cam_rate_hz": profile.cam_rate_hz,
+        "imu_rate_hz": profile.imu_rate_hz,
+    }
+    return Dataset(rig, imu, frames, truth, scene_meta)
 
 
 # ---------------------------------------------------------------- disk I/O
@@ -464,7 +477,8 @@ GROUNDTRUTH_HEADER = ["t", "px", "py", "pz", "qw", "qx", "qy", "qz", "vx", "vy",
 
 
 def write_dataset(out_dir, ds: Dataset) -> str:
-    """Write the on-disk layout; returns a content digest for reproducibility."""
+    """Write the on-disk layout of a generated or loaded dataset (a loaded
+    one byte for byte); returns a content digest for reproducibility."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_rig(out / "rig.json", ds.rig)
@@ -479,30 +493,21 @@ def write_dataset(out_dir, ds: Dataset) -> str:
                           for fid, ul, ur in zip(fr.ids.tolist(), fr.uv_l.tolist(),
                                                  fr.uv_r.tolist()))
 
+    truth = ds.truth
     with open(out / "groundtruth.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(GROUNDTRUTH_HEADER)
-        for k in ds.truth.cam_indices:
-            row = [ds.truth.t[k], *ds.truth.position[k], *ds.truth.quat_wxyz[k],
-                   *ds.truth.velocity[k]]
+        for k in truth.cam_indices:
+            row = [truth.t[k], *truth.position[k], *truth.quat_wxyz[k], *truth.velocity[k]]
             w.writerow([repr(float(x)) for x in row])
 
-    plane = []
-    for frame_no, k in enumerate(ds.truth.cam_indices):
-        n_c, d = ds.truth.plane_in_camera(int(k), ds.rig)
-        plane.append({"frame": frame_no, "t": float(ds.truth.t[k]),
-                      "n_c": [float(v) for v in n_c], "d": d})
-    scene_meta = {
-        "preset": ds.scene_config.preset,
-        "roughness": ds.scene_config.roughness,
-        "extent": list(ds.scene_config.extent),
-        "feature_count": ds.scene_config.feature_count,
-        "profile": ds.profile.kind,
-        "cam_rate_hz": ds.profile.cam_rate_hz,
-        "imu_rate_hz": ds.profile.imu_rate_hz,
-        "keyframes": plane,
-    }
-    (out / "scene.json").write_text(json.dumps(scene_meta, indent=2))
+    planes = []
+    for frame_no, k in enumerate(truth.cam_indices):
+        n_c, d = truth.plane_in_camera(int(k), ds.rig)
+        planes.append({"frame": frame_no, "t": float(truth.t[k]),
+                       "n_c": [float(v) for v in n_c], "d": d})
+    (out / "scene.json").write_text(json.dumps({**ds.scene_meta, "keyframes": planes},
+                                               indent=2))
     return dataset_digest(out)
 
 
@@ -514,43 +519,9 @@ def dataset_digest(dataset_dir) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class LoadedDataset:
-    """On-disk dataset view: enough to run the pipeline and evaluate it."""
-
-    rig: CameraRig
-    imu: ImuStream
-    frames: Frames
-    gt_t: np.ndarray
-    gt_position: np.ndarray
-    gt_quat: np.ndarray
-    gt_velocity: np.ndarray
-    scene_meta: dict
-
-    @property
-    def cam_period(self) -> float:
-        return 1.0 / float(self.scene_meta["cam_rate_hz"])
-
-
 def _is_integer(v: np.ndarray) -> np.ndarray:
     """Which values are integers that int64 holds."""
     return np.isfinite(v) & (np.floor(v) == v) & (np.abs(v) < 2.0 ** 63)
-
-
-def _read_rows(path: Path, columns: int) -> np.ndarray:
-    """The data rows (n, ``columns``) of a csv file below its header line.
-
-    A file with no data rows gives none; another column count raises
-    ``ValueError`` naming the file.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if rows.size == 0:
-        return np.empty((0, columns))
-    if rows.shape[1] != columns:
-        raise ValueError(f"{path.name}: expected {columns} columns, got {rows.shape[1]}")
-    return rows
 
 
 class _FeatureRows:
@@ -681,7 +652,7 @@ class _FeatureRows:
         return self._error(i, col, text, "is not a number")
 
 
-def load_dataset(dataset_dir) -> LoadedDataset:
+def load_dataset(dataset_dir) -> Dataset:
     """Read a dataset written by :func:`write_dataset`.
 
     Every row of ``features.csv`` is checked here (see :class:`_FeatureRows`)
@@ -695,7 +666,7 @@ def load_dataset(dataset_dir) -> LoadedDataset:
     root = Path(dataset_dir)
     rig = load_rig(root / "rig.json")
     imu = load_imu_csv(root / "imu.csv")
-    gt = _read_rows(root / "groundtruth.csv", len(GROUNDTRUTH_HEADER))
+    gt = read_csv_rows(root / "groundtruth.csv", len(GROUNDTRUTH_HEADER))
     ordered = np.diff(gt[:, 0], prepend=-np.inf) > 0.0  # False for NaN as well
     if not ordered.all():
         k = int(np.argmin(ordered))
@@ -712,13 +683,14 @@ def load_dataset(dataset_dir) -> LoadedDataset:
         for k in ks:
             a, b = bounds[k], bounds[k + 1]
             end = at + b - a
-            # frames.times is a frozen copy: a later write to gt_t reaches no frame
+            # frames.times is a frozen copy: a later write to truth.t reaches no frame
             out.append(FrameObservations(k, float(frames.times[k]), fids[a:b],
                                          uv_l[at:end], uv_r[at:end]))
             at = end
         return out
 
     frames = Frames(gt[:, 0], build)
+    truth = GroundTruth(gt[:, 0], gt[:, 1:4], gt[:, 4:8], gt[:, 8:11], np.arange(len(gt)))
     scene_meta = json.loads((root / "scene.json").read_text())
-    return LoadedDataset(rig, imu, frames, gt[:, 0], gt[:, 1:4], gt[:, 4:8],
-                         gt[:, 8:11], scene_meta)
+    scene_meta.pop("keyframes", None)  # write_dataset computes them from the truth
+    return Dataset(rig, imu, frames, truth, scene_meta)

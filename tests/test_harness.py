@@ -351,6 +351,23 @@ class TestSweep:
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_sweep("selection", ["helipad"], ["vertical"], 1, 0, jobs=jobs)
 
+    def test_hover_full_trial_reaches_the_pure_rotation_check(self):
+        # a hover never gains height, so its trial runs with the gate at 0 m;
+        # at the default 1.5 m gate it ended at the height gate
+        assert harness.full_trial("helipad", "hover", 5).status == "pure-rotation"
+
+    def test_failed_full_trial_names_its_stage(self, monkeypatch):
+        import planar_init.initializer as initializer
+        from planar_init.errors import InsufficientDataError
+
+        def no_pose(*args, **kwargs):
+            raise InsufficientDataError("injected")
+
+        monkeypatch.setattr(initializer, "solve_pnp", no_pose)
+        trial = harness.full_trial("helipad", "vertical", 1)
+        assert trial.status == "failed:pnp"
+        assert math.isnan(trial.scale_error)
+
     def test_full_mode_single_trial(self):
         rows = run_sweep("full", ["helipad"], ["vertical"], trials=1, master_seed=2)
         assert rows[0]["initialized"] == 1
@@ -976,6 +993,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{name}: expected {columns} columns, got {columns + got}" in err
+        assert not out.exists()
+
+    def test_header_only_imu_csv_is_an_io_error(self, dataset_dir, tmp_path, capsys):
+        # np.loadtxt used to warn that it read no data, and the loader then
+        # reported a column count of 1
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        path = ds / "imu.csv"
+        path.write_bytes(path.read_bytes().splitlines(keepends=True)[0])
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["init", "--dataset", str(ds), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["I/O error: empty IMU sample stream"]
+        assert caught == []
         assert not out.exists()
 
     def test_io_error_exit_code(self, dataset_dir, tmp_path):

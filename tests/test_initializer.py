@@ -650,18 +650,15 @@ class TestRunInitialization:
             fitted = [p for p in d["pairs"] if p["homography_s"] is not None]
             extra = {"indicator_percentiles"} if fitted else set()
             assert set(d) == {"feature_counts", "deviation_mode", "pairs", "timings"} | extra
-            assert set(d["timings"]) == {"anchor_s", "total_s"}, name
-            assert d["timings"]["total_s"] > d["timings"]["anchor_s"] > 0.0, name
+            assert set(d["timings"]) == {"total_s"}, name
+            assert d["timings"]["total_s"] > 0.0, name
             assert len(d["pairs"]) == pairs_run[name], name
             assert all(set(p) == fields for p in d["pairs"]), name
             assert all(p["homography_s"] > 0.0 and p["pnp_s"] > 0.0 for p in fitted), name
-            # each pair step is timed whole, and the steps and the anchor
-            # check do not overlap
+            # each pair step is timed whole, and the steps do not overlap
             assert all(p["pair_s"] > 0.0 for p in d["pairs"]), name
             assert all(p["pair_s"] >= p["homography_s"] + p["pnp_s"] for p in fitted), name
-            timings = d["timings"]
-            assert (timings["anchor_s"] + sum(p["pair_s"] for p in d["pairs"])
-                    <= timings["total_s"]), name
+            assert sum(p["pair_s"] for p in d["pairs"]) <= d["timings"]["total_s"], name
 
     def test_anchor_is_first_keyframe_pose(self, clean_vertical_dataset):
         # the first keyframe's pose is the IMU-only propagated anchor

@@ -362,7 +362,7 @@ class TestFrames:
         expected = [(fr.frame, fr.t, fr.ids, fr.uv_l, fr.uv_r) for fr in ds.frames]
         assert any(len(ids) == 0 for _, _, ids, _, _ in expected)
         loaded_ds = load_dataset(tmp_path / "a")
-        loaded_ds.gt_t[:] = -1.0  # frames keep their own copy of the times
+        loaded_ds.truth.t[:] = -1.0  # frames keep their own copy of the times
         loaded = loaded_ds.frames
         assert len(loaded) == len(expected)
         for k in access_orders(len(loaded))["late first"]:
@@ -429,6 +429,30 @@ class TestDatasetIo:
         back = next(fr for fr in loaded.frames if fr.frame == orig.frame)
         np.testing.assert_array_equal(orig.ids[0], back.ids[0])
         np.testing.assert_array_equal(orig.uv_l[0], back.uv_l[0])
+
+    @pytest.mark.parametrize("scene, profile, seed, noise", [
+        ("asphalt", "oblique", 1, NoiseModel()),
+        ("lawn", "vertical", 4, NoiseModel.noiseless()),
+        ("helipad", "hover", 0, NoiseModel()),
+    ])
+    def test_loaded_dataset_writes_back_byte_for_byte(self, tmp_path, scene, profile, seed,
+                                                      noise):
+        ds = make_dataset(scene_preset(scene, seed=seed), TrajectoryProfile(kind=profile),
+                          noise=noise, seed=seed)
+        digest = write_dataset(tmp_path / "a", ds)
+        assert write_dataset(tmp_path / "b", load_dataset(tmp_path / "a")) == digest
+
+    def test_loaded_truth_is_the_generated_truth_at_the_frames(self, tmp_path, rig):
+        ds = make_dataset(scene_preset("asphalt"), TrajectoryProfile(kind="oblique"),
+                          rig=rig, seed=3)
+        write_dataset(tmp_path / "a", ds)
+        loaded = load_dataset(tmp_path / "a")
+        for name in ("t", "position", "quat_wxyz", "velocity"):
+            np.testing.assert_array_equal(
+                getattr(loaded.truth, name)[loaded.truth.cam_indices],
+                getattr(ds.truth, name)[ds.truth.cam_indices], err_msg=name)
+        assert loaded.cam_period == ds.cam_period
+        assert loaded.scene_meta == ds.scene_meta
 
     @staticmethod
     def rewrite_features(path, edit):
