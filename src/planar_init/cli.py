@@ -23,7 +23,7 @@ from .errors import (
 from .harness import (
     PLOT_HEADER,
     check_sweep,
-    evaluate_against_dataset,
+    evaluate,
     run_on_dataset,
     run_sweep,
 )
@@ -159,7 +159,7 @@ def _cmd_init(args) -> int:
         return EXIT_IO
     (out / "result.json").write_text(json.dumps(result.to_json_dict(), indent=2))
     try:
-        report = evaluate_against_dataset(result, ds)
+        report = evaluate(result, ds.truth)
     except AlignmentError as exc:
         print(f"pipeline failure: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
@@ -191,7 +191,7 @@ def _cmd_evaluate(args) -> int:
             name = result.diagnostics.get("deviation_mode") or path.stem
             if name in runs:
                 name = f"{name}:{len(runs)}"
-            report = evaluate_against_dataset(result, ds)
+            report = evaluate(result, ds.truth)
             runs[name] = report
             suffix = "" if len(results) == 1 else f"_{name}"
             with open(out / f"errors{suffix}.csv", "w", newline="") as fh:

@@ -26,7 +26,7 @@ from .initializer import (
     select_solution,
 )
 from .simulator import (
-    Dataset,
+    GroundTruth,
     NoiseModel,
     PROFILE_KINDS,
     SCENE_PRESETS,
@@ -69,13 +69,12 @@ def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
         raise PipelineError("height-gate", "dataset has no camera frames")
     if not imu_mod.is_stationary(imu):
         raise PipelineError("stationarity", "stream does not start at rest")
-    rest = imu_mod.nav_state_at_rest(float(imu.t[0]), config.gyro_bias, config.accel_bias)
     # the pass ends one sample past the last frame, so that sample can be
     # the nearest, and keeps the first sample even when every frame precedes it
     end = min(int(np.searchsorted(imu.t, frames.times[-1], side="right")), len(imu) - 1)
-    track = imu_mod.propagate(rest, imu_mod.slice_between(imu, rest.t, float(imu.t[end])))
+    track = _pass_from_rest(imu, config, float(imu.t[end]))
     at_frame = track.index_at(frames.times)
-    gain = rest.pose.translation[2] - track.position[at_frame, 2]
+    gain = track.position[0, 2] - track.position[at_frame, 2]
     fired = np.flatnonzero(gain >= config.preset_height_m)
     if not fired.size:
         raise PipelineError("height-gate",
@@ -89,6 +88,13 @@ def select_window(dataset, config: PipelineConfig) -> KeyframeWindow:
     return KeyframeWindow(keyframes, track[at_frame[picked[0]]:at_frame[picked[-1]] + 1])
 
 
+def _pass_from_rest(imu, config: PipelineConfig, t_end: float) -> imu_mod.NavTrack:
+    """Propagate ``imu`` from rest at its first sample, under the config's
+    biases, to ``t_end``."""
+    rest = imu_mod.nav_state_at_rest(float(imu.t[0]), config.gyro_bias, config.accel_bias)
+    return imu_mod.propagate(rest, imu_mod.slice_between(imu, rest.t, t_end))
+
+
 def run_on_dataset(dataset, config: PipelineConfig | None = None,
                    seed: int = 0) -> InitializationResult:
     cfg = config or PipelineConfig()
@@ -99,10 +105,7 @@ def run_on_dataset(dataset, config: PipelineConfig | None = None,
 # ------------------------------------------------------------------ metrics
 
 def _five_numbers(errors: np.ndarray, names) -> dict:
-    """Min, quartiles and max of each column of ``errors`` (n, 3), keyed by ``names``."""
-    if errors.size == 0:
-        zero = {"min": 0.0, "q1": 0.0, "median": 0.0, "q3": 0.0, "max": 0.0}
-        return {name: dict(zero) for name in names}
+    """Min, quartiles and max of each column of ``errors`` (n >= 1, 3), keyed by ``names``."""
     q1, median, q3 = np.percentile(errors, [25, 50, 75], axis=0).tolist()
     lo, hi = np.min(errors, axis=0).tolist(), np.max(errors, axis=0).tolist()
     return {name: {"min": lo[k], "q1": q1[k], "median": median[k], "q3": q3[k],
@@ -161,34 +164,37 @@ PLOT_HEADER = ["t", "err_x", "err_y", "err_z", "err_vx", "err_vy", "err_vz",
                "err_roll", "err_pitch", "err_yaw"]
 
 
-def evaluate(result: InitializationResult, gt_t: np.ndarray,
-             gt_position: np.ndarray, gt_quat: np.ndarray,
-             gt_velocity: np.ndarray, cam_period: float) -> MetricsReport:
-    """Score a result against ground truth via nearest-timestamp association."""
-    times = np.asarray(result.keyframe_times, dtype=np.float64)
-    tol = cam_period / 2.0
-    pairs = []
-    for k, t in enumerate(times):
-        j = int(np.argmin(np.abs(gt_t - t)))
-        if abs(gt_t[j] - t) <= tol:
-            pairs.append((k, j))
-    if not pairs:
-        raise AlignmentError("no keyframe timestamps match the ground truth")
+def evaluate(result: InitializationResult, truth: GroundTruth) -> MetricsReport:
+    """Score a result against ground truth at its camera frames, positions
+    measured from the truth's first sample.
 
-    t_err, v_err, e_err, kept_t = [], [], [], []
-    for k, j in pairs:
-        pose = result.poses[k]
-        t_err.append(pose.translation - gt_position[j])
-        v_err.append(np.asarray(result.velocities[k]) - gt_velocity[j])
-        est = to_euler_ned(pose.rotation)
-        ref = to_euler_ned(Rotation(gt_quat[j]))
-        e_err.append(_wrap_angle(np.array([est.roll - ref.roll,
-                                           est.pitch - ref.pitch,
-                                           est.yaw - ref.yaw])))
-        kept_t.append(times[k])
-    t_err = np.array(t_err)
-    v_err = np.array(v_err)
-    e_err = np.array(e_err)
+    Each keyframe is scored at the frame nearest its time, and left out if
+    that frame lies more than half the smallest frame spacing away (a
+    one-frame truth matches only its own time).  The pipeline's world frame
+    starts at the body at rest, the first ground-truth sample; a hover
+    starts aloft, a take-off at the origin.
+    """
+    cam = truth.cam_indices
+    frame_t = truth.t[cam]
+    times = np.asarray(result.keyframe_times, dtype=np.float64)
+    if not len(frame_t):
+        raise AlignmentError("the ground truth has no camera frames")
+    at = imu_mod.nearest_index(frame_t, times)
+    tol = np.min(np.diff(frame_t)) / 2.0 if len(frame_t) > 1 else 0.0
+    kept = np.flatnonzero(np.abs(frame_t[at] - times) <= tol)
+    if not kept.size:
+        raise AlignmentError("no keyframe timestamps match the ground truth")
+    rows = cam[at[kept]]
+
+    t_err = (np.array([result.poses[k].translation for k in kept])
+             - (truth.position[rows] - truth.position[0]))
+    v_err = np.array([result.velocities[k] for k in kept], dtype=np.float64) - truth.velocity[rows]
+    e_err = []
+    for k, j in zip(kept, rows):
+        est = to_euler_ned(result.poses[k].rotation)
+        ref = to_euler_ned(Rotation(truth.quat_wxyz[j]))
+        e_err.append([est.roll - ref.roll, est.pitch - ref.pitch, est.yaw - ref.yaw])
+    e_err = _wrap_angle(np.array(e_err))
     return MetricsReport(
         status=result.status,
         translation_rmse=np.sqrt(np.mean(t_err ** 2, axis=0)),
@@ -197,23 +203,10 @@ def evaluate(result: InitializationResult, gt_t: np.ndarray,
         translation_errors=t_err,
         velocity_errors=v_err,
         euler_errors=e_err,
-        times=np.array(kept_t),
+        times=times[kept],
         indicator_percentiles=result.diagnostics.get("indicator_percentiles", {}),
         timings=result.diagnostics.get("timings", {}),
     )
-
-
-def evaluate_against_dataset(result: InitializationResult, dataset: Dataset) -> MetricsReport:
-    """Score a result against a dataset's ground truth at its camera frames,
-    positions taken from rest.
-
-    The pipeline's world frame starts at the body at rest, the first
-    ground-truth sample; a hover starts aloft, a take-off at the origin.
-    """
-    tr = dataset.truth
-    cam = tr.cam_indices
-    return evaluate(result, tr.t[cam], tr.position[cam] - tr.position[0],
-                    tr.quat_wxyz[cam], tr.velocity[cam], dataset.cam_period)
 
 
 # ------------------------------------------------------------------- sweeps
@@ -268,8 +261,7 @@ def selection_trial(profile_kind: str, seed: int,
 
     # prior normal from the noisy gyro pass, stationary start -> time j: the
     # world vertical seen from camera j at the pass's last attitude
-    rest = imu_mod.nav_state_at_rest(float(imu.t[0]), cfg.gyro_bias, cfg.accel_bias)
-    track = imu_mod.propagate(rest, imu_mod.slice_between(imu, rest.t, truth.t[k_j]))
+    track = _pass_from_rest(imu, cfg, truth.t[k_j])
     n_prior = prior_normal(Rotation(track.quat[-1]) @ rig.T_c_b.rotation)
     prior_err = math.acos(np.clip(float(n_prior @ n_j), -1.0, 1.0))
 
@@ -334,12 +326,11 @@ def full_trial(scene_name: str, profile_kind: str, seed: int) -> FullTrial:
     except PipelineError as exc:
         return FullTrial(f"failed:{exc.stage}", (np.nan,) * 3, (np.nan,) * 3, (np.nan,) * 3,
                          np.nan)
-    report = evaluate_against_dataset(result, ds)
+    report = evaluate(result, ds.truth)
     scale_err = np.nan
     if result.initialized and result.scale is not None:
-        gate_frame = _frame_of_time(ds, result.keyframe_times[1])
-        n_c, d_true = ds.truth.plane_in_camera(
-            int(ds.truth.cam_indices[gate_frame]), ds.rig)
+        gate_frame = imu_mod.nearest_index(ds.frames.times, result.keyframe_times[1])
+        n_c, d_true = ds.truth.plane_in_camera(int(ds.truth.cam_indices[gate_frame]), ds.rig)
         scale_err = abs(result.scale - d_true) / d_true
     return FullTrial(result.status,
                      tuple(map(float, report.translation_rmse)),
@@ -348,24 +339,18 @@ def full_trial(scene_name: str, profile_kind: str, seed: int) -> FullTrial:
                      float(scale_err))
 
 
-def _frame_of_time(ds: Dataset, t: float) -> int:
-    return int(np.argmin(np.abs(ds.frames.times - t)))
+def _trial(task) -> SelectionTrial | FullTrial:
+    """Run one sweep task ``(mode, scene, profile_kind, seed)``."""
+    mode, scene, profile_kind, seed = task
+    if mode == "selection":
+        return selection_trial(profile_kind, seed)
+    return full_trial(scene, profile_kind, seed)
 
 
-def _selection_job(args) -> tuple[int, SelectionTrial]:
-    idx, profile_kind, seed = args
-    return idx, selection_trial(profile_kind, seed)
-
-
-def _full_job(args) -> tuple[int, FullTrial]:
-    idx, scene, profile_kind, seed = args
-    return idx, full_trial(scene, profile_kind, seed)
-
-
-def _run_share(job, tasks, sender) -> None:
+def _run_share(tasks, sender) -> None:
     """A forked sweep worker: send back ``(True, outputs)`` or ``(False, exc)``."""
     try:
-        message = (True, [job(task) for task in tasks])
+        message = (True, [_trial(task) for task in tasks])
     except Exception as exc:
         message = (False, exc)
     sender.send(message)
@@ -393,25 +378,17 @@ def check_sweep(mode: str, scenes: list[str], profiles: list[str], trials: int,
 
 def run_sweep(mode: str, scenes: list[str], profiles: list[str], trials: int,
               master_seed: int, jobs: int = 1) -> list[dict]:
-    """Seeded trial matrix; aggregation is independent of completion order.
+    """Seeded trial matrix, one row per scene x profile cell.
 
-    Per-trial seeds are derived from the master seed by splitmix64 of
-    (master + global trial index), so the aggregate is a pure function of
-    the inputs regardless of ``jobs``.
+    The tasks are listed cell by cell, ``trials`` to a cell, and trial i of
+    the list runs with seed splitmix64(master + i); its outcome is stored at
+    position i, so the rows are a pure function of the inputs regardless of
+    ``jobs``.
     """
     check_sweep(mode, scenes, profiles, trials, jobs)
-    tasks = []
-    idx = 0
-    for scene in scenes:
-        for profile_kind in profiles:
-            for k in range(trials):
-                seed = trial_seed(master_seed, idx)
-                if mode == "selection":
-                    tasks.append((idx, profile_kind, seed))
-                else:
-                    tasks.append((idx, scene, profile_kind, seed))
-                idx += 1
-    job = _selection_job if mode == "selection" else _full_job
+    cells = [(scene, profile_kind) for scene in scenes for profile_kind in profiles]
+    tasks = [(mode, scene, profile_kind, trial_seed(master_seed, k * trials + i))
+             for k, (scene, profile_kind) in enumerate(cells) for i in range(trials)]
     # this process runs tasks[0::workers] while each of workers - 1 forked
     # children runs its own stride; a child inherits its tasks through the
     # fork and sends back one message
@@ -423,14 +400,15 @@ def run_sweep(mode: str, scenes: list[str], profiles: list[str], trials: int,
     try:
         for k in range(1, workers):
             receiver, sender = fork.Pipe(duplex=False)
-            child = fork.Process(target=_run_share, args=(job, tasks[k::workers], sender))
+            child = fork.Process(target=_run_share, args=(tasks[k::workers], sender))
             children.append((child, receiver))
             # closed once forked, so that no later child inherits it: the
             # receiver sees EOF only when every copy of this end is closed
             with sender:
                 child.start()
-        outputs = [job(task) for task in tasks[0::workers]]
-        for child, receiver in children:
+        outputs = [None] * len(tasks)
+        outputs[0::workers] = [_trial(task) for task in tasks[0::workers]]
+        for k, (child, receiver) in enumerate(children, 1):
             try:
                 ok, payload = receiver.recv()
             except EOFError:
@@ -439,41 +417,37 @@ def run_sweep(mode: str, scenes: list[str], profiles: list[str], trials: int,
                                    "before it sent its trials") from None
             if not ok:
                 raise payload
-            outputs += payload
+            outputs[k::workers] = payload
     finally:
         for child, receiver in children:
             receiver.close()
             if child.pid is not None:  # None if its fork failed
                 child.terminate()
                 child.join()
-    results = dict(outputs)
 
     rows = []
-    idx = 0
-    for scene in scenes:
-        for profile_kind in profiles:
-            chunk = [results[idx + k] for k in range(trials)]
-            idx += trials
-            if mode == "selection":
-                ok = sum(1 for c in chunk if c.success)
-                margins = [c.margin for c in chunk if c.n_candidates]
-                rows.append({
-                    "scene": scene, "profile": profile_kind, "trials": trials,
-                    "successes": ok, "success_rate": ok / trials,
-                    "median_margin": float(np.median(margins)) if margins else math.nan,
-                    "max_prior_error_rad": float(np.max([c.prior_error_angle for c in chunk])),
-                })
-            else:
-                good = [c for c in chunk if c.status == "initialized"]
-                t_med = (float(np.median([max(c.translation_rmse) for c in good]))
-                         if good else float("nan"))
-                s_med = (float(np.median([c.scale_error for c in good]))
-                         if good else float("nan"))
-                rows.append({
-                    "scene": scene, "profile": profile_kind, "trials": trials,
-                    "initialized": len(good),
-                    "success_rate": len(good) / trials,
-                    "median_max_translation_rmse_m": t_med,
-                    "median_scale_error": s_med,
-                })
+    for k, (scene, profile_kind) in enumerate(cells):
+        chunk = outputs[k * trials:(k + 1) * trials]
+        if mode == "selection":
+            ok = sum(1 for c in chunk if c.success)
+            margins = [c.margin for c in chunk if c.n_candidates]
+            rows.append({
+                "scene": scene, "profile": profile_kind, "trials": trials,
+                "successes": ok, "success_rate": ok / trials,
+                "median_margin": float(np.median(margins)) if margins else math.nan,
+                "max_prior_error_rad": float(np.max([c.prior_error_angle for c in chunk])),
+            })
+        else:
+            good = [c for c in chunk if c.status == "initialized"]
+            t_med = (float(np.median([max(c.translation_rmse) for c in good]))
+                     if good else float("nan"))
+            s_med = (float(np.median([c.scale_error for c in good]))
+                     if good else float("nan"))
+            rows.append({
+                "scene": scene, "profile": profile_kind, "trials": trials,
+                "initialized": len(good),
+                "success_rate": len(good) / trials,
+                "median_max_translation_rmse_m": t_med,
+                "median_scale_error": s_med,
+            })
     return rows

@@ -132,16 +132,22 @@ class NavTrack:
                         self.velocity[k], self.gyro_bias, self.accel_bias)
 
     def index_at(self, times) -> np.ndarray:
-        """Index of the state at each of ``times``: the nearest sample, the
-        earlier of two within ``SLICE_TOL_S`` of a tie; a time before the
-        first sample reads the state the pass started from."""
-        times = np.asarray(times, dtype=np.float64)
-        if len(self.t) == 1:
-            return np.zeros(times.shape, dtype=np.intp)
-        after = np.clip(np.searchsorted(self.t, times), 1, len(self.t) - 1)
-        before = after - 1
-        nearer = self.t[after] - times < times - self.t[before] - SLICE_TOL_S
-        return np.where(nearer, after, before)
+        """Index of the state at each of ``times`` (see :func:`nearest_index`);
+        a time before the first sample reads the state the pass started from."""
+        return nearest_index(self.t, times)
+
+
+def nearest_index(t: np.ndarray, times) -> np.ndarray:
+    """Index into the increasing, non-empty ``t`` of the sample nearest each
+    of ``times``: the earlier of two within ``SLICE_TOL_S`` of a tie, the
+    first or last sample for a time outside them."""
+    times = np.asarray(times, dtype=np.float64)
+    if len(t) == 1:
+        return np.zeros(times.shape, dtype=np.intp)
+    after = np.clip(np.searchsorted(t, times), 1, len(t) - 1)
+    before = after - 1
+    nearer = t[after] - times < times - t[before] - SLICE_TOL_S
+    return np.where(nearer, after, before)
 
 
 def _require(samples, count: int, what: str) -> None:
@@ -246,7 +252,7 @@ default IMU noise; turning this fast tilts the body by 0.3 deg in the window."""
 
 SLICE_TOL_S = 1e-9
 """Seconds by which :func:`slice_between` widens [t0, t1] at both ends, and
-by which :meth:`NavTrack.index_at` counts two samples as equally near, so
+by which :func:`nearest_index` counts two samples as equally near, so
 that rounding alone neither drops a sample on a keyframe time nor picks
 between two; far below 5 ms."""
 
@@ -291,12 +297,15 @@ def save_imu_csv(path, samples: ImuStream) -> None:
 def read_csv_rows(path: Path, columns: int, error: type[Exception] = ValueError) -> np.ndarray:
     """The data rows (n, ``columns``) of a csv file below its header line.
 
-    A file with no data rows gives none; another column count raises
-    ``error`` naming the file.
+    A file with no data rows gives none; another column count, or a field
+    that is not a number, raises ``error`` naming the file.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:  # a field that is not a number
+            raise error(f"{path.name}: {exc}") from None
     if rows.size == 0:
         return np.empty((0, columns))
     if rows.shape[1] != columns:

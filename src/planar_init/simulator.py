@@ -429,7 +429,8 @@ class Dataset:
 
     :func:`make_dataset` builds it in memory and :func:`load_dataset` reads
     it from disk.  ``scene_meta`` holds the scene and profile keys of
-    ``scene.json``.
+    ``scene.json``, metadata that :func:`write_dataset` writes back and no
+    computation reads.
     """
 
     rig: CameraRig
@@ -437,10 +438,6 @@ class Dataset:
     frames: Frames
     truth: GroundTruth
     scene_meta: dict
-
-    @property
-    def cam_period(self) -> float:
-        return 1.0 / float(self.scene_meta["cam_rate_hz"])
 
 
 def make_dataset(scene_cfg: SceneConfig, profile: TrajectoryProfile,
@@ -658,10 +655,12 @@ def load_dataset(dataset_dir) -> Dataset:
     Every row of ``features.csv`` is checked here (see :class:`_FeatureRows`)
     and rows may come in any order; a malformed one raises
     :class:`~planar_init.errors.DatasetError`, a ``ValueError``, naming the
-    data row, as do ``groundtruth.csv`` times out of order and a csv file
-    with a column too many or too few.  A frame's pixels are parsed when it
-    is first read, so a pixel field that does not parse raises
-    ``DatasetError`` then, and only if its frame is read.
+    data row, as do ``groundtruth.csv`` times out of order and a
+    ``scene.json`` that is not a JSON object.  A ``groundtruth.csv`` with a
+    column too many or too few, or a field that is not a number, raises a
+    ``ValueError`` naming the file, and such an ``imu.csv`` a ``StreamError``.
+    A frame's pixels are parsed when it is first read, so a pixel field that
+    does not parse raises ``DatasetError`` then, and only if its frame is read.
     """
     root = Path(dataset_dir)
     rig = load_rig(root / "rig.json")
@@ -692,5 +691,7 @@ def load_dataset(dataset_dir) -> Dataset:
     frames = Frames(gt[:, 0], build)
     truth = GroundTruth(gt[:, 0], gt[:, 1:4], gt[:, 4:8], gt[:, 8:11], np.arange(len(gt)))
     scene_meta = json.loads((root / "scene.json").read_text())
+    if not isinstance(scene_meta, dict):
+        raise DatasetError("scene.json: expected a JSON object")
     scene_meta.pop("keyframes", None)  # write_dataset computes them from the truth
     return Dataset(rig, imu, frames, truth, scene_meta)

@@ -13,7 +13,7 @@ from planar_init.config import PipelineConfig
 from planar_init.errors import InvalidDisparityError
 from planar_init.geometry import CameraRig, Pose, Rotation, project
 from planar_init.harness import (
-    evaluate_against_dataset,
+    evaluate,
     run_on_dataset,
     selection_trial,
     trial_seed,
@@ -191,7 +191,7 @@ def test_c05_velocity_refinement(clean_vertical_dataset):
     ds = clean_vertical_dataset
     truth = ds.truth
     result = run_on_dataset(ds, PipelineConfig(), seed=0)
-    window_err = float(np.abs(evaluate_against_dataset(result, ds).velocity_errors).max())
+    window_err = float(np.abs(evaluate(result, ds.truth).velocity_errors).max())
 
     # the integrated constraint fed the true body poses of the first pair
     # returns the true mean velocity over the pair (trapezoidal mean of the
@@ -214,7 +214,7 @@ def test_c06_window_accuracy():
         ds = make_dataset(scene_preset("helipad"), TrajectoryProfile(kind=kind),
                           noise=NoiseModel(), seed=seed)
         result = run_on_dataset(ds, PipelineConfig(), seed=0)
-        report = evaluate_against_dataset(result, ds)
+        report = evaluate(result, ds.truth)
         t_max = float(np.abs(report.translation_errors).max())
         v_rmse = float(report.velocity_rmse.max())
         roll_deg = math.degrees(report.euler_rmse[0])

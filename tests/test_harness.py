@@ -16,7 +16,7 @@ from planar_init import imu as imu_mod
 from planar_init import simulator
 from planar_init.cli import main
 from planar_init.config import PipelineConfig, load_config
-from planar_init.errors import AlignmentError, PipelineError
+from planar_init.errors import AlignmentError, PipelineError, StreamError
 from planar_init.geometry import Pose, Rotation
 from planar_init.harness import (
     evaluate,
@@ -30,6 +30,7 @@ from planar_init.harness import (
 from planar_init.initializer import InitializationResult, STATUS_INITIALIZED, run_initialization
 from planar_init.simulator import (
     FrameObservations,
+    GroundTruth,
     NoiseModel,
     TrajectoryProfile,
     make_dataset,
@@ -37,31 +38,36 @@ from planar_init.simulator import (
 )
 
 
-_FULL_JOB = harness._full_job
+_TRIAL = harness._trial
 
 
-def _full_job_fails_in_worker(args):
-    """A full sweep job that raises for task 1, which a 2-process sweep
+def _index(task) -> int:
+    """Position of a task in the list of a sweep seeded 1, found from its seed."""
+    return next(k for k in range(100) if trial_seed(1, k) == task[3])
+
+
+def _trial_fails_in_worker(task):
+    """A sweep trial that raises for task 1, which a 2-process sweep
     leaves to its forked worker."""
-    if args[0] == 1:
+    if _index(task) == 1:
         raise LookupError("trial 1 failed in the worker")
-    return _FULL_JOB(args)
+    return _TRIAL(task)
 
 
-def _full_job_exits_in_worker(args):
-    """A full sweep job whose process dies on task 1 without a word."""
-    if args[0] == 1:
+def _trial_exits_in_worker(task):
+    """A sweep trial whose process dies on task 1 without a word."""
+    if _index(task) == 1:
         os._exit(3)
-    return _FULL_JOB(args)
+    return _TRIAL(task)
 
 
-def _full_job_fails_in_caller(args):
-    """A full sweep job that raises for task 0, the caller's own first
-    task, while task 1 keeps its forked worker busy for a minute."""
-    if args[0] == 0:
+def _trial_fails_in_caller(task):
+    """A sweep trial that raises for task 0, the caller's own first task,
+    while task 1 keeps its forked worker busy for a minute."""
+    if _index(task) == 0:
         raise LookupError("trial 0 failed in the caller")
     time.sleep(60)
-    return _FULL_JOB(args)
+    return _TRIAL(task)
 
 
 class TestSeeds:
@@ -176,22 +182,32 @@ class TestSelectWindow:
             select_window(ds, PipelineConfig(preset_height_m=1.5))
 
 
+def climb(times) -> np.ndarray:
+    """Positions (n, 3) of a body climbing at 1 m/s from the origin at t = 0, NED."""
+    times = np.asarray(times, dtype=np.float64)
+    return np.column_stack([np.zeros_like(times), np.zeros_like(times), -times])
+
+
 def synthetic_result(times, offset=np.zeros(3)):
-    poses = [Pose(Rotation.identity(), np.array([0.0, 0.0, -1.0]) + offset, "b", "w")
-             for _ in times]
+    poses = [Pose(Rotation.identity(), p + offset, "b", "w") for p in climb(times)]
     vels = [np.zeros(3) for _ in times]
     return InitializationResult(STATUS_INITIALIZED, list(times), poses, vels,
                                 1.0, None, {})
 
 
+def synthetic_truth(t, cam_indices=None):
+    """A level climb sampled at ``t``, its camera frames at ``cam_indices``
+    (every sample by default)."""
+    t = np.asarray(t, dtype=np.float64)
+    cam = np.arange(len(t)) if cam_indices is None else np.asarray(cam_indices)
+    return GroundTruth(t, climb(t), np.tile([1.0, 0, 0, 0], (len(t), 1)),
+                       np.zeros((len(t), 3)), cam)
+
+
 class TestEvaluate:
     def test_exact_estimate_gives_zero(self):
         times = np.array([0.0, 0.05, 0.10])
-        res = synthetic_result(times)
-        gt_pos = np.tile([0.0, 0.0, -1.0], (3, 1))
-        gt_quat = np.tile([1.0, 0, 0, 0], (3, 1))
-        gt_vel = np.zeros((3, 3))
-        rep = evaluate(res, times, gt_pos, gt_quat, gt_vel, cam_period=0.05)
+        rep = evaluate(synthetic_result(times), synthetic_truth(times))
         assert np.all(rep.translation_rmse == 0.0)
         assert np.all(rep.velocity_rmse == 0.0)
         assert np.all(rep.euler_rmse == 0.0)
@@ -199,33 +215,62 @@ class TestEvaluate:
     def test_constant_offset(self):
         times = np.array([0.0, 0.05, 0.10, 0.15])
         res = synthetic_result(times, offset=np.array([1.0, 0.0, 0.0]))
-        gt_pos = np.tile([0.0, 0.0, -1.0], (4, 1))
-        gt_quat = np.tile([1.0, 0, 0, 0], (4, 1))
-        gt_vel = np.zeros((4, 3))
-        rep = evaluate(res, times, gt_pos, gt_quat, gt_vel, cam_period=0.05)
+        rep = evaluate(res, synthetic_truth(times))
         assert rep.translation_rmse[0] == pytest.approx(1.0)
         assert np.all(rep.translation_errors[:, 0] == 1.0)
+
+    def test_positions_are_measured_from_the_first_sample(self):
+        # a hover's truth starts aloft while the estimate starts at the origin
+        times = np.array([0.0, 0.05, 0.10])
+        truth = synthetic_truth(times)
+        truth.position = truth.position + [0.0, 0.0, -2.0]
+        rep = evaluate(synthetic_result(times), truth)
+        np.testing.assert_allclose(rep.translation_errors, 0.0, atol=1e-12)
 
     def test_alignment_error(self):
         times = np.array([0.0, 0.05])
         res = synthetic_result(times)
         with pytest.raises(AlignmentError):
-            evaluate(res, times + 100.0, np.zeros((2, 3)),
-                     np.tile([1.0, 0, 0, 0], (2, 1)), np.zeros((2, 3)), 0.05)
+            evaluate(res, synthetic_truth(times + 100.0))
+        # a groundtruth.csv with no rows used to escape as an IndexError
+        with pytest.raises(AlignmentError, match="no camera frames"):
+            evaluate(res, synthetic_truth([]))
+
+    def test_keyframe_within_half_a_frame_spacing_is_kept(self):
+        # frames 0.05 s apart: a keyframe 0.02 s past the last frame is
+        # scored there, one 0.03 s past it is left out
+        truth = synthetic_truth([0.0, 0.05, 0.10, 0.15])
+        rep = evaluate(synthetic_result([0.07, 0.17, 0.18]), truth)
+        np.testing.assert_array_equal(rep.times, [0.07, 0.17])
+        np.testing.assert_allclose(rep.translation_errors[:, 2], [-0.02, -0.02], atol=1e-12)
+
+    def test_keyframes_on_the_remaining_frames_of_a_gap_are_scored_at_their_rows(self):
+        # a dense truth with its camera frames every 10th sample, frame 3 of
+        # 7 deleted: the keyframe on it is 0.05 s from either neighbour and
+        # is left out, the others score zero error at their own rows
+        t = np.arange(61) * 0.005
+        truth = synthetic_truth(t, cam_indices=[0, 10, 20, 40, 50, 60])
+        times = t[[10, 20, 30, 40, 50]]
+        rep = evaluate(synthetic_result(times), truth)
+        np.testing.assert_array_equal(rep.times, t[[10, 20, 40, 50]])
+        assert np.all(rep.translation_errors == 0.0)
+
+    def test_one_row_truth_matches_only_its_own_time(self):
+        truth = synthetic_truth([0.5])
+        rep = evaluate(synthetic_result([0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.6]), truth)
+        np.testing.assert_array_equal(rep.times, [0.5])
+        with pytest.raises(AlignmentError):
+            evaluate(synthetic_result([0.4, 0.6]), truth)
 
     def test_plot_rows_schema(self):
         times = np.array([0.0, 0.05])
-        res = synthetic_result(times)
-        gt_pos = np.tile([0.0, 0.0, -1.0], (2, 1))
-        rep = evaluate(res, times, gt_pos, np.tile([1.0, 0, 0, 0], (2, 1)),
-                       np.zeros((2, 3)), 0.05)
+        rep = evaluate(synthetic_result(times), synthetic_truth(times))
         rows = rep.plot_rows()
         assert len(rows) == 2 and len(rows[0]) == 10
 
     def test_report_json_shape(self, clean_vertical_dataset):
         result = run_on_dataset(clean_vertical_dataset, PipelineConfig(), seed=0)
-        from planar_init.harness import evaluate_against_dataset
-        rep = evaluate_against_dataset(result, clean_vertical_dataset)
+        rep = evaluate(result, clean_vertical_dataset.truth)
         d = rep.to_json_dict()
         assert set(d["translation_rmse_m"]) == {"x", "y", "z"}
         assert set(d["euler_rmse_rad"]) == {"roll", "pitch", "yaw"}
@@ -278,16 +323,16 @@ class TestSweep:
             pytest.skip("no /proc/self/task to count threads")
         caller = os.getpid()
 
-        def job(args):
+        def trial(task):
             selection_trial("oblique", seed=1)
-            out = _FULL_JOB(args)
+            out = _TRIAL(task)
             threads = len(os.listdir("/proc/self/task"))
             if os.getpid() != caller and threads != 1:
                 raise AssertionError(f"the sweep worker runs {threads} OS threads")
-            (tmp_path / f"{args[0]}.pid").write_text(str(os.getpid()))
+            (tmp_path / f"{_index(task)}.pid").write_text(str(os.getpid()))
             return out
 
-        monkeypatch.setattr(harness, "_full_job", job)
+        monkeypatch.setattr(harness, "_trial", trial)
         rows = run_sweep("full", ["helipad"], ["oblique"], trials=2, master_seed=1, jobs=2)
         assert rows[0]["initialized"] == 2
         pids = {int(f.read_text()) for f in tmp_path.glob("*.pid")}
@@ -313,20 +358,20 @@ class TestSweep:
         assert len(forked) == forks
 
     def test_worker_exception_reraised_in_caller(self, monkeypatch):
-        monkeypatch.setattr(harness, "_full_job", _full_job_fails_in_worker)
+        monkeypatch.setattr(harness, "_trial", _trial_fails_in_worker)
         with pytest.raises(LookupError, match="trial 1 failed in the worker") as info:
             run_sweep("full", ["helipad"], ["vertical"], trials=2, master_seed=1, jobs=2)
         assert info.type is LookupError
         assert multiprocessing.active_children() == []
 
     def test_worker_exit_without_result_names_its_code(self, monkeypatch):
-        monkeypatch.setattr(harness, "_full_job", _full_job_exits_in_worker)
+        monkeypatch.setattr(harness, "_trial", _trial_exits_in_worker)
         with pytest.raises(RuntimeError, match="exited with code 3"):
             run_sweep("full", ["helipad"], ["vertical"], trials=2, master_seed=1, jobs=2)
         assert multiprocessing.active_children() == []
 
     def test_caller_exception_stops_the_workers(self, monkeypatch):
-        monkeypatch.setattr(harness, "_full_job", _full_job_fails_in_caller)
+        monkeypatch.setattr(harness, "_trial", _trial_fails_in_caller)
         start = time.monotonic()
         with pytest.raises(LookupError, match="trial 0 failed in the caller"):
             run_sweep("full", ["helipad"], ["vertical"], trials=2, master_seed=1, jobs=2)
@@ -994,6 +1039,56 @@ class TestCli:
         assert code == 2
         assert f"{name}: expected {columns} columns, got {columns + got}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, error", [("groundtruth.csv", ValueError),
+                                             ("imu.csv", StreamError)])
+    def test_csv_non_number_is_an_io_error(self, name, error, dataset_dir, tmp_path,
+                                           capsys):
+        # numpy's message used to be the whole error, naming no file
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        path = ds / name
+        head, first, *rest = path.read_text().splitlines()
+        path.write_text("\r\n".join([head, "abc" + first[first.index(","):], *rest]) + "\r\n")
+        with pytest.raises(error, match=f"^{name}: "):
+            simulator.load_dataset(ds)
+        out = tmp_path / "run"
+        code = main(["init", "--dataset", str(ds), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            f"I/O error: {name}: could not convert string 'abc' to float64 at row 0, column 1."]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, code", [
+        (lambda d: [1, 2], 2),
+        (lambda d: {k: v for k, v in d.items() if k != "cam_rate_hz"}, 0),
+        (lambda d: {**d, "cam_rate_hz": "x"}, 0),
+        (lambda d: {**d, "cam_rate_hz": 0}, 0),
+    ], ids=["not-an-object", "no-cam-rate", "string-cam-rate", "zero-cam-rate"])
+    @pytest.mark.parametrize("command", ["init", "evaluate"])
+    def test_scene_json_is_read_by_no_computation(self, command, edit, code, dataset_dir,
+                                                  tmp_path, capsys):
+        # each used to exit 1 with a traceback: a list as a TypeError, and the
+        # camera rate, which scoring read, as a KeyError, ValueError or
+        # ZeroDivisionError after init had written result.json
+        run = tmp_path / "run"
+        assert main(["init", "--dataset", str(dataset_dir), "--out", str(run)]) == 0
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        scene = ds / "scene.json"
+        scene.write_text(json.dumps(edit(json.loads(scene.read_text()))))
+        capsys.readouterr()
+        args = (["init", "--dataset", str(ds), "--out", str(tmp_path / "again")]
+                if command == "init" else
+                ["evaluate", "--result", str(run / "result.json"), "--dataset", str(ds),
+                 "--out", str(tmp_path / "eval")])
+        assert main(args) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.splitlines() == ["I/O error: scene.json: expected a JSON object"]
+        else:
+            assert err == ""
 
     def test_header_only_imu_csv_is_an_io_error(self, dataset_dir, tmp_path, capsys):
         # np.loadtxt used to warn that it read no data, and the loader then

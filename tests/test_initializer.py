@@ -15,7 +15,7 @@ from planar_init.errors import (
     PipelineError,
 )
 from planar_init.geometry import CameraRig, FrameObservations, Pose, Rotation, normalize
-from planar_init.harness import evaluate_against_dataset, run_on_dataset, select_window
+from planar_init.harness import evaluate, run_on_dataset, select_window
 from planar_init.homography import HomographySolution, estimate
 from planar_init.imu import ImuStream, nav_state_at_rest, propagate
 from planar_init.initializer import (
@@ -326,7 +326,7 @@ class TestRunInitialization:
         ds = clean_vertical_dataset
         result = run_on_dataset(ds, PipelineConfig(), seed=0)
         assert result.status == STATUS_INITIALIZED
-        report = evaluate_against_dataset(result, ds)
+        report = evaluate(result, ds.truth)
         assert np.abs(report.translation_errors).max() < 1e-4
         assert np.abs(report.velocity_errors).max() < 1e-9
         assert report.euler_rmse.max() < 1e-5
@@ -358,7 +358,7 @@ class TestRunInitialization:
                           rig=rolled_rig(roll_deg), noise=NoiseModel.noiseless(), seed=1)
         result = run_on_dataset(ds, PipelineConfig(), seed=0)
         assert result.status == STATUS_INITIALIZED
-        assert evaluate_against_dataset(result, ds).translation_rmse.max() < 1e-4
+        assert evaluate(result, ds.truth).translation_rmse.max() < 1e-4
 
     def test_velocity_does_not_depend_on_deviation_mode(self, noisy_vertical_dataset):
         # the velocity comes from the PnP fit before the weighted refit, in
@@ -492,7 +492,7 @@ class TestRunInitialization:
                     n, _ = tr.plane_in_camera(a, ds.rig)
                     cos = abs(t @ n) / np.linalg.norm(t)
                     assert math.degrees(math.acos(min(cos, 1.0))) < 1.0
-                report = evaluate_against_dataset(result, ds)
+                report = evaluate(result, ds.truth)
                 max_err.append(np.abs(report.translation_errors).max())
                 _, d_true = tr.plane_in_camera(idx[1], ds.rig)
                 scale_err.append(abs(result.scale - d_true) / d_true)

@@ -451,7 +451,7 @@ class TestDatasetIo:
             np.testing.assert_array_equal(
                 getattr(loaded.truth, name)[loaded.truth.cam_indices],
                 getattr(ds.truth, name)[ds.truth.cam_indices], err_msg=name)
-        assert loaded.cam_period == ds.cam_period
+        np.testing.assert_array_equal(loaded.frames.times, ds.frames.times)
         assert loaded.scene_meta == ds.scene_meta
 
     @staticmethod
